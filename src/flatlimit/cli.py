@@ -17,12 +17,13 @@ from typing import Optional
 
 import yaml
 
-from .core import MACHINE, CubatureRule, PointSet, PrecisionConfig
+from .core import CubatureRule, PointSet
 from .cubature import optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
 from .experiments import (
     OptimalStudyConfig,
     SweepConfig,
+    _precision_for,
     format_real,
     gauss_csv_lines,
     optimal_csv_lines,
@@ -238,16 +239,6 @@ def _optimal_config(raw: dict) -> OptimalStudyConfig:
         raise ConfigError(f"invalid optimal config: {e}") from e
 
 
-def _precision_for(policy, length_scale: Optional[float], n_points: int) -> PrecisionConfig:
-    if policy == "machine":
-        return MACHINE
-    if policy == "auto":
-        if length_scale is None:
-            return MACHINE
-        return PrecisionConfig.extended(auto_precision_bits(length_scale, n_points))
-    return PrecisionConfig.extended(int(policy))
-
-
 def _write_out(out_dir: str, name: str, lines: list[str]) -> Path:
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -315,7 +306,7 @@ def _cmd_gauss(args) -> int:
     L = _parse_functional(raw["functional"])
     n = int(raw["n_points"])
     policy = _parse_precision(raw.get("precision", "machine"))
-    prec = _precision_for(policy, None, n)
+    prec = _precision_for(policy)
     rule = gauss_rule_from_moments(L, n, prec)
     print(f"gauss rule: N={n}, {L.label()}, exact to degree {rule.degree_of_exactness}")
     print(f"max normalized moment residual: {rule.max_exactness_residual:.3e}")
@@ -339,7 +330,7 @@ def _cmd_wce(args) -> int:
     L = _parse_functional(raw["functional"])
     points = _parse_points(raw["points"])
     policy = _parse_precision(raw.get("precision", "auto"))
-    prec = _precision_for(policy, kspec.length_scale, len(points))
+    prec = _precision_for(policy, auto_precision_bits(kspec.length_scale, len(points)))
     if "weights" in raw and raw["weights"] is not None:
         ws = raw["weights"]
         if not isinstance(ws, list) or len(ws) != len(points):
@@ -347,7 +338,7 @@ def _cmd_wce(args) -> int:
         rule = CubatureRule(points, tuple(float(w) for w in ws))
         assume = bool(raw.get("assume_optimal", False))
     else:
-        rule = optimal_weights(kspec, L, points, prec).rule
+        rule = optimal_weights(kspec, L, points, prec)  # a WeightSolution, reused below
         assume = True
     report = worst_case_error(kspec, L, rule, prec, assume_optimal=assume)
     print(f"wce: {format_real(report.wce, prec.bits)}")
@@ -368,7 +359,7 @@ def _cmd_check_unisolvent(args) -> int:
     points = _parse_points(raw["points"])
     degree = int(raw["degree"])
     policy = _parse_precision(raw.get("precision", "machine"))
-    prec = MACHINE if policy in ("machine", "auto") else PrecisionConfig.extended(int(policy))
+    prec = _precision_for(policy)
     report = unisolvency_check(points, degree, prec)
     print(f"status: {report.status}")
     print(f"condition estimate: {report.condition:.6e} (threshold {report.threshold:.6e})")

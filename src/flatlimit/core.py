@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
+import numpy as np
 from mpmath import mp, mpf
 
 Real = Union[float, mpf]
@@ -291,6 +292,14 @@ class PrecisionConfig:
 
     def to_point(self, p: Sequence) -> tuple[Real, ...]:
         return tuple(self.to_real(c) for c in p)
+
+    def _matrix(self, rows: int, cols: int):
+        """Zero matrix of this precision's container type, indexed as
+        ``A[i, j]``: a float64 numpy array in machine mode, an mpmath
+        matrix in extended mode (package-internal)."""
+        if self.is_extended:
+            return mp.matrix(rows, cols)
+        return np.zeros((rows, cols), dtype=float)
 
 
 MACHINE = PrecisionConfig.machine()

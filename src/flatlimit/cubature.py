@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-from mpmath import mp
+from typing import Any, Optional, Union
 
 from .core import (
     MACHINE,
@@ -41,13 +38,23 @@ from .linalg import condition_estimate, solve_general, solve_spd
 
 @dataclass(frozen=True)
 class WeightSolution:
-    """A cubature rule produced by a linear solve, with solve diagnostics."""
+    """A cubature rule produced by a linear solve, with solve diagnostics.
+
+    Optimal weights also record the kernel, the functional, the Gram
+    matrix and the embedding they were solved with, so that
+    :func:`worst_case_error` can reuse them; the polynomial-type weight
+    families leave these None.
+    """
 
     rule: CubatureRule
     residual_norm: Real
     condition: float
     precision: PrecisionConfig
     warning: Optional[str] = None
+    kernel: Optional[KernelSpec] = None
+    functional: Optional[FunctionalSpec] = None
+    gram: Any = None
+    embedding: Optional[tuple[Real, ...]] = None
 
     @property
     def weights(self) -> tuple[Real, ...]:
@@ -99,17 +106,25 @@ def optimal_weights(
         z = [kernel_embedding(L, spec, x, prec) for x in points]
         sol = solve_spd(G, z, prec)
         rule = CubatureRule(points, sol.solution)
-        return WeightSolution(rule, sol.residual_norm, sol.condition, prec, sol.warning)
+        return WeightSolution(
+            rule, sol.residual_norm, sol.condition, prec, sol.warning, spec, L, G, tuple(z)
+        )
 
 
 def worst_case_error(
     spec: KernelSpec,
     L: FunctionalSpec,
-    rule: CubatureRule,
+    rule: Union[CubatureRule, WeightSolution],
     prec: PrecisionConfig = MACHINE,
     assume_optimal: bool = False,
 ) -> WorstCaseReport:
     """Worst-case error of ``rule`` for ``L`` over the kernel's unit ball.
+
+    ``rule`` is a cubature rule or a :class:`WeightSolution`.  A solution
+    from :func:`optimal_weights` brings the Gram matrix, the embedding and
+    the condition number of its solve, which are reused instead of being
+    recomputed; its kernel, functional and precision must then equal
+    ``spec``, ``L`` and ``prec`` (ValueError otherwise).
 
     Always evaluates the full quadratic form.  The flat-limit regime
     cancels catastrophically, so a small negative radicand within the
@@ -120,11 +135,20 @@ def worst_case_error(
     quadratic form at the same budget, so passing non-optimal weights with
     the flag set is caught instead of silently misreported.
     """
+    solved = rule if isinstance(rule, WeightSolution) and rule.gram is not None else None
+    if isinstance(rule, WeightSolution):
+        rule = rule.rule
+    if solved is not None and (solved.kernel, solved.functional, solved.precision) != (spec, L, prec):
+        raise ValueError("the weight solution was computed for another kernel, functional or precision")
     _check_dims(L, rule.points)
     with prec.workprec():
         points = rule.points
-        G = gram_matrix(spec, points, prec)
-        z = [kernel_embedding(L, spec, x, prec) for x in points]
+        if solved is not None:
+            G, z, cond = solved.gram, solved.embedding, solved.condition
+        else:
+            G = gram_matrix(spec, points, prec)
+            z = [kernel_embedding(L, spec, x, prec) for x in points]
+            cond = condition_estimate(G, prec)
         w = [prec.to_real(wi) for wi in rule.weights]
         n = len(points)
         llk = double_embedding(L, spec, prec)
@@ -132,13 +156,11 @@ def worst_case_error(
         for i in range(n):
             gi = prec.to_real(0)
             for j in range(n):
-                gij = G[i, j] if prec.is_extended else G[i][j]
-                gi = gi + gij * w[j]
+                gi = gi + G[i, j] * w[j]
             quad = quad + w[i] * gi
         cross = sum(wi * zi for wi, zi in zip(w, z))
-        cond = condition_estimate(G, prec)
         scale = abs(llk) + 2 * abs(cross) + abs(quad)
-        u = mp.mpf(2) ** (-prec.bits) if prec.is_extended else prec.unit_roundoff
+        u = prec.to_real(2) ** -prec.bits
         budget = 10 * max(cond, 1.0) * u * max(scale, prec.to_real(1e-300))
         radicand = llk - 2 * cross + quad
         if radicand < -budget:
@@ -172,17 +194,11 @@ def _coeff_matrix_rows(points: PointSet, basis_eval, prec: PrecisionConfig):
     """Rows indexed by basis function, columns by point (the transpose of
     the collocation matrix), as the working-precision matrix type."""
     n = len(points)
-    if prec.is_extended:
-        A = mp.matrix(n, n)
-        for j in range(n):
-            for i, x in enumerate(points):
-                A[j, i] = basis_eval(j, x)
-        return A
-    An = np.empty((n, n), dtype=float)
+    A = prec._matrix(n, n)
     for j in range(n):
         for i, x in enumerate(points):
-            An[j, i] = basis_eval(j, x)
-    return An
+            A[j, i] = basis_eval(j, x)
+    return A
 
 
 def polynomial_weights(

@@ -13,6 +13,7 @@ parallelism is not safe) and written in grid order.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -36,6 +37,7 @@ from .functionals import FunctionalSpec
 from .gauss_optimal import (
     GaussRule,
     OptimizerSettings,
+    _default_optimizer_bits,
     gauss_rule_from_moments,
     optimize_points,
 )
@@ -97,12 +99,12 @@ def _check_precision_field(value) -> None:
         raise ConfigError(f"precision must be 'auto', 'machine' or a bit count, got {value!r}")
 
 
-def _sweep_precision(policy, ell: float, n_points: int) -> PrecisionConfig:
-    if policy == "machine":
+def _precision_for(policy, auto_bits: Optional[int] = None) -> PrecisionConfig:
+    """The precision of a policy "machine", "auto" or a bit count; "auto"
+    means ``auto_bits`` extended bits, or machine precision without them."""
+    if policy == "machine" or (policy == "auto" and auto_bits is None):
         return MACHINE
-    if policy == "auto":
-        return PrecisionConfig.extended(auto_precision_bits(ell, n_points))
-    return PrecisionConfig.extended(int(policy))
+    return PrecisionConfig.extended(auto_bits if policy == "auto" else int(policy))
 
 
 @dataclass(frozen=True)
@@ -195,11 +197,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     records: list[SweepRecord] = []
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
-        prec = _sweep_precision(cfg.precision, ell, len(cfg.points))
+        prec = _precision_for(cfg.precision, auto_precision_bits(ell, len(cfg.points)))
         kspec = KernelSpec(cfg.kernel_family, ell)
         try:
             wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
-            report = worst_case_error(kspec, cfg.functional, wsol.rule, prec, assume_optimal=True)
+            report = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True)
             fsol = phi_weights(cfg.functional, ell, cfg.points, cfg.degree, prec)
             d_opt = max(abs(float(w) - r) for w, r in zip(wsol.weights, ref))
             d_phi = max(abs(float(w) - r) for w, r in zip(fsol.weights, ref))
@@ -293,33 +295,16 @@ class OptimalStudyResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _study_precision(policy, ell: float, n_points: int) -> Optional[PrecisionConfig]:
-    if policy == "machine":
-        return MACHINE
-    if policy == "auto":
-        return None  # optimize_points picks its own default
-    return PrecisionConfig.extended(int(policy))
-
-
 def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
     """Optimize node positions at every length scale and compare each rule
     to the functional's Gaussian quadrature rule."""
     gauss = gauss_rule_from_moments(cfg.functional, cfg.n_points, MACHINE)
-    settings = cfg.optimizer
-    if settings.seed != cfg.seed:
-        settings = OptimizerSettings(
-            restarts=settings.restarts,
-            max_evals=settings.max_evals,
-            seed=cfg.seed,
-            search_box=settings.search_box,
-            xatol_rel=settings.xatol_rel,
-            fatol_rel=settings.fatol_rel,
-        )
+    settings = dataclasses.replace(cfg.optimizer, seed=cfg.seed)
     records: list[OptimalRecord] = []
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
         kspec = KernelSpec(cfg.kernel_family, ell)
-        prec = _study_precision(cfg.precision, ell, cfg.n_points)
+        prec = _precision_for(cfg.precision, _default_optimizer_bits(ell, cfg.n_points))
         try:
             rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, settings)
             xs = tuple(p[0] for p in rule.points)
@@ -327,9 +312,8 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
             wce = trace.entries[-1].wce if trace.entries else math.nan
             nd = max(abs(a - b) for a, b in zip(xs, gauss.nodes))
             wd = max(abs(a - b) for a, b in zip(ws, gauss.weights))
-            bits = prec.bits if prec is not None else _optimizer_bits_for(kspec, cfg.n_points)
             records.append(
-                OptimalRecord(float(ell), xs, ws, float(wce), nd, wd, trace.converged, bits)
+                OptimalRecord(float(ell), xs, ws, float(wce), nd, wd, trace.converged, prec.bits)
             )
             if not trace.converged:
                 failures.append((float(ell), "optimizer did not report convergence; best iterate recorded"))
@@ -340,12 +324,6 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
     if not cfg.functional.is_bounded:
         notes.append("unbounded-domain node optimization is experimental")
     return OptimalStudyResult(cfg, records, rate, failures, gauss, notes)
-
-
-def _optimizer_bits_for(kspec: KernelSpec, n_points: int) -> int:
-    from .gauss_optimal import _default_optimizer_bits
-
-    return _default_optimizer_bits(kspec.length_scale, n_points)
 
 
 def format_real(value, bits: int) -> str:
@@ -411,17 +389,20 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(json.dumps(raw, sort_keys=True, default=str).encode()).hexdigest()
 
 
-def sweep_manifest(result: SweepResult, raw_config: dict) -> dict:
+def _manifest(command: str, result, raw_config: dict, details: dict) -> dict:
+    """The manifest of a sweep or a study, with ``details`` after the
+    common header; key order is the order written."""
+    cfg = result.config
     m = {
         "tool": f"flatlimit {__version__}",
-        "command": "sweep",
+        "command": command,
         "config_sha256": config_digest(raw_config),
-        "seed": result.config.seed,
-        "functional": result.config.functional.label(),
-        "kernel_family": result.config.kernel_family,
-        "precision_policy": str(result.config.precision),
-        "assumptions_checked": result.config.functional.assumptions_checked,
-        "reference_weights_bits": _REFERENCE_BITS,
+        "seed": cfg.seed,
+        "functional": cfg.functional.label(),
+        "kernel_family": cfg.kernel_family,
+        "precision_policy": str(cfg.precision),
+        "assumptions_checked": cfg.functional.assumptions_checked,
+        **details,
         "precision_decisions": [
             {"ell": r.ell, "bits": r.precision_bits} for r in result.records
         ],
@@ -436,31 +417,14 @@ def sweep_manifest(result: SweepResult, raw_config: dict) -> dict:
             "n_used": result.rate_fit.n_used,
         }
     return m
+
+
+def sweep_manifest(result: SweepResult, raw_config: dict) -> dict:
+    return _manifest("sweep", result, raw_config, {"reference_weights_bits": _REFERENCE_BITS})
 
 
 def optimal_manifest(result: OptimalStudyResult, raw_config: dict) -> dict:
-    m = {
-        "tool": f"flatlimit {__version__}",
-        "command": "optimal",
-        "config_sha256": config_digest(raw_config),
-        "seed": result.config.seed,
-        "functional": result.config.functional.label(),
-        "kernel_family": result.config.kernel_family,
-        "precision_policy": str(result.config.precision),
-        "assumptions_checked": result.config.functional.assumptions_checked,
+    return _manifest("optimal", result, raw_config, {
         "gauss_nodes": [float(x) for x in result.gauss.nodes],
         "gauss_weights": [float(w) for w in result.gauss.weights],
-        "precision_decisions": [
-            {"ell": r.ell, "bits": r.precision_bits} for r in result.records
-        ],
-        "failures": [{"ell": e, "error": msg} for e, msg in result.failures],
-        "notes": result.notes,
-    }
-    if result.rate_fit is not None:
-        m["rate_fit"] = {
-            "slope": result.rate_fit.slope,
-            "stderr": result.rate_fit.stderr,
-            "window": list(result.rate_fit.window),
-            "n_used": result.rate_fit.n_used,
-        }
-    return m
+    })

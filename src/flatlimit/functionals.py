@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import scipy.integrate
 from mpmath import mp
 
 from .core import (
@@ -196,6 +195,8 @@ def quad1d(
                     f"tanh-sinh error estimate {mp.nstr(err, 8)} above tolerance {mp.nstr(bound, 8)}"
                 )
             return val
+    import scipy.integrate  # deferred: only the machine lane needs QUADPACK
+
     out = scipy.integrate.quad(f, a, b, epsabs=1e-14, epsrel=rel_tol, limit=budget, full_output=1)
     val_f, err_f = out[0], out[1]
     # QUADPACK warning messages are advisory; what matters is whether the

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 from mpmath import mp
 
 from .core import (
@@ -25,7 +24,7 @@ from .core import (
     PointSet,
     PrecisionConfig,
 )
-from .errors import NumericalInconsistencyError, NumericallyIndefiniteError
+from .errors import FlatLimitError, NumericalInconsistencyError, NumericallyIndefiniteError
 from .functionals import FunctionalSpec, double_embedding, kernel_embedding, moment
 from .kernels import KernelSpec, gram_matrix
 from .linalg import solve_spd
@@ -221,6 +220,8 @@ def optimize_points(
     Gaussian quadrature nodes of the functional (when available) plus
     seeded stratified random restarts; the best restart wins.
     """
+    import scipy.optimize  # deferred: slow to import, and only the optimizer needs it
+
     if L.dimension != 1:
         raise ValueError("point optimization is one-dimensional")
     if n_points < 1:
@@ -279,11 +280,12 @@ def optimize_points(
     inits: list[tuple[str, np.ndarray]] = []
     try:
         g = gauss_rule_from_moments(L, n_points, MACHINE)
+    except FlatLimitError:
+        pass  # no Gauss rule for this functional: start from the grid
+    else:
         gn = np.clip(np.array(g.nodes), a, b)
         if n_points == 1 or float(np.diff(gn).min()) > gap_min:
             inits.append(("gauss", gn))
-    except Exception:
-        pass
     if not inits:
         inits.append(("grid", a + (np.arange(1, n_points + 1) / (n_points + 1)) * width))
     rng = np.random.default_rng(settings.seed)

@@ -211,21 +211,13 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
     """
     n = len(points)
     with prec.workprec():
-        if prec.is_extended:
-            out = mp.matrix(n, n)
-            for i in range(n):
-                for j in range(i, n):
-                    v = kernel_eval(spec, points[i], points[j], prec)
-                    out[i, j] = v
-                    out[j, i] = v
-            return out
-        out_np = np.empty((n, n), dtype=float)
+        out = prec._matrix(n, n)
         for i in range(n):
             for j in range(i, n):
                 v = kernel_eval(spec, points[i], points[j], prec)
-                out_np[i, j] = v
-                out_np[j, i] = v
-        return out_np
+                out[i, j] = v
+                out[j, i] = v
+        return out
 
 
 def phi_basis_eval(length_scale: float, alpha: MultiIndex, x, prec: PrecisionConfig = MACHINE) -> Real:

@@ -2,9 +2,10 @@
 
 Machine mode wraps LAPACK (via scipy), extended mode wraps mpmath, both
 behind one interface that always reports a factorization-based condition
-estimate and a residual.  Ill-conditioning is never patched by jitter or
-regularization here; the remedy on failure is more precision, and the
-errors say so.
+estimate and a residual; an extended solve takes the solution and the
+condition number from one factorization.  Ill-conditioning is never
+patched by jitter or regularization here; the remedy on failure is more
+precision, and the errors say so.
 """
 from __future__ import annotations
 
@@ -148,6 +149,22 @@ def _residual_mp(A: mp.matrix, x: mp.matrix, b: mp.matrix, bits: int) -> mp.mpf:
         return r
 
 
+def _result_mp(A: mp.matrix, b: mp.matrix, substitute, prec: PrecisionConfig) -> SolveResult:
+    """Solution, condition number and residual from one factorization:
+    ``substitute(v)`` solves A x = v with the factor, at the guard bits."""
+    n = A.rows
+    inv = mp.matrix(n, n)
+    with mp.workprec(prec.bits + 10):
+        x = substitute(b)
+        for k in range(n):
+            col = substitute(mp.unitvector(n, k + 1))
+            for i in range(n):
+                inv[i, k] = col[i]
+    cond = float(_inf_norm_mp(A) * _inf_norm_mp(inv))
+    res = _residual_mp(A, x, b, prec.bits)
+    return SolveResult(tuple(x), res, cond, prec, _warning_for(cond, prec))
+
+
 def _warning_for(cond: float, prec: PrecisionConfig) -> Optional[str]:
     if cond > prec.warn_threshold:
         return (
@@ -173,17 +190,25 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
                 for j in range(i):
                     if Am[i, j] != Am[j, i]:
                         raise ValueError("matrix must be symmetric")
-            try:
-                mp.cholesky(Am)
-            except ValueError as e:
-                raise NumericallyIndefiniteError(
-                    f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
-                ) from e
-            x = mp.cholesky_solve(Am, bm)
-            inv = mp.inverse(Am)
-            cond = float(_inf_norm_mp(Am) * _inf_norm_mp(inv))
-            res = _residual_mp(Am, x, bm, prec.bits)
-            return SolveResult(tuple(x), res, cond, prec, _warning_for(cond, prec))
+            tol = +mp.eps  # definiteness is judged at the working precision
+            with mp.workprec(prec.bits + 10):  # the guard bits of mp.cholesky_solve
+                try:
+                    Lc = mp.cholesky(Am, tol)
+                except ValueError as e:
+                    raise NumericallyIndefiniteError(
+                        f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
+                    ) from e
+            Lt = Lc.T
+
+            def substitute(v):
+                # L L^T x = v, in the order of mp.cholesky_solve
+                y = v.copy()
+                for i in range(n):
+                    y[i] -= mp.fsum(Lc[i, j] * y[j] for j in range(i))
+                    y[i] /= Lc[i, i]
+                return mp.U_solve(Lt, y)
+
+            return _result_mp(Am, bm, substitute, prec)
     An = _to_numpy_matrix(A)
     n = An.shape[0]
     bn = _to_numpy_vec(b, n)
@@ -211,14 +236,12 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
             Am = _to_mp_matrix(A)
             n = Am.rows
             bm = _to_mp_vec(b, n)
-            try:
-                x = mp.lu_solve(Am, bm)
-                inv = mp.inverse(Am)
-            except ZeroDivisionError as e:
-                raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
-            cond = float(_inf_norm_mp(Am) * _inf_norm_mp(inv))
-            res = _residual_mp(Am, x, bm, prec.bits)
-            return SolveResult(tuple(x), res, cond, prec, _warning_for(cond, prec))
+            with mp.workprec(prec.bits + 10):  # the guard bits of mp.lu_solve and mp.inverse
+                try:
+                    LU, p = mp.LU_decomp(Am)
+                except ZeroDivisionError as e:
+                    raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
+            return _result_mp(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), prec)
     An = _to_numpy_matrix(A)
     n = An.shape[0]
     bn = _to_numpy_vec(b, n)

@@ -109,6 +109,35 @@ def test_assume_optimal_rejects_non_optimal_weights():
         worst_case_error(k, L, CubatureRule(X, (0.9, 0.1, 0.7)), EXT, assume_optimal=True)
 
 
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), EXT])
+def test_worst_case_error_reuses_the_weight_solution(monkeypatch, prec):
+    import flatlimit.cubature as cubature
+
+    k = KernelSpec.gaussian(3.0)
+    L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    X = PointSet.from_1d([-0.9, -0.2, 0.4, 1.0])
+    sol = optimal_weights(k, L, X, prec)
+    bare = worst_case_error(k, L, sol.rule, prec, assume_optimal=True)
+    calls = {"gram_matrix": 0, "kernel_embedding": 0}
+    for name in calls:
+        original = getattr(cubature, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cubature, name, counted)
+    reused = worst_case_error(k, L, sol, prec, assume_optimal=True)
+    assert calls == {"gram_matrix": 0, "kernel_embedding": 0}
+    for term in ("wce", "initial_term", "cross_term", "quadratic_form", "radicand"):
+        assert getattr(reused, term) == getattr(bare, term)
+    assert reused.condition == sol.condition
+    with pytest.raises(ValueError):
+        worst_case_error(KernelSpec.gaussian(4.0), L, sol, prec)
+    with pytest.raises(ValueError):
+        worst_case_error(k, FunctionalSpec.gaussian_measure(1), sol, prec)
+
+
 def test_simpson_weights_from_polynomial_exactness():
     L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
     X = PointSet.from_1d([-1.0, 0.0, 1.0])

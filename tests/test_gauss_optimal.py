@@ -3,8 +3,10 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
+import flatlimit.gauss_optimal as gauss_optimal
 from flatlimit import (
     FunctionalSpec,
+    NumericallyIndefiniteError,
     KernelSpec,
     MultiIndex,
     OptimizerSettings,
@@ -173,3 +175,20 @@ def test_optimized_rule_beats_fixed_symmetric_nodes():
         worst_case_error(k, LEB, optimal_weights(k, LEB, fixed, prec).rule, prec).wce
     )
     assert e_opt <= e_fixed * (1 + 1e-10)
+
+
+def test_optimizer_falls_back_to_grid_start_only_on_library_errors(monkeypatch):
+    def no_gauss_rule(*args, **kwargs):
+        raise NumericallyIndefiniteError("Hankel moment matrix is not positive definite")
+
+    monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", no_gauss_rule)
+    settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
+    _, trace = optimize_points(KernelSpec.gaussian(5.0), LEB, 2, settings=settings)
+    assert trace.restart_summaries[0]["start"] == "grid"
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("programming error")
+
+    monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", broken)
+    with pytest.raises(RuntimeError, match="programming error"):
+        optimize_points(KernelSpec.gaussian(5.0), LEB, 2, settings=settings)

@@ -148,3 +148,54 @@ def test_auto_precision_bits_scales_with_flatness():
     assert b10000 > b100
     # doubling log10(ell) doubles the extra digits needed
     assert b10000 - 64 == pytest.approx(2 * (b100 - 64), abs=2)
+
+
+def count_mp_calls(monkeypatch, *names):
+    """Count calls of mpmath context methods, including nested ones."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(type(mp), name)
+
+        def counted(ctx, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(type(mp), name, counted)
+    return counts
+
+
+def inf_norm(A):
+    return max(sum(abs(A[i, j]) for j in range(A.cols)) for i in range(A.rows))
+
+
+def test_extended_solve_spd_factors_once_and_matches_cholesky_solve(monkeypatch):
+    bits = 128
+    prec = PrecisionConfig.extended(bits)
+    with mp.workprec(bits):
+        xs = [mp.mpf(k) / 4 for k in range(-3, 4)]
+        A = mp.matrix([[mp.exp(-(x - y) ** 2 / 8) for y in xs] for x in xs])  # Gaussian Gram, l = 2
+        b = mp.matrix([mp.mpf(k + 1) / 3 for k in range(len(xs))])
+        x_ref = mp.cholesky_solve(A, b)
+        cond_ref = inf_norm(A) * inf_norm(mp.inverse(A))
+    counts = count_mp_calls(monkeypatch, "cholesky", "cholesky_solve", "inverse", "LU_decomp")
+    res = solve_spd(A, b, prec)
+    assert counts == {"cholesky": 1, "cholesky_solve": 0, "inverse": 0, "LU_decomp": 0}
+    assert list(res.solution) == list(x_ref)
+    assert cond_ref > 1e6
+    assert abs(res.condition - float(cond_ref)) <= 1e-10 * float(cond_ref)
+
+
+def test_extended_solve_general_factors_once_and_matches_lu_solve(monkeypatch):
+    bits = 128
+    prec = PrecisionConfig.extended(bits)
+    with mp.workprec(bits):
+        xs = [mp.mpf(k) / 3 for k in (-3, -1, 0, 2, 3)]
+        A = mp.matrix([[x ** j for x in xs] for j in range(len(xs))])  # transposed Vandermonde
+        b = mp.matrix([mp.mpf(2) / (j + 1) if j % 2 == 0 else 0 for j in range(len(xs))])
+        x_ref = mp.lu_solve(A, b)
+        cond_ref = float(inf_norm(A) * inf_norm(mp.inverse(A)))
+    counts = count_mp_calls(monkeypatch, "LU_decomp", "lu_solve", "inverse")
+    res = solve_general(A, b, prec)
+    assert counts == {"LU_decomp": 1, "lu_solve": 0, "inverse": 0}
+    assert list(res.solution) == list(x_ref)
+    assert res.condition == cond_ref
