@@ -2,10 +2,16 @@
 
 Subcommands: ``sweep`` (flat-limit weight sweep), ``optimal`` (node
 optimization study), ``gauss`` (Gaussian quadrature from moments), ``wce``
-(worst-case error of one rule), ``check-unisolvent``.  Configuration comes
-from a YAML file; unknown keys are hard errors so typos cannot silently
-change an experiment.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+(worst-case error of one rule), ``check-unisolvent``.
+
+This module loads the YAML configuration, applies the overrides (the
+``--precision`` flag, then the ``FLATLIMIT_PRECISION_BITS`` environment
+variable, then the file), checks the keys, dispatches each subcommand to
+its parse step and its run step, and prints and writes the output.  The
+value rules live with the configurations in :mod:`flatlimit.experiments`.
+Unknown keys are hard errors so typos cannot silently change an
+experiment.  Exit codes: 0 success, 2 configuration error (anything the
+parse step rejects), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -23,7 +29,11 @@ from .errors import ConfigError, FlatLimitError
 from .experiments import (
     OptimalStudyConfig,
     SweepConfig,
+    _check_degree,
+    _check_dimension,
+    _check_n_points,
     _precision_for,
+    _precision_policy,
     format_real,
     gauss_csv_lines,
     optimal_csv_lines,
@@ -41,202 +51,115 @@ from .linalg import auto_precision_bits
 ENV_PRECISION = "FLATLIMIT_PRECISION_BITS"
 
 
-def _check_keys(d: dict, allowed: set[str], context: str) -> None:
+def _keys(d, context: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """``d`` itself, once it is a mapping with every required key and no
+    key outside ``required`` and ``optional``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be a mapping")
+    allowed = {*required, *optional}
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}; allowed: {sorted(allowed)}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{context} needs '{key}'")
+    return d
 
 
-def _parse_functional(d) -> FunctionalSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("functional must be a mapping with a 'kind' key")
-    kind = d["kind"]
+def _load(args, required: tuple, optional: tuple) -> dict:
+    """The config file of ``args`` with the overrides applied and its keys
+    checked; every command also takes ``precision`` and ``seed``."""
+    path = Path(args.config)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {args.config}")
     try:
-        if kind == "point_eval":
-            _check_keys(d, {"kind", "location"}, "functional")
-            if "location" not in d:
-                raise ConfigError("point_eval functional needs 'location'")
-            return FunctionalSpec.point_eval(d["location"])
-        if kind == "lebesgue_box":
-            _check_keys(d, {"kind", "lower", "upper"}, "functional")
-            if "lower" not in d or "upper" not in d:
-                raise ConfigError("lebesgue_box functional needs 'lower' and 'upper'")
-            return FunctionalSpec.lebesgue_box(d["lower"], d["upper"])
-        if kind == "gaussian_measure":
-            _check_keys(d, {"kind", "dimension"}, "functional")
-            return FunctionalSpec.gaussian_measure(int(d.get("dimension", 1)))
-        if kind == "numeric_oracle":
-            raise ConfigError(
-                "numeric_oracle functionals carry a Python callable and are only "
-                "available through the library API, not config files"
-            )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid functional: {e}") from e
-    raise ConfigError(f"unknown functional kind {kind!r}")
-
-
-def _parse_points(v) -> PointSet:
-    if not isinstance(v, list) or not v:
-        raise ConfigError("points must be a non-empty list")
-    try:
-        return PointSet.from_points(v)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid points: {e}") from e
-
-
-def _parse_kernel(d, need_length_scale: bool):
-    if not isinstance(d, dict) or "family" not in d:
-        raise ConfigError("kernel must be a mapping with a 'family' key")
-    allowed = {"family", "length_scale"} if need_length_scale else {"family"}
-    _check_keys(d, allowed, "kernel")
-    family = d["family"]
-    if family == "damped_power_series":
-        raise ConfigError(
-            "damped_power_series kernels carry a Python callable and are only "
-            "available through the library API, not config files"
-        )
-    if need_length_scale:
-        if "length_scale" not in d:
-            raise ConfigError("kernel needs 'length_scale' for this command")
-        try:
-            return KernelSpec(family, float(d["length_scale"]))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid kernel: {e}") from e
-    try:
-        KernelSpec(family, 1.0)
-    except ValueError as e:
-        raise ConfigError(f"invalid kernel: {e}") from e
-    return family
-
-
-def _parse_ell_grid(d) -> tuple[float, float, int]:
-    if not isinstance(d, dict):
-        raise ConfigError("ell_grid must be a mapping with min, max, count")
-    _check_keys(d, {"min", "max", "count"}, "ell_grid")
-    try:
-        return float(d["min"]), float(d["max"]), int(d["count"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"invalid ell_grid: {e}") from e
-
-
-def _parse_precision(v):
-    if isinstance(v, str) and v in ("auto", "machine"):
-        return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if isinstance(v, str) and v.isdigit():
-        return int(v)
-    raise ConfigError(f"precision must be 'auto', 'machine' or a bit count, got {v!r}")
-
-
-def _parse_fit_window(v):
-    if v is None:
-        return "middle"
-    if v in ("middle", "full"):
-        return v
-    if isinstance(v, list) and len(v) == 2:
-        return (float(v[0]), float(v[1]))
-    raise ConfigError(f"fit_window must be 'middle', 'full' or [lo, hi], got {v!r}")
-
-
-def _parse_optimizer(d) -> OptimizerSettings:
-    if d is None:
-        return OptimizerSettings()
-    if not isinstance(d, dict):
-        raise ConfigError("optimizer must be a mapping")
-    allowed = {"restarts", "max_evals", "seed", "search_box", "xatol_rel", "fatol_rel"}
-    _check_keys(d, allowed, "optimizer")
-    kwargs = dict(d)
-    if "search_box" in kwargs and kwargs["search_box"] is not None:
-        box = kwargs["search_box"]
-        if not (isinstance(box, list) and len(box) == 2):
-            raise ConfigError("optimizer search_box must be [lo, hi]")
-        kwargs["search_box"] = (float(box[0]), float(box[1]))
-    try:
-        return OptimizerSettings(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid optimizer settings: {e}") from e
-
-
-def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as e:
         raise ConfigError(f"config file is not valid YAML: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping at top level")
-    return raw
+    for value in (os.environ.get(ENV_PRECISION), args.precision):  # the later one wins
+        if value is not None:
+            raw["precision"] = _precision_policy(value)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    return _keys(raw, f"{args.command} config", required, (*optional, "precision", "seed"))
 
 
-def _apply_overrides(raw: dict, args) -> dict:
-    """Precision priority: --precision flag, then the environment variable,
-    then the config file.  --seed wins over the config similarly."""
-    out = dict(raw)
-    env = os.environ.get(ENV_PRECISION)
-    if env is not None:
-        if not env.isdigit():
-            raise ConfigError(f"{ENV_PRECISION} must be a bit count, got {env!r}")
-        out["precision"] = int(env)
-    if getattr(args, "precision", None) is not None:
-        out["precision"] = _parse_precision(args.precision)
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    return out
+def _int(value) -> int:
+    """An integer config value: an integer or a decimal string, never a
+    float or a bool truncated to one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _sweep_config(raw: dict) -> SweepConfig:
-    allowed = {"kernel", "functional", "points", "degree", "ell_grid", "precision", "fit_window", "seed"}
-    _check_keys(raw, allowed, "sweep config")
-    for key in ("kernel", "functional", "points", "degree", "ell_grid"):
-        if key not in raw:
-            raise ConfigError(f"sweep config needs '{key}'")
-    lo, hi, count = _parse_ell_grid(raw["ell_grid"])
-    try:
-        return SweepConfig(
-            kernel_family=_parse_kernel(raw["kernel"], need_length_scale=False),
-            functional=_parse_functional(raw["functional"]),
-            points=_parse_points(raw["points"]),
-            degree=int(raw["degree"]),
-            ell_min=lo,
-            ell_max=hi,
-            ell_count=count,
-            precision=_parse_precision(raw.get("precision", "auto")),
-            fit_window=_parse_fit_window(raw.get("fit_window")),
-            seed=int(raw.get("seed", 0)),
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _functional(d) -> FunctionalSpec:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind == "point_eval":
+        _keys(d, "functional", ("kind", "location"))
+        return FunctionalSpec.point_eval(d["location"])
+    if kind == "lebesgue_box":
+        _keys(d, "functional", ("kind", "lower", "upper"))
+        return FunctionalSpec.lebesgue_box(d["lower"], d["upper"])
+    if kind == "gaussian_measure":
+        _keys(d, "functional", ("kind",), ("dimension",))
+        return FunctionalSpec.gaussian_measure(_int(d.get("dimension", 1)))
+    if kind == "numeric_oracle":
+        raise ConfigError(
+            "numeric_oracle functionals carry a Python callable and are only "
+            "available through the library API, not config files"
         )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid sweep config: {e}") from e
+    raise ConfigError(
+        f"functional must be a mapping with kind point_eval, lebesgue_box or gaussian_measure, got {d!r}"
+    )
 
 
-def _optimal_config(raw: dict) -> OptimalStudyConfig:
-    allowed = {
-        "kernel", "functional", "n_points", "ell_grid", "precision",
-        "fit_window", "optimizer", "experimental_unbounded", "seed",
+def _kernel(d, need_length_scale: bool) -> KernelSpec:
+    """The kernel of a config; without ``length_scale`` its family is
+    checked at length scale 1."""
+    _keys(d, "kernel", ("family", "length_scale") if need_length_scale else ("family",))
+    if d["family"] == "damped_power_series":
+        raise ConfigError(
+            "damped_power_series kernels carry a Python callable and are only "
+            "available through the library API, not config files"
+        )
+    return KernelSpec(d["family"], float(d["length_scale"]) if need_length_scale else 1.0)
+
+
+def _optimizer(d) -> OptimizerSettings:
+    if d is None:
+        return OptimizerSettings()
+    allowed = ("restarts", "max_evals", "seed", "search_box", "xatol_rel", "fatol_rel")
+    kwargs = dict(_keys(d, "optimizer", (), allowed))
+    for key in ("restarts", "max_evals", "seed"):
+        if key in kwargs:
+            kwargs[key] = _int(kwargs[key])
+    if kwargs.get("search_box") is not None:
+        lo, hi = kwargs["search_box"]
+        kwargs["search_box"] = (float(lo), float(hi))
+    return OptimizerSettings(**kwargs)
+
+
+def _study_fields(raw: dict) -> dict:
+    """The fields a sweep and an optimal study read alike."""
+    grid = _keys(raw["ell_grid"], "ell_grid", ("min", "max", "count"))
+    window = raw.get("fit_window")
+    return {
+        "kernel_family": _kernel(raw["kernel"], need_length_scale=False).family,
+        "functional": _functional(raw["functional"]),
+        "ell_min": float(grid["min"]),
+        "ell_max": float(grid["max"]),
+        "ell_count": _int(grid["count"]),
+        "precision": raw.get("precision", "auto"),
+        "fit_window": "middle" if window is None else window,
     }
-    _check_keys(raw, allowed, "optimal config")
-    for key in ("kernel", "functional", "n_points", "ell_grid"):
-        if key not in raw:
-            raise ConfigError(f"optimal config needs '{key}'")
-    lo, hi, count = _parse_ell_grid(raw["ell_grid"])
-    try:
-        return OptimalStudyConfig(
-            kernel_family=_parse_kernel(raw["kernel"], need_length_scale=False),
-            functional=_parse_functional(raw["functional"]),
-            n_points=int(raw["n_points"]),
-            ell_min=lo,
-            ell_max=hi,
-            ell_count=count,
-            precision=_parse_precision(raw.get("precision", "auto")),
-            fit_window=_parse_fit_window(raw.get("fit_window")),
-            optimizer=_parse_optimizer(raw.get("optimizer")),
-            allow_unbounded=bool(raw.get("experimental_unbounded", False)),
-            seed=int(raw.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid optimal config: {e}") from e
 
 
 def _write_out(out_dir: str, name: str, lines: list[str]) -> Path:
@@ -247,9 +170,31 @@ def _write_out(out_dir: str, name: str, lines: list[str]) -> Path:
     return path
 
 
-def _cmd_sweep(args) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    cfg = _sweep_config(raw)
+def _finish(result, raw: dict, out: Optional[str], csv_name: str, csv_lines, manifest) -> int:
+    """The tail of a sweep or a study: rate fit, notes, CSV and manifest."""
+    if result.rate_fit is not None:
+        f = result.rate_fit
+        print(f"rate fit: slope {f.slope:.4f} (stderr {f.stderr:.4f}) "
+              f"over ell in [{f.window[0]:.4g}, {f.window[1]:.4g}], {f.n_used} points")
+    for note in result.notes:
+        print(f"note: {note}")
+    if out:
+        csv_path = _write_out(out, csv_name, csv_lines(result))
+        _write_out(out, "manifest.yaml", [yaml.safe_dump(manifest(result, raw), sort_keys=False).rstrip()])
+        print(f"wrote {csv_path}")
+    return 3 if result.failures and not result.records else 0
+
+
+def _parse_sweep(raw: dict) -> SweepConfig:
+    return SweepConfig(
+        points=PointSet.from_points(raw["points"]),
+        degree=_int(raw["degree"]),
+        seed=_int(raw.get("seed", 0)),
+        **_study_fields(raw),
+    )
+
+
+def _run_sweep(cfg: SweepConfig, raw: dict, out: Optional[str]) -> int:
     result = run_sweep(cfg)
     print(f"sweep: {cfg.kernel_family} kernel, {cfg.functional.label()}, "
           f"{len(cfg.points)} points, degree {cfg.degree}")
@@ -259,23 +204,22 @@ def _cmd_sweep(args) -> int:
               f"{r.dist_phi_pol:14.6e} {r.precision_bits:6d}")
     for ell, msg in result.failures:
         print(f"{ell:12.4g} FAILED: {msg}")
-    if result.rate_fit is not None:
-        f = result.rate_fit
-        print(f"rate fit: slope {f.slope:.4f} (stderr {f.stderr:.4f}) "
-              f"over ell in [{f.window[0]:.4g}, {f.window[1]:.4g}], {f.n_used} points")
-    for note in result.notes:
-        print(f"note: {note}")
-    if args.out:
-        csv_path = _write_out(args.out, "sweep.csv", sweep_csv_lines(result))
-        manifest = sweep_manifest(result, raw)
-        _write_out(args.out, "manifest.yaml", [yaml.safe_dump(manifest, sort_keys=False).rstrip()])
-        print(f"wrote {csv_path}")
-    return 3 if result.failures and not result.records else 0
+    return _finish(result, raw, out, "sweep.csv", sweep_csv_lines, sweep_manifest)
 
 
-def _cmd_optimal(args) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    cfg = _optimal_config(raw)
+def _parse_optimal(raw: dict) -> OptimalStudyConfig:
+    optimizer = _optimizer(raw.get("optimizer"))
+    return OptimalStudyConfig(
+        n_points=_int(raw["n_points"]),
+        optimizer=optimizer,
+        allow_unbounded=_bool(raw.get("experimental_unbounded", False)),
+        # --seed (already in raw), then the top-level seed, then the optimizer's
+        seed=_int(raw.get("seed", optimizer.seed)),
+        **_study_fields(raw),
+    )
+
+
+def _run_optimal(cfg: OptimalStudyConfig, raw: dict, out: Optional[str]) -> int:
     result = run_optimal_study(cfg)
     print(f"optimal study: {cfg.kernel_family} kernel, {cfg.functional.label()}, N={cfg.n_points}")
     print(f"gauss nodes: {[round(x, 10) for x in result.gauss.nodes]}")
@@ -285,61 +229,44 @@ def _cmd_optimal(args) -> int:
               f"{r.weight_dist_gauss:12.4e} {'yes' if r.converged else 'no'}")
     for ell, msg in result.failures:
         print(f"{ell:12.4g} note: {msg}")
-    if result.rate_fit is not None:
-        f = result.rate_fit
-        print(f"rate fit: slope {f.slope:.4f} (stderr {f.stderr:.4f}) "
-              f"over ell in [{f.window[0]:.4g}, {f.window[1]:.4g}], {f.n_used} points")
-    if args.out:
-        csv_path = _write_out(args.out, "optimal.csv", optimal_csv_lines(result))
-        manifest = optimal_manifest(result, raw)
-        _write_out(args.out, "manifest.yaml", [yaml.safe_dump(manifest, sort_keys=False).rstrip()])
-        print(f"wrote {csv_path}")
-    return 3 if not result.records and result.failures else 0
+    return _finish(result, raw, out, "optimal.csv", optimal_csv_lines, optimal_manifest)
 
 
-def _cmd_gauss(args) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    _check_keys(raw, {"functional", "n_points", "precision", "seed"}, "gauss config")
-    for key in ("functional", "n_points"):
-        if key not in raw:
-            raise ConfigError(f"gauss config needs '{key}'")
-    L = _parse_functional(raw["functional"])
-    n = int(raw["n_points"])
-    policy = _parse_precision(raw.get("precision", "machine"))
-    prec = _precision_for(policy)
+def _parse_gauss(raw: dict):
+    n = _int(raw["n_points"])
+    _check_n_points(n)
+    return _functional(raw["functional"]), n, _precision_for(raw.get("precision", "machine"))
+
+
+def _run_gauss(job, raw: dict, out: Optional[str]) -> int:
+    L, n, prec = job
     rule = gauss_rule_from_moments(L, n, prec)
     print(f"gauss rule: N={n}, {L.label()}, exact to degree {rule.degree_of_exactness}")
     print(f"max normalized moment residual: {rule.max_exactness_residual:.3e}")
     print(f"{'node':>22} {'weight':>22}")
     for x, w in zip(rule.nodes, rule.weights):
         print(f"{x:22.15e} {w:22.15e}")
-    if args.out:
-        path = _write_out(args.out, "gauss.csv", gauss_csv_lines(rule, prec.bits))
-        print(f"wrote {path}")
+    if out:
+        print(f"wrote {_write_out(out, 'gauss.csv', gauss_csv_lines(rule, prec.bits))}")
     return 0
 
 
-def _cmd_wce(args) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    allowed = {"kernel", "functional", "points", "weights", "precision", "assume_optimal", "seed"}
-    _check_keys(raw, allowed, "wce config")
-    for key in ("kernel", "functional", "points"):
-        if key not in raw:
-            raise ConfigError(f"wce config needs '{key}'")
-    kspec = _parse_kernel(raw["kernel"], need_length_scale=True)
-    L = _parse_functional(raw["functional"])
-    points = _parse_points(raw["points"])
-    policy = _parse_precision(raw.get("precision", "auto"))
-    prec = _precision_for(policy, auto_precision_bits(kspec.length_scale, len(points)))
-    if "weights" in raw and raw["weights"] is not None:
-        ws = raw["weights"]
-        if not isinstance(ws, list) or len(ws) != len(points):
-            raise ConfigError(f"weights must be a list of {len(points)} numbers")
-        rule = CubatureRule(points, tuple(float(w) for w in ws))
-        assume = bool(raw.get("assume_optimal", False))
-    else:
+def _parse_wce(raw: dict):
+    kspec = _kernel(raw["kernel"], need_length_scale=True)
+    L = _functional(raw["functional"])
+    points = PointSet.from_points(raw["points"])
+    _check_dimension(L, points)
+    prec = _precision_for(raw.get("precision", "auto"), auto_precision_bits(kspec.length_scale, len(points)))
+    if raw.get("weights") is None:
+        return kspec, L, points, None, True, prec  # the optimal weights
+    rule = CubatureRule(points, tuple(float(w) for w in raw["weights"]))
+    return kspec, L, points, rule, _bool(raw.get("assume_optimal", False)), prec
+
+
+def _run_wce(job, raw: dict, out: Optional[str]) -> int:
+    kspec, L, points, rule, assume, prec = job
+    if rule is None:
         rule = optimal_weights(kspec, L, points, prec)  # a WeightSolution, reused below
-        assume = True
     report = worst_case_error(kspec, L, rule, prec, assume_optimal=assume)
     print(f"wce: {format_real(report.wce, prec.bits)}")
     print(f"initial term LL[K]: {format_real(report.initial_term, prec.bits)}")
@@ -350,20 +277,52 @@ def _cmd_wce(args) -> int:
     return 0
 
 
-def _cmd_check_unisolvent(args) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    _check_keys(raw, {"points", "degree", "precision", "seed"}, "check-unisolvent config")
-    for key in ("points", "degree"):
-        if key not in raw:
-            raise ConfigError(f"check-unisolvent config needs '{key}'")
-    points = _parse_points(raw["points"])
-    degree = int(raw["degree"])
-    policy = _parse_precision(raw.get("precision", "machine"))
-    prec = _precision_for(policy)
-    report = unisolvency_check(points, degree, prec)
+def _parse_check_unisolvent(raw: dict):
+    points = PointSet.from_points(raw["points"])
+    degree = _int(raw["degree"])
+    _check_degree(points, degree)
+    return points, degree, _precision_for(raw.get("precision", "machine"))
+
+
+def _run_check_unisolvent(job, raw: dict, out: Optional[str]) -> int:
+    report = unisolvency_check(*job)
     print(f"status: {report.status}")
     print(f"condition estimate: {report.condition:.6e} (threshold {report.threshold:.6e})")
     return 0 if report.ok else 3
+
+
+# name: (help, required keys, optional keys besides precision and seed, parse, run)
+_COMMANDS = {
+    "sweep": (
+        "flat-limit weight sweep",
+        ("kernel", "functional", "points", "degree", "ell_grid"),
+        ("fit_window",),
+        _parse_sweep,
+        _run_sweep,
+    ),
+    "optimal": (
+        "node optimization study",
+        ("kernel", "functional", "n_points", "ell_grid"),
+        ("fit_window", "optimizer", "experimental_unbounded"),
+        _parse_optimal,
+        _run_optimal,
+    ),
+    "gauss": ("Gaussian quadrature from moments", ("functional", "n_points"), (), _parse_gauss, _run_gauss),
+    "wce": (
+        "worst-case error of one rule",
+        ("kernel", "functional", "points"),
+        ("weights", "assume_optimal"),
+        _parse_wce,
+        _run_wce,
+    ),
+    "check-unisolvent": (
+        "polynomial unisolvency check",
+        ("points", "degree"),
+        (),
+        _parse_check_unisolvent,
+        _run_check_unisolvent,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,21 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="override precision policy: auto, machine, or a bit count",
     )
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_parser("sweep", parents=[common], help="flat-limit weight sweep").set_defaults(fn=_cmd_sweep)
-    sub.add_parser("optimal", parents=[common], help="node optimization study").set_defaults(fn=_cmd_optimal)
-    sub.add_parser("gauss", parents=[common], help="Gaussian quadrature from moments").set_defaults(fn=_cmd_gauss)
-    sub.add_parser("wce", parents=[common], help="worst-case error of one rule").set_defaults(fn=_cmd_wce)
-    sub.add_parser(
-        "check-unisolvent", parents=[common], help="polynomial unisolvency check"
-    ).set_defaults(fn=_cmd_check_unisolvent)
+    for name, (help_text, *_) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, required, optional, parse, run = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        try:
+            raw = _load(args, required, optional)
+            job = parse(raw)
+        except (TypeError, ValueError) as e:
+            # the one place a malformed value becomes a configuration error;
+            # the numerical work runs below, outside this handler
+            raise ConfigError(f"invalid {args.command} config: {e}") from e
+        return run(job, raw, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

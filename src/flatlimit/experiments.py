@@ -47,8 +47,92 @@ from .linalg import auto_precision_bits
 _REFERENCE_BITS = 256
 
 
+def _precision_policy(value) -> Union[str, int]:
+    """The precision policy ``value`` names: "auto", "machine", or a bit
+    count of at least 64, given as an integer or a decimal string."""
+    if value in ("auto", "machine"):
+        return value
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"precision must be 'auto', 'machine' or a bit count, got {value!r}")
+    if value < 64:
+        raise ConfigError(f"fixed precision needs at least 64 bits, got {value}")
+    return value
+
+
+def _precision_for(policy, auto_bits: Optional[int] = None) -> PrecisionConfig:
+    """The precision of a policy "machine", "auto" or a bit count; "auto"
+    means ``auto_bits`` extended bits, or machine precision without them."""
+    policy = _precision_policy(policy)
+    if policy == "machine" or (policy == "auto" and auto_bits is None):
+        return MACHINE
+    return PrecisionConfig.extended(auto_bits if policy == "auto" else policy)
+
+
+def _fit_window(value) -> Union[str, tuple[float, float]]:
+    """``value`` as a fit window: "middle", "full", or a positive
+    increasing pair of length scales."""
+    if value in ("middle", "full"):
+        return value
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"fit_window must be 'middle', 'full' or [lo, hi], got {value!r}")
+    lo, hi = float(value[0]), float(value[1])
+    if not (0 < lo < hi):
+        raise ConfigError(f"fit window must be positive and increasing, got {list(value)}")
+    return (lo, hi)
+
+
+def _check_n_points(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"n_points must be >= 1, got {n}")
+
+
+def _check_dimension(functional: FunctionalSpec, points: PointSet) -> None:
+    if functional.dimension != points.dimension:
+        raise ConfigError(
+            f"functional dimension {functional.dimension} != point dimension {points.dimension}"
+        )
+
+
+def _check_degree(points: PointSet, degree: int) -> None:
+    """Polynomial weights of a degree need one point per monomial."""
+    if degree < 0:
+        raise ConfigError(f"degree must be non-negative, got {degree}")
+    size = math.comb(points.dimension + degree, degree)
+    if len(points) != size:
+        raise ConfigError(
+            f"degree {degree} in dimension {points.dimension} needs exactly {size} points, "
+            f"got {len(points)}"
+        )
+
+
+class _LengthScaleStudy:
+    """What a sweep and an optimal study share: the length-scale grid, the
+    precision policy and the fit window, the last two normalized in place."""
+
+    def _check_grid(self) -> None:
+        if not (0 < self.ell_min < self.ell_max):
+            raise ConfigError(
+                f"length-scale grid must be positive and increasing, got [{self.ell_min}, {self.ell_max}]"
+            )
+        if self.ell_count < 2:
+            raise ConfigError(f"length-scale grid needs at least 2 points, got {self.ell_count}")
+        object.__setattr__(self, "precision", _precision_policy(self.precision))
+        object.__setattr__(self, "fit_window", _fit_window(self.fit_window))
+        if isinstance(self.fit_window, tuple):
+            lo, hi = self.fit_window
+            if sum(lo <= ell <= hi for ell in self.ell_grid) < 2:
+                raise ConfigError(f"fit window {list(self.fit_window)} holds fewer than two grid points")
+
+    @property
+    def ell_grid(self) -> tuple[float, ...]:
+        grid = np.logspace(math.log10(self.ell_min), math.log10(self.ell_max), self.ell_count)
+        return tuple(float(v) for v in grid)
+
+
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_LengthScaleStudy):
     """Configuration of one flat-limit sweep over the length scale."""
 
     kernel_family: str
@@ -63,48 +147,9 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 < self.ell_min < self.ell_max):
-            raise ConfigError(
-                f"length-scale grid must be positive and increasing, got [{self.ell_min}, {self.ell_max}]"
-            )
-        if self.ell_count < 2:
-            raise ConfigError(f"length-scale grid needs at least 2 points, got {self.ell_count}")
-        if self.degree < 0:
-            raise ConfigError(f"degree must be non-negative, got {self.degree}")
-        _check_precision_field(self.precision)
-        if isinstance(self.fit_window, tuple):
-            lo, hi = self.fit_window
-            if not (0 < lo < hi):
-                raise ConfigError(f"fit window must be positive and increasing, got {self.fit_window}")
-        elif self.fit_window not in ("middle", "full"):
-            raise ConfigError(f"fit_window must be 'middle', 'full' or [lo, hi], got {self.fit_window!r}")
-
-    @property
-    def ell_grid(self) -> tuple[float, ...]:
-        return _log_grid(self.ell_min, self.ell_max, self.ell_count)
-
-
-def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.logspace(math.log10(lo), math.log10(hi), count))
-
-
-def _check_precision_field(value) -> None:
-    if isinstance(value, str):
-        if value not in ("auto", "machine"):
-            raise ConfigError(f"precision must be 'auto', 'machine' or a bit count, got {value!r}")
-    elif isinstance(value, int) and not isinstance(value, bool):
-        if value < 64:
-            raise ConfigError(f"fixed precision needs at least 64 bits, got {value}")
-    else:
-        raise ConfigError(f"precision must be 'auto', 'machine' or a bit count, got {value!r}")
-
-
-def _precision_for(policy, auto_bits: Optional[int] = None) -> PrecisionConfig:
-    """The precision of a policy "machine", "auto" or a bit count; "auto"
-    means ``auto_bits`` extended bits, or machine precision without them."""
-    if policy == "machine" or (policy == "auto" and auto_bits is None):
-        return MACHINE
-    return PrecisionConfig.extended(auto_bits if policy == "auto" else int(policy))
+        self._check_grid()
+        _check_dimension(self.functional, self.points)
+        _check_degree(self.points, self.degree)
 
 
 @dataclass(frozen=True)
@@ -158,6 +203,7 @@ def fit_rate(
     pre-asymptotic start and the precision-saturated tail.  Zero wce values
     cannot enter the log fit and are skipped.
     """
+    window = _fit_window(window)
     pairs = [(l, w) for l, w in zip(ells, wces) if w > 0 and math.isfinite(w)]
     if isinstance(window, tuple):
         lo, hi = window
@@ -228,7 +274,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 
 @dataclass(frozen=True)
-class OptimalStudyConfig:
+class OptimalStudyConfig(_LengthScaleStudy):
     """Configuration of an optimal-point study over the length scale."""
 
     kernel_family: str
@@ -244,14 +290,8 @@ class OptimalStudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise ConfigError(f"n_points must be >= 1, got {self.n_points}")
-        if not (0 < self.ell_min < self.ell_max):
-            raise ConfigError(
-                f"length-scale grid must be positive and increasing, got [{self.ell_min}, {self.ell_max}]"
-            )
-        if self.ell_count < 2:
-            raise ConfigError(f"length-scale grid needs at least 2 points, got {self.ell_count}")
+        _check_n_points(self.n_points)
+        self._check_grid()
         if self.functional.dimension != 1:
             raise ConfigError("optimal studies are one-dimensional")
         if not self.functional.is_bounded and not self.allow_unbounded:
@@ -259,11 +299,6 @@ class OptimalStudyConfig:
                 "node optimization on an unbounded domain is experimental; "
                 "set allow_unbounded (config key 'experimental_unbounded') to run it"
             )
-        _check_precision_field(self.precision)
-
-    @property
-    def ell_grid(self) -> tuple[float, ...]:
-        return _log_grid(self.ell_min, self.ell_max, self.ell_count)
 
 
 @dataclass(frozen=True)

@@ -321,24 +321,16 @@ def optimize_points(
 
     assert best is not None
     _, res_best, record_best = best
-    x_cand = transform(np.asarray(res_best.x, dtype=float))
-    cand_ok = n_points == 1 or float(np.diff(x_cand).min()) > gap_min
-    if not cand_ok and not record_best:
+    if not record_best:
         raise NumericalInconsistencyError(
             "optimizer never reached a feasible node configuration; widen the box "
             "or reduce n_points"
         )
-    if cand_ok:
-        wce_best, weights_best = solve_at(x_cand)
-        x_best = x_cand
-    if record_best and (not cand_ok or wce_best > record_best[-1].wce):
-        # the recorded iterate is the better (or only valid) one; keep it
-        x_best = np.array(record_best[-1].points)
-        wce_best, weights_best = solve_at(x_best)
-    elif cand_ok and (not record_best or wce_best < record_best[-1].wce):
-        record_best.append(
-            TraceEntry(tuple(float(v) for v in x_best), tuple(float(w) for w in weights_best), wce_best)
-        )
+    # Nelder-Mead returns the lowest value it evaluated, and every penalty
+    # (at least 2 sqrt(LL[K]) + 1) exceeds every feasible wce (at most
+    # sqrt(LL[K])), so its point is feasible and its wce is the last recorded
+    x_best = transform(np.asarray(res_best.x, dtype=float))
+    _, weights_best = solve_at(x_best)
     trace.entries = record_best
     trace.converged = bool(res_best.success)
     trace.n_evaluations = state["evals"]

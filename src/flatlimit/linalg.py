@@ -258,21 +258,9 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
 
 
 def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:
-    """Inf-norm condition number from the factorized inverse; inf when the
-    factorization finds the matrix singular at the working precision."""
-    if prec.is_extended:
-        with prec.workprec():
-            Am = _to_mp_matrix(A)
-            try:
-                inv = mp.inverse(Am)
-            except ZeroDivisionError:
-                return math.inf
-            return float(_inf_norm_mp(Am) * _inf_norm_mp(inv))
-    An = _to_numpy_matrix(A)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(An)
-    if np.any(np.diag(lu) == 0.0):
+    """Inf-norm condition number from the factorized inverse of one LU
+    solve; inf when the matrix is singular at the working precision."""
+    try:
+        return solve_general(A, [0] * len(A), prec).condition
+    except SingularMatrixError:
         return math.inf
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(An.shape[0]))
-    return _inf_norm_np(An) * _inf_norm_np(inv)

@@ -1,7 +1,9 @@
 import os
 
+import pytest
 import yaml
 
+import flatlimit.experiments as experiments
 from flatlimit.cli import main
 
 SWEEP_CFG = {
@@ -163,3 +165,97 @@ def test_optimal_command_unbounded_rejected(tmp_path):
     }
     path = write_cfg(tmp_path / "o.yaml", cfg)
     assert main(["optimal", "--config", path]) == 2
+
+
+BOX = {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0}
+GAUSS_CFG = {"functional": BOX, "n_points": 2}
+WCE_CFG = {
+    "kernel": {"family": "gaussian", "length_scale": 2.0},
+    "functional": BOX,
+    "points": [-1.0, 0.0, 1.0],
+}
+UNISOLVENT_CFG = {"points": [-1.0, 0.0, 1.0], "degree": 2}
+OPTIMAL_CFG = {
+    "kernel": {"family": "gaussian"},
+    "functional": BOX,
+    "n_points": 2,
+    "ell_grid": {"min": 10.0, "max": 100.0, "count": 2},
+    "optimizer": {"restarts": 0, "max_evals": 40},
+}
+SEEDED_OPTIMIZER = {**OPTIMAL_CFG["optimizer"], "seed": 7}
+PLANE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+# (command, config, extra flags, FLATLIMIT_PRECISION_BITS)
+BAD_CONFIGS = {
+    "gauss_precision_flag_32": ("gauss", GAUSS_CFG, ["--precision", "32"], None),
+    "gauss_precision_env_32": ("gauss", GAUSS_CFG, [], "32"),
+    "sweep_precision_env_32": ("sweep", SWEEP_CFG, [], "32"),
+    "sweep_precision_flag_word": ("sweep", SWEEP_CFG, ["--precision", "fast"], None),
+    "check_unisolvent_precision_48": ("check-unisolvent", {**UNISOLVENT_CFG, "precision": 48}, [], None),
+    "wce_precision_16": ("wce", {**WCE_CFG, "precision": 16}, [], None),
+    "gauss_n_points_0": ("gauss", {**GAUSS_CFG, "n_points": 0}, [], None),
+    "gauss_n_points_two": ("gauss", {**GAUSS_CFG, "n_points": "two"}, [], None),
+    "check_unisolvent_degree_minus_1": ("check-unisolvent", {**UNISOLVENT_CFG, "degree": -1}, [], None),
+    "check_unisolvent_four_points_degree_2": (
+        "check-unisolvent", {**UNISOLVENT_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, [], None
+    ),
+    "wce_weight_not_a_number": ("wce", {**WCE_CFG, "weights": [1, 2, "x"]}, [], None),
+    "wce_too_few_weights": ("wce", {**WCE_CFG, "weights": [1, 2]}, [], None),
+    "wce_2d_points_1d_box": ("wce", {**WCE_CFG, "points": PLANE}, [], None),
+    "sweep_2d_points_1d_box": ("sweep", {**SWEEP_CFG, "points": PLANE, "degree": 1}, [], None),
+    "sweep_four_points_degree_2": ("sweep", {**SWEEP_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, [], None),
+    "sweep_ell_grid_without_count": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": 10.0}}, [], None),
+    "optimal_fit_window_decreasing": ("optimal", {**OPTIMAL_CFG, "fit_window": [100.0, 10.0]}, [], None),
+    "gauss_n_points_fraction": ("gauss", {**GAUSS_CFG, "n_points": 2.7}, [], None),
+    "sweep_degree_true": ("sweep", {**SWEEP_CFG, "points": [-1.0, 1.0], "degree": True}, [], None),
+    "optimal_unbounded_string": (
+        "optimal",
+        {**OPTIMAL_CFG, "functional": {"kind": "gaussian_measure"}, "experimental_unbounded": "false"},
+        [],
+        None,
+    ),
+    "optimal_fit_window_outside_grid": ("optimal", {**OPTIMAL_CFG, "fit_window": [1e3, 1e4]}, [], None),
+    "optimal_restarts_not_a_number": (
+        "optimal", {**OPTIMAL_CFG, "optimizer": {"restarts": "many"}}, [], None
+    ),
+}
+
+
+@pytest.mark.parametrize("command,cfg,flags,env", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_invalid_value_is_config_error(command, cfg, flags, env, tmp_path, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("FLATLIMIT_PRECISION_BITS", raising=False)
+    else:
+        monkeypatch.setenv("FLATLIMIT_PRECISION_BITS", env)
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    assert main([command, "--config", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cfg,flags,seed",
+    [
+        ({**OPTIMAL_CFG, "optimizer": SEEDED_OPTIMIZER}, [], 7),
+        ({**OPTIMAL_CFG, "optimizer": SEEDED_OPTIMIZER, "seed": 5}, [], 5),
+        ({**OPTIMAL_CFG, "optimizer": SEEDED_OPTIMIZER, "seed": 5}, ["--seed", "3"], 3),
+        (OPTIMAL_CFG, [], 0),
+    ],
+    ids=["optimizer_seed", "top_level_seed", "seed_flag", "default"],
+)
+def test_study_seed_precedence(cfg, flags, seed, tmp_path, monkeypatch):
+    """--seed, then the top-level seed, then optimizer.seed, then 0."""
+    seen = []
+    original = experiments.optimize_points
+
+    def recording(spec, L, n_points, prec, settings):
+        seen.append(settings.seed)
+        return original(spec, L, n_points, prec, settings)
+
+    monkeypatch.setattr(experiments, "optimize_points", recording)
+    path = write_cfg(tmp_path / "o.yaml", cfg)
+    out = tmp_path / "out"
+    assert main(["optimal", "--config", path, "--out", str(out), *flags]) == 0
+    assert seen == [seed, seed]
+    assert yaml.safe_load((out / "manifest.yaml").read_text())["seed"] == seed

@@ -49,6 +49,53 @@ def test_sweep_config_validation():
         make_sweep(fit_window="edges")
 
 
+def test_sweep_config_normalizes_precision_and_fit_window():
+    cfg = make_sweep(precision="96", fit_window=[10, 100])
+    assert cfg.precision == 96
+    assert cfg.fit_window == (10.0, 100.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"points": PointSet.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "degree": 1},
+        {"points": PointSet.from_1d([-1.0, 0.0, 0.5, 1.0])},
+    ],
+    ids=["1d_functional_2d_points", "four_points_for_degree_2"],
+)
+def test_sweep_config_rejects_points_that_do_not_fit(bad):
+    with pytest.raises(ConfigError):
+        make_sweep(**bad)
+
+
+def make_study(**kw):
+    kw.setdefault("kernel_family", "gaussian")
+    kw.setdefault("functional", LEB)
+    kw.setdefault("n_points", 2)
+    kw.setdefault("ell_min", 10.0)
+    kw.setdefault("ell_max", 100.0)
+    kw.setdefault("ell_count", 2)
+    return OptimalStudyConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"fit_window": "edges"},
+        {"fit_window": (100.0, 10.0)},
+        {"fit_window": (1e3, 1e4)},
+        {"precision": 32},
+        {"precision": "fast"},
+        {"ell_count": 1},
+        {"n_points": 0},
+    ],
+    ids=["window_edges", "window_decreasing", "window_outside_grid", "precision_32", "precision_fast", "one_ell", "no_points"],
+)
+def test_optimal_study_config_validation(bad):
+    with pytest.raises(ConfigError):
+        make_study(**bad)
+
+
 def test_ell_grid_is_logarithmic():
     cfg = make_sweep(ell_min=1.0, ell_max=100.0, ell_count=3)
     assert_allclose(cfg.ell_grid, [1.0, 10.0, 100.0], rtol=1e-12)
@@ -74,6 +121,9 @@ def test_fit_rate_explicit_window():
     ells = (1.0, 2.0, 4.0, 8.0)
     fit = fit_rate(ells, [ell ** -2.0 for ell in ells], (2.0, 8.0))
     assert fit.n_used == 3
+    assert fit_rate(ells, [ell ** -2.0 for ell in ells], [2.0, 8.0]) == fit
+    with pytest.raises(ConfigError):
+        fit_rate(ells, [ell ** -2.0 for ell in ells], "edges")
 
 
 def test_fit_rate_degenerate_returns_none():

@@ -9,6 +9,7 @@ from flatlimit import (
     NumericallyIndefiniteError,
     KernelSpec,
     MultiIndex,
+    NumericalInconsistencyError,
     OptimizerSettings,
     PrecisionConfig,
     chebyshev_system_zero_count,
@@ -192,3 +193,21 @@ def test_optimizer_falls_back_to_grid_start_only_on_library_errors(monkeypatch):
     monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", broken)
     with pytest.raises(RuntimeError, match="programming error"):
         optimize_points(KernelSpec.gaussian(5.0), LEB, 2, settings=settings)
+
+
+def test_optimizer_without_a_feasible_evaluation_raises_inconsistency(monkeypatch):
+    def indefinite(*args, **kwargs):
+        raise NumericallyIndefiniteError("Cholesky failed")
+
+    # every evaluation is penalized, so no restart records a feasible point
+    monkeypatch.setattr(gauss_optimal, "solve_spd", indefinite)
+    settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
+    with pytest.raises(NumericalInconsistencyError, match="feasible"):
+        optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
+
+
+def test_optimized_rule_is_the_last_recorded_iterate():
+    settings = OptimizerSettings(restarts=2, max_evals=300, seed=3)
+    rule, trace = optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
+    assert tuple(p[0] for p in rule.points) == trace.entries[-1].points
+    assert rule.weights_float() == trace.entries[-1].weights

@@ -199,3 +199,12 @@ def test_extended_solve_general_factors_once_and_matches_lu_solve(monkeypatch):
     assert counts == {"LU_decomp": 1, "lu_solve": 0, "inverse": 0}
     assert list(res.solution) == list(x_ref)
     assert res.condition == cond_ref
+
+
+@pytest.mark.parametrize(
+    "prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"]
+)
+def test_condition_estimate_is_the_condition_of_one_lu_solve(prec):
+    A = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [2.0, 0.5, 1.0]]
+    assert condition_estimate(A, prec) == solve_general(A, [0.0, 0.0, 0.0], prec).condition
+    assert condition_estimate([[1.0, 2.0], [2.0, 4.0]], prec) == math.inf
