@@ -24,14 +24,11 @@ from typing import Optional
 import yaml
 
 from .core import CubatureRule, PointSet
-from .cubature import optimal_weights, unisolvency_check, worst_case_error
+from .cubature import _check_dims, _monomials, optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
 from .experiments import (
     OptimalStudyConfig,
     SweepConfig,
-    _check_degree,
-    _check_dimension,
-    _check_n_points,
     _precision_for,
     _precision_policy,
     format_real,
@@ -44,7 +41,7 @@ from .experiments import (
     sweep_manifest,
 )
 from .functionals import FunctionalSpec
-from .gauss_optimal import OptimizerSettings, gauss_rule_from_moments
+from .gauss_optimal import OptimizerSettings, _check_nodes, gauss_rule_from_moments
 from .kernels import KernelSpec
 from .linalg import auto_precision_bits
 
@@ -92,6 +89,13 @@ def _int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _list(value, key: str) -> list:
+    """A list config value; a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _bool(value) -> bool:
@@ -142,7 +146,7 @@ def _optimizer(d) -> OptimizerSettings:
         if key in kwargs:
             kwargs[key] = _int(kwargs[key])
     if kwargs.get("search_box") is not None:
-        lo, hi = kwargs["search_box"]
+        lo, hi = _list(kwargs["search_box"], "search_box")
         kwargs["search_box"] = (float(lo), float(hi))
     return OptimizerSettings(**kwargs)
 
@@ -187,7 +191,7 @@ def _finish(result, raw: dict, out: Optional[str], csv_name: str, csv_lines, man
 
 def _parse_sweep(raw: dict) -> SweepConfig:
     return SweepConfig(
-        points=PointSet.from_points(raw["points"]),
+        points=PointSet.from_points(_list(raw["points"], "points")),
         degree=_int(raw["degree"]),
         seed=_int(raw.get("seed", 0)),
         **_study_fields(raw),
@@ -233,9 +237,9 @@ def _run_optimal(cfg: OptimalStudyConfig, raw: dict, out: Optional[str]) -> int:
 
 
 def _parse_gauss(raw: dict):
-    n = _int(raw["n_points"])
-    _check_n_points(n)
-    return _functional(raw["functional"]), n, _precision_for(raw.get("precision", "machine"))
+    L, n = _functional(raw["functional"]), _int(raw["n_points"])
+    _check_nodes(L, n)
+    return L, n, _precision_for(raw.get("precision", "machine"))
 
 
 def _run_gauss(job, raw: dict, out: Optional[str]) -> int:
@@ -254,12 +258,12 @@ def _run_gauss(job, raw: dict, out: Optional[str]) -> int:
 def _parse_wce(raw: dict):
     kspec = _kernel(raw["kernel"], need_length_scale=True)
     L = _functional(raw["functional"])
-    points = PointSet.from_points(raw["points"])
-    _check_dimension(L, points)
+    points = PointSet.from_points(_list(raw["points"], "points"))
+    _check_dims(L, points)
     prec = _precision_for(raw.get("precision", "auto"), auto_precision_bits(kspec.length_scale, len(points)))
     if raw.get("weights") is None:
         return kspec, L, points, None, True, prec  # the optimal weights
-    rule = CubatureRule(points, tuple(float(w) for w in raw["weights"]))
+    rule = CubatureRule(points, tuple(float(w) for w in _list(raw["weights"], "weights")))
     return kspec, L, points, rule, _bool(raw.get("assume_optimal", False)), prec
 
 
@@ -278,9 +282,9 @@ def _run_wce(job, raw: dict, out: Optional[str]) -> int:
 
 
 def _parse_check_unisolvent(raw: dict):
-    points = PointSet.from_points(raw["points"])
+    points = PointSet.from_points(_list(raw["points"], "points"))
     degree = _int(raw["degree"])
-    _check_degree(points, degree)
+    _monomials(points, degree)
     return points, degree, _precision_for(raw.get("precision", "machine"))
 
 

@@ -131,6 +131,16 @@ def monomial_eval(x: Sequence[Real], alpha: MultiIndex) -> Real:
     return out
 
 
+def _coords(value) -> tuple[float, ...]:
+    """A coordinate tuple from a bare number or a sequence of numbers; a
+    string is neither, and is not read one character at a time."""
+    if isinstance(value, str):
+        raise TypeError(f"expected a number or a list of numbers, got {value!r}")
+    if isinstance(value, (int, float)):
+        return (float(value),)
+    return tuple(float(c) for c in value)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite set of pairwise distinct points in R^d.
@@ -162,12 +172,7 @@ class PointSet:
     @classmethod
     def from_points(cls, pts: Sequence) -> "PointSet":
         """Normalize a sequence of scalars (d=1) or coordinate sequences."""
-        norm = []
-        for p in pts:
-            if isinstance(p, (int, float)):
-                norm.append((float(p),))
-            else:
-                norm.append(tuple(float(c) for c in p))
+        norm = [_coords(p) for p in pts]
         if norm and len(norm[0]) == 1:
             norm.sort()
         return cls(tuple(norm))

@@ -19,6 +19,7 @@ from typing import Any, Optional, Union
 from .core import (
     MACHINE,
     CubatureRule,
+    MultiIndexSet,
     PointSet,
     PrecisionConfig,
     Real,
@@ -85,6 +86,18 @@ def _check_dims(L: FunctionalSpec, points: PointSet) -> None:
         raise ValueError(
             f"functional dimension {L.dimension} != point dimension {points.dimension}"
         )
+
+
+def _monomials(points: PointSet, degree: int) -> MultiIndexSet:
+    """The monomials of degree at most ``degree``, once the points number
+    exactly one per monomial."""
+    mset = enumerate_multi_indices(points.dimension, degree)
+    if len(points) != mset.size:
+        raise ValueError(
+            f"degree {degree} in dimension {points.dimension} needs exactly "
+            f"{mset.size} points, got {len(points)}"
+        )
+    return mset
 
 
 def optimal_weights(
@@ -214,12 +227,7 @@ def polynomial_weights(
     singular system means the points are not unisolvent.
     """
     _check_dims(L, points)
-    mset = enumerate_multi_indices(points.dimension, degree)
-    if len(points) != mset.size:
-        raise ValueError(
-            f"degree {degree} in dimension {points.dimension} needs exactly "
-            f"{mset.size} points, got {len(points)}"
-        )
+    mset = _monomials(points, degree)
     with prec.workprec():
         def entry(j: int, x) -> Real:
             return monomial_eval(prec.to_point(x), mset[j])
@@ -251,12 +259,7 @@ def phi_weights(
     solvability is again exactly unisolvency of the points.
     """
     _check_dims(L, points)
-    mset = enumerate_multi_indices(points.dimension, degree)
-    if len(points) != mset.size:
-        raise ValueError(
-            f"degree {degree} in dimension {points.dimension} needs exactly "
-            f"{mset.size} points, got {len(points)}"
-        )
+    mset = _monomials(points, degree)
     with prec.workprec():
         def entry(j: int, x) -> Real:
             return phi_basis_eval(length_scale, mset[j], x, prec)
@@ -300,12 +303,7 @@ def unisolvency_check(
     precision: past it the Vandermonde solve has fewer than two safe digits
     and downstream weight systems are not trustworthy.
     """
-    mset = enumerate_multi_indices(points.dimension, degree)
-    if len(points) != mset.size:
-        raise ValueError(
-            f"degree {degree} in dimension {points.dimension} needs exactly "
-            f"{mset.size} points, got {len(points)}"
-        )
+    mset = _monomials(points, degree)
     if threshold is None:
         threshold = 1.0 / (100 * prec.unit_roundoff)
     with prec.workprec():

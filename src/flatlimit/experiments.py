@@ -26,6 +26,8 @@ from mpmath import mp
 from . import __version__
 from .core import MACHINE, PointSet, PrecisionConfig, Real
 from .cubature import (
+    _check_dims,
+    _monomials,
     optimal_weights,
     phi_weights,
     polynomial_weights,
@@ -37,6 +39,7 @@ from .functionals import FunctionalSpec
 from .gauss_optimal import (
     GaussRule,
     OptimizerSettings,
+    _check_nodes,
     _default_optimizer_bits,
     gauss_rule_from_moments,
     optimize_points,
@@ -83,47 +86,35 @@ def _fit_window(value) -> Union[str, tuple[float, float]]:
     return (lo, hi)
 
 
-def _check_n_points(n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"n_points must be >= 1, got {n}")
+def _config_check(check, *args) -> None:
+    """Apply one of the library's own argument checks to a configuration,
+    reporting its ValueError as a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
-def _check_dimension(functional: FunctionalSpec, points: PointSet) -> None:
-    if functional.dimension != points.dimension:
+def _normalize_study_fields(cfg) -> None:
+    """Check the length-scale grid of a sweep or a study, and normalize its
+    precision policy and fit window in place; a fit window must hold at
+    least two grid points."""
+    if not (0 < cfg.ell_min < cfg.ell_max):
         raise ConfigError(
-            f"functional dimension {functional.dimension} != point dimension {points.dimension}"
+            f"length-scale grid must be positive and increasing, got [{cfg.ell_min}, {cfg.ell_max}]"
         )
+    if cfg.ell_count < 2:
+        raise ConfigError(f"length-scale grid needs at least 2 points, got {cfg.ell_count}")
+    object.__setattr__(cfg, "precision", _precision_policy(cfg.precision))
+    object.__setattr__(cfg, "fit_window", _fit_window(cfg.fit_window))
+    if isinstance(cfg.fit_window, tuple):
+        lo, hi = cfg.fit_window
+        if sum(lo <= ell <= hi for ell in cfg.ell_grid) < 2:
+            raise ConfigError(f"fit window {list(cfg.fit_window)} holds fewer than two grid points")
 
 
-def _check_degree(points: PointSet, degree: int) -> None:
-    """Polynomial weights of a degree need one point per monomial."""
-    if degree < 0:
-        raise ConfigError(f"degree must be non-negative, got {degree}")
-    size = math.comb(points.dimension + degree, degree)
-    if len(points) != size:
-        raise ConfigError(
-            f"degree {degree} in dimension {points.dimension} needs exactly {size} points, "
-            f"got {len(points)}"
-        )
-
-
-class _LengthScaleStudy:
-    """What a sweep and an optimal study share: the length-scale grid, the
-    precision policy and the fit window, the last two normalized in place."""
-
-    def _check_grid(self) -> None:
-        if not (0 < self.ell_min < self.ell_max):
-            raise ConfigError(
-                f"length-scale grid must be positive and increasing, got [{self.ell_min}, {self.ell_max}]"
-            )
-        if self.ell_count < 2:
-            raise ConfigError(f"length-scale grid needs at least 2 points, got {self.ell_count}")
-        object.__setattr__(self, "precision", _precision_policy(self.precision))
-        object.__setattr__(self, "fit_window", _fit_window(self.fit_window))
-        if isinstance(self.fit_window, tuple):
-            lo, hi = self.fit_window
-            if sum(lo <= ell <= hi for ell in self.ell_grid) < 2:
-                raise ConfigError(f"fit window {list(self.fit_window)} holds fewer than two grid points")
+class _LengthScaleGrid:
+    """The log-spaced length-scale grid of a sweep or a study."""
 
     @property
     def ell_grid(self) -> tuple[float, ...]:
@@ -132,7 +123,7 @@ class _LengthScaleStudy:
 
 
 @dataclass(frozen=True)
-class SweepConfig(_LengthScaleStudy):
+class SweepConfig(_LengthScaleGrid):
     """Configuration of one flat-limit sweep over the length scale."""
 
     kernel_family: str
@@ -147,9 +138,9 @@ class SweepConfig(_LengthScaleStudy):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self._check_grid()
-        _check_dimension(self.functional, self.points)
-        _check_degree(self.points, self.degree)
+        _normalize_study_fields(self)
+        _config_check(_check_dims, self.functional, self.points)
+        _config_check(_monomials, self.points, self.degree)
 
 
 @dataclass(frozen=True)
@@ -274,7 +265,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 
 @dataclass(frozen=True)
-class OptimalStudyConfig(_LengthScaleStudy):
+class OptimalStudyConfig(_LengthScaleGrid):
     """Configuration of an optimal-point study over the length scale."""
 
     kernel_family: str
@@ -290,10 +281,8 @@ class OptimalStudyConfig(_LengthScaleStudy):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_n_points(self.n_points)
-        self._check_grid()
-        if self.functional.dimension != 1:
-            raise ConfigError("optimal studies are one-dimensional")
+        _config_check(_check_nodes, self.functional, self.n_points)
+        _normalize_study_fields(self)
         if not self.functional.is_bounded and not self.allow_unbounded:
             raise ConfigError(
                 "node optimization on an unbounded domain is experimental; "

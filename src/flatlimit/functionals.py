@@ -20,6 +20,7 @@ from .core import (
     MultiIndex,
     PrecisionConfig,
     Real,
+    _coords,
     monomial_eval,
     rerf,
     rexp,
@@ -85,22 +86,12 @@ class FunctionalSpec:
 
     @classmethod
     def point_eval(cls, location) -> "FunctionalSpec":
-        if isinstance(location, (int, float)):
-            location = (float(location),)
-        else:
-            location = tuple(float(c) for c in location)
+        location = _coords(location)
         return cls("point_eval", len(location), location=location)
 
     @classmethod
     def lebesgue_box(cls, lower, upper) -> "FunctionalSpec":
-        if isinstance(lower, (int, float)):
-            lower = (float(lower),)
-        else:
-            lower = tuple(float(c) for c in lower)
-        if isinstance(upper, (int, float)):
-            upper = (float(upper),)
-        else:
-            upper = tuple(float(c) for c in upper)
+        lower, upper = _coords(lower), _coords(upper)
         return cls("lebesgue_box", len(lower), lower=lower, upper=upper)
 
     @classmethod
@@ -116,14 +107,7 @@ class FunctionalSpec:
         rel_tol: float = 1e-10,
         subdivision_budget: int = 200,
     ) -> "FunctionalSpec":
-        if isinstance(lower, (int, float)):
-            lower = (float(lower),)
-        else:
-            lower = tuple(float(c) for c in lower)
-        if isinstance(upper, (int, float)):
-            upper = (float(upper),)
-        else:
-            upper = tuple(float(c) for c in upper)
+        lower, upper = _coords(lower), _coords(upper)
         return cls(
             "numeric_oracle",
             len(lower),

@@ -53,6 +53,15 @@ def _construction_bits(prec: PrecisionConfig, n_points: int) -> int:
     return max(192, prec.bits + 64, 64 + 16 * n_points)
 
 
+def _check_nodes(L: FunctionalSpec, n_points: int) -> None:
+    """Gauss rules and optimized nodes are one-dimensional, with at least
+    one node."""
+    if L.dimension != 1:
+        raise ValueError(f"node construction is one-dimensional, got a {L.dimension}-dimensional functional")
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
+
+
 def gauss_rule_from_moments(
     L: FunctionalSpec,
     n_points: int,
@@ -70,10 +79,7 @@ def gauss_rule_from_moments(
     normalized by max(1, |mu_n|), must sit at the roundoff level of the
     output types or the constructor raises.
     """
-    if L.dimension != 1:
-        raise ValueError("Gaussian quadrature construction is one-dimensional")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    _check_nodes(L, n_points)
     n = n_points
     cbits = _construction_bits(prec, n)
     cprec = PrecisionConfig.extended(cbits)
@@ -222,10 +228,7 @@ def optimize_points(
     """
     import scipy.optimize  # deferred: slow to import, and only the optimizer needs it
 
-    if L.dimension != 1:
-        raise ValueError("point optimization is one-dimensional")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    _check_nodes(L, n_points)
     settings = settings or OptimizerSettings()
     if prec is None:
         prec = PrecisionConfig.extended(_default_optimizer_bits(spec.length_scale, n_points))

@@ -218,6 +218,22 @@ BAD_CONFIGS = {
     "optimal_restarts_not_a_number": (
         "optimal", {**OPTIMAL_CFG, "optimizer": {"restarts": "many"}}, [], None
     ),
+    "check_unisolvent_points_string": ("check-unisolvent", {**UNISOLVENT_CFG, "points": "123"}, [], None),
+    "wce_weights_string": ("wce", {**WCE_CFG, "weights": "123"}, [], None),
+    "optimal_search_box_string": (
+        "optimal", {**OPTIMAL_CFG, "optimizer": {**OPTIMAL_CFG["optimizer"], "search_box": "12"}}, [], None
+    ),
+    "wce_box_lower_string": (
+        "wce", {**WCE_CFG, "points": PLANE, "functional": {**BOX, "lower": "12", "upper": [3, 4]}}, [], None
+    ),
+    "wce_location_string": ("wce", {**WCE_CFG, "functional": {"kind": "point_eval", "location": "0"}}, [], None),
+    "wce_point_entry_string": ("wce", {**WCE_CFG, "points": [-1.0, "0", 1.0]}, [], None),
+    "gauss_2d_box": (
+        "gauss", {**GAUSS_CFG, "functional": {**BOX, "lower": [0, 0], "upper": [1, 1]}}, [], None
+    ),
+    "gauss_2d_gaussian_measure": (
+        "gauss", {**GAUSS_CFG, "functional": {"kind": "gaussian_measure", "dimension": 2}}, [], None
+    ),
 }
 
 

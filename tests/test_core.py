@@ -97,6 +97,14 @@ def test_point_set_1d_must_be_sorted():
     assert ps.coords_1d() == (-1.0, 0.5, 3.0)
 
 
+def test_point_set_rejects_string_coordinates():
+    """A string is not read one character at a time."""
+    with pytest.raises(TypeError):
+        PointSet.from_points([-1.0, "0", 1.0])
+    with pytest.raises(TypeError):
+        PointSet.from_points("123")
+
+
 def test_point_set_rejects_duplicates():
     with pytest.raises(ValueError):
         PointSet.from_1d([0.0, 1.0, 1.0])

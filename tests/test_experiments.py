@@ -88,8 +88,18 @@ def make_study(**kw):
         {"precision": "fast"},
         {"ell_count": 1},
         {"n_points": 0},
+        {"functional": FunctionalSpec.gaussian_measure(2)},
     ],
-    ids=["window_edges", "window_decreasing", "window_outside_grid", "precision_32", "precision_fast", "one_ell", "no_points"],
+    ids=[
+        "window_edges",
+        "window_decreasing",
+        "window_outside_grid",
+        "precision_32",
+        "precision_fast",
+        "one_ell",
+        "no_points",
+        "2d_functional",
+    ],
 )
 def test_optimal_study_config_validation(bad):
     with pytest.raises(ConfigError):

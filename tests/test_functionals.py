@@ -153,3 +153,7 @@ def test_dimension_mismatch_rejected():
 def test_lebesgue_box_validation():
     with pytest.raises(ValueError):
         FunctionalSpec.lebesgue_box(1.0, -1.0)
+    with pytest.raises(TypeError):
+        FunctionalSpec.lebesgue_box("12", (3.0, 4.0))
+    with pytest.raises(TypeError):
+        FunctionalSpec.point_eval("0")
