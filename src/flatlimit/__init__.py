@@ -25,6 +25,7 @@ from .cubature import (
     optimal_weights,
     phi_weights,
     polynomial_weights,
+    residual_wce,
     unisolvency_check,
     worst_case_error,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "optimal_weights",
     "phi_weights",
     "polynomial_weights",
+    "residual_wce",
     "unisolvency_check",
     "worst_case_error",
     "ConfigError",

@@ -28,9 +28,11 @@ from .core import MACHINE, PointSet, PrecisionConfig, Real
 from .cubature import (
     _check_dims,
     _monomials,
+    _residual_form,
     optimal_weights,
     phi_weights,
     polynomial_weights,
+    residual_wce,
     unisolvency_check,
     worst_case_error,
 )
@@ -145,7 +147,8 @@ class SweepConfig(_LengthScaleGrid):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One length scale of a sweep; all distances in the max norm."""
+    """One length scale of a sweep; all distances in the max norm.
+    ``warning`` is the conditioning warning of the optimal-weight solve."""
 
     ell: float
     weights: tuple[Real, ...]
@@ -154,6 +157,7 @@ class SweepRecord:
     dist_phi_pol: float
     condition: float
     precision_bits: int
+    warning: Optional[str] = None
 
     def __post_init__(self) -> None:
         vals = [self.ell, float(self.wce), self.dist_opt_pol, self.dist_phi_pol, self.condition]
@@ -220,7 +224,11 @@ def fit_rate(
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute a sweep; per-length-scale failures are recorded and skipped,
-    a non-unisolvent point set aborts up front."""
+    a non-unisolvent point set aborts up front.  The wce of the optimal
+    weights is the basis residual of :func:`residual_wce` where it applies
+    (Gaussian kernel, product functional, a short sum: see
+    :func:`cubature._residual_form`), and the Gram form of
+    :func:`worst_case_error` otherwise."""
     check = unisolvency_check(cfg.points, cfg.degree, MACHINE)
     if not check.ok:
         raise NotUnisolventError(
@@ -238,7 +246,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         kspec = KernelSpec(cfg.kernel_family, ell)
         try:
             wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
-            report = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True)
+            if _residual_form(kspec, cfg.functional, wsol.rule, prec):
+                wce = residual_wce(kspec, cfg.functional, wsol.rule, prec)
+            else:
+                wce = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True).wce
             fsol = phi_weights(cfg.functional, ell, cfg.points, cfg.degree, prec)
             d_opt = max(abs(float(w) - r) for w, r in zip(wsol.weights, ref))
             d_phi = max(abs(float(w) - r) for w, r in zip(fsol.weights, ref))
@@ -246,11 +257,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 SweepRecord(
                     ell=float(ell),
                     weights=wsol.weights,
-                    wce=report.wce,
+                    wce=wce,
                     dist_opt_pol=d_opt,
                     dist_phi_pol=d_phi,
                     condition=wsol.condition,
                     precision_bits=prec.bits,
+                    warning=wsol.warning,
                 )
             )
         except FlatLimitError as e:
@@ -444,7 +456,12 @@ def _manifest(command: str, result, raw_config: dict, details: dict) -> dict:
 
 
 def sweep_manifest(result: SweepResult, raw_config: dict) -> dict:
-    return _manifest("sweep", result, raw_config, {"reference_weights_bits": _REFERENCE_BITS})
+    return _manifest("sweep", result, raw_config, {
+        "reference_weights_bits": _REFERENCE_BITS,
+        "solve_warnings": [
+            {"ell": r.ell, "warning": r.warning} for r in result.records if r.warning is not None
+        ],
+    })
 
 
 def optimal_manifest(result: OptimalStudyResult, raw_config: dict) -> dict:

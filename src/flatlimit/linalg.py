@@ -1,19 +1,21 @@
 """Dense linear solves at machine or extended precision.
 
 Machine mode wraps LAPACK (via scipy), extended mode wraps mpmath, both
-behind one interface that always reports a factorization-based condition
-estimate and a residual; an extended solve takes the solution and the
-condition number from one factorization.  Ill-conditioning is never
-patched by jitter or regularization here; the remedy on failure is more
-precision, and the errors say so.
+behind one interface.  A solve factors the matrix once and returns the
+solution; the factorization-based condition number, the residual and the
+conditioning warning are computed from the stored factor on first read,
+so a caller that reads only the solution pays for nothing else.
+Ill-conditioning is never patched by jitter or regularization here; the
+remedy on failure is more precision, and the errors say so.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Any, Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -25,20 +27,50 @@ from .errors import NumericallyIndefiniteError, SingularMatrixError
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution of one linear system together with its diagnostics.
+    """Solution of one linear system; its diagnostics are computed from the
+    stored factor on first read, each at its own fixed precision, so the
+    values do not depend on mpmath's global precision at the time of
+    reading.
 
     ``residual_norm`` is the inf-norm of b - A x, evaluated with 64 guard
     bits in extended mode.  ``condition`` is the inf-norm condition number
-    computed from the factorized inverse (inf for a singular matrix).
-    ``warning`` is set when the condition estimate exceeds the precision
-    policy's threshold; the solve still returns.
+    computed from the factorized inverse.  ``warning`` is set when the
+    condition estimate exceeds the precision policy's threshold; the solve
+    still returns.
     """
 
     solution: tuple[Real, ...]
-    residual_norm: Real
-    condition: float
     precision: PrecisionConfig
-    warning: Optional[str] = None
+    # the working-precision system and the map v -> A^-1 v through the factor
+    matrix: Any = field(repr=False, compare=False)
+    rhs: Any = field(repr=False, compare=False)
+    substitute: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def condition(self) -> float:
+        A, prec = self.matrix, self.precision
+        if prec.is_extended:
+            n = A.rows
+            inv = mp.matrix(n, n)
+            with mp.workprec(prec.bits + 10):  # the guard bits of the solve
+                for k in range(n):
+                    col = self.substitute(mp.unitvector(n, k + 1))
+                    for i in range(n):
+                        inv[i, k] = col[i]
+            with prec.workprec():
+                return float(_inf_norm_mp(A) * _inf_norm_mp(inv))
+        return _inf_norm_np(A) * _inf_norm_np(self.substitute(np.eye(A.shape[0])))
+
+    @cached_property
+    def residual_norm(self) -> Real:
+        A, b, x = self.matrix, self.rhs, self.solution
+        if self.precision.is_extended:
+            return _residual_mp(A, x, b, self.precision.bits)
+        return float(np.max(np.abs(A @ np.array(x) - b)))
+
+    @cached_property
+    def warning(self) -> Optional[str]:
+        return _warning_for(self.condition, self.precision)
 
 
 def auto_precision_bits(length_scale: float, n_points: int) -> int:
@@ -150,19 +182,12 @@ def _residual_mp(A: mp.matrix, x: mp.matrix, b: mp.matrix, bits: int) -> mp.mpf:
 
 
 def _result_mp(A: mp.matrix, b: mp.matrix, substitute, prec: PrecisionConfig) -> SolveResult:
-    """Solution, condition number and residual from one factorization:
-    ``substitute(v)`` solves A x = v with the factor, at the guard bits."""
-    n = A.rows
-    inv = mp.matrix(n, n)
+    """The solution from one factorization, at the guard bits at which
+    ``substitute(v)`` solves A x = v with the factor; the diagnostics
+    reuse the factor when read."""
     with mp.workprec(prec.bits + 10):
         x = substitute(b)
-        for k in range(n):
-            col = substitute(mp.unitvector(n, k + 1))
-            for i in range(n):
-                inv[i, k] = col[i]
-    cond = float(_inf_norm_mp(A) * _inf_norm_mp(inv))
-    res = _residual_mp(A, x, b, prec.bits)
-    return SolveResult(tuple(x), res, cond, prec, _warning_for(cond, prec))
+    return SolveResult(tuple(x), prec, A, b, substitute)
 
 
 def _warning_for(cond: float, prec: PrecisionConfig) -> Optional[str]:
@@ -220,11 +245,8 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         raise NumericallyIndefiniteError(
             f"Cholesky failed at machine precision ({e}); increase the precision"
         ) from e
-    x = scipy.linalg.cho_solve(factor, bn)
-    inv = scipy.linalg.cho_solve(factor, np.eye(n))
-    cond = _inf_norm_np(An) * _inf_norm_np(inv)
-    res = float(np.max(np.abs(An @ x - bn)))
-    return SolveResult(tuple(float(v) for v in x), res, cond, prec, _warning_for(cond, prec))
+    substitute = lambda v: scipy.linalg.cho_solve(factor, v)
+    return SolveResult(tuple(float(v) for v in substitute(bn)), prec, An, bn, substitute)
 
 
 def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
@@ -250,11 +272,8 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         lu, piv = scipy.linalg.lu_factor(An)
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("matrix has an exactly zero pivot")
-    x = scipy.linalg.lu_solve((lu, piv), bn)
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n))
-    cond = _inf_norm_np(An) * _inf_norm_np(inv)
-    res = float(np.max(np.abs(An @ x - bn)))
-    return SolveResult(tuple(float(v) for v in x), res, cond, prec, _warning_for(cond, prec))
+    substitute = lambda v: scipy.linalg.lu_solve((lu, piv), v)
+    return SolveResult(tuple(float(v) for v in substitute(bn)), prec, An, bn, substitute)
 
 
 def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:

@@ -250,3 +250,151 @@ def test_machine_and_extended_agree_at_modest_flatness():
     w_m = optimal_weights(k, L, X).rule.weights_float()
     w_e = optimal_weights(k, L, X, EXT).rule.weights_float()
     assert_allclose(w_m, w_e, rtol=1e-10)
+
+
+def chebyshev(n):
+    half = [math.cos((2 * k + 1) * math.pi / (2 * n)) for k in range(n // 2)]
+    return sorted([-x for x in half] + ([0.0] if n % 2 else []) + half)
+
+
+def assert_matches_gram_form(k, L, rule, prec):
+    """residual_wce at ``prec`` against the Gram form of worst_case_error
+    at 2 bits + 64, to a relative 2^-(bits - 8)."""
+    from flatlimit import residual_wce
+
+    e = residual_wce(k, L, rule, prec)
+    oracle_bits = 2 * prec.bits + 64
+    ref = worst_case_error(k, L, rule, PrecisionConfig.extended(oracle_bits)).wce
+    with mp.workprec(oracle_bits):
+        assert abs(mp.mpf(e) - ref) <= mp.mpf(2) ** (8 - prec.bits) * ref, (float(e), float(ref))
+
+
+@pytest.mark.parametrize("measure", ["box", "normal"])
+@pytest.mark.parametrize("n", [3, 6, 10])
+@pytest.mark.parametrize("ell", [1.0, 1e2, 1e4])
+def test_residual_wce_matches_the_gram_form(measure, n, ell):
+    from flatlimit import auto_precision_bits
+
+    L = FunctionalSpec.lebesgue_box(-1.0, 1.0) if measure == "box" else FunctionalSpec.gaussian_measure(1)
+    X = PointSet.from_1d([-1.0, 0.0, 1.0] if n == 3 else chebyshev(n))
+    k = KernelSpec.gaussian(ell)
+    prec = PrecisionConfig.extended(auto_precision_bits(ell, n))
+    assert_matches_gram_form(k, L, optimal_weights(k, L, X, prec).rule, prec)
+
+
+TWO_D_POINTS = {
+    3: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    6: [(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5), (-0.8, 0.7), (0.8, 0.6), (0.1, -0.9)],
+}
+
+
+@pytest.mark.parametrize("measure", ["box", "normal"])
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("ell", [1.0, 1e2])
+def test_residual_wce_matches_the_gram_form_in_2d(measure, n, ell):
+    from flatlimit import auto_precision_bits
+
+    L = (
+        FunctionalSpec.lebesgue_box((-1.0, -1.0), (1.0, 1.0))
+        if measure == "box"
+        else FunctionalSpec.gaussian_measure(2)
+    )
+    X = PointSet.from_points(TWO_D_POINTS[n])
+    k = KernelSpec.gaussian(ell)
+    prec = PrecisionConfig.extended(auto_precision_bits(ell, n))
+    assert_matches_gram_form(k, L, optimal_weights(k, L, X, prec).rule, prec)
+
+
+def test_residual_wce_of_arbitrary_rules_and_point_evaluation():
+    """Not only optimal weights: any rule, a point functional, and the
+    machine lane, which rounds the extended evaluation to float64."""
+    from flatlimit import residual_wce
+
+    X = PointSet.from_1d([-1.2, 0.1, 0.8])
+    rule = CubatureRule(X, (0.2, 0.5, 0.2))
+    for L in (FunctionalSpec.gaussian_measure(1), FunctionalSpec.lebesgue_box(-0.5, 2.0), FunctionalSpec.point_eval(0.3)):
+        for ell in (0.7, 1.5, 40.0):
+            assert_matches_gram_form(KernelSpec.gaussian(ell), L, rule, EXT)
+            machine = residual_wce(KernelSpec.gaussian(ell), L, rule)
+            assert isinstance(machine, float)
+            assert machine == pytest.approx(float(residual_wce(KernelSpec.gaussian(ell), L, rule, EXT)), rel=2**-50)
+    # an exact rule ends at the roundoff floor of the capped precision
+    exact = CubatureRule(X, (0.0, 1.0, 0.0))
+    assert residual_wce(KernelSpec.gaussian(2.0), FunctionalSpec.point_eval(0.1), exact, EXT) <= mp.mpf(2) ** -384
+
+
+def test_residual_wce_tail_bound_runs_past_a_fixed_truncation():
+    """Under N(0, 1) at ell = 1 the coefficients decay only like 2^(-k/2),
+    so a 192-bit wce needs more than 150 basis functions: stopping at any
+    fixed degree below the bound's misses the 2^-184 agreement."""
+    k = KernelSpec.gaussian(1.0)
+    L = FunctionalSpec.gaussian_measure(1)
+    prec = PrecisionConfig.extended(192)
+    X = PointSet.from_1d([-1.0, 0.0, 1.0])
+    assert_matches_gram_form(k, L, optimal_weights(k, L, X, prec).rule, prec)
+
+
+def test_residual_wce_rejects_other_kernels_and_the_numeric_oracle():
+    from flatlimit import residual_wce
+
+    X = PointSet.from_1d([-1.0, 0.0, 1.0])
+    rule = CubatureRule(X, (0.3, 1.4, 0.3))
+    with pytest.raises(ValueError):
+        residual_wce(KernelSpec.exponential(2.0), FunctionalSpec.lebesgue_box(-1.0, 1.0), rule)
+    with pytest.raises(ValueError):
+        residual_wce(KernelSpec.gaussian(2.0), FunctionalSpec.numeric_oracle(lambda t: 1.0, -1.0, 1.0), rule)
+    with pytest.raises(ValueError):
+        residual_wce(KernelSpec.gaussian(2.0), FunctionalSpec.gaussian_measure(2), rule)
+
+
+def test_residual_recurrences_match_their_definitions():
+    """The fixed-point recurrences of the residual sum against the
+    functions they stand for: the basis at a point is phi_basis_eval, and
+    a coefficient is damped_moment, each over sqrt(k!) l^k."""
+    from flatlimit import MultiIndex, damped_moment, phi_basis_eval
+    from flatlimit.cubature import _axis_coefficients, _phi_columns
+
+    ell, F = 0.7, 200
+    prec = PrecisionConfig.extended(F + 32)
+    sites = [(0.3, -1.2), (2.0, 0.0)]
+    columns = _phi_columns(sites, ell, F)
+    box = FunctionalSpec.lebesgue_box((-2.0, 0.3), (0.5, 2.5))
+    gens = {
+        "box0": (_axis_coefficients(box, 0, ell, F), FunctionalSpec.lebesgue_box(-2.0, 0.5)),
+        "box1": (_axis_coefficients(box, 1, ell, F), FunctionalSpec.lebesgue_box(0.3, 2.5)),
+        "normal": (_axis_coefficients(FunctionalSpec.gaussian_measure(2), 1, ell, F), FunctionalSpec.gaussian_measure(1)),
+    }
+    with prec.workprec():
+        for k in range(13):
+            norm = mp.sqrt(mp.factorial(k)) * mp.mpf(ell) ** k
+            tol = mp.mpf(2) ** (24 - F)
+            for site, values in zip(sites, next(columns)):
+                for x, v in zip(site, values):
+                    exact = phi_basis_eval(ell, MultiIndex((k,)), x, prec) / norm
+                    assert abs(mp.ldexp(v, -F) - exact) <= tol, (k, x)
+            for name, (gen, factor) in gens.items():
+                exact = damped_moment(factor, ell, MultiIndex((k,)), prec) / norm
+                assert abs(mp.ldexp(next(gen), -F) - exact) <= tol, (k, name)
+
+
+def test_sweeps_take_the_residual_only_where_its_sum_is_short():
+    """The flat regime takes the residual; a length scale small next to
+    the box, a slowly decaying Gaussian measure, and d = 2 below the very
+    flat end keep the Gram form, whose sum would run to thousands of
+    basis functions."""
+    from flatlimit.cubature import _residual_form
+
+    def selected(L, points, ell, bits):
+        k, prec = KernelSpec.gaussian(ell), PrecisionConfig.extended(bits)
+        return _residual_form(k, L, optimal_weights(k, L, PointSet.from_points(points), prec).rule, prec)
+
+    box, normal = FunctionalSpec.lebesgue_box(-1.0, 1.0), FunctionalSpec.gaussian_measure(1)
+    simpson = [(-1.0,), (0.0,), (1.0,)]
+    assert selected(box, simpson, 1.0, 64) and selected(normal, simpson, 1.0, 64)
+    assert selected(box, simpson, 0.3, 64)
+    assert not selected(box, simpson, 0.05, 64)
+    assert not selected(normal, simpson, 0.5, 64)
+    assert not selected(FunctionalSpec.gaussian_measure(2), TWO_D_POINTS[3], 1.0, 64)
+    assert not _residual_form(
+        KernelSpec.exponential(2.0), box, CubatureRule(PointSet.from_points(simpson), (0.3, 1.4, 0.3)), EXT
+    )

@@ -210,6 +210,57 @@ def test_manifest_content_and_digest_stability():
     assert config_digest({"degree": 3}) != config_digest(raw)
 
 
+def test_sweep_manifest_lists_solve_warnings():
+    result = run_sweep(make_sweep(ell_count=3, precision="machine"))
+    warned = [r for r in result.records if r.warning is not None]
+    # at machine precision the Gram solve at ell = 100 trips the warning
+    assert [r.ell for r in warned] == [100.0]
+    assert warned[0].warning.startswith("condition estimate")
+    man = sweep_manifest(result, {})
+    assert man["solve_warnings"] == [{"ell": 100.0, "warning": warned[0].warning}]
+    assert sweep_manifest(run_sweep(make_sweep(ell_count=2)), {})["solve_warnings"] == []
+
+
+@pytest.mark.parametrize("family", ["gaussian", "exponential"])
+def test_sweep_wce_is_the_basis_residual_where_its_sum_is_short(family):
+    """ell = 0.07 is small next to the box: that row keeps the Gram form,
+    like every row of a non-Gaussian kernel; the flatter rows take the
+    residual."""
+    from flatlimit import KernelSpec, PrecisionConfig, optimal_weights, residual_wce, worst_case_error
+    from flatlimit.linalg import auto_precision_bits
+
+    inner = PointSet.from_1d([-0.5, 0.0, 0.5])
+    result = run_sweep(make_sweep(kernel_family=family, points=inner, ell_min=0.07, ell_count=3))
+    assert not result.failures
+    forms = []
+    for r in result.records:
+        prec = PrecisionConfig.extended(auto_precision_bits(r.ell, 3))
+        k = KernelSpec(family, r.ell)
+        sol = optimal_weights(k, LEB, inner, prec)
+        gram = worst_case_error(k, LEB, sol, prec, assume_optimal=True).wce
+        forms.append("gram" if r.wce == gram else "residual")
+        if forms[-1] == "residual":
+            assert r.wce == residual_wce(k, LEB, sol.rule, prec)
+    assert forms == (["gram", "residual", "residual"] if family == "gaussian" else ["gram"] * 3)
+
+
+def test_two_dimensional_gaussian_measure_sweep_down_to_small_length_scales():
+    """Under N(0, I) in 2-D at ell = 0.3 the residual sum would run past
+    100,000 basis functions; the sweep keeps the Gram form there and
+    loses no row."""
+    result = run_sweep(make_sweep(
+        functional=FunctionalSpec.gaussian_measure(2),
+        points=PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
+        degree=1,
+        ell_min=0.3,
+        ell_max=10.0,
+        ell_count=4,
+    ))
+    assert not result.failures
+    assert len(result.records) == 4
+    assert all(0 < float(r.wce) < 1 for r in result.records)
+
+
 def test_optimal_study_requires_bounded_domain_by_default():
     with pytest.raises(ConfigError):
         OptimalStudyConfig(

@@ -208,3 +208,100 @@ def test_condition_estimate_is_the_condition_of_one_lu_solve(prec):
     A = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [2.0, 0.5, 1.0]]
     assert condition_estimate(A, prec) == solve_general(A, [0.0, 0.0, 0.0], prec).condition
     assert condition_estimate([[1.0, 2.0], [2.0, 4.0]], prec) == math.inf
+
+
+def diagnostic_systems(prec):
+    """A Gaussian Gram system (SPD) and a transposed Vandermonde system,
+    built at 128 bits and rounded to float64 for the machine lane."""
+    with mp.workprec(128):
+        xs = [mp.mpf(k) / 4 for k in range(-3, 4)]
+        G = [[mp.exp(-(x - y) ** 2 / 8) for y in xs] for x in xs]
+        b = [mp.mpf(k + 1) / 3 for k in range(len(xs))]
+        ys = [mp.mpf(k) / 3 for k in (-3, -1, 0, 2, 3)]
+        V = [[y ** j for y in ys] for j in range(len(ys))]
+        c = [mp.mpf(2) / (j + 1) if j % 2 == 0 else 0 for j in range(len(ys))]
+    if not prec.is_extended:
+        G, V = ([[float(v) for v in row] for row in M] for M in (G, V))
+        b, c = ([float(v) for v in vec] for vec in (b, c))
+    return {"spd": (solve_spd, G, b), "general": (solve_general, V, c)}
+
+
+WARNED_128 = PrecisionConfig("extended", 128, condition_warn_threshold=1e6)
+
+# The diagnostics the eager solves reported before they became lazy:
+# (condition, residual norm as a float or an mpf's (sign, man, exp, bc),
+# warning), for the systems of diagnostic_systems.
+EAGER_DIAGNOSTICS = {
+    ("machine", "spd"): (
+        839509674974.351,
+        1.9402701667559086e-11,
+        "condition estimate 8.395e+11 exceeds threshold 9.491e+07 at 53 bits; consider a higher precision",
+    ),
+    ("machine", "general"): (69.99999999999999, 2.220446049250313e-16, None),
+    ("extended", "spd"): (839513240325.3585, (0, 120654436130713383, -177, 57), None),
+    ("extended", "general"): (70.0, (0, 52031587694887131, -193, 56), None),
+    ("warned", "spd"): (
+        839513240325.3585,
+        (0, 120654436130713383, -177, 57),
+        "condition estimate 8.395e+11 exceeds threshold 1.000e+06 at 128 bits; consider a higher precision",
+    ),
+}
+LANES = {"machine": PrecisionConfig.machine(), "extended": PrecisionConfig.extended(128), "warned": WARNED_128}
+
+
+def count_substitutions(monkeypatch, prec):
+    """Count the triangular substitutions through a stored factor: the
+    calls of scipy's cho_solve and lu_solve (one per right-hand side
+    block) in the machine lane, of mpmath's U_solve (one per column) in
+    the extended lane."""
+    if prec.is_extended:
+        return count_mp_calls(monkeypatch, "U_solve")
+    import scipy.linalg
+
+    counts = {}
+    for name in ("cho_solve", "lu_solve"):
+        original = getattr(scipy.linalg, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("lane", ["machine", "extended"])
+@pytest.mark.parametrize("kind", ["spd", "general"])
+def test_unread_diagnostics_cost_no_inverse_columns(monkeypatch, lane, kind):
+    prec = LANES[lane]
+    solve, A, b = diagnostic_systems(prec)[kind]
+    counts = count_substitutions(monkeypatch, prec)
+    res = solve(A, b, prec)
+    assert sum(counts.values()) == 1  # the solution only
+    res.residual_norm
+    assert sum(counts.values()) == 1  # the residual needs no substitution
+    res.condition
+    res.warning
+    n = len(b)
+    assert sum(counts.values()) == (1 + n if prec.is_extended else 2)
+
+
+@pytest.mark.parametrize("lane,kind", list(EAGER_DIAGNOSTICS), ids=["-".join(k) for k in EAGER_DIAGNOSTICS])
+@pytest.mark.parametrize("read_bits", [None, 20, 600])
+def test_lazy_diagnostics_equal_the_eager_values(lane, kind, read_bits):
+    """Read on first use, at the solve's own precision: the same bytes as
+    the eager diagnostics, whatever mpmath's global precision is when they
+    are read."""
+    prec = LANES[lane]
+    solve, A, b = diagnostic_systems(prec)[kind]
+    res = solve(A, b, prec)
+    condition, residual, warning = EAGER_DIAGNOSTICS[(lane, kind)]
+    if read_bits is None:
+        got = (res.condition, res.residual_norm, res.warning)
+    else:
+        with mp.workprec(read_bits):
+            got = (res.condition, res.residual_norm, res.warning)
+    assert repr(got[0]) == repr(condition)
+    assert (got[1]._mpf_ if prec.is_extended else repr(got[1])) == (residual if prec.is_extended else repr(residual))
+    assert got[2] == warning
