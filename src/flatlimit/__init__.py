@@ -22,6 +22,7 @@ from .cubature import (
     UnisolvencyReport,
     WeightSolution,
     WorstCaseReport,
+    accurate_wce,
     optimal_weights,
     phi_weights,
     polynomial_weights,
@@ -95,6 +96,7 @@ __all__ = [
     "UnisolvencyReport",
     "WeightSolution",
     "WorstCaseReport",
+    "accurate_wce",
     "optimal_weights",
     "phi_weights",
     "polynomial_weights",

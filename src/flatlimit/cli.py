@@ -24,7 +24,7 @@ from typing import Optional
 import yaml
 
 from .core import CubatureRule, PointSet
-from .cubature import _check_dims, _monomials, optimal_weights, unisolvency_check, worst_case_error
+from .cubature import _check_dims, _monomials, accurate_wce, optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
 from .experiments import (
     OptimalStudyConfig,
@@ -140,8 +140,7 @@ def _kernel(d, need_length_scale: bool) -> KernelSpec:
 def _optimizer(d) -> OptimizerSettings:
     if d is None:
         return OptimizerSettings()
-    allowed = ("restarts", "max_evals", "seed", "search_box", "xatol_rel", "fatol_rel")
-    kwargs = dict(_keys(d, "optimizer", (), allowed))
+    kwargs = dict(_keys(d, "optimizer", (), ("restarts", "max_evals", "seed", "search_box")))
     for key in ("restarts", "max_evals", "seed"):
         if key in kwargs:
             kwargs[key] = _int(kwargs[key])
@@ -271,8 +270,9 @@ def _run_wce(job, raw: dict, out: Optional[str]) -> int:
     kspec, L, points, rule, assume, prec = job
     if rule is None:
         rule = optimal_weights(kspec, L, points, prec)  # a WeightSolution, reused below
+    # the wce in the form a sweep would print; the decomposition is the Gram form's
     report = worst_case_error(kspec, L, rule, prec, assume_optimal=assume)
-    print(f"wce: {format_real(report.wce, prec.bits)}")
+    print(f"wce: {format_real(accurate_wce(kspec, L, rule, prec, assume), prec.bits)}")
     print(f"initial term LL[K]: {format_real(report.initial_term, prec.bits)}")
     print(f"cross term w.z:     {format_real(report.cross_term, prec.bits)}")
     print(f"quadratic form:     {format_real(report.quadratic_form, prec.bits)}")

@@ -19,7 +19,12 @@ form an orthonormal basis of the RKHS, so the same error is the residual
 
 with c_alpha = L[phi_alpha].  Its terms lose about log2(||c|| / e) bits
 to cancellation, where the Gram form, with LL[K] = ||c||^2, loses twice
-that; :func:`residual_wce` evaluates it.
+that; :func:`residual_wce` evaluates it, :func:`accurate_wce` picks a form.
+
+The damped monomials exp(-|x|^2 / (2 l^2)) x^alpha collocate as V D, the
+Vandermonde matrix V times D = diag(exp(-|x_n|^2 / (2 l^2))), so one
+Vandermonde solve serves the polynomial weights, the phi weights (then
+rescaled by D^-1) and the unisolvency check.
 """
 from __future__ import annotations
 
@@ -41,9 +46,12 @@ from .core import (
     degree_compositions,
     enumerate_multi_indices,
     monomial_eval,
+    rexp,
     rsqrt,
+    sq_norm,
 )
 from .errors import (
+    FlatLimitError,
     NotUnisolventError,
     NumericalInconsistencyError,
     SeriesConvergenceError,
@@ -56,7 +64,7 @@ from .functionals import (
     kernel_embedding,
     moment,
 )
-from .kernels import KernelSpec, gram_matrix, phi_basis_eval
+from .kernels import KernelSpec, gram_matrix
 from .linalg import SolveResult, condition_estimate, solve_general, solve_spd
 
 
@@ -498,15 +506,39 @@ def residual_wce(
         return prec.to_real(e)
 
 
-def _coeff_matrix_rows(points: PointSet, basis_eval, prec: PrecisionConfig):
-    """Rows indexed by basis function, columns by point (the transpose of
-    the collocation matrix), as the working-precision matrix type."""
-    n = len(points)
-    A = prec._matrix(n, n)
-    for j in range(n):
-        for i, x in enumerate(points):
-            A[j, i] = basis_eval(j, x)
-    return A
+def accurate_wce(
+    spec: KernelSpec,
+    L: FunctionalSpec,
+    rule: Union[CubatureRule, WeightSolution],
+    prec: PrecisionConfig = MACHINE,
+    assume_optimal: bool = False,
+) -> Real:
+    """Worst-case error of ``rule`` in the form that keeps its digits: the
+    basis residual of :func:`residual_wce` where :func:`_residual_form`
+    selects it, else the Gram form of :func:`worst_case_error`."""
+    bare = rule.rule if isinstance(rule, WeightSolution) else rule
+    if _residual_form(spec, L, bare, prec):
+        return residual_wce(spec, L, bare, prec)
+    return worst_case_error(spec, L, rule, prec, assume_optimal).wce
+
+
+def _vandermonde_solve(points: PointSet, degree: int, rhs, prec: PrecisionConfig) -> SolveResult:
+    """Solve V^T u = (rhs(alpha))_alpha for the Vandermonde matrix
+    V_(n, alpha) = x_n^alpha of the monomials up to ``degree`` in the
+    graded order, at the working precision; a singular system means the
+    points are not unisolvent (:class:`NotUnisolventError`)."""
+    mset = _monomials(points, degree)
+    with prec.workprec():
+        A = prec._matrix(len(points), len(points))
+        for j, alpha in enumerate(mset):
+            for i, x in enumerate(points):
+                A[j, i] = monomial_eval(prec.to_point(x), alpha)
+        try:
+            return solve_general(A, [rhs(alpha) for alpha in mset], prec)
+        except SingularMatrixError as e:
+            raise NotUnisolventError(
+                f"points are not unisolvent for degree {degree} (singular Vandermonde system)"
+            ) from e
 
 
 def polynomial_weights(
@@ -518,25 +550,13 @@ def polynomial_weights(
     """Weights of the unique rule exact on all polynomials up to ``degree``.
 
     Needs exactly C(d + degree, d) points; solves the transposed Vandermonde
-    system P^T w = (L[x^alpha])_alpha in the graded monomial order.  A
-    singular system means the points are not unisolvent.
+    system V^T w = (L[x^alpha])_alpha in the graded monomial order.  A
+    singular system means the points are not unisolvent.  The damped
+    system of :func:`phi_weights` is the same V times a positive diagonal.
     """
     _check_dims(L, points)
-    mset = _monomials(points, degree)
-    with prec.workprec():
-        def entry(j: int, x) -> Real:
-            return monomial_eval(prec.to_point(x), mset[j])
-
-        A = _coeff_matrix_rows(points, entry, prec)
-        rhs = [moment(L, alpha, prec) for alpha in mset]
-        try:
-            sol = solve_general(A, rhs, prec)
-        except SingularMatrixError as e:
-            raise NotUnisolventError(
-                f"points are not unisolvent for degree {degree} (singular Vandermonde system)"
-            ) from e
-        rule = CubatureRule(points, sol.solution)
-        return WeightSolution(rule, sol)
+    sol = _vandermonde_solve(points, degree, lambda alpha: moment(L, alpha, prec), prec)
+    return WeightSolution(CubatureRule(points, sol.solution), sol)
 
 
 def phi_weights(
@@ -548,27 +568,22 @@ def phi_weights(
 ) -> WeightSolution:
     """Weights reproducing L on the damped monomials phi_alpha up to ``degree``.
 
-    Same shape of system as :func:`polynomial_weights` but in the basis
-    exp(-|x|^2/(2 l^2)) x^alpha with right-hand side L[phi_alpha].  The
-    damping factors scale rows and columns by positive numbers, so
-    solvability is again exactly unisolvency of the points.
+    The damped collocation matrix is V D, the Vandermonde matrix V times
+    D = diag(exp(-|x_n|^2/(2 l^2))), so solvability is exactly unisolvency
+    of the points.  This solves V^T u = (L[phi_alpha])_alpha and returns
+    w_n = exp(|x_n|^2/(2 l^2)) u_n; the diagnostics (condition, residual,
+    warning) are those of the Vandermonde solve.  Machine-lane weights
+    past the float64 range raise :class:`FlatLimitError`.
     """
     _check_dims(L, points)
-    mset = _monomials(points, degree)
+    sol = _vandermonde_solve(points, degree, lambda alpha: damped_moment(L, length_scale, alpha, prec), prec)
     with prec.workprec():
-        def entry(j: int, x) -> Real:
-            return phi_basis_eval(length_scale, mset[j], x, prec)
-
-        A = _coeff_matrix_rows(points, entry, prec)
-        rhs = [damped_moment(L, length_scale, alpha, prec) for alpha in mset]
+        ell = prec.to_real(length_scale)
         try:
-            sol = solve_general(A, rhs, prec)
-        except SingularMatrixError as e:
-            raise NotUnisolventError(
-                f"points are not unisolvent for degree {degree} (singular damped system)"
-            ) from e
-        rule = CubatureRule(points, sol.solution)
-        return WeightSolution(rule, sol)
+            weights = tuple(u * rexp(sq_norm(prec.to_point(x)) / (2 * ell * ell)) for u, x in zip(sol.solution, points))
+        except OverflowError as e:  # mpf exponents do not overflow
+            raise FlatLimitError(f"phi weights at length_scale={length_scale} exceed the float64 range") from e
+    return WeightSolution(CubatureRule(points, weights), sol)
 
 
 @dataclass(frozen=True)
@@ -590,23 +605,18 @@ def unisolvency_check(
     points: PointSet,
     degree: int,
     prec: PrecisionConfig = MACHINE,
-    threshold: Optional[float] = None,
 ) -> UnisolvencyReport:
     """Classify whether the points determine degree-``degree`` interpolation.
 
-    The default condition threshold is 1 / (100 u) at the working
-    precision: past it the Vandermonde solve has fewer than two safe digits
-    and downstream weight systems are not trustworthy.
+    The condition threshold is 1 / (100 u) at the working precision: past
+    it the Vandermonde solve has fewer than two safe digits and downstream
+    weight systems are not trustworthy.
     """
-    mset = _monomials(points, degree)
-    if threshold is None:
-        threshold = 1.0 / (100 * prec.unit_roundoff)
-    with prec.workprec():
-        def entry(j: int, x) -> Real:
-            return monomial_eval(prec.to_point(x), mset[j])
-
-        A = _coeff_matrix_rows(points, entry, prec)
-        cond = condition_estimate(A, prec)
+    threshold = 1.0 / (100 * prec.unit_roundoff)
+    try:
+        cond = _vandermonde_solve(points, degree, lambda alpha: 0, prec).condition
+    except NotUnisolventError:
+        cond = math.inf
     if math.isinf(cond):
         return UnisolvencyReport("not_unisolvent", cond, threshold)
     if cond >= threshold:

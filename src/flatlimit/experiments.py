@@ -28,13 +28,11 @@ from .core import MACHINE, PointSet, PrecisionConfig, Real
 from .cubature import (
     _check_dims,
     _monomials,
-    _residual_form,
+    accurate_wce,
     optimal_weights,
     phi_weights,
     polynomial_weights,
-    residual_wce,
     unisolvency_check,
-    worst_case_error,
 )
 from .errors import ConfigError, FlatLimitError, NotUnisolventError
 from .functionals import FunctionalSpec
@@ -148,7 +146,8 @@ class SweepConfig(_LengthScaleGrid):
 @dataclass(frozen=True)
 class SweepRecord:
     """One length scale of a sweep; all distances in the max norm.
-    ``warning`` is the conditioning warning of the optimal-weight solve."""
+    ``warning`` is the conditioning warning of the optimal-weight solve.
+    An entry past the float64 range makes the row a failure."""
 
     ell: float
     weights: tuple[Real, ...]
@@ -162,7 +161,7 @@ class SweepRecord:
     def __post_init__(self) -> None:
         vals = [self.ell, float(self.wce), self.dist_opt_pol, self.dist_phi_pol, self.condition]
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"sweep record has non-finite entries at ell={self.ell}")
+            raise FlatLimitError(f"sweep record has non-finite entries at ell={self.ell}: {vals}")
         if float(self.wce) < 0 or self.dist_opt_pol < 0 or self.dist_phi_pol < 0:
             raise ValueError(f"sweep record has negative error columns at ell={self.ell}")
 
@@ -225,10 +224,7 @@ def fit_rate(
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute a sweep; per-length-scale failures are recorded and skipped,
     a non-unisolvent point set aborts up front.  The wce of the optimal
-    weights is the basis residual of :func:`residual_wce` where it applies
-    (Gaussian kernel, product functional, a short sum: see
-    :func:`cubature._residual_form`), and the Gram form of
-    :func:`worst_case_error` otherwise."""
+    weights is that of :func:`cubature.accurate_wce`."""
     check = unisolvency_check(cfg.points, cfg.degree, MACHINE)
     if not check.ok:
         raise NotUnisolventError(
@@ -246,10 +242,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         kspec = KernelSpec(cfg.kernel_family, ell)
         try:
             wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
-            if _residual_form(kspec, cfg.functional, wsol.rule, prec):
-                wce = residual_wce(kspec, cfg.functional, wsol.rule, prec)
-            else:
-                wce = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True).wce
+            wce = accurate_wce(kspec, cfg.functional, wsol, prec, assume_optimal=True)
             fsol = phi_weights(cfg.functional, ell, cfg.points, cfg.degree, prec)
             d_opt = max(abs(float(w) - r) for w, r in zip(wsol.weights, ref))
             d_phi = max(abs(float(w) - r) for w, r in zip(fsol.weights, ref))

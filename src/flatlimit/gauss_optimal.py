@@ -25,9 +25,9 @@ from .core import (
     PrecisionConfig,
 )
 from .errors import FlatLimitError, NumericalInconsistencyError, NumericallyIndefiniteError
-from .functionals import FunctionalSpec, double_embedding, kernel_embedding, moment
-from .kernels import KernelSpec, gram_matrix
-from .linalg import solve_spd
+from .cubature import optimal_weights
+from .functionals import FunctionalSpec, double_embedding, moment
+from .kernels import KernelSpec
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,10 @@ def _construction_bits(prec: PrecisionConfig, n_points: int) -> int:
 
 def _check_nodes(L: FunctionalSpec, n_points: int) -> None:
     """Gauss rules and optimized nodes are one-dimensional, with at least
-    one node."""
+    one node, and need a functional with a domain: the Hankel matrix of a
+    point evaluation is singular, and its optimal rule is the point."""
+    if L.kind == "point_eval":
+        raise ValueError("node construction needs a functional with a domain, not point evaluation")
     if L.dimension != 1:
         raise ValueError(f"node construction is one-dimensional, got a {L.dimension}-dimensional functional")
     if n_points < 1:
@@ -164,16 +167,13 @@ class OptimizerSettings:
 
     ``search_box`` is required for functionals on unbounded domains, where
     node optimization is experimental; bounded functionals use their own
-    box.  Tolerances are relative: ``xatol_rel`` scales the box width,
-    ``fatol_rel`` the initial objective of each restart.
+    box.
     """
 
     restarts: int = 8
     max_evals: int = 10000
     seed: int = 0
     search_box: Optional[tuple[float, float]] = None
-    xatol_rel: float = 1e-10
-    fatol_rel: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.restarts < 0:
@@ -219,8 +219,9 @@ def optimize_points(
 ) -> tuple[CubatureRule, OptimizationTrace]:
     """Minimize the worst-case error jointly over nodes and weights.
 
-    One-dimensional.  The weights are eliminated in closed form (a solve of
-    G w = z per objective evaluation), leaving a Nelder-Mead search over
+    One-dimensional, with a domain to search.  The weights are eliminated
+    in closed form (:func:`cubature.optimal_weights` per objective
+    evaluation), leaving a Nelder-Mead search over
     node positions through a sort-and-clamp transform that keeps iterates
     inside the box and ordered.  Runs one deterministic start from the
     Gaussian quadrature nodes of the functional (when available) plus
@@ -252,17 +253,6 @@ def optimize_points(
     def transform(y: np.ndarray) -> np.ndarray:
         return np.sort(np.clip(y, a, b))
 
-    def solve_at(x: np.ndarray):
-        pts = PointSet(tuple((float(v),) for v in x))
-        with prec.workprec():
-            G = gram_matrix(spec, pts, prec)
-            z = [kernel_embedding(L, spec, p, prec) for p in pts]
-            sol = solve_spd(G, z, prec)
-            cross = sum(wi * zi for wi, zi in zip(sol.solution, z))
-            radicand = llk - cross
-            wce = math.sqrt(max(float(radicand), 0.0))
-        return wce, sol.solution
-
     state = {"evals": 0}
 
     def objective(y: np.ndarray, record: Optional[list] = None) -> float:
@@ -273,11 +263,15 @@ def optimize_points(
             worst = float(max(0.0, gap_min - gaps.min()))
             return penalty_base * (1.0 + worst / gap_min)
         try:
-            wce, weights = solve_at(x)
+            sol = optimal_weights(spec, L, PointSet(tuple((float(v),) for v in x)), prec)
         except NumericallyIndefiniteError:
             return penalty_base
+        with prec.workprec():
+            # at the optimum the squared wce is LL[K] - w.z
+            cross = sum(wi * zi for wi, zi in zip(sol.weights, sol.embedding))
+            wce = math.sqrt(max(float(llk - cross), 0.0))
         if record is not None and (not record or wce < record[-1].wce):
-            record.append(TraceEntry(tuple(float(v) for v in x), tuple(float(w) for w in weights), wce))
+            record.append(TraceEntry(tuple(float(v) for v in x), sol.rule.weights_float(), wce))
         return wce
 
     inits: list[tuple[str, np.ndarray]] = []
@@ -309,8 +303,9 @@ def optimize_points(
             args=(record,),
             method="Nelder-Mead",
             options={
-                "xatol": settings.xatol_rel * width,
-                "fatol": settings.fatol_rel * max(f0, 1e-300),
+                # relative to the box width and to the restart's initial objective
+                "xatol": 1e-10 * width,
+                "fatol": 1e-12 * max(f0, 1e-300),
                 "maxfev": settings.max_evals,
                 "maxiter": settings.max_evals,
             },
@@ -333,11 +328,10 @@ def optimize_points(
     # (at least 2 sqrt(LL[K]) + 1) exceeds every feasible wce (at most
     # sqrt(LL[K])), so its point is feasible and its wce is the last recorded
     x_best = transform(np.asarray(res_best.x, dtype=float))
-    _, weights_best = solve_at(x_best)
+    rule = optimal_weights(spec, L, PointSet(tuple((float(v),) for v in x_best)), prec).rule
     trace.entries = record_best
     trace.converged = bool(res_best.success)
     trace.n_evaluations = state["evals"]
-    rule = CubatureRule(PointSet(tuple((float(v),) for v in x_best)), weights_best)
     return rule, trace
 
 

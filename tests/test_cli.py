@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -234,6 +235,12 @@ BAD_CONFIGS = {
     "gauss_2d_gaussian_measure": (
         "gauss", {**GAUSS_CFG, "functional": {"kind": "gaussian_measure", "dimension": 2}}, [], None
     ),
+    "optimal_xatol_rel": ("optimal", {**OPTIMAL_CFG, "optimizer": {"xatol_rel": 1e-10}}, [], None),
+    "optimal_fatol_rel": ("optimal", {**OPTIMAL_CFG, "optimizer": {"fatol_rel": 1e-12}}, [], None),
+    "optimal_point_eval": (
+        "optimal", {**OPTIMAL_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, [], None
+    ),
+    "gauss_point_eval": ("gauss", {**GAUSS_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, [], None),
 }
 
 
@@ -275,3 +282,41 @@ def test_study_seed_precedence(cfg, flags, seed, tmp_path, monkeypatch):
     assert main(["optimal", "--config", path, "--out", str(out), *flags]) == 0
     assert seen == [seed, seed]
     assert yaml.safe_load((out / "manifest.yaml").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("flags", [[], ["--precision", "machine"]], ids=["auto", "machine"])
+def test_sweep_lists_a_row_past_the_float64_range_as_a_failure(flags, tmp_path):
+    """At l = 0.02 the phi weights of the outer nodes {-1, 1} are about
+    e^1250 times the Simpson weight, past float64; that row is a failure,
+    the flatter rows are recorded, and the sweep succeeds."""
+    cfg = {**SWEEP_CFG, "ell_grid": {"min": 0.02, "max": 0.08, "count": 3}}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_cfg(tmp_path / "c.yaml", cfg), "--out", str(out), *flags]) == 0
+    man = yaml.safe_load((out / "manifest.yaml").read_text())
+    assert [f["ell"] for f in man["failures"]] == pytest.approx([0.02])
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.04, 0.08])
+
+
+def test_wce_command_prints_the_basis_residual_in_the_flat_limit(tmp_path, capsys):
+    """With 10 Chebyshev nodes on [-1, 1] at l = 1e4 the Gram form keeps
+    3 of the 110 printed digits; the printed wce must match the Gram form
+    at 2 bits + 64 to at least 30."""
+    from mpmath import mp
+
+    from flatlimit import FunctionalSpec, KernelSpec, PointSet, PrecisionConfig, optimal_weights, worst_case_error
+    from flatlimit.linalg import auto_precision_bits
+
+    half = [math.cos((2 * k + 1) * math.pi / 20) for k in range(5)]
+    nodes = sorted([-x for x in half] + half)
+    cfg = {**WCE_CFG, "kernel": {"family": "gaussian", "length_scale": 1e4}, "points": nodes, "precision": "auto"}
+    assert main(["wce", "--config", write_cfg(tmp_path / "w.yaml", cfg)]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed.startswith("wce: ")
+
+    k, L = KernelSpec.gaussian(1e4), FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    bits = auto_precision_bits(1e4, 10)
+    rule = optimal_weights(k, L, PointSet.from_1d(nodes), PrecisionConfig.extended(bits)).rule
+    reference = worst_case_error(k, L, rule, PrecisionConfig.extended(2 * bits + 64)).wce
+    with mp.workprec(2 * bits + 64):
+        assert abs(mp.mpf(printed[len("wce: "):]) - reference) <= mp.mpf(10) ** -30 * reference

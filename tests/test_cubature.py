@@ -398,3 +398,32 @@ def test_sweeps_take_the_residual_only_where_its_sum_is_short():
     assert not _residual_form(
         KernelSpec.exponential(2.0), box, CubatureRule(PointSet.from_points(simpson), (0.3, 1.4, 0.3)), EXT
     )
+
+
+def damped_system_oracle(nodes, ell, bits=2000):
+    """The phi weights from the damped collocation system itself, with the
+    box moments int_-1^1 exp(-x^2/(2 l^2)) x^k dx = c^-s gamma(s, c)
+    (c = 1/(2 l^2), s = (k+1)/2, zero for odd k), solved by mp.lu_solve."""
+    with mp.workprec(bits):
+        c = 1 / (2 * mp.mpf(ell) ** 2)
+        n = len(nodes)
+        A, b = mp.matrix(n, n), mp.matrix(n, 1)
+        for k in range(n):
+            for i, x in enumerate(nodes):
+                A[k, i] = mp.exp(-c * mp.mpf(x) ** 2) * mp.mpf(x) ** k
+            s = mp.mpf(k + 1) / 2
+            b[k] = 0 if k % 2 else c ** -s * mp.gammainc(s, 0, c)
+        return mp.lu_solve(A, b)
+
+
+@pytest.mark.parametrize("nodes", [(-1.0, 0.0, 1.0), (-0.5, 0.0, 0.5)])
+@pytest.mark.parametrize("ell", [0.03, 0.05, 0.08, 0.1])
+def test_phi_weights_at_small_length_scales_match_the_damped_system(nodes, ell):
+    """Down to l = 0.03 the damping exp(-x^2 / (2 l^2)) reaches e^-556 at
+    the outer nodes, yet the weights at 64 bits keep about 54 bits."""
+    L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    sol = phi_weights(L, ell, PointSet.from_1d(nodes), 2, PrecisionConfig.extended(64))
+    exact = damped_system_oracle(nodes, ell)
+    with mp.workprec(2000):
+        for w, r in zip(sol.weights, exact):
+            assert abs(mp.mpf(w) - r) <= mp.mpf(2) ** -54 * abs(r)

@@ -3,6 +3,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
+import flatlimit.cubature as cubature
 import flatlimit.gauss_optimal as gauss_optimal
 from flatlimit import (
     FunctionalSpec,
@@ -200,7 +201,7 @@ def test_optimizer_without_a_feasible_evaluation_raises_inconsistency(monkeypatc
         raise NumericallyIndefiniteError("Cholesky failed")
 
     # every evaluation is penalized, so no restart records a feasible point
-    monkeypatch.setattr(gauss_optimal, "solve_spd", indefinite)
+    monkeypatch.setattr(cubature, "solve_spd", indefinite)
     settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="feasible"):
         optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
@@ -211,3 +212,11 @@ def test_optimized_rule_is_the_last_recorded_iterate():
     rule, trace = optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
     assert tuple(p[0] for p in rule.points) == trace.entries[-1].points
     assert rule.weights_float() == trace.entries[-1].weights
+
+
+def test_node_construction_rejects_point_evaluation():
+    L = FunctionalSpec.point_eval(0.3)
+    with pytest.raises(ValueError, match="point evaluation"):
+        optimize_points(KernelSpec.gaussian(5.0), L, 2, EXT)
+    with pytest.raises(ValueError, match="point evaluation"):
+        gauss_rule_from_moments(L, 1)
