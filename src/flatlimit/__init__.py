@@ -22,11 +22,9 @@ from .cubature import (
     UnisolvencyReport,
     WeightSolution,
     WorstCaseReport,
-    accurate_wce,
     optimal_weights,
     phi_weights,
     polynomial_weights,
-    residual_wce,
     unisolvency_check,
     worst_case_error,
 )
@@ -96,11 +94,9 @@ __all__ = [
     "UnisolvencyReport",
     "WeightSolution",
     "WorstCaseReport",
-    "accurate_wce",
     "optimal_weights",
     "phi_weights",
     "polynomial_weights",
-    "residual_wce",
     "unisolvency_check",
     "worst_case_error",
     "ConfigError",

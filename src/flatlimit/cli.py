@@ -24,7 +24,7 @@ from typing import Optional
 import yaml
 
 from .core import CubatureRule, PointSet
-from .cubature import _check_dims, _monomials, accurate_wce, optimal_weights, unisolvency_check, worst_case_error
+from .cubature import _check_dims, _monomials, optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
 from .experiments import (
     OptimalStudyConfig,
@@ -269,10 +269,9 @@ def _parse_wce(raw: dict):
 def _run_wce(job, raw: dict, out: Optional[str]) -> int:
     kspec, L, points, rule, assume, prec = job
     if rule is None:
-        rule = optimal_weights(kspec, L, points, prec)  # a WeightSolution, reused below
-    # the wce in the form a sweep would print; the decomposition is the Gram form's
+        rule = optimal_weights(kspec, L, points, prec)  # its Gram condition is reused
     report = worst_case_error(kspec, L, rule, prec, assume_optimal=assume)
-    print(f"wce: {format_real(accurate_wce(kspec, L, rule, prec, assume), prec.bits)}")
+    print(f"wce: {format_real(report.wce, prec.bits)}")
     print(f"initial term LL[K]: {format_real(report.initial_term, prec.bits)}")
     print(f"cross term w.z:     {format_real(report.cross_term, prec.bits)}")
     print(f"quadratic form:     {format_real(report.quadratic_form, prec.bits)}")

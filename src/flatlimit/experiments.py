@@ -28,11 +28,11 @@ from .core import MACHINE, PointSet, PrecisionConfig, Real
 from .cubature import (
     _check_dims,
     _monomials,
-    accurate_wce,
     optimal_weights,
     phi_weights,
     polynomial_weights,
     unisolvency_check,
+    worst_case_error,
 )
 from .errors import ConfigError, FlatLimitError, NotUnisolventError
 from .functionals import FunctionalSpec
@@ -223,8 +223,7 @@ def fit_rate(
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute a sweep; per-length-scale failures are recorded and skipped,
-    a non-unisolvent point set aborts up front.  The wce of the optimal
-    weights is that of :func:`cubature.accurate_wce`."""
+    a non-unisolvent point set aborts up front."""
     check = unisolvency_check(cfg.points, cfg.degree, MACHINE)
     if not check.ok:
         raise NotUnisolventError(
@@ -242,7 +241,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         kspec = KernelSpec(cfg.kernel_family, ell)
         try:
             wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
-            wce = accurate_wce(kspec, cfg.functional, wsol, prec, assume_optimal=True)
+            wce = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True).wce
             fsol = phi_weights(cfg.functional, ell, cfg.points, cfg.degree, prec)
             d_opt = max(abs(float(w) - r) for w, r in zip(wsol.weights, ref))
             d_phi = max(abs(float(w) - r) for w, r in zip(fsol.weights, ref))

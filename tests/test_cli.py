@@ -299,12 +299,13 @@ def test_sweep_lists_a_row_past_the_float64_range_as_a_failure(flags, tmp_path):
 
 
 def test_wce_command_prints_the_basis_residual_in_the_flat_limit(tmp_path, capsys):
-    """With 10 Chebyshev nodes on [-1, 1] at l = 1e4 the Gram form keeps
-    3 of the 110 printed digits; the printed wce must match the Gram form
-    at 2 bits + 64 to at least 30."""
+    """With 10 Chebyshev nodes on [-1, 1] at l = 1e4 the Gram form at the
+    working precision keeps 3 of the 110 printed digits; the printed wce
+    must match the independent Gram form to at least 30."""
+    from gram_oracle import gaussian_wce
     from mpmath import mp
 
-    from flatlimit import FunctionalSpec, KernelSpec, PointSet, PrecisionConfig, optimal_weights, worst_case_error
+    from flatlimit import FunctionalSpec, KernelSpec, PointSet, PrecisionConfig, optimal_weights
     from flatlimit.linalg import auto_precision_bits
 
     half = [math.cos((2 * k + 1) * math.pi / 20) for k in range(5)]
@@ -317,6 +318,26 @@ def test_wce_command_prints_the_basis_residual_in_the_flat_limit(tmp_path, capsy
     k, L = KernelSpec.gaussian(1e4), FunctionalSpec.lebesgue_box(-1.0, 1.0)
     bits = auto_precision_bits(1e4, 10)
     rule = optimal_weights(k, L, PointSet.from_1d(nodes), PrecisionConfig.extended(bits)).rule
-    reference = worst_case_error(k, L, rule, PrecisionConfig.extended(2 * bits + 64)).wce
-    with mp.workprec(2 * bits + 64):
+    reference = gaussian_wce(1e4, L, rule, 4 * bits + 128)
+    with mp.workprec(4 * bits + 128):
         assert abs(mp.mpf(printed[len("wce: "):]) - reference) <= mp.mpf(10) ** -30 * reference
+
+
+def test_wce_command_evaluates_the_gram_form_once(tmp_path, capsys, monkeypatch):
+    """The wce line and the decomposition come from one report: with given
+    weights on [-1, 1] at l = 0.05, LL[K] is evaluated once."""
+    import flatlimit.cubature as cubature
+
+    calls = []
+    original = cubature.double_embedding
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cubature, "double_embedding", counted)
+    cfg = {**WCE_CFG, "kernel": {"family": "gaussian", "length_scale": 0.05}, "weights": [0.3, 1.4, 0.3]}
+    assert main(["wce", "--config", write_cfg(tmp_path / "w.yaml", cfg)]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("wce: ") and out[1].startswith("initial term LL[K]: ")

@@ -20,6 +20,7 @@ from flatlimit import (
     unisolvency_check,
     worst_case_error,
 )
+from gram_oracle import assert_wce_matches
 
 EXT = PrecisionConfig.extended(128)
 
@@ -110,25 +111,15 @@ def test_assume_optimal_rejects_non_optimal_weights():
 
 
 @pytest.mark.parametrize("prec", [PrecisionConfig.machine(), EXT])
-def test_worst_case_error_reuses_the_weight_solution(monkeypatch, prec):
-    import flatlimit.cubature as cubature
-
+def test_worst_case_error_reuses_the_weight_solution(prec):
+    """A solution supplies its rule and its Gram condition; the terms are
+    those of the bare rule."""
     k = KernelSpec.gaussian(3.0)
     L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
     X = PointSet.from_1d([-0.9, -0.2, 0.4, 1.0])
     sol = optimal_weights(k, L, X, prec)
     bare = worst_case_error(k, L, sol.rule, prec, assume_optimal=True)
-    calls = {"gram_matrix": 0, "kernel_embedding": 0}
-    for name in calls:
-        original = getattr(cubature, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(cubature, name, counted)
     reused = worst_case_error(k, L, sol, prec, assume_optimal=True)
-    assert calls == {"gram_matrix": 0, "kernel_embedding": 0}
     for term in ("wce", "initial_term", "cross_term", "quadratic_form", "radicand"):
         assert getattr(reused, term) == getattr(bare, term)
     assert reused.condition == sol.condition
@@ -257,16 +248,16 @@ def chebyshev(n):
     return sorted([-x for x in half] + ([0.0] if n % 2 else []) + half)
 
 
-def assert_matches_gram_form(k, L, rule, prec):
-    """residual_wce at ``prec`` against the Gram form of worst_case_error
-    at 2 bits + 64, to a relative 2^-(bits - 8)."""
-    from flatlimit import residual_wce
+TWO_D_POINTS = {
+    3: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    6: [(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5), (-0.8, 0.7), (0.8, 0.6), (0.1, -0.9)],
+}
 
-    e = residual_wce(k, L, rule, prec)
-    oracle_bits = 2 * prec.bits + 64
-    ref = worst_case_error(k, L, rule, PrecisionConfig.extended(oracle_bits)).wce
-    with mp.workprec(oracle_bits):
-        assert abs(mp.mpf(e) - ref) <= mp.mpf(2) ** (8 - prec.bits) * ref, (float(e), float(ref))
+
+def assert_matches_gram_form(k, L, rule, prec):
+    """worst_case_error at ``prec`` against the independent Gram form of
+    gram_oracle at 4 bits + 128, to a relative 2^-(bits - 8)."""
+    assert_wce_matches(worst_case_error(k, L, rule, prec).wce, k.length_scale, L, rule, prec.bits)
 
 
 @pytest.mark.parametrize("measure", ["box", "normal"])
@@ -280,12 +271,6 @@ def test_residual_wce_matches_the_gram_form(measure, n, ell):
     k = KernelSpec.gaussian(ell)
     prec = PrecisionConfig.extended(auto_precision_bits(ell, n))
     assert_matches_gram_form(k, L, optimal_weights(k, L, X, prec).rule, prec)
-
-
-TWO_D_POINTS = {
-    3: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-    6: [(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5), (-0.8, 0.7), (0.8, 0.6), (0.1, -0.9)],
-}
 
 
 @pytest.mark.parametrize("measure", ["box", "normal"])
@@ -308,96 +293,38 @@ def test_residual_wce_matches_the_gram_form_in_2d(measure, n, ell):
 def test_residual_wce_of_arbitrary_rules_and_point_evaluation():
     """Not only optimal weights: any rule, a point functional, and the
     machine lane, which rounds the extended evaluation to float64."""
-    from flatlimit import residual_wce
-
     X = PointSet.from_1d([-1.2, 0.1, 0.8])
     rule = CubatureRule(X, (0.2, 0.5, 0.2))
     for L in (FunctionalSpec.gaussian_measure(1), FunctionalSpec.lebesgue_box(-0.5, 2.0), FunctionalSpec.point_eval(0.3)):
         for ell in (0.7, 1.5, 40.0):
-            assert_matches_gram_form(KernelSpec.gaussian(ell), L, rule, EXT)
-            machine = residual_wce(KernelSpec.gaussian(ell), L, rule)
+            k = KernelSpec.gaussian(ell)
+            assert_matches_gram_form(k, L, rule, EXT)
+            machine = worst_case_error(k, L, rule).wce
             assert isinstance(machine, float)
-            assert machine == pytest.approx(float(residual_wce(KernelSpec.gaussian(ell), L, rule, EXT)), rel=2**-50)
+            assert machine == pytest.approx(float(worst_case_error(k, L, rule, EXT).wce), rel=2**-50)
     # an exact rule ends at the roundoff floor of the capped precision
     exact = CubatureRule(X, (0.0, 1.0, 0.0))
-    assert residual_wce(KernelSpec.gaussian(2.0), FunctionalSpec.point_eval(0.1), exact, EXT) <= mp.mpf(2) ** -384
+    assert worst_case_error(KernelSpec.gaussian(2.0), FunctionalSpec.point_eval(0.1), exact, EXT).wce <= mp.mpf(2) ** -384
+
+
+def test_worst_case_error_raises_the_precision_to_the_loss_it_shows():
+    """The degree-9 polynomial rule on 10 Chebyshev nodes at l = 1e4 has
+    e^2 about 2^-284 of its terms' scale: at 128 bits the first pass, at
+    288 bits, keeps a few bits of it, so the pass at 128 + 32 + lost bits
+    has to deliver the 120 correct bits."""
+    L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    rule = polynomial_weights(L, PointSet.from_1d(chebyshev(10)), 9, EXT).rule
+    assert_matches_gram_form(KernelSpec.gaussian(1e4), L, rule, EXT)
 
 
 def test_residual_wce_tail_bound_runs_past_a_fixed_truncation():
-    """Under N(0, 1) at ell = 1 the coefficients decay only like 2^(-k/2),
-    so a 192-bit wce needs more than 150 basis functions: stopping at any
-    fixed degree below the bound's misses the 2^-184 agreement."""
+    """A precision well above auto's: 192 bits under N(0, 1) at ell = 1
+    keep 184 bits."""
     k = KernelSpec.gaussian(1.0)
     L = FunctionalSpec.gaussian_measure(1)
     prec = PrecisionConfig.extended(192)
     X = PointSet.from_1d([-1.0, 0.0, 1.0])
     assert_matches_gram_form(k, L, optimal_weights(k, L, X, prec).rule, prec)
-
-
-def test_residual_wce_rejects_other_kernels_and_the_numeric_oracle():
-    from flatlimit import residual_wce
-
-    X = PointSet.from_1d([-1.0, 0.0, 1.0])
-    rule = CubatureRule(X, (0.3, 1.4, 0.3))
-    with pytest.raises(ValueError):
-        residual_wce(KernelSpec.exponential(2.0), FunctionalSpec.lebesgue_box(-1.0, 1.0), rule)
-    with pytest.raises(ValueError):
-        residual_wce(KernelSpec.gaussian(2.0), FunctionalSpec.numeric_oracle(lambda t: 1.0, -1.0, 1.0), rule)
-    with pytest.raises(ValueError):
-        residual_wce(KernelSpec.gaussian(2.0), FunctionalSpec.gaussian_measure(2), rule)
-
-
-def test_residual_recurrences_match_their_definitions():
-    """The fixed-point recurrences of the residual sum against the
-    functions they stand for: the basis at a point is phi_basis_eval, and
-    a coefficient is damped_moment, each over sqrt(k!) l^k."""
-    from flatlimit import MultiIndex, damped_moment, phi_basis_eval
-    from flatlimit.cubature import _axis_coefficients, _phi_columns
-
-    ell, F = 0.7, 200
-    prec = PrecisionConfig.extended(F + 32)
-    sites = [(0.3, -1.2), (2.0, 0.0)]
-    columns = _phi_columns(sites, ell, F)
-    box = FunctionalSpec.lebesgue_box((-2.0, 0.3), (0.5, 2.5))
-    gens = {
-        "box0": (_axis_coefficients(box, 0, ell, F), FunctionalSpec.lebesgue_box(-2.0, 0.5)),
-        "box1": (_axis_coefficients(box, 1, ell, F), FunctionalSpec.lebesgue_box(0.3, 2.5)),
-        "normal": (_axis_coefficients(FunctionalSpec.gaussian_measure(2), 1, ell, F), FunctionalSpec.gaussian_measure(1)),
-    }
-    with prec.workprec():
-        for k in range(13):
-            norm = mp.sqrt(mp.factorial(k)) * mp.mpf(ell) ** k
-            tol = mp.mpf(2) ** (24 - F)
-            for site, values in zip(sites, next(columns)):
-                for x, v in zip(site, values):
-                    exact = phi_basis_eval(ell, MultiIndex((k,)), x, prec) / norm
-                    assert abs(mp.ldexp(v, -F) - exact) <= tol, (k, x)
-            for name, (gen, factor) in gens.items():
-                exact = damped_moment(factor, ell, MultiIndex((k,)), prec) / norm
-                assert abs(mp.ldexp(next(gen), -F) - exact) <= tol, (k, name)
-
-
-def test_sweeps_take_the_residual_only_where_its_sum_is_short():
-    """The flat regime takes the residual; a length scale small next to
-    the box, a slowly decaying Gaussian measure, and d = 2 below the very
-    flat end keep the Gram form, whose sum would run to thousands of
-    basis functions."""
-    from flatlimit.cubature import _residual_form
-
-    def selected(L, points, ell, bits):
-        k, prec = KernelSpec.gaussian(ell), PrecisionConfig.extended(bits)
-        return _residual_form(k, L, optimal_weights(k, L, PointSet.from_points(points), prec).rule, prec)
-
-    box, normal = FunctionalSpec.lebesgue_box(-1.0, 1.0), FunctionalSpec.gaussian_measure(1)
-    simpson = [(-1.0,), (0.0,), (1.0,)]
-    assert selected(box, simpson, 1.0, 64) and selected(normal, simpson, 1.0, 64)
-    assert selected(box, simpson, 0.3, 64)
-    assert not selected(box, simpson, 0.05, 64)
-    assert not selected(normal, simpson, 0.5, 64)
-    assert not selected(FunctionalSpec.gaussian_measure(2), TWO_D_POINTS[3], 1.0, 64)
-    assert not _residual_form(
-        KernelSpec.exponential(2.0), box, CubatureRule(PointSet.from_points(simpson), (0.3, 1.4, 0.3)), EXT
-    )
 
 
 def damped_system_oracle(nodes, ell, bits=2000):

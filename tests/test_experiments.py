@@ -1,8 +1,11 @@
 import pytest
+from gram_oracle import assert_wce_matches
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 from flatlimit import (
     ConfigError,
+    CubatureRule,
     FunctionalSpec,
     OptimalStudyConfig,
     OptimizerSettings,
@@ -221,33 +224,55 @@ def test_sweep_manifest_lists_solve_warnings():
     assert sweep_manifest(run_sweep(make_sweep(ell_count=2)), {})["solve_warnings"] == []
 
 
-@pytest.mark.parametrize("family", ["gaussian", "exponential"])
-def test_sweep_wce_is_the_basis_residual_where_its_sum_is_short(family):
-    """ell = 0.07 is small next to the box: that row keeps the Gram form,
-    like every row of a non-Gaussian kernel; the flatter rows take the
-    residual."""
-    from flatlimit import KernelSpec, PrecisionConfig, optimal_weights, residual_wce, worst_case_error
-    from flatlimit.linalg import auto_precision_bits
+TWO_D_POINTS = [(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5), (-0.8, 0.7), (0.8, 0.6), (0.1, -0.9)]
 
-    inner = PointSet.from_1d([-0.5, 0.0, 0.5])
-    result = run_sweep(make_sweep(kernel_family=family, points=inner, ell_min=0.07, ell_count=3))
-    assert not result.failures
-    forms = []
+
+@pytest.mark.parametrize(
+    "functional, points, degree, ell_max",
+    [
+        (FunctionalSpec.lebesgue_box((-1.0, -1.0), (1.0, 1.0)), TWO_D_POINTS, 2, 1e4),
+        (FunctionalSpec.gaussian_measure(2), [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 1, 1e3),
+    ],
+    ids=["box", "normal"],
+)
+def test_flat_two_dimensional_sweeps_write_correct_digits(functional, points, degree, ell_max):
+    """In 2-D the flat rows cancel as in 1-D: at l = 1e4 on [-1, 1]^2 the
+    Gram form at the working precision keeps about 40 of 74 digits.  Every
+    row must match the independent Gram form to a relative 2^-(bits - 8)."""
+    result = run_sweep(make_sweep(
+        functional=functional,
+        points=PointSet.from_points(points),
+        degree=degree,
+        ell_max=ell_max,
+        ell_count=4,
+    ))
+    assert not result.failures and len(result.records) == 4
     for r in result.records:
-        prec = PrecisionConfig.extended(auto_precision_bits(r.ell, 3))
-        k = KernelSpec(family, r.ell)
-        sol = optimal_weights(k, LEB, inner, prec)
-        gram = worst_case_error(k, LEB, sol, prec, assume_optimal=True).wce
-        forms.append("gram" if r.wce == gram else "residual")
-        if forms[-1] == "residual":
-            assert r.wce == residual_wce(k, LEB, sol.rule, prec)
-    assert forms == (["gram", "residual", "residual"] if family == "gaussian" else ["gram"] * 3)
+        rule = CubatureRule(result.config.points, r.weights)
+        assert_wce_matches(r.wce, r.ell, functional, rule, r.precision_bits)
+
+
+def test_exponential_kernel_sweep_writes_correct_digits():
+    """The exponential kernel exp(x y / l) on [-1, 1] with nodes
+    {-0.5, 0, 0.5} at l = 5 and 5.5 (78 and 79 bits), against a 600-bit
+    Gram form from z(y) = 2 l sinh(y / l) / y (2 at y = 0),
+    LL[K] = 4 l Shi(1 / l) and G_ij = exp(x_i x_j / l), to a relative
+    2^-(bits - 8)."""
+    nodes = [-0.5, 0.0, 0.5]
+    result = run_sweep(make_sweep(kernel_family="exponential", points=PointSet.from_1d(nodes), ell_min=5.0, ell_max=5.5, ell_count=2))
+    assert not result.failures
+    assert [r.precision_bits for r in result.records] == [78, 79]
+    for r in result.records:
+        with mp.workprec(600):
+            ell, x, w = mp.mpf(r.ell), [mp.mpf(v) for v in nodes], [mp.mpf(v) for v in r.weights]
+            z = [2 * ell * mp.sinh(y / ell) / y if y else mp.mpf(2) for y in x]
+            quad = mp.fsum(wi * wj * mp.exp(xi * xj / ell) for wi, xi in zip(w, x) for wj, xj in zip(w, x))
+            ref = mp.sqrt(4 * ell * mp.shi(1 / ell) - 2 * mp.fsum(wi * zi for wi, zi in zip(w, z)) + quad)
+            assert abs(mp.mpf(r.wce) - ref) <= mp.mpf(2) ** (8 - r.precision_bits) * ref, (r.ell, float(r.wce), float(ref))
 
 
 def test_two_dimensional_gaussian_measure_sweep_down_to_small_length_scales():
-    """Under N(0, I) in 2-D at ell = 0.3 the residual sum would run past
-    100,000 basis functions; the sweep keeps the Gram form there and
-    loses no row."""
+    """Under N(0, I) in 2-D down to ell = 0.3 no row is lost."""
     result = run_sweep(make_sweep(
         functional=FunctionalSpec.gaussian_measure(2),
         points=PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
