@@ -56,6 +56,7 @@ from .functionals import (
     apply_functional,
     damped_moment,
     double_embedding,
+    embedding_derivative,
     kernel_embedding,
     moment,
 )
@@ -71,6 +72,7 @@ from .kernels import (
     DampedSeriesParams,
     KernelSpec,
     gram_matrix,
+    kernel_derivative,
     kernel_eval,
     phi_basis_eval,
 )
@@ -122,6 +124,7 @@ __all__ = [
     "apply_functional",
     "damped_moment",
     "double_embedding",
+    "embedding_derivative",
     "kernel_embedding",
     "moment",
     "GaussRule",
@@ -133,6 +136,7 @@ __all__ = [
     "DampedSeriesParams",
     "KernelSpec",
     "gram_matrix",
+    "kernel_derivative",
     "kernel_eval",
     "phi_basis_eval",
     "SolveResult",

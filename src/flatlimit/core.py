@@ -314,6 +314,14 @@ def rexp(x: Real) -> Real:
     return mp.exp(x) if isinstance(x, mpf) else math.exp(x)
 
 
+def rexpm1(x: Real) -> Real:
+    return mp.expm1(x) if isinstance(x, mpf) else math.expm1(x)
+
+
+def rlog(x: Real) -> Real:
+    return mp.log(x) if isinstance(x, mpf) else math.log(x)
+
+
 def rsqrt(x: Real) -> Real:
     return mp.sqrt(x) if isinstance(x, mpf) else math.sqrt(x)
 

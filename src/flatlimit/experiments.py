@@ -304,6 +304,7 @@ class OptimalRecord:
     weight_dist_gauss: float
     converged: bool
     precision_bits: int
+    restart_summaries: tuple[dict, ...]
 
     def __post_init__(self) -> None:
         vals = [self.ell, self.wce, self.node_dist_gauss, self.weight_dist_gauss]
@@ -341,7 +342,10 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
             nd = max(abs(a - b) for a, b in zip(xs, gauss.nodes))
             wd = max(abs(a - b) for a, b in zip(ws, gauss.weights))
             records.append(
-                OptimalRecord(float(ell), xs, ws, float(wce), nd, wd, trace.converged, prec.bits)
+                OptimalRecord(
+                    float(ell), xs, ws, float(wce), nd, wd, trace.converged, prec.bits,
+                    tuple(trace.restart_summaries),
+                )
             )
             if not trace.converged:
                 failures.append((float(ell), "optimizer did not report convergence; best iterate recorded"))
@@ -460,4 +464,7 @@ def optimal_manifest(result: OptimalStudyResult, raw_config: dict) -> dict:
     return _manifest("optimal", result, raw_config, {
         "gauss_nodes": [float(x) for x in result.gauss.nodes],
         "gauss_weights": [float(w) for w in result.gauss.weights],
+        "restart_summaries": [
+            {"ell": r.ell, "restarts": list(r.restart_summaries)} for r in result.records
+        ],
     })

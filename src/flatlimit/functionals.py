@@ -26,12 +26,13 @@ from .core import (
     monomial_eval,
     rerf,
     rexp,
+    rexpm1,
     rpi,
     rsqrt,
     sq_norm,
 )
 from .errors import QuadratureError
-from .kernels import KernelSpec, kernel_eval, phi_basis_eval
+from .kernels import KernelSpec, kernel_derivative, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
 
@@ -316,6 +317,30 @@ def _box_double_embedding(a: float, b: float, length_scale: float, bits: int) ->
         return +out
 
 
+def _box_exponential_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
+    """The exponential kernel exp(x y / l) integrated over [a, b] in both
+    arguments, l (E(b^2 / l) - 2 E(a b / l) + E(a^2 / l)) with
+    E(t) = int_0^t (e^s - 1) / s ds = t 2F2(1, 1; 2, 2; t), as an mpf
+    rounded to ``bits`` (4 l Shi(1 / l) on [-1, 1]).  The three values
+    cancel to about (b - a)^2 / l, so the sum is formed at raised precision
+    until the bits it loses are covered."""
+    extra = 2 * _SERIES_GUARD_BITS
+    while True:
+        with mp.workprec(bits + extra):
+            ell, ar, br = mp.mpf(length_scale), mp.mpf(a), mp.mpf(b)
+            terms = [t * mp.hyp2f2(1, 1, 2, 2, t) for t in (br * br / ell, ar * br / ell, ar * ar / ell)]
+            out = ell * (terms[0] - 2 * terms[1] + terms[2])
+            if out == 0:
+                extra *= 2
+                continue
+            lost = max(mp.mag(t) for t in terms) + 2 - mp.mag(out)
+            if lost + _SERIES_GUARD_BITS <= extra:
+                break
+            extra = lost + 2 * _SERIES_GUARD_BITS
+    with mp.workprec(bits):
+        return +out
+
+
 def apply_functional(
     L: FunctionalSpec,
     f: Callable,
@@ -443,9 +468,10 @@ def kernel_embedding(
 ) -> Real:
     """The embedding z(x) = L[K(., x)].
 
-    Closed forms cover point evaluation (a kernel value) and the Gaussian
-    kernel against the Gaussian measure or a box; other combinations use
-    adaptive quadrature.
+    Closed forms cover point evaluation (a kernel value), the Gaussian
+    kernel against the Gaussian measure or a box, and the exponential
+    kernel on a box, l e^(a x / l) expm1((b - a) x / l) / x (b - a at
+    x = 0); other combinations use adaptive quadrature.
     """
     with prec.workprec():
         if L.kind == "point_eval":
@@ -468,8 +494,41 @@ def kernel_embedding(
                 ar, br = prec.to_real(a), prec.to_real(b)
                 out = out * scale * (rerf((br - xi) / (root2 * ell)) - rerf((ar - xi) / (root2 * ell)))
             return out
+        if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
+            ar, br, y = prec.to_real(L.lower[0]), prec.to_real(L.upper[0]), xv[0]
+            if y == 0:
+                return br - ar
+            return ell * rexp(ar * y / ell) * rexpm1((br - ar) * y / ell) / y
         target = xv[0] if L.dimension == 1 else xv
         return apply_functional(L, lambda t: kernel_eval(spec, t, target, prec), prec)
+
+
+def embedding_derivative(
+    L: FunctionalSpec,
+    spec: KernelSpec,
+    x: Real,
+    prec: PrecisionConfig = MACHINE,
+) -> Real:
+    """The derivative z'(x) = L[dK(., x)/dx] of the embedding at a scalar
+    x, for a one-dimensional functional.
+
+    Closed forms for the Gaussian kernel: exp(-(a - x)^2 / (2 l^2)) -
+    exp(-(b - x)^2 / (2 l^2)) on a box [a, b], and -x / (1 + l^2) z(x)
+    against the Gaussian measure.  Other combinations apply ``L`` to
+    :func:`kernels.kernel_derivative`, as :func:`kernel_embedding` applies
+    it to the kernel.
+    """
+    if L.dimension != 1:
+        raise ValueError(f"embedding derivatives are one-dimensional, got dimension {L.dimension}")
+    with prec.workprec():
+        xr = prec.to_real(x)
+        ell = prec.to_real(spec.length_scale)
+        if spec.family == "gaussian" and L.kind == "lebesgue_box":
+            ar, br = prec.to_real(L.lower[0]), prec.to_real(L.upper[0])
+            return rexp(-(ar - xr) ** 2 / (2 * ell * ell)) - rexp(-(br - xr) ** 2 / (2 * ell * ell))
+        if spec.family == "gaussian" and L.kind == "gaussian_measure":
+            return -xr / (1 + ell * ell) * kernel_embedding(L, spec, xr, prec)
+        return apply_functional(L, lambda t: kernel_derivative(spec, xr, t, prec), prec)
 
 
 def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig = MACHINE) -> Real:
@@ -480,8 +539,9 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
     (l^2 / (2 + l^2))^(d/2).  Gaussian kernel over a box factorizes into
     one closed form per axis, s^2 (sqrt(pi) u erf(u) + exp(-u^2) - 1),
     evaluated with guard bits for its cancellation (see
-    :func:`_box_double_embedding`).  Everything else integrates the
-    embedding function.
+    :func:`_box_double_embedding`).  The exponential kernel on an interval
+    has the closed form of :func:`_box_exponential_double_embedding`.
+    Everything else integrates the embedding function.
     """
     with prec.workprec():
         if L.kind == "point_eval":
@@ -495,5 +555,8 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
             for a, b in zip(L.lower, L.upper):
                 out = out * prec.to_real(_box_double_embedding(a, b, spec.length_scale, prec.bits))
             return out
+        if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
+            a, b = L.lower[0], L.upper[0]
+            return prec.to_real(_box_exponential_double_embedding(a, b, spec.length_scale, prec.bits))
         z = lambda t: kernel_embedding(L, spec, t, prec)
         return apply_functional(L, z, prec)

@@ -5,12 +5,17 @@ The flat-limit endpoint of jointly optimized kernel cubature is classical
 Gaussian quadrature, so both live here: ``gauss_rule_from_moments`` builds
 the N-point rule exact to polynomial degree 2N - 1 for any functional with
 accessible moments, and ``optimize_points`` minimizes the worst-case error
-over node positions with the optimal weights resolved in closed form at
-every objective evaluation.
+over node positions by L-BFGS-B, with the optimal weights resolved in
+closed form at every objective evaluation and the gradient in the nodes
+taken from the same solve by the envelope theorem.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,11 +28,14 @@ from .core import (
     MultiIndex,
     PointSet,
     PrecisionConfig,
+    Real,
+    rlog,
+    rsqrt,
 )
 from .errors import FlatLimitError, NumericalInconsistencyError, NumericallyIndefiniteError
-from .cubature import optimal_weights
-from .functionals import FunctionalSpec, double_embedding, moment
-from .kernels import KernelSpec
+from .cubature import WeightSolution, optimal_weights
+from .functionals import FunctionalSpec, double_embedding, embedding_derivative, moment
+from .kernels import KernelSpec, kernel_derivative
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,74 @@ def _default_optimizer_bits(length_scale: float, n_points: int) -> int:
     return max(128, 64 + math.ceil(4 * n_points * math.log2(max(length_scale, 2.0))) + 32)
 
 
+def _envelope_gradient(
+    spec: KernelSpec, L: FunctionalSpec, llk: Real, points: PointSet, prec: PrecisionConfig
+) -> tuple[WeightSolution, Real, list[Real]]:
+    """The optimal-weight solution of one-dimensional ``points``, the
+    squared worst-case error e^2 = LL[K] - w.z (``llk`` is LL[K]) and its
+    gradient in the node positions, all from the one solve: at the optimal
+    weights w = G^-1 z the envelope theorem gives
+
+        de^2/dx_n = -2 w_n (z'(x_n) - sum_m w_m dK(x_n, x_m)/dx_n) .
+
+    A nonpositive e^2 raises :class:`NumericalInconsistencyError`.
+    """
+    sol = optimal_weights(spec, L, points, prec)
+    x, w = points.coords_1d(), sol.weights
+    with prec.workprec():
+        e2 = llk - sum(wi * zi for wi, zi in zip(w, sol.embedding))
+        if not e2 > 0:
+            raise NumericalInconsistencyError(
+                f"squared worst-case error LL[K] - w.z = {float(e2):.3e} is not positive "
+                f"at {prec.bits} bits; increase the precision"
+            )
+        de2 = []
+        for n, xn in enumerate(x):
+            dk = sum(wm * kernel_derivative(spec, xn, xm, prec) for wm, xm in zip(w, x))
+            de2.append(-2 * w[n] * (embedding_derivative(L, spec, xn, prec) - dk))
+    return sol, e2, de2
+
+
+def _scipy_openblas():
+    """The thread-count getter and setter of scipy's bundled OpenBLAS, or
+    None where scipy bundles no OpenBLAS."""
+    import scipy
+
+    libs = glob.glob(os.path.join(os.path.dirname(scipy.__file__) + ".libs", "libscipy_openblas*"))
+    try:
+        lib = ctypes.CDLL(libs[0]) if libs else None
+    except OSError:
+        return None
+    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads"):
+        return None
+    get_threads, set_threads = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextmanager
+def _single_blas_thread():
+    """Run the block with scipy's bundled OpenBLAS on one thread.
+
+    L-BFGS-B calls LAPACK on its tiny limited-memory matrices at every
+    iteration, and OpenBLAS wakes its thread pool for each call: on a
+    2-core host that costs about 1.5 ms per call, more than an objective
+    evaluation, and the woken threads then spin against the objective.
+    """
+    openblas = _scipy_openblas()
+    if openblas is None:
+        yield
+        return
+    get_threads, set_threads = openblas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def optimize_points(
     spec: KernelSpec,
     L: FunctionalSpec,
@@ -221,11 +297,17 @@ def optimize_points(
 
     One-dimensional, with a domain to search.  The weights are eliminated
     in closed form (:func:`cubature.optimal_weights` per objective
-    evaluation), leaving a Nelder-Mead search over
-    node positions through a sort-and-clamp transform that keeps iterates
-    inside the box and ordered.  Runs one deterministic start from the
-    Gaussian quadrature nodes of the functional (when available) plus
-    seeded stratified random restarts; the best restart wins.
+    evaluation), leaving an L-BFGS-B search over the node positions within
+    the box bounds.  The objective is f = ln e^2 with e^2 = LL[K] - w.z,
+    and its gradient comes from the same solve by the envelope theorem
+    (:func:`_envelope_gradient`).  The logarithm is scale-free, so
+    L-BFGS-B's default tolerances serve every length scale.  Coinciding
+    nodes, or a Gram matrix that is not numerically positive definite,
+    read as the zero rule (f = ln LL[K], gradient zero), an upper bound for
+    every optimal-weight rule; a nonpositive e^2 raises.  Runs one
+    deterministic start from the Gaussian quadrature nodes of the
+    functional (when available) plus seeded stratified random restarts;
+    the lowest evaluation recorded over all restarts wins.
     """
     import scipy.optimize  # deferred: slow to import, and only the optimizer needs it
 
@@ -244,35 +326,29 @@ def optimize_points(
         box = (-10.0, 10.0)
     a, b = float(box[0]), float(box[1])
     width = b - a
-    gap_min = 1e-12 * width
 
     with prec.workprec():
         llk = double_embedding(L, spec, prec)
-    penalty_base = 2.0 * math.sqrt(max(float(llk), 0.0)) + 1.0
+        zero_rule = float(rlog(llk))
 
-    def transform(y: np.ndarray) -> np.ndarray:
-        return np.sort(np.clip(y, a, b))
-
-    state = {"evals": 0}
-
-    def objective(y: np.ndarray, record: Optional[list] = None) -> float:
-        state["evals"] += 1
-        x = transform(y)
-        gaps = np.diff(x)
-        if len(x) > 1 and float(gaps.min()) < gap_min:
-            worst = float(max(0.0, gap_min - gaps.min()))
-            return penalty_base * (1.0 + worst / gap_min)
+    def objective(y: np.ndarray, best: dict) -> tuple[float, np.ndarray]:
+        order = np.argsort(y)
+        x = y[order]
+        if np.any(np.diff(x) <= 0):
+            return zero_rule, np.zeros_like(y)
         try:
-            sol = optimal_weights(spec, L, PointSet(tuple((float(v),) for v in x)), prec)
+            sol, e2, de2 = _envelope_gradient(spec, L, llk, PointSet(tuple((float(v),) for v in x)), prec)
         except NumericallyIndefiniteError:
-            return penalty_base
+            return zero_rule, np.zeros_like(y)
         with prec.workprec():
-            # at the optimum the squared wce is LL[K] - w.z
-            cross = sum(wi * zi for wi, zi in zip(sol.weights, sol.embedding))
-            wce = math.sqrt(max(float(llk - cross), 0.0))
-        if record is not None and (not record or wce < record[-1].wce):
-            record.append(TraceEntry(tuple(float(v) for v in x), sol.rule.weights_float(), wce))
-        return wce
+            grad = np.empty_like(y)
+            grad[order] = [float(g / e2) for g in de2]
+            if "e2" not in best or e2 < best["e2"]:
+                best["e2"], best["rule"] = e2, sol.rule
+                # the written wce is sqrt(e^2) rounded once
+                entry = TraceEntry(tuple(float(v) for v in x), sol.rule.weights_float(), float(rsqrt(e2)))
+                best["record"].append(entry)
+            return float(rlog(e2)), grad
 
     inits: list[tuple[str, np.ndarray]] = []
     try:
@@ -281,7 +357,7 @@ def optimize_points(
         pass  # no Gauss rule for this functional: start from the grid
     else:
         gn = np.clip(np.array(g.nodes), a, b)
-        if n_points == 1 or float(np.diff(gn).min()) > gap_min:
+        if n_points == 1 or float(np.diff(gn).min()) > 0:
             inits.append(("gauss", gn))
     if not inits:
         inits.append(("grid", a + (np.arange(1, n_points + 1) / (n_points + 1)) * width))
@@ -292,47 +368,38 @@ def optimize_points(
         y0 = np.sort(lo + rng.random(n_points) * (width / n_points))
         inits.append((f"random{k}", y0))
 
-    best = None
+    winner = None
     trace = OptimizationTrace()
-    for name, y0 in inits:
-        record: list[TraceEntry] = []
-        f0 = objective(np.asarray(y0, dtype=float), record)
-        res = scipy.optimize.minimize(
-            objective,
-            np.asarray(y0, dtype=float),
-            args=(record,),
-            method="Nelder-Mead",
-            options={
-                # relative to the box width and to the restart's initial objective
-                "xatol": 1e-10 * width,
-                "fatol": 1e-12 * max(f0, 1e-300),
-                "maxfev": settings.max_evals,
-                "maxiter": settings.max_evals,
-            },
-        )
-        final = float(res.fun)
-        trace.restart_summaries.append(
-            {"start": name, "wce": final, "nfev": int(res.nfev), "converged": bool(res.success)}
-        )
-        if best is None or final < best[0]:
-            best = (final, res, record)
+    with _single_blas_thread():
+        for name, y0 in inits:
+            best: dict = {"record": []}
+            res = scipy.optimize.minimize(
+                objective,
+                np.asarray(y0, dtype=float),
+                args=(best,),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(a, b)] * n_points,
+                options={"maxfun": settings.max_evals, "maxiter": settings.max_evals},
+            )
+            # a restart without a feasible evaluation reads as the zero rule
+            wce = best["record"][-1].wce if best["record"] else math.sqrt(float(llk))
+            trace.restart_summaries.append(
+                {"start": name, "wce": wce, "nfev": int(res.nfev), "converged": bool(res.success)}
+            )
+            if "e2" in best and (winner is None or best["e2"] < winner[0]["e2"]):
+                winner = (best, bool(res.success))
 
-    assert best is not None
-    _, res_best, record_best = best
-    if not record_best:
+    if winner is None:
         raise NumericalInconsistencyError(
             "optimizer never reached a feasible node configuration; widen the box "
             "or reduce n_points"
         )
-    # Nelder-Mead returns the lowest value it evaluated, and every penalty
-    # (at least 2 sqrt(LL[K]) + 1) exceeds every feasible wce (at most
-    # sqrt(LL[K])), so its point is feasible and its wce is the last recorded
-    x_best = transform(np.asarray(res_best.x, dtype=float))
-    rule = optimal_weights(spec, L, PointSet(tuple((float(v),) for v in x_best)), prec).rule
-    trace.entries = record_best
-    trace.converged = bool(res_best.success)
-    trace.n_evaluations = state["evals"]
-    return rule, trace
+    best, converged = winner
+    trace.entries = best["record"]
+    trace.converged = converged
+    trace.n_evaluations = sum(r["nfev"] for r in trace.restart_summaries)
+    return best["rule"], trace
 
 
 def chebyshev_system_zero_count(

@@ -341,3 +341,21 @@ def test_wce_command_evaluates_the_gram_form_once(tmp_path, capsys, monkeypatch)
     assert len(calls) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("wce: ") and out[1].startswith("initial term LL[K]: ")
+
+
+def test_optimal_manifest_lists_restart_summaries(tmp_path):
+    """Per length scale the manifest lists each restart's start, wce, nfev
+    and convergence, and the winning restart's wce is the CSV's wce."""
+    cfg = {**OPTIMAL_CFG, "optimizer": {"restarts": 2, "max_evals": 200}}
+    out = tmp_path / "out"
+    assert main(["optimal", "--config", write_cfg(tmp_path / "o.yaml", cfg), "--out", str(out)]) == 0
+    man = yaml.safe_load((out / "manifest.yaml").read_text())
+    rows = (out / "optimal.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    csv_wce = {float(r.split(",")[0]): float(r.split(",")[header.index("wce")]) for r in rows[1:]}
+    summaries = man["restart_summaries"]
+    assert [s["ell"] for s in summaries] == list(csv_wce)
+    for s in summaries:
+        assert [r["start"] for r in s["restarts"]] == ["gauss", "random0", "random1"]
+        assert all(set(r) == {"start", "wce", "nfev", "converged"} for r in s["restarts"])
+        assert min(r["wce"] for r in s["restarts"]) == csv_wce[s["ell"]]

@@ -10,6 +10,7 @@ from flatlimit import (
     PrecisionConfig,
     damped_moment,
     double_embedding,
+    embedding_derivative,
     kernel_embedding,
     moment,
     phi_basis_eval,
@@ -199,3 +200,71 @@ def test_box_closed_forms_match_500_bit_quadrature(ell):
                         assert value == 0
                     else:
                         assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, k, bits)
+
+
+@pytest.mark.parametrize("ell", [0.05, 0.3, 1.0, 1e2, 1e4])
+def test_exponential_box_closed_forms_match_500_bit_quadrature(ell):
+    """The exponential kernel's embedding l e^(a y / l) expm1((b - a) y / l) / y
+    and double embedding l (E(b^2 / l) - 2 E(a b / l) + E(a^2 / l)) against
+    tanh-sinh quadrature at 500 bits, to a relative 2^-(bits - 8) at 64
+    and 200 bits."""
+    from mpmath import mp
+
+    spec = KernelSpec.exponential(ell)
+    for a, b in CLOSED_FORM_BOXES:
+        L = FunctionalSpec.lebesgue_box(a, b)
+        ys = [a, 0.0, b, (a + b) / 3]
+        with mp.workprec(QUAD_BITS):
+            lo, hi, l = mp.mpf(a), mp.mpf(b), mp.mpf(ell)
+            z_refs = [mp.quad(lambda t: mp.exp(t * mp.mpf(y) / l), [lo, hi]) for y in ys]
+            # LL = int z(y) dy with z(y) = l (e^(b y / l) - e^(a y / l)) / y
+            z = lambda y: l * (mp.exp(hi * y / l) - mp.exp(lo * y / l)) / y if y else hi - lo
+            ll_ref = mp.quad(z, [lo, 0, hi] if a < 0 < b else [lo, hi])
+        for bits in (64, 200):
+            prec = PrecisionConfig.extended(bits)
+            values = [kernel_embedding(L, spec, y, prec) for y in ys] + [double_embedding(L, spec, prec)]
+            with mp.workprec(QUAD_BITS):
+                for value, ref in zip(values, z_refs + [ll_ref]):
+                    assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
+
+
+def test_exponential_double_embedding_on_the_symmetric_box_is_shi():
+    from mpmath import mp
+
+    prec = PrecisionConfig.extended(128)
+    for ell in (0.5, 5.0, 500.0):
+        value = double_embedding(FunctionalSpec.lebesgue_box(-1.0, 1.0), KernelSpec.exponential(ell), prec)
+        with mp.workprec(128):
+            assert abs(value - 4 * ell * mp.shi(1 / mp.mpf(ell))) <= mp.mpf(2) ** -120 * value
+
+
+EMBEDDING_DERIVATIVE_CASES = {
+    "gaussian_box": (KernelSpec.gaussian, FunctionalSpec.lebesgue_box(-1.0, 1.0)),
+    "gaussian_offset_box": (KernelSpec.gaussian, FunctionalSpec.lebesgue_box(0.3, 2.5)),
+    "gaussian_measure": (KernelSpec.gaussian, FunctionalSpec.gaussian_measure(1)),
+    "exponential_box": (KernelSpec.exponential, FunctionalSpec.lebesgue_box(-1.0, 1.0)),
+    "szego_box": (KernelSpec.szego, FunctionalSpec.lebesgue_box(-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("ell", [2.0, 20.0])
+@pytest.mark.parametrize("case", sorted(EMBEDDING_DERIVATIVE_CASES))
+def test_embedding_derivative_matches_numeric_differentiation(case, ell):
+    """z'(x) against mpmath's numerical derivative of kernel_embedding at
+    128 bits, to 2^-110: the Gaussian closed forms, and quadrature of the
+    kernel derivative for the exponential and Szego kernels."""
+    from mpmath import mp
+
+    family, L = EMBEDDING_DERIVATIVE_CASES[case]
+    spec = family(ell)
+    prec = PrecisionConfig.extended(128)
+    for x in (-0.7, 0.0, 0.45):
+        value = embedding_derivative(L, spec, x, prec)
+        with mp.workprec(128):
+            numeric = mp.diff(lambda t: kernel_embedding(L, spec, t, PrecisionConfig.extended(mp.prec)), x)
+            assert abs(value - numeric) <= mp.mpf(2) ** -110 * max(1, abs(numeric)), x
+
+
+def test_embedding_derivative_is_one_dimensional():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        embedding_derivative(FunctionalSpec.gaussian_measure(2), KernelSpec.gaussian(1.0), 0.0)

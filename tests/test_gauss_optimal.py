@@ -12,10 +12,13 @@ from flatlimit import (
     MultiIndex,
     NumericalInconsistencyError,
     OptimizerSettings,
+    PointSet,
     PrecisionConfig,
     chebyshev_system_zero_count,
+    double_embedding,
     gauss_rule_from_moments,
     moment,
+    optimal_weights,
     optimize_points,
     worst_case_error,
 )
@@ -220,3 +223,61 @@ def test_node_construction_rejects_point_evaluation():
         optimize_points(KernelSpec.gaussian(5.0), L, 2, EXT)
     with pytest.raises(ValueError, match="point evaluation"):
         gauss_rule_from_moments(L, 1)
+
+
+@pytest.mark.parametrize("L", [LEB, GAUSS], ids=["lebesgue", "gaussian"])
+@pytest.mark.parametrize("nodes", [[-0.5, 0.6], [-0.7, 0.1, 0.8]], ids=["N2", "N3"])
+def test_envelope_gradient_matches_numeric_differentiation(L, nodes):
+    """The envelope gradient of e^2 at the optimizer's bits against a
+    central difference (h = 2^-20, exact in float64 nodes) of the 256-bit
+    wce^2 of the re-solved optimal weights, to a relative 1e-10; the
+    difference's own error is about h^2."""
+    from mpmath import mp
+
+    k = KernelSpec.gaussian(5.0)
+    prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(5.0, len(nodes)))
+    _, _, de2 = gauss_optimal._envelope_gradient(k, L, double_embedding(L, k, prec), PointSet.from_1d(nodes), prec)
+    ref = PrecisionConfig.extended(256)
+
+    def e2_at(xs):
+        return worst_case_error(k, L, optimal_weights(k, L, PointSet.from_1d(xs), ref), ref).wce ** 2
+
+    for n in range(len(nodes)):
+        with mp.workprec(256):
+            moved = lambda t: e2_at([float(t) if m == n else v for m, v in enumerate(nodes)])
+            numeric = mp.diff(moved, nodes[n], h=mp.mpf(2) ** -20)
+            assert abs(de2[n] - numeric) <= 1e-10 * abs(numeric), n
+
+
+def test_three_optimized_nodes_approach_gauss_legendre():
+    """N = 3 on [-1, 1] at l = 10: the nodes land within 1e-3 of
+    (-sqrt(0.6), 0, sqrt(0.6)), and the wce is at most that of those
+    Gauss-Legendre nodes with their optimal weights."""
+    k = KernelSpec.gaussian(10.0)
+    rule, trace = optimize_points(k, LEB, 3, settings=OptimizerSettings(restarts=3))
+    assert trace.converged
+    gauss = [-math.sqrt(0.6), 0.0, math.sqrt(0.6)]
+    assert max(abs(p[0] - g) for p, g in zip(rule.points, gauss)) <= 1e-3
+    prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(10.0, 3))
+    e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, PointSet.from_1d(gauss), prec), prec).wce
+    assert worst_case_error(k, LEB, rule, prec).wce <= e_gauss
+
+
+def test_nonpositive_squared_wce_raises(monkeypatch):
+    """LL[K] - w.z <= 0 is not clamped: with LL[K] read as 0 the first
+    evaluation raises."""
+    monkeypatch.setattr(gauss_optimal, "double_embedding", lambda L, spec, prec: prec.to_real(0))
+    settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
+    with pytest.raises(NumericalInconsistencyError, match="not positive"):
+        optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
+
+
+def test_single_blas_thread_restores_the_thread_count():
+    openblas = gauss_optimal._scipy_openblas()
+    if openblas is None:
+        pytest.skip("scipy does not bundle OpenBLAS here")
+    get_threads, _ = openblas
+    before = get_threads()
+    with gauss_optimal._single_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
