@@ -318,6 +318,10 @@ def rexpm1(x: Real) -> Real:
     return mp.expm1(x) if isinstance(x, mpf) else math.expm1(x)
 
 
+def rlog1p(x: Real) -> Real:
+    return mp.log1p(x) if isinstance(x, mpf) else math.log1p(x)
+
+
 def rlog(x: Real) -> Real:
     return mp.log(x) if isinstance(x, mpf) else math.log(x)
 

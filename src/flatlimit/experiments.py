@@ -305,6 +305,7 @@ class OptimalRecord:
     converged: bool
     precision_bits: int
     restart_summaries: tuple[dict, ...]
+    search: str
 
     def __post_init__(self) -> None:
         vals = [self.ell, self.wce, self.node_dist_gauss, self.weight_dist_gauss]
@@ -344,7 +345,7 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
             records.append(
                 OptimalRecord(
                     float(ell), xs, ws, float(wce), nd, wd, trace.converged, prec.bits,
-                    tuple(trace.restart_summaries),
+                    tuple(trace.restart_summaries), trace.search,
                 )
             )
             if not trace.converged:
@@ -465,6 +466,7 @@ def optimal_manifest(result: OptimalStudyResult, raw_config: dict) -> dict:
         "gauss_nodes": [float(x) for x in result.gauss.nodes],
         "gauss_weights": [float(w) for w in result.gauss.weights],
         "restart_summaries": [
-            {"ell": r.ell, "restarts": list(r.restart_summaries)} for r in result.records
+            {"ell": r.ell, "search": r.search, "restarts": list(r.restart_summaries)}
+            for r in result.records
         ],
     })

@@ -27,11 +27,12 @@ from .core import (
     rerf,
     rexp,
     rexpm1,
+    rlog1p,
     rpi,
     rsqrt,
     sq_norm,
 )
-from .errors import QuadratureError
+from .errors import KernelDomainError, QuadratureError
 from .kernels import KernelSpec, kernel_derivative, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
@@ -317,28 +318,79 @@ def _box_double_embedding(a: float, b: float, length_scale: float, bits: int) ->
         return +out
 
 
-def _box_exponential_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
-    """The exponential kernel exp(x y / l) integrated over [a, b] in both
-    arguments, l (E(b^2 / l) - 2 E(a b / l) + E(a^2 / l)) with
-    E(t) = int_0^t (e^s - 1) / s ds = t 2F2(1, 1; 2, 2; t), as an mpf
-    rounded to ``bits`` (4 l Shi(1 / l) on [-1, 1]).  The three values
-    cancel to about (b - a)^2 / l, so the sum is formed at raised precision
-    until the bits it loses are covered."""
+def _cancelling_sum(summands: Callable[[], list], bits: int) -> mp.mpf:
+    """The sum of ``summands()``, an mpf rounded to ``bits``.  The summands
+    are formed and added at raised precision, raised again until the bits
+    the sum loses to cancellation, log2(max |summand| / |sum|), are
+    covered."""
     extra = 2 * _SERIES_GUARD_BITS
     while True:
         with mp.workprec(bits + extra):
-            ell, ar, br = mp.mpf(length_scale), mp.mpf(a), mp.mpf(b)
-            terms = [t * mp.hyp2f2(1, 1, 2, 2, t) for t in (br * br / ell, ar * br / ell, ar * ar / ell)]
-            out = ell * (terms[0] - 2 * terms[1] + terms[2])
+            terms = summands()
+            out = mp.fsum(terms)
             if out == 0:
                 extra *= 2
                 continue
-            lost = max(mp.mag(t) for t in terms) + 2 - mp.mag(out)
+            lost = max(mp.mag(t) for t in terms) - mp.mag(out)
             if lost + _SERIES_GUARD_BITS <= extra:
                 break
             extra = lost + 2 * _SERIES_GUARD_BITS
     with mp.workprec(bits):
         return +out
+
+
+def _box_exponential_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
+    """The exponential kernel exp(x y / l) integrated over [a, b] in both
+    arguments, l (E(b^2 / l) - 2 E(a b / l) + E(a^2 / l)) with
+    E(t) = int_0^t (e^s - 1) / s ds = t 2F2(1, 1; 2, 2; t), as an mpf
+    rounded to ``bits`` (4 l Shi(1 / l) on [-1, 1]).  The three values
+    cancel to about (b - a)^2 / l (:func:`_cancelling_sum`)."""
+
+    def summands():
+        ell, ar, br = mp.mpf(length_scale), mp.mpf(a), mp.mpf(b)
+        E = lambda t: ell * t * mp.hyp2f2(1, 1, 2, 2, t)
+        return [E(br * br / ell), -2 * E(ar * br / ell), E(ar * ar / ell)]
+
+    return _cancelling_sum(summands, bits)
+
+
+def _check_szego_box(L: FunctionalSpec, spec: KernelSpec, y: float) -> None:
+    """The Szego kernel on the box [a, b] against a point y needs
+    |x y| < l^2 for every x in the box, as :func:`kernels.kernel_eval` does."""
+    reach = max(abs(L.lower[0]), abs(L.upper[0])) * abs(float(y))
+    if reach >= spec.length_scale**2:
+        raise KernelDomainError(
+            f"szego kernel needs |x*y| < l^2 on the box, got {reach!r} with l^2={spec.length_scale ** 2!r}"
+        )
+
+
+def _box_szego_embedding_derivative(a: float, b: float, length_scale: float, y: Real, bits: int) -> mp.mpf:
+    """z'(y) = int_a^b x l^2 / (l^2 - x y)^2 dx for y != 0, as an mpf rounded
+    to ``bits``: (l^2 / y^2) [l^2 / (l^2 - b y) - l^2 / (l^2 - a y)
+    + ln((l^2 - b y) / (l^2 - a y))].  The three terms are of size
+    l^2 / y^2 and cancel to about (b^2 - a^2) / (2 l^2)
+    (:func:`_cancelling_sum`)."""
+
+    def summands():
+        l2, ar, br, yr = mp.mpf(length_scale) ** 2, mp.mpf(a), mp.mpf(b), mp.mpf(y)
+        s = l2 / (yr * yr)
+        return [s * l2 / (l2 - br * yr), -s * l2 / (l2 - ar * yr), -s * mp.log1p((br - ar) * yr / (l2 - br * yr))]
+
+    return _cancelling_sum(summands, bits)
+
+
+def _box_szego_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
+    """The Szego kernel l^2 / (l^2 - x y) integrated over [a, b] in both
+    arguments, l^2 (Li2(b^2 / l^2) - 2 Li2(a b / l^2) + Li2(a^2 / l^2)), as
+    an mpf rounded to ``bits``; the dilogarithms cancel to about
+    (b - a)^2 / l^2 (:func:`_cancelling_sum`)."""
+
+    def summands():
+        l2, ar, br = mp.mpf(length_scale) ** 2, mp.mpf(a), mp.mpf(b)
+        Li2 = lambda t: l2 * mp.polylog(2, t / l2)
+        return [Li2(br * br), -2 * Li2(ar * br), Li2(ar * ar)]
+
+    return _cancelling_sum(summands, bits)
 
 
 def apply_functional(
@@ -469,8 +521,9 @@ def kernel_embedding(
     """The embedding z(x) = L[K(., x)].
 
     Closed forms cover point evaluation (a kernel value), the Gaussian
-    kernel against the Gaussian measure or a box, and the exponential
-    kernel on a box, l e^(a x / l) expm1((b - a) x / l) / x (b - a at
+    kernel against the Gaussian measure or a box, the exponential kernel
+    on a box, l e^(a x / l) expm1((b - a) x / l) / x, and the Szego kernel
+    on a box, (l^2 / x) log1p((b - a) x / (l^2 - b x)) (both b - a at
     x = 0); other combinations use adaptive quadrature.
     """
     with prec.workprec():
@@ -499,6 +552,12 @@ def kernel_embedding(
             if y == 0:
                 return br - ar
             return ell * rexp(ar * y / ell) * rexpm1((br - ar) * y / ell) / y
+        if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
+            ar, br, y = prec.to_real(L.lower[0]), prec.to_real(L.upper[0]), xv[0]
+            _check_szego_box(L, spec, y)
+            if y == 0:
+                return br - ar
+            return ell * ell / y * rlog1p((br - ar) * y / (ell * ell - br * y))
         target = xv[0] if L.dimension == 1 else xv
         return apply_functional(L, lambda t: kernel_eval(spec, t, target, prec), prec)
 
@@ -514,7 +573,9 @@ def embedding_derivative(
 
     Closed forms for the Gaussian kernel: exp(-(a - x)^2 / (2 l^2)) -
     exp(-(b - x)^2 / (2 l^2)) on a box [a, b], and -x / (1 + l^2) z(x)
-    against the Gaussian measure.  Other combinations apply ``L`` to
+    against the Gaussian measure; for the Szego kernel on a box, see
+    :func:`_box_szego_embedding_derivative` ((b^2 - a^2) / (2 l^2) at
+    x = 0).  Other combinations apply ``L`` to
     :func:`kernels.kernel_derivative`, as :func:`kernel_embedding` applies
     it to the kernel.
     """
@@ -528,6 +589,12 @@ def embedding_derivative(
             return rexp(-(ar - xr) ** 2 / (2 * ell * ell)) - rexp(-(br - xr) ** 2 / (2 * ell * ell))
         if spec.family == "gaussian" and L.kind == "gaussian_measure":
             return -xr / (1 + ell * ell) * kernel_embedding(L, spec, xr, prec)
+        if spec.family == "szego" and L.kind == "lebesgue_box":
+            a, b = L.lower[0], L.upper[0]
+            _check_szego_box(L, spec, xr)
+            if xr == 0:
+                return (prec.to_real(b) ** 2 - prec.to_real(a) ** 2) / (2 * ell * ell)
+            return prec.to_real(_box_szego_embedding_derivative(a, b, spec.length_scale, xr, prec.bits))
         return apply_functional(L, lambda t: kernel_derivative(spec, xr, t, prec), prec)
 
 
@@ -539,9 +606,11 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
     (l^2 / (2 + l^2))^(d/2).  Gaussian kernel over a box factorizes into
     one closed form per axis, s^2 (sqrt(pi) u erf(u) + exp(-u^2) - 1),
     evaluated with guard bits for its cancellation (see
-    :func:`_box_double_embedding`).  The exponential kernel on an interval
-    has the closed form of :func:`_box_exponential_double_embedding`.
-    Everything else integrates the embedding function.
+    :func:`_box_double_embedding`).  The exponential and Szego kernels on
+    an interval have the closed forms of
+    :func:`_box_exponential_double_embedding` and
+    :func:`_box_szego_double_embedding`.  Everything else integrates the
+    embedding function.
     """
     with prec.workprec():
         if L.kind == "point_eval":
@@ -558,5 +627,9 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
         if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
             a, b = L.lower[0], L.upper[0]
             return prec.to_real(_box_exponential_double_embedding(a, b, spec.length_scale, prec.bits))
+        if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
+            a, b = L.lower[0], L.upper[0]
+            _check_szego_box(L, spec, max(abs(a), abs(b)))
+            return prec.to_real(_box_szego_double_embedding(a, b, spec.length_scale, prec.bits))
         z = lambda t: kernel_embedding(L, spec, t, prec)
         return apply_functional(L, z, prec)

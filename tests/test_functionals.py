@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from flatlimit import (
     FunctionalSpec,
+    KernelDomainError,
     KernelSpec,
     MultiIndex,
     PrecisionConfig,
@@ -236,6 +237,48 @@ def test_exponential_double_embedding_on_the_symmetric_box_is_shi():
         value = double_embedding(FunctionalSpec.lebesgue_box(-1.0, 1.0), KernelSpec.exponential(ell), prec)
         with mp.workprec(128):
             assert abs(value - 4 * ell * mp.shi(1 / mp.mpf(ell))) <= mp.mpf(2) ** -120 * value
+
+
+@pytest.mark.parametrize("ell", [2.0, 20.0])
+def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
+    """The Szego kernel's embedding (l^2 / y) log1p((b - a) y / (l^2 - b y)),
+    its derivative in y and its double embedding
+    l^2 (Li2(b^2 / l^2) - 2 Li2(a b / l^2) + Li2(a^2 / l^2)) against
+    tanh-sinh quadrature at 500 bits, to a relative 2^-(bits - 8) at 64
+    and 200 bits.  Where the box reaches |x y| >= l^2 each raises
+    KernelDomainError, as the kernel does."""
+    from mpmath import mp
+
+    spec = KernelSpec.szego(ell)
+    for a, b in CLOSED_FORM_BOXES:
+        L = FunctionalSpec.lebesgue_box(a, b)
+        R = max(abs(a), abs(b))
+        ys = [y for y in (a, 0.0, b, (a + b) / 3) if R * abs(y) < ell * ell]
+        with mp.workprec(QUAD_BITS):
+            lo, hi, l2 = mp.mpf(a), mp.mpf(b), mp.mpf(ell) ** 2
+            z_refs = [mp.quad(lambda x: l2 / (l2 - x * mp.mpf(y)), [lo, hi]) for y in ys]
+            dz_refs = [mp.quad(lambda x: x * l2 / (l2 - x * mp.mpf(y)) ** 2, [lo, hi]) for y in ys]
+            # LL = int z(y) dy with z(y) = (l^2 / y) ln((l^2 - a y) / (l^2 - b y))
+            z = lambda y: l2 / y * mp.log((l2 - lo * y) / (l2 - hi * y)) if y else hi - lo
+            ll_ref = mp.quad(z, [lo, 0, hi] if a < 0 < b else [lo, hi]) if R * R < ell * ell else None
+        for bits in (64, 200):
+            prec = PrecisionConfig.extended(bits)
+            values = [kernel_embedding(L, spec, y, prec) for y in ys]
+            values += [embedding_derivative(L, spec, y, prec) for y in ys]
+            refs = z_refs + dz_refs
+            if ll_ref is None:
+                with pytest.raises(KernelDomainError):
+                    double_embedding(L, spec, prec)
+            else:
+                values.append(double_embedding(L, spec, prec))
+                refs.append(ll_ref)
+            with mp.workprec(QUAD_BITS):
+                for value, ref in zip(values, refs):
+                    assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
+        with pytest.raises(KernelDomainError):
+            kernel_embedding(L, spec, ell * ell / R, PrecisionConfig.extended(64))
+        with pytest.raises(KernelDomainError):
+            embedding_derivative(L, spec, ell * ell / R, PrecisionConfig.extended(64))
 
 
 EMBEDDING_DERIVATIVE_CASES = {

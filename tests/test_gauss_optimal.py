@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -11,15 +12,18 @@ from flatlimit import (
     KernelSpec,
     MultiIndex,
     NumericalInconsistencyError,
+    OptimalStudyConfig,
     OptimizerSettings,
     PointSet,
     PrecisionConfig,
+    SingularMatrixError,
     chebyshev_system_zero_count,
     double_embedding,
     gauss_rule_from_moments,
     moment,
     optimal_weights,
     optimize_points,
+    run_optimal_study,
     worst_case_error,
 )
 
@@ -203,8 +207,19 @@ def test_optimizer_without_a_feasible_evaluation_raises_inconsistency(monkeypatc
     def indefinite(*args, **kwargs):
         raise NumericallyIndefiniteError("Cholesky failed")
 
-    # every evaluation is penalized, so no restart records a feasible point
+    # every evaluation of the extended search reads as the zero rule, so no
+    # restart records a feasible point
     monkeypatch.setattr(cubature, "solve_spd", indefinite)
+    settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
+    with pytest.raises(NumericalInconsistencyError, match="feasible"):
+        optimize_points(KernelSpec.gaussian(1e4), LEB, 2, EXT, settings)
+
+
+def test_float64_search_without_a_feasible_evaluation_raises_inconsistency(monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("zero pivot")
+
+    monkeypatch.setattr(gauss_optimal, "_basis_solve", singular)
     settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="feasible"):
         optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
@@ -225,18 +240,41 @@ def test_node_construction_rejects_point_evaluation():
         gauss_rule_from_moments(L, 1)
 
 
-@pytest.mark.parametrize("L", [LEB, GAUSS], ids=["lebesgue", "gaussian"])
-@pytest.mark.parametrize("nodes", [[-0.5, 0.6], [-0.7, 0.1, 0.8]], ids=["N2", "N3"])
-def test_envelope_gradient_matches_numeric_differentiation(L, nodes):
-    """The envelope gradient of e^2 at the optimizer's bits against a
+def _extended_objective(k, L, nodes, prec):
+    return gauss_optimal._envelope_gradient(k, L, double_embedding(L, k, prec), PointSet.from_1d(nodes), prec)[1:]
+
+
+def _float64_objective(k, L, nodes, prec):
+    box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
+    basis = gauss_optimal._BasisResidual(k, L, len(nodes), box, prec)
+    return basis.envelope(np.array(nodes))[1:]
+
+
+GRADIENT_CASES = [
+    # the extended objective at l = 5 is the base case, with the short ids
+    pytest.param(
+        objective, ell, L, nodes,
+        id="-".join([node_id, L_id] + ([] if (lane, ell) == ("extended", 5.0) else [f"{ell:g}", lane])),
+    )
+    for node_id, nodes in (("N2", [-0.5, 0.6]), ("N3", [-0.7, 0.1, 0.8]))
+    for L_id, L in (("lebesgue", LEB), ("gaussian", GAUSS))
+    for ell in (5.0, 100.0)
+    for lane, objective in (("extended", _extended_objective), ("float64", _float64_objective))
+]
+
+
+@pytest.mark.parametrize("objective,ell,L,nodes", GRADIENT_CASES)
+def test_envelope_gradient_matches_numeric_differentiation(objective, ell, L, nodes):
+    """The envelope gradient of e^2, from the extended Gram solve at the
+    optimizer's bits and from the float64 basis residual, against a
     central difference (h = 2^-20, exact in float64 nodes) of the 256-bit
     wce^2 of the re-solved optimal weights, to a relative 1e-10; the
     difference's own error is about h^2."""
     from mpmath import mp
 
-    k = KernelSpec.gaussian(5.0)
-    prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(5.0, len(nodes)))
-    _, _, de2 = gauss_optimal._envelope_gradient(k, L, double_embedding(L, k, prec), PointSet.from_1d(nodes), prec)
+    k = KernelSpec.gaussian(ell)
+    prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, len(nodes)))
+    _, de2 = objective(k, L, nodes, prec)
     ref = PrecisionConfig.extended(256)
 
     def e2_at(xs):
@@ -265,11 +303,73 @@ def test_three_optimized_nodes_approach_gauss_legendre():
 
 def test_nonpositive_squared_wce_raises(monkeypatch):
     """LL[K] - w.z <= 0 is not clamped: with LL[K] read as 0 the first
-    evaluation raises."""
+    evaluation of the extended search raises."""
     monkeypatch.setattr(gauss_optimal, "double_embedding", lambda L, spec, prec: prec.to_real(0))
     settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="not positive"):
+        optimize_points(KernelSpec.gaussian(1e4), LEB, 2, EXT, settings)
+
+
+def test_float64_nonpositive_squared_wce_raises(monkeypatch):
+    """A zero basis residual is not clamped either: the first evaluation of
+    the float64 search raises."""
+    solve = gauss_optimal._basis_solve
+
+    def zero_residual(phi, c):
+        w, _, r = solve(phi, c)
+        return w, 0.0, r
+
+    monkeypatch.setattr(gauss_optimal, "_basis_solve", zero_residual)
+    settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
+    with pytest.raises(NumericalInconsistencyError, match="not positive"):
         optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
+
+
+@pytest.mark.parametrize("ell,search", [(100.0, "float64"), (1e4, "extended")])
+def test_search_lane_finds_a_rule_no_worse_than_gauss_legendre(ell, search):
+    """N = 2 on each side of the lane rule 2 N log2(l / R) <= 40: the found
+    wce is at most that of the Gauss-Legendre nodes with their optimal
+    weights, both at the optimizer's bits."""
+    k = KernelSpec.gaussian(ell)
+    rule, trace = optimize_points(k, LEB, 2, settings=OptimizerSettings(restarts=1, seed=0))
+    assert trace.search == search
+    prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, 2))
+    nodes = PointSet.from_1d(gauss_rule_from_moments(LEB, 2).nodes)
+    e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, nodes, prec), prec).wce
+    assert worst_case_error(k, LEB, rule, prec).wce <= e_gauss
+
+
+def test_float64_search_on_a_numeric_oracle_matches_the_box():
+    """The float64 coefficients of a numeric oracle come from quadrature:
+    with density 1 on [-1, 1] the search lands on the Lebesgue box's
+    nodes."""
+    k = KernelSpec.gaussian(10.0)
+    settings = OptimizerSettings(restarts=0, seed=0)
+    oracle = FunctionalSpec.numeric_oracle(lambda t: 1, -1.0, 1.0)
+    rule, trace = optimize_points(k, oracle, 2, settings=settings)
+    box_rule, _ = optimize_points(k, LEB, 2, settings=settings)
+    assert trace.search == "float64"
+    assert max(abs(p[0] - q[0]) for p, q in zip(rule.points, box_rule.points)) <= 1e-6
+
+
+def test_float64_study_makes_one_gram_solve_per_length_scale(monkeypatch):
+    """On the float64 side the search solves no Gram system; only the
+    winning nodes are re-solved, once per length scale."""
+    calls = []
+    solve = cubature.solve_spd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cubature, "solve_spd", counting)
+    cfg = OptimalStudyConfig(
+        kernel_family="gaussian", functional=LEB, n_points=2, ell_min=5.0, ell_max=100.0, ell_count=3,
+        optimizer=OptimizerSettings(restarts=1, seed=0),
+    )
+    result = run_optimal_study(cfg)
+    assert [r.search for r in result.records] == ["float64"] * 3
+    assert len(calls) == 3
 
 
 def test_single_blas_thread_restores_the_thread_count():
