@@ -56,7 +56,6 @@ from .functionals import (
     apply_functional,
     damped_moment,
     double_embedding,
-    embedding_derivative,
     kernel_embedding,
     moment,
 )
@@ -72,7 +71,6 @@ from .kernels import (
     DampedSeriesParams,
     KernelSpec,
     gram_matrix,
-    kernel_derivative,
     kernel_eval,
     phi_basis_eval,
 )
@@ -124,7 +122,6 @@ __all__ = [
     "apply_functional",
     "damped_moment",
     "double_embedding",
-    "embedding_derivative",
     "kernel_embedding",
     "moment",
     "GaussRule",
@@ -136,7 +133,6 @@ __all__ = [
     "DampedSeriesParams",
     "KernelSpec",
     "gram_matrix",
-    "kernel_derivative",
     "kernel_eval",
     "phi_basis_eval",
     "SolveResult",

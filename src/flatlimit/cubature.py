@@ -329,24 +329,29 @@ class UnisolvencyReport:
         return self.status == "unisolvent"
 
 
-def unisolvency_check(
-    points: PointSet,
-    degree: int,
-    prec: PrecisionConfig = MACHINE,
-) -> UnisolvencyReport:
-    """Classify whether the points determine degree-``degree`` interpolation.
-
-    The condition threshold is 1 / (100 u) at the working precision: past
-    it the Vandermonde solve has fewer than two safe digits and downstream
-    weight systems are not trustworthy.
-    """
+def _unisolvency_verdict(cond: float, prec: PrecisionConfig) -> UnisolvencyReport:
+    """The status of a Vandermonde system of condition number ``cond``
+    (inf when singular) at the unit roundoff u of ``prec``: the threshold
+    is 1 / (100 u), past which the solve has fewer than two safe digits
+    and downstream weight systems are not trustworthy."""
     threshold = 1.0 / (100 * prec.unit_roundoff)
-    try:
-        cond = _vandermonde_solve(points, degree, lambda alpha: 0, prec).condition
-    except NotUnisolventError:
-        cond = math.inf
     if math.isinf(cond):
         return UnisolvencyReport("not_unisolvent", cond, threshold)
     if cond >= threshold:
         return UnisolvencyReport("ill_conditioned", cond, threshold)
     return UnisolvencyReport("unisolvent", cond, threshold)
+
+
+def unisolvency_check(
+    points: PointSet,
+    degree: int,
+    prec: PrecisionConfig = MACHINE,
+) -> UnisolvencyReport:
+    """Classify whether the points determine degree-``degree`` interpolation,
+    from the condition number of the Vandermonde solve at the working
+    precision (:func:`_unisolvency_verdict`)."""
+    try:
+        cond = _vandermonde_solve(points, degree, lambda alpha: 0, prec).condition
+    except NotUnisolventError:
+        cond = math.inf
+    return _unisolvency_verdict(cond, prec)

@@ -28,10 +28,10 @@ from .core import MACHINE, PointSet, PrecisionConfig, Real
 from .cubature import (
     _check_dims,
     _monomials,
+    _unisolvency_verdict,
     optimal_weights,
     phi_weights,
     polynomial_weights,
-    unisolvency_check,
     worst_case_error,
 )
 from .errors import ConfigError, FlatLimitError, NotUnisolventError
@@ -39,6 +39,7 @@ from .functionals import FunctionalSpec
 from .gauss_optimal import (
     GaussRule,
     OptimizerSettings,
+    _check_kernel,
     _check_nodes,
     _default_optimizer_bits,
     gauss_rule_from_moments,
@@ -223,15 +224,21 @@ def fit_rate(
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute a sweep; per-length-scale failures are recorded and skipped,
-    a non-unisolvent point set aborts up front."""
-    check = unisolvency_check(cfg.points, cfg.degree, MACHINE)
+    a point set that is not unisolvent at machine precision aborts up
+    front.  That verdict takes the condition number of the reference
+    polynomial weights' Vandermonde solve, whose factor is accurate at
+    256 bits, to the machine threshold of :func:`unisolvency_check`."""
+    ref_prec = PrecisionConfig.extended(_REFERENCE_BITS)
+    try:
+        w_pol = polynomial_weights(cfg.functional, cfg.points, cfg.degree, ref_prec)
+    except NotUnisolventError:
+        w_pol = None
+    check = _unisolvency_verdict(math.inf if w_pol is None else w_pol.condition, MACHINE)
     if not check.ok:
         raise NotUnisolventError(
             f"point set is {check.status} for degree {cfg.degree} "
             f"(condition estimate {check.condition:.3e}); sweep aborted"
         )
-    ref_prec = PrecisionConfig.extended(_REFERENCE_BITS)
-    w_pol = polynomial_weights(cfg.functional, cfg.points, cfg.degree, ref_prec)
     ref = tuple(float(w) for w in w_pol.weights)
 
     records: list[SweepRecord] = []
@@ -286,6 +293,7 @@ class OptimalStudyConfig(_LengthScaleGrid):
 
     def __post_init__(self) -> None:
         _config_check(_check_nodes, self.functional, self.n_points)
+        _config_check(_check_kernel, self.kernel_family)
         _normalize_study_fields(self)
         if not self.functional.is_bounded and not self.allow_unbounded:
             raise ConfigError(

@@ -5,23 +5,18 @@ The flat-limit endpoint of jointly optimized kernel cubature is classical
 Gaussian quadrature, so both live here: ``gauss_rule_from_moments`` builds
 the N-point rule exact to polynomial degree 2N - 1 for any functional with
 accessible moments, and ``optimize_points`` minimizes the worst-case error
-over node positions by L-BFGS-B, with the optimal weights resolved in
-closed form at every objective evaluation and the gradient in the nodes
-taken from the same solve by the envelope theorem.  The search runs in one
-of two lanes, chosen per length scale (:func:`_search_lane`): for the
-Gaussian kernel while 2 N log2(l / R) <= 40 (N <= 4), a float64 least-squares
-residual on the kernel's orthonormal basis (:class:`_BasisResidual`),
-whose winning nodes are re-solved once in extended precision for the
-written weights and wce; otherwise an extended-precision Gram solve per
-evaluation (:func:`_envelope_gradient`).
+of the Gaussian kernel over node positions.  The optimal weights are
+linear, so variable projection eliminates them: what is left is the
+least-squares residual of the kernel's orthonormal basis in the nodes
+alone (:class:`_BasisResidual`), which a bounded Levenberg-Marquardt
+search (:func:`_levenberg_marquardt`) minimizes in numpy.  The search runs
+in float64 while 2 N log2(l / R) <= 40, and otherwise in mpmath at the
+optimizer's bits (:func:`_search_lane`); the winning nodes are re-solved
+once in extended precision for the written weights and wce.
 """
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,8 +29,7 @@ from .core import (
     MultiIndex,
     PointSet,
     PrecisionConfig,
-    Real,
-    rlog,
+    rexp,
     rsqrt,
 )
 from .errors import (
@@ -44,16 +38,15 @@ from .errors import (
     NumericallyIndefiniteError,
     SingularMatrixError,
 )
-from .cubature import WeightSolution, optimal_weights
+from .cubature import optimal_weights
 from .functionals import (
     FunctionalSpec,
     damped_moment,
     double_embedding,
-    embedding_derivative,
     moment,
     quad1d,
 )
-from .kernels import KernelSpec, kernel_derivative
+from .kernels import KernelSpec
 
 
 @dataclass(frozen=True)
@@ -223,8 +216,8 @@ class TraceEntry:
 class OptimizationTrace:
     """Accepted-improvement history of the winning restart (worst-case
     error non-increasing along entries) plus per-restart summaries, and
-    the objective the search ran on ("float64" or "extended", see
-    :func:`optimize_points`)."""
+    the arithmetic the search ran in ("float64" or "extended", see
+    :func:`_search_lane`)."""
 
     entries: list[TraceEntry] = field(default_factory=list)
     restart_summaries: list[dict] = field(default_factory=list)
@@ -234,82 +227,40 @@ class OptimizationTrace:
 
 
 def _default_optimizer_bits(length_scale: float, n_points: int) -> int:
-    # the optimum's squared error scales like l^(-4N); resolve objective
+    # the optimum's squared error scales like l^(-4N); resolve its
     # differences well below it
     return max(128, 64 + math.ceil(4 * n_points * math.log2(max(length_scale, 2.0))) + 32)
 
 
-def _optimal_e2(
-    spec: KernelSpec, L: FunctionalSpec, llk: Real, points: PointSet, prec: PrecisionConfig
-) -> tuple[WeightSolution, Real]:
-    """The optimal-weight solution of ``points`` and its squared worst-case
-    error e^2 = LL[K] - w.z (``llk`` is LL[K]), from one Gram solve.  A
-    nonpositive e^2 raises :class:`NumericalInconsistencyError`."""
-    sol = optimal_weights(spec, L, points, prec)
-    with prec.workprec():
-        e2 = llk - sum(wi * zi for wi, zi in zip(sol.weights, sol.embedding))
-        if not e2 > 0:
-            raise NumericalInconsistencyError(
-                f"squared worst-case error LL[K] - w.z = {float(e2):.3e} is not positive "
-                f"at {prec.bits} bits; increase the precision"
-            )
-    return sol, e2
-
-
-def _envelope_gradient(
-    spec: KernelSpec, L: FunctionalSpec, llk: Real, points: PointSet, prec: PrecisionConfig
-) -> tuple[WeightSolution, Real, list[Real]]:
-    """The extended-precision objective: :func:`_optimal_e2` of
-    one-dimensional ``points`` and the gradient of e^2 in the node
-    positions from the same solve.  At the optimal weights w = G^-1 z the
-    envelope theorem gives
-
-        de^2/dx_n = -2 w_n (z'(x_n) - sum_m w_m dK(x_n, x_m)/dx_n) .
-    """
-    sol, e2 = _optimal_e2(spec, L, llk, points, prec)
-    x, w = points.coords_1d(), sol.weights
-    with prec.workprec():
-        de2 = []
-        for n, xn in enumerate(x):
-            dk = sum(wm * kernel_derivative(spec, xn, xm, prec) for wm, xm in zip(w, x))
-            de2.append(-2 * w[n] * (embedding_derivative(L, spec, xn, prec) - dk))
-    return sol, e2, de2
-
-
 _TAIL_BITS = 55  # the dropped basis rows stay below 2^-55 of e^2
 _MAX_BASIS_ROWS = 512
+_LM_DAMPING = 1e-3  # the first Levenberg-Marquardt parameter, relative to the smallest pivot
+_REL_DECREASE = 1e-12  # an accepted step that lowers e^2 by no more ends the search
+_STEP_TOL = 1e-13  # a step below this, relative to the box's reach, ends the search
 
 
-_FLOAT64_MAX_POINTS = 4
+def _check_kernel(family: str) -> None:
+    """Node optimisation runs on the orthonormal basis of the Gaussian
+    kernel, the kernel of the flat-limit result it reproduces."""
+    if family != "gaussian":
+        raise ValueError(f"node optimisation needs the gaussian kernel, got {family!r}")
 
 
-def _search_lane(spec: KernelSpec, L: FunctionalSpec, n_points: int, box: tuple[float, float]) -> str:
-    """The objective of a node search: "float64" (:class:`_BasisResidual`)
-    for the Gaussian kernel when 2 N log2(l / R) <= 40, N <= 4 and
-    R_box <= 4 l, "extended" (:func:`_envelope_gradient`) otherwise.
-    R_box is the search box's largest |endpoint|, and R is R_box, or 1
-    under the Gaussian measure.
+def _search_lane(L: FunctionalSpec, n_points: int, length_scale: float, box: tuple[float, float]) -> str:
+    """The arithmetic of a node search: "float64" while
+    2 N log2(l / R) <= 40, "extended" (mpmath at the optimizer's bits)
+    otherwise.  R is the search box's largest |endpoint|, or 1 under the
+    Gaussian measure.
 
-    Measured on [-1, 1], the float64 search ended at the extended search's
-    wce to 9 digits for N = 2 up to 2 N log2 l = 53 (l = 1e4) and, with 8
-    restarts, for N = 3 and 4 up to 40.  For N = 5 and 6 it did not:
-    4.8 times the extended wce at N = 5, l = 16 and 2.3 times at N = 6,
-    l = 3.17, where L-BFGS-B's relative-reduction test stopped the float64
-    search near the Gauss-Legendre start.  Below l = R_box / 4 the basis
-    needs well over (R_box / l)^2 = 16 rows, each an extended-precision
-    damped moment, which cost more than the float64 search saves.
+    Measured on [-1, 1] from the Gauss-Legendre start alone, the float64
+    search ended at the extended search's wce to 6 digits up to
+    2 N log2 l = 53 for N = 2 and 4, 60 for N = 3, 49 for N = 5 and 48 for
+    N = 6 (there to 5 digits, 0.044375 against 0.044374 of the Gauss
+    nodes' wce).  It drifted at 60 for N = 6 (l = 32: 0.0719 against
+    0.0443) and at 80 for N = 4 (l = 1e3: 0.1613 against 0.1559).
     """
-    r_box = max(abs(box[0]), abs(box[1]))
-    r = 1.0 if L.kind == "gaussian_measure" else r_box
-    ell = spec.length_scale
-    if (
-        spec.family == "gaussian"
-        and n_points <= _FLOAT64_MAX_POINTS
-        and 2 * n_points * math.log2(ell / r) <= 40
-        and r_box <= 4 * ell
-    ):
-        return "float64"
-    return "extended"
+    r = 1.0 if L.kind == "gaussian_measure" else max(abs(box[0]), abs(box[1]))
+    return "float64" if 2 * n_points * math.log2(length_scale / r) <= 40 else "extended"
 
 
 def _gamma_tail(m: int, u: float) -> float:
@@ -321,51 +272,96 @@ def _gamma_tail(m: int, u: float) -> float:
     return math.exp(m * math.log(u) - u - math.lgamma(m + 1)) * (m + 1) / (m + 1 - u)
 
 
-def _basis_solve(phi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """min_w ||c - phi w|| by Householder QR of the M x N matrix phi: the
-    weights, the squared residual norm ||Q_2^T c||^2, and the residual
-    r = Q [0; Q_2^T c] formed from the reflectors.  A zero or non-finite
-    pivot raises :class:`SingularMatrixError`."""
-    n = phi.shape[1]
-    h, tau = np.linalg.qr(phi, mode="raw")
-    v = np.tril(h.T, -1)  # column j is reflector j, with its leading 1 set below
-    v[np.arange(n), np.arange(n)] = 1.0
-    t = c.copy()
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR of the m x n matrix ``a`` (m > n) of float64 or mpf
+    entries, as LAPACK's dgeqr2 forms it: the reflectors (column j is v_j,
+    with v_j[j] = 1 and zeros above it), their factors tau_j, so that
+    Q = H_0 ... H_(n-1) with H_j = I - tau_j v_j v_j^T, and the n x n
+    upper triangle R.  A zero or non-finite pivot raises
+    :class:`SingularMatrixError`."""
+    a = a.copy()
+    n = a.shape[1]
+    v = np.zeros_like(a)
+    tau = np.zeros_like(a[0])
     for j in range(n):
-        t -= tau[j] * (v[:, j] @ t) * v[:, j]
-    upper = np.triu(h.T[:n])
-    pivots = np.abs(np.diag(upper))
-    if not (np.all(pivots > 0) and np.all(np.isfinite(pivots))):
-        raise SingularMatrixError("the basis matrix of the nodes has a zero pivot")
-    w = np.linalg.solve(upper, t[:n])  # with a nonzero diagonal, back substitution
-    if not np.all(np.isfinite(w)):
+        x = a[j:, j]
+        norm = rsqrt(x @ x)
+        if not 0 < norm < math.inf:
+            raise SingularMatrixError(f"column {j} of the least-squares matrix has a zero or non-finite pivot")
+        beta = -norm if x[0] >= 0 else norm
+        v[j, j] = 1
+        v[j + 1:, j] = x[1:] / (x[0] - beta)
+        tau[j] = (beta - x[0]) / beta
+        a[j:, j:] -= np.outer(v[j:, j], v[j:, j] @ a[j:, j:]) * tau[j]
+    return v, tau, np.triu(a[:n])
+
+
+def _reflect(v: np.ndarray, tau: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """Q^T b (``transpose``) or Q b for the columns of ``b``, with Q from
+    the reflectors of :func:`_householder`."""
+    b = b.copy()
+    order = range(len(tau))
+    for j in order if transpose else reversed(order):
+        # the array first: an mpf on the left formats the whole array to try to convert it
+        b[j:] -= np.outer(v[j:, j], v[j:, j] @ b[j:]) * tau[j]
+    return b
+
+
+def _back_substitute(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """R^-1 b for the columns of ``b``, with R upper triangular."""
+    x = b.copy()
+    for i in reversed(range(upper.shape[0])):
+        x[i] = (x[i] - upper[i, i + 1:] @ x[i + 1:]) / upper[i, i]
+    return x
+
+
+def _basis_solve(phi: np.ndarray, dphi: np.ndarray, c: np.ndarray):
+    """min_w ||c - phi w|| by Householder QR of the M x N matrix phi = QR,
+    and the Jacobian of its residual in the nodes: the weights w, the
+    squared residual norm e^2 = ||Q_2^T c||^2, the residual
+    r = Q [0; Q_2^T c] = P c with P = I - Q Q^T, formed from the
+    reflectors, and the variable-projection Jacobian J (Golub & Pereyra,
+    SIAM J. Numer. Anal. 1973).  Column n of ``phi`` depends on x_n alone,
+    with derivative column n of ``dphi``, so
+
+        dr/dx_n = -w_n P phi'_n - (phi'_n . r) Q R^-T e_n .
+
+    A zero or non-finite pivot, or weights that are not finite, raise
+    :class:`SingularMatrixError`."""
+    m, n = phi.shape
+    v, tau, upper = _householder(phi)
+    t = _reflect(v, tau, np.column_stack([c, dphi]), transpose=True)
+    solved = _back_substitute(upper, np.column_stack([t[:n, 0], np.eye(n, dtype=phi.dtype)]))
+    w = solved[:, 0]
+    if not all(abs(wn) < math.inf for wn in w):
         raise SingularMatrixError("the basis least-squares weights are not finite")
-    r = np.zeros_like(t)
-    r[n:] = t[n:]
-    for j in reversed(range(n)):
-        r -= tau[j] * (v[:, j] @ r) * v[:, j]
-    return w, float(t[n:] @ t[n:]), r
+    block = np.zeros((m, 2 * n + 1), dtype=phi.dtype)
+    block[n:, :n + 1] = t[n:]
+    block[:n, n + 1:] = solved[:, 1:].T
+    block = _reflect(v, tau, block, transpose=False)
+    r = block[:, 0]
+    jac = -block[:, 1:n + 1] * w - block[:, n + 1:] * (r @ dphi)
+    return w, t[n:, 0] @ t[n:, 0], r, jac
 
 
 class _BasisResidual:
-    """The float64 objective: the squared worst-case error of the Gaussian
-    kernel's optimal-weight rule, and its gradient in the nodes, on the
-    kernel's orthonormal basis phi_k(x) = exp(-x^2 / 2 l^2) x^k / (sqrt(k!) l^k),
-    k < M (Steinwart, Hush & Scovel, IEEE Trans. Inf. Theory 2006).
+    """The residual of the node search, in float64 or, in the "extended"
+    lane, in mpmath at ``prec``: the optimal-weight residual of the
+    Gaussian kernel's orthonormal basis
+    phi_k(x) = exp(-x^2 / 2 l^2) x^k / (sqrt(k!) l^k), k < M (Steinwart,
+    Hush & Scovel, IEEE Trans. Inf. Theory 2006).
 
     With c_k = L[phi_k] = damped_moment(L, l, k) / (sqrt(k!) l^k), computed
-    at ``prec`` and rounded once, and Phi_kn = phi_k(x_n), a rule's squared
-    error is sum_k (c_k - (Phi w)_k)^2 over all k.  Over the first M rows
-    its minimum is e^2 = ||Q_2^T c||^2 (:func:`_basis_solve`), free of the
-    cancellation in LL[K] - w.z, and by the envelope theorem
-
-        de^2/dx_n = -2 w_n sum_k r_k phi_k'(x_n),
-        phi_k' = sqrt(k) / l phi_(k-1) - x / l^2 phi_k ,
-
-    with r from the reflectors.  Formed as c - Phi w, r cancels in the
-    leading rows: at l = 100 with nodes (-0.7, 0.1, 0.8) on [-1, 1] that
-    gradient was off by a relative 3e-5, against 7e-15 from the
-    reflectors, next to a 400-bit central difference.
+    at ``prec`` (and rounded once in the float64 lane), and
+    Phi_kn = phi_k(x_n), a rule's squared error is
+    sum_k (c_k - (Phi w)_k)^2 over all k.  Over the first M rows its
+    minimum is e^2 = ||r||^2 with the variable-projection residual
+    r = P c (:func:`_basis_solve`), free of the cancellation in
+    LL[K] - w.z.  The derivatives of the basis are
+    phi_k' = sqrt(k) / l phi_(k-1) - x / l^2 phi_k.  Formed as c - Phi w,
+    r cancels in the leading rows: at l = 100 with nodes (-0.7, 0.1, 0.8)
+    on [-1, 1] the gradient 2 J^T r was off by a relative 3e-5, against
+    7e-15 from the reflectors, next to a 400-bit central difference.
 
     Tail bound: sum_{k >= M} phi_k(x)^2 = P(M, x^2 / l^2) is at most
     t_M = :func:`_gamma_tail` (M, R^2 / l^2) on the search box |x| <= R.
@@ -379,9 +375,12 @@ class _BasisResidual:
     """
 
     def __init__(
-        self, spec: KernelSpec, L: FunctionalSpec, n_points: int, box: tuple[float, float], prec: PrecisionConfig
+        self, spec: KernelSpec, L: FunctionalSpec, n_points: int, box: tuple[float, float],
+        prec: PrecisionConfig, lane: str,
     ):
-        self.ell, self.L, self.prec = spec.length_scale, L, prec
+        self.ell, self.L, self.prec, self.lane = spec.length_scale, L, prec, lane
+        # the entries: float64, or mpf at the working precision of prec
+        self.real = mp.mpf if lane == "extended" else float
         self.u = (max(abs(box[0]), abs(box[1])) / self.ell) ** 2
         if L.kind == "gaussian_measure":
             self.mass = None
@@ -391,7 +390,7 @@ class _BasisResidual:
             self.mass = float(
                 quad1d(lambda t: abs(L.density(t)), L.lower[0], L.upper[0], MACHINE, L.rel_tol, L.subdivision_budget)
             )
-        self.c = np.empty(0)
+        self.c = np.empty(0, dtype=object if lane == "extended" else float)
         self._grow(2 * n_points + 2)
 
     def _grow(self, m: int) -> None:
@@ -399,11 +398,12 @@ class _BasisResidual:
         with self.prec.workprec():
             ell = mp.mpf(self.ell)
             new = [
-                float(mp.mpf(damped_moment(self.L, self.ell, MultiIndex((k,)), self.prec))
-                      / (mp.sqrt(mp.factorial(k)) * ell**k))
+                self.real(mp.mpf(damped_moment(self.L, self.ell, MultiIndex((k,)), self.prec))
+                          / (mp.sqrt(mp.factorial(k)) * ell**k))
                 for k in range(self.c.size, m)
             ]
-        self.c = np.append(self.c, new)
+            self.c = np.append(self.c, np.array(new, dtype=self.c.dtype))
+            self.root_k = np.array([rsqrt(self.real(k)) for k in range(1, m)], dtype=self.c.dtype)[:, None]
         self.tail_nodes = _gamma_tail(m, self.u)
         if self.mass is None:
             q = (1 + self.ell**2) ** -2
@@ -411,73 +411,147 @@ class _BasisResidual:
         else:
             self.tail_c = self.mass**2 * self.tail_nodes
 
-    def envelope(self, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """The weights, e^2 and de^2/dx at the sorted distinct nodes ``x``."""
-        s = x / self.ell
-        while True:
-            m = self.c.size
-            root_k = np.sqrt(np.arange(1, m))[:, None]
-            steps = np.empty((m, x.size))
-            steps[0] = np.exp(-s * s / 2)
-            steps[1:] = s / root_k
-            phi = np.cumprod(steps, axis=0)
-            w, e2, r = _basis_solve(phi, self.c)
-            if not e2 > 0:
-                raise NumericalInconsistencyError(
-                    f"squared worst-case error ||Q_2^T c||^2 = {e2:.3e} is not positive in float64"
-                )
-            dropped = (math.sqrt(self.tail_c) + np.abs(w).sum() * math.sqrt(self.tail_nodes)) ** 2
-            if dropped <= 2.0**-_TAIL_BITS * e2:
-                break
-            if m >= _MAX_BASIS_ROWS:
-                raise NumericalInconsistencyError(
-                    f"the basis tail bound {dropped:.3e} stays above 2^-{_TAIL_BITS} e^2 = "
-                    f"{2.0**-_TAIL_BITS * e2:.3e} at {m} rows; nodes this close need the extended search"
-                )
-            self._grow(m + 2)
-        dphi = -(s / self.ell) * phi
-        dphi[1:] += root_k / self.ell * phi[:-1]
-        return w, e2, -2 * w * (r @ dphi)
+    def __call__(self, x: np.ndarray):
+        """The weights w, e^2 = ||r||^2, the residual r and its Jacobian
+        (:func:`_basis_solve`) at the sorted distinct nodes ``x``."""
+        with self.prec.workprec():
+            ell = self.real(self.ell)
+            s = np.array([self.real(v) for v in x], dtype=self.c.dtype) / ell
+            while True:
+                m = self.c.size
+                steps = np.empty((m, x.size), dtype=self.c.dtype)
+                steps[0] = [rexp(-t * t / 2) for t in s]
+                steps[1:] = s / self.root_k
+                phi = np.cumprod(steps, axis=0)
+                dphi = -(s / ell) * phi
+                dphi[1:] += self.root_k / ell * phi[:-1]
+                w, e2, r, jac = _basis_solve(phi, dphi, self.c)
+                if not e2 > 0:
+                    raise NumericalInconsistencyError(
+                        f"squared worst-case error ||Q_2^T c||^2 = {float(e2):.3e} is not positive "
+                        f"in the {self.lane} search"
+                    )
+                dropped = (math.sqrt(self.tail_c) + np.abs(w).sum() * math.sqrt(self.tail_nodes)) ** 2
+                if dropped <= 2.0**-_TAIL_BITS * e2:
+                    return w, e2, r, jac
+                if m >= _MAX_BASIS_ROWS:
+                    raise NumericalInconsistencyError(
+                        f"the basis tail bound {float(dropped):.3e} stays above 2^-{_TAIL_BITS} e^2 = "
+                        f"{float(2.0**-_TAIL_BITS * e2):.3e} at {m} rows; the nodes are too close, or "
+                        "the search box too wide for the length scale"
+                    )
+                self._grow(m + 2)
 
 
-def _scipy_openblas():
-    """The thread-count getter and setter of scipy's bundled OpenBLAS, or
-    None where scipy bundles no OpenBLAS."""
-    import scipy
-
-    libs = glob.glob(os.path.join(os.path.dirname(scipy.__file__) + ".libs", "libscipy_openblas*"))
-    try:
-        lib = ctypes.CDLL(libs[0]) if libs else None
-    except OSError:
-        return None
-    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads"):
-        return None
-    get_threads, set_threads = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
+def _lm_step(jac: np.ndarray, r: np.ndarray, lam: float, scale: np.ndarray) -> np.ndarray:
+    """The Levenberg-Marquardt step p minimizing
+    ||J p + r||^2 + lam ||D p||^2 with D = diag(``scale``), from the
+    Householder QR of [J; sqrt(lam) D]."""
+    n = jac.shape[1]
+    v, tau, upper = _householder(np.concatenate([jac, np.diag(scale * lam**0.5)]))
+    rhs = np.concatenate([-r, np.zeros(n, dtype=r.dtype)])[:, None]
+    return _back_substitute(upper, _reflect(v, tau, rhs, transpose=True)[:n])[:, 0]
 
 
-@contextmanager
-def _single_blas_thread():
-    """Run the block with scipy's bundled OpenBLAS on one thread.
+def _zero_sensitivity(x: np.ndarray, real) -> np.ndarray:
+    """dx/da for the zeros x_n of the node polynomial
+    omega(t) = prod_n (t - x_n) = t^N + sum_(j < N) a_j t^j: the matrix
+    -x_n^j / omega'(x_n), with entries of type ``real``."""
+    xs = [real(v) for v in x]
+    rows = []
+    for n, xn in enumerate(xs):
+        slope = real(1)
+        for m, xm in enumerate(xs):
+            if m != n:
+                slope *= xn - xm
+        rows.append([-xn**j / slope for j in range(len(xs))])
+    return np.array(rows, dtype=object if real is mp.mpf else float)
 
-    L-BFGS-B calls LAPACK on its tiny limited-memory matrices at every
-    iteration, and OpenBLAS wakes its thread pool for each call: on a
-    2-core host that costs about 1.5 ms per call, more than an objective
-    evaluation, and the woken threads then spin against the objective.
+
+def _shifted_zeros(x: np.ndarray, da: np.ndarray, sensitivity: np.ndarray) -> Optional[np.ndarray]:
+    """The zeros of omega(t) + sum_j da_j t^j next to the zeros ``x`` of
+    omega(t) = prod_n (t - x_n), in float64: eight Newton steps from the
+    first-order prediction x + (dx/da) da, with omega kept as the product.
+    None when the last correction is above 1e-12."""
+    powers = np.arange(x.size)
+    t = x + sensitivity @ da
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            diff = t[:, None] - x[None, :]
+            value = np.prod(diff, axis=1) + t[:, None] ** powers @ da
+            slope = sum(np.prod(np.delete(diff, m, axis=1), axis=1) for m in range(x.size))
+            slope = slope + (powers[1:] * t[:, None] ** (powers[1:] - 1)) @ da[1:]
+            correction = value / slope
+            t = t - correction
+    return t if np.all(np.abs(correction) <= 1e-12) else None
+
+
+def _levenberg_marquardt(residual: _BasisResidual, x: np.ndarray, box: tuple[float, float], max_evals: int):
+    """Bounded Levenberg-Marquardt on ``residual`` from the sorted distinct
+    nodes ``x`` (Nocedal & Wright, Numerical Optimization, ch. 10).
+
+    The steps are taken in the coefficients a of the node polynomial
+    omega(t) = prod_n (t - x_n), with the Jacobian J dx/da
+    (:func:`_zero_sensitivity`), and the new nodes are the zeros of the
+    shifted polynomial (:func:`_shifted_zeros`), clipped to the box.  In
+    the flat limit the leading rows of r are linear in a: the curved
+    valley that the nodes follow toward the optimum is straight there.
+    Marquardt's scaling D is the largest column norm of J dx/da seen so
+    far (Moré, 1978).  The first damping is 1e-3 times the smallest
+    squared pivot of the QR of J dx/da D^-1: the graded residual's
+    singular values spread over many orders of magnitude, and a damping
+    relative to the largest would freeze the weak directions.
+
+    A step that raises e^2, merges or reorders the nodes, or whose zeros
+    or basis matrix fail, is rejected and the damping multiplied by 10;
+    an accepted step divides it by 10.  The search ends, converged, when
+    an accepted step lowers e^2 by a relative 1e-12 or less or a step
+    moves no node by more than 1e-13 of the box's reach, and unconverged
+    after ``max_evals`` evaluations.
+
+    Returns the accepted (nodes, weights, e^2) in order, the evaluations
+    made and whether the search converged; no accepted entry means the
+    start failed.
     """
-    openblas = _scipy_openblas()
-    if openblas is None:
-        yield
-        return
-    get_threads, set_threads = openblas
-    threads = get_threads()
-    set_threads(1)
+    lo, hi = box
     try:
-        yield
-    finally:
-        set_threads(threads)
+        w, e2, r, jac = residual(x)
+    except SingularMatrixError:
+        return [], 1, False
+    accepted, nfev = [(x, w, e2)], 1
+    lam, scale = None, 0
+    step_tol = _STEP_TOL * max(abs(lo), abs(hi))
+    while True:
+        with residual.prec.workprec():
+            sensitivity = _zero_sensitivity(x, residual.real)
+            jac_a = jac @ sensitivity
+            scale = np.maximum(scale, [rsqrt(col @ col) for col in jac_a.T])
+            if lam is None:
+                upper = _householder(jac_a / scale)[2]
+                lam = _LM_DAMPING * min(abs(upper[j, j]) for j in range(x.size)) ** 2
+            da = _lm_step(jac_a, r, lam, scale)
+        trial = _shifted_zeros(x, da.astype(float), sensitivity.astype(float))
+        if trial is not None:
+            trial = np.clip(trial, lo, hi)
+            if not np.max(np.abs(trial - x)) > step_tol:
+                return accepted, nfev, True
+            if np.all(np.diff(trial) > 0):
+                if nfev >= max_evals:
+                    return accepted, nfev, False
+                nfev += 1
+                try:
+                    w_t, e2_t, r_t, jac_t = residual(trial)
+                except SingularMatrixError:
+                    e2_t = None
+                if e2_t is not None and e2_t < e2:
+                    decrease = (e2 - e2_t) / e2
+                    x, w, e2, r, jac = trial, w_t, e2_t, r_t, jac_t
+                    accepted.append((x, w, e2))
+                    if decrease <= _REL_DECREASE:
+                        return accepted, nfev, True
+                    lam /= 10
+                    continue
+        lam *= 10
 
 
 def optimize_points(
@@ -487,37 +561,34 @@ def optimize_points(
     prec: Optional[PrecisionConfig] = None,
     settings: Optional[OptimizerSettings] = None,
 ) -> tuple[CubatureRule, OptimizationTrace]:
-    """Minimize the worst-case error jointly over nodes and weights.
+    """Minimize the worst-case error of the Gaussian kernel jointly over
+    nodes and weights.
 
-    One-dimensional, with a domain to search.  The weights are eliminated
-    in closed form at every objective evaluation, leaving an L-BFGS-B
-    search over the node positions within the box bounds on f = ln e^2,
-    whose gradient comes from the same solve by the envelope theorem.  The
-    logarithm is scale-free, so L-BFGS-B's default tolerances serve every
-    length scale.  :func:`_search_lane` picks the objective per length
-    scale:
+    One-dimensional, with a domain to search.  The weights are linear and
+    are eliminated by variable projection, leaving a nonlinear
+    least-squares problem in the nodes alone: the residual r(x) = P c of
+    :class:`_BasisResidual`, whose squared norm is e^2, with its
+    Golub-Pereyra Jacobian.  :func:`_levenberg_marquardt` minimizes it
+    within the box bounds, in the lane :func:`_search_lane` picks per
+    length scale: float64, or mpmath at ``prec`` where float64 drifts.
+    Either way the winning nodes are then re-solved once by
+    :func:`cubature.optimal_weights` at ``prec``; that solve gives the
+    returned weights, the wce sqrt(LL[K] - w.z) of the last trace entry
+    and the winning restart's summary wce.  Every other wce of the search
+    (earlier trace entries, the other restarts' summaries) is scaled by
+    the ratio of the two wce at the winning nodes, so the winner stays the
+    least and the trace non-increasing.
 
-    - "float64" (the Gaussian kernel while 2 N log2(l / R) <= 40 and
-      N <= 4):
-      :class:`_BasisResidual`, a least-squares residual on the kernel's
-      orthonormal basis.  The winning nodes are then re-solved once by
-      :func:`cubature.optimal_weights` at ``prec``; that solve gives the
-      returned weights, the wce sqrt(LL[K] - w.z) of the last trace entry
-      and the winning restart's summary wce.
-    - "extended" otherwise: :func:`_envelope_gradient`, one
-      :func:`cubature.optimal_weights` solve at ``prec`` per evaluation.
-
-    Coinciding nodes, or a basis or Gram matrix that is singular or not
-    numerically positive definite, read as the zero rule (f = ln LL[K],
-    gradient zero), an upper bound for every optimal-weight rule; a
-    nonpositive e^2 raises.  Runs one deterministic start from the Gaussian
-    quadrature nodes of the functional (when available) plus seeded
-    stratified random restarts; the lowest evaluation recorded over all
-    restarts wins.
+    Runs one deterministic start from the Gaussian quadrature nodes of the
+    functional (when available) plus ``restarts`` seeded stratified random
+    starts, with up to ``max_evals`` residual evaluations each; the lowest
+    e^2 over all restarts wins.  A start whose basis matrix is singular
+    ends that restart without a rule, and a restart summary reads it as
+    the zero rule (wce sqrt(LL[K])); a nonpositive e^2 raises.  Other
+    kernel families raise ValueError.
     """
-    import scipy.optimize  # deferred: slow to import, and only the optimizer needs it
-
     _check_nodes(L, n_points)
+    _check_kernel(spec.family)
     settings = settings or OptimizerSettings()
     if prec is None:
         prec = PrecisionConfig.extended(_default_optimizer_bits(spec.length_scale, n_points))
@@ -533,40 +604,8 @@ def optimize_points(
     a, b = float(box[0]), float(box[1])
     width = b - a
 
-    with prec.workprec():
-        llk = double_embedding(L, spec, prec)
-        zero_rule = float(rlog(llk))
-
-    search = _search_lane(spec, L, n_points, (a, b))
-    if search == "float64":
-        basis = _BasisResidual(spec, L, n_points, (a, b), prec)
-
-        def evaluate(x: np.ndarray):
-            w, e2, de2 = basis.envelope(x)
-            return e2, de2, None, tuple(float(v) for v in w)
-    else:
-
-        def evaluate(x: np.ndarray):
-            sol, e2, de2 = _envelope_gradient(spec, L, llk, PointSet(tuple((float(v),) for v in x)), prec)
-            return e2, de2, sol.rule, sol.rule.weights_float()
-
-    def objective(y: np.ndarray, best: dict) -> tuple[float, np.ndarray]:
-        order = np.argsort(y)
-        x = y[order]
-        if np.any(np.diff(x) <= 0):
-            return zero_rule, np.zeros_like(y)
-        try:
-            e2, de2, rule, weights = evaluate(x)
-        except (NumericallyIndefiniteError, SingularMatrixError):
-            return zero_rule, np.zeros_like(y)
-        with prec.workprec():
-            grad = np.empty_like(y)
-            grad[order] = [float(g / e2) for g in de2]
-            if "e2" not in best or e2 < best["e2"]:
-                best["e2"], best["rule"] = e2, rule
-                # the written wce is sqrt(e^2) rounded once
-                best["record"].append(TraceEntry(tuple(float(v) for v in x), weights, float(rsqrt(e2))))
-            return float(rlog(e2)), grad
+    search = _search_lane(L, n_points, spec.length_scale, (a, b))
+    residual = _BasisResidual(spec, L, n_points, (a, b), prec, search)
 
     inits: list[tuple[str, np.ndarray]] = []
     try:
@@ -586,54 +625,49 @@ def optimize_points(
         y0 = np.sort(lo + rng.random(n_points) * (width / n_points))
         inits.append((f"random{k}", y0))
 
-    winner = None
+    with prec.workprec():
+        llk = double_embedding(L, spec, prec)
     trace = OptimizationTrace(search=search)
-    searched = []  # the summaries whose wce an evaluation recorded
-    with _single_blas_thread():
-        for name, y0 in inits:
-            best: dict = {"record": []}
-            res = scipy.optimize.minimize(
-                objective,
-                np.asarray(y0, dtype=float),
-                args=(best,),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(a, b)] * n_points,
-                options={"maxfun": settings.max_evals, "maxiter": settings.max_evals},
-            )
-            # a restart without a feasible evaluation reads as the zero rule
-            wce = best["record"][-1].wce if best["record"] else math.sqrt(float(llk))
-            summary = {"start": name, "wce": wce, "nfev": int(res.nfev), "converged": bool(res.success)}
-            trace.restart_summaries.append(summary)
-            if best["record"]:
-                searched.append(summary)
-            if "e2" in best and (winner is None or best["e2"] < winner[0]["e2"]):
-                winner = (best, bool(res.success))
-
+    winner, searched = None, []  # searched: the summaries of restarts with an accepted rule
+    for name, x0 in inits:
+        x0 = np.asarray(x0, dtype=float)
+        accepted, nfev, converged = _levenberg_marquardt(residual, x0, (a, b), settings.max_evals)
+        # a restart without a feasible evaluation reads as the zero rule
+        with prec.workprec():
+            wce = float(rsqrt(accepted[-1][2])) if accepted else math.sqrt(float(llk))
+        summary = {"start": name, "wce": wce, "nfev": nfev, "converged": converged}
+        trace.restart_summaries.append(summary)
+        if accepted:
+            searched.append(summary)
+            if winner is None or accepted[-1][2] < winner[0][-1][2]:
+                winner = (accepted, converged, wce)
     if winner is None:
         raise NumericalInconsistencyError(
             "optimizer never reached a feasible node configuration; widen the box "
             "or reduce n_points"
         )
-    best, converged = winner
-    if search == "float64":
-        found = best["record"][-1]
-        sol, e2 = _optimal_e2(spec, L, llk, PointSet.from_1d(found.points), prec)
-        with prec.workprec():
-            wce = float(rsqrt(e2))
-        # Every float64 wce is scaled by wce / found.wce: the winner's becomes
-        # the extended one, and the order that chose the winner is kept, so
-        # it stays the least and the history stays non-increasing.
-        rescale = lambda v: wce * (v / found.wce)
-        best["record"] = [TraceEntry(e.points, e.weights, rescale(e.wce)) for e in best["record"][:-1]]
-        best["record"].append(TraceEntry(found.points, sol.rule.weights_float(), wce))
-        best["rule"] = sol.rule
-        for summary in searched:
-            summary["wce"] = rescale(summary["wce"])
-    trace.entries = best["record"]
+    accepted, converged, found_wce = winner
+    found = tuple(float(v) for v in accepted[-1][0])
+    sol = optimal_weights(spec, L, PointSet.from_1d(found), prec)
+    with prec.workprec():
+        e2 = llk - sum(wi * zi for wi, zi in zip(sol.weights, sol.embedding))
+        if not e2 > 0:
+            raise NumericalInconsistencyError(
+                f"squared worst-case error LL[K] - w.z = {float(e2):.3e} is not positive "
+                f"at {prec.bits} bits; increase the precision"
+            )
+        wce = float(rsqrt(e2))
+        rescale = lambda v: wce * (v / found_wce)
+        trace.entries = [
+            TraceEntry(tuple(float(v) for v in x), tuple(float(v) for v in w), rescale(float(rsqrt(e))))
+            for x, w, e in accepted[:-1]
+        ]
+    trace.entries.append(TraceEntry(found, sol.rule.weights_float(), wce))
+    for summary in searched:
+        summary["wce"] = rescale(summary["wce"])
     trace.converged = converged
     trace.n_evaluations = sum(r["nfev"] for r in trace.restart_summaries)
-    return best["rule"], trace
+    return sol.rule, trace
 
 
 def chebyshev_system_zero_count(

@@ -1,10 +1,11 @@
 """Dense linear solves at machine or extended precision.
 
-Machine mode wraps LAPACK (via scipy), extended mode wraps mpmath, both
-behind one interface.  A solve factors the matrix once and returns the
-solution; the factorization-based condition number, the residual and the
-conditioning warning are computed from the stored factor on first read,
-so a caller that reads only the solution pays for nothing else.
+Machine mode wraps LAPACK (via scipy, imported on the first machine-lane
+solve), extended mode wraps mpmath, both behind one interface.  A solve
+factors the matrix once and returns the solution; the factorization-based
+condition number, the residual and the conditioning warning are computed
+from the stored factor on first read, so a caller that reads only the
+solution pays for nothing else.
 Ill-conditioning is never patched by jitter or regularization here; the
 remedy on failure is more precision, and the errors say so.
 """
@@ -18,7 +19,6 @@ from functools import cached_property
 from typing import Any, Callable, Optional
 
 import numpy as np
-import scipy.linalg
 from mpmath import mp
 
 from .core import MACHINE, PrecisionConfig, Real
@@ -234,6 +234,8 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
                 return mp.U_solve(Lt, y)
 
             return _result_mp(Am, bm, substitute, prec)
+    import scipy.linalg  # deferred: slow to import, and only the machine lane needs LAPACK
+
     An = _to_numpy_matrix(A)
     n = An.shape[0]
     bn = _to_numpy_vec(b, n)
@@ -264,6 +266,8 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
                 except ZeroDivisionError as e:
                     raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
             return _result_mp(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), prec)
+    import scipy.linalg  # deferred, as in solve_spd
+
     An = _to_numpy_matrix(A)
     n = An.shape[0]
     bn = _to_numpy_vec(b, n)

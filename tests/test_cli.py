@@ -1,5 +1,9 @@
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -241,6 +245,7 @@ BAD_CONFIGS = {
         "optimal", {**OPTIMAL_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, [], None
     ),
     "gauss_point_eval": ("gauss", {**GAUSS_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, [], None),
+    "optimal_non_gaussian_kernel": ("optimal", {**OPTIMAL_CFG, "kernel": {"family": "exponential"}}, [], None),
 }
 
 
@@ -359,3 +364,24 @@ def test_optimal_manifest_lists_restart_summaries(tmp_path):
         assert [r["start"] for r in s["restarts"]] == ["gauss", "random0", "random1"]
         assert all(set(r) == {"start", "wce", "nfev", "converged"} for r in s["restarts"])
         assert min(r["wce"] for r in s["restarts"]) == csv_wce[s["ell"]]
+
+
+def test_shipped_configs_run_without_importing_scipy(tmp_path):
+    """The four configs under configs/ run through flatlimit.cli in one
+    fresh interpreter that never imports scipy: LAPACK serves only
+    precision: machine, and QUADPACK only the numeric oracle."""
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent(f"""
+        import sys
+        from flatlimit.cli import main
+        for command, name in [("sweep", "simpson_sweep"), ("sweep", "normal_sweep"),
+                              ("gauss", "gauss_legendre"), ("optimal", "optimal_legendre")]:
+            config = {str(root / "configs")!r} + "/" + name + ".yaml"
+            assert main([command, "--config", config, "--out", {str(tmp_path)!r} + "/" + name]) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("FLATLIMIT_PRECISION_BITS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -7,6 +7,7 @@ from flatlimit import (
     ConfigError,
     CubatureRule,
     FunctionalSpec,
+    NotUnisolventError,
     OptimalStudyConfig,
     OptimizerSettings,
     PointSet,
@@ -316,3 +317,21 @@ def test_optimal_study_end_to_end():
     lines = optimal_csv_lines(result)
     assert lines[0].split(",")[:3] == ["ell", "x_0", "x_1"]
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "points,status",
+    [
+        ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], "not_unisolvent"),
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-14)], "ill_conditioned"),
+    ],
+    ids=["collinear", "nearly_collinear"],
+)
+def test_sweep_aborts_on_points_that_are_not_unisolvent_at_machine_precision(points, status):
+    """The sweep's verdict comes from the condition number of its one
+    256-bit Vandermonde solve, held to the machine threshold 1 / (100 u):
+    it classifies these points as unisolvency_check does at machine
+    precision."""
+    cfg = make_sweep(functional=FunctionalSpec.gaussian_measure(2), points=PointSet.from_points(points), degree=1)
+    with pytest.raises(NotUnisolventError, match=f"point set is {status} for degree 1"):
+        run_sweep(cfg)

@@ -18,7 +18,6 @@ from flatlimit import (
     PrecisionConfig,
     SingularMatrixError,
     chebyshev_system_zero_count,
-    double_embedding,
     gauss_rule_from_moments,
     moment,
     optimal_weights,
@@ -204,12 +203,12 @@ def test_optimizer_falls_back_to_grid_start_only_on_library_errors(monkeypatch):
 
 
 def test_optimizer_without_a_feasible_evaluation_raises_inconsistency(monkeypatch):
-    def indefinite(*args, **kwargs):
-        raise NumericallyIndefiniteError("Cholesky failed")
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("zero pivot")
 
-    # every evaluation of the extended search reads as the zero rule, so no
-    # restart records a feasible point
-    monkeypatch.setattr(cubature, "solve_spd", indefinite)
+    # every evaluation of the extended search fails, so no restart records
+    # a feasible point
+    monkeypatch.setattr(gauss_optimal, "_basis_solve", singular)
     settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="feasible"):
         optimize_points(KernelSpec.gaussian(1e4), LEB, 2, EXT, settings)
@@ -240,41 +239,40 @@ def test_node_construction_rejects_point_evaluation():
         gauss_rule_from_moments(L, 1)
 
 
-def _extended_objective(k, L, nodes, prec):
-    return gauss_optimal._envelope_gradient(k, L, double_embedding(L, k, prec), PointSet.from_1d(nodes), prec)[1:]
-
-
-def _float64_objective(k, L, nodes, prec):
+def _lane_gradient(lane, k, L, nodes, prec):
+    """2 J^T r, the gradient of e^2, from the basis residual of ``lane``."""
     box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
-    basis = gauss_optimal._BasisResidual(k, L, len(nodes), box, prec)
-    return basis.envelope(np.array(nodes))[1:]
+    residual = gauss_optimal._BasisResidual(k, L, len(nodes), box, prec, lane)
+    _, _, r, jac = residual(np.array(nodes))
+    with prec.workprec():
+        return 2 * (r @ jac)
 
 
 GRADIENT_CASES = [
-    # the extended objective at l = 5 is the base case, with the short ids
+    # the extended lane at l = 5 is the base case, with the short ids
     pytest.param(
-        objective, ell, L, nodes,
+        lane, ell, L, nodes,
         id="-".join([node_id, L_id] + ([] if (lane, ell) == ("extended", 5.0) else [f"{ell:g}", lane])),
     )
     for node_id, nodes in (("N2", [-0.5, 0.6]), ("N3", [-0.7, 0.1, 0.8]))
     for L_id, L in (("lebesgue", LEB), ("gaussian", GAUSS))
     for ell in (5.0, 100.0)
-    for lane, objective in (("extended", _extended_objective), ("float64", _float64_objective))
+    for lane in ("extended", "float64")
 ]
 
 
-@pytest.mark.parametrize("objective,ell,L,nodes", GRADIENT_CASES)
-def test_envelope_gradient_matches_numeric_differentiation(objective, ell, L, nodes):
-    """The envelope gradient of e^2, from the extended Gram solve at the
-    optimizer's bits and from the float64 basis residual, against a
-    central difference (h = 2^-20, exact in float64 nodes) of the 256-bit
-    wce^2 of the re-solved optimal weights, to a relative 1e-10; the
-    difference's own error is about h^2."""
+@pytest.mark.parametrize("lane,ell,L,nodes", GRADIENT_CASES)
+def test_envelope_gradient_matches_numeric_differentiation(lane, ell, L, nodes):
+    """The gradient 2 J^T r of e^2 from the variable-projection Jacobian,
+    in mpmath at the optimizer's bits and in float64, against a central
+    difference (h = 2^-20, exact in float64 nodes) of the 256-bit wce^2 of
+    the re-solved optimal weights, to a relative 1e-10; the difference's
+    own error is about h^2."""
     from mpmath import mp
 
     k = KernelSpec.gaussian(ell)
     prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, len(nodes)))
-    _, de2 = objective(k, L, nodes, prec)
+    de2 = _lane_gradient(lane, k, L, nodes, prec)
     ref = PrecisionConfig.extended(256)
 
     def e2_at(xs):
@@ -285,6 +283,30 @@ def test_envelope_gradient_matches_numeric_differentiation(objective, ell, L, no
             moved = lambda t: e2_at([float(t) if m == n else v for m, v in enumerate(nodes)])
             numeric = mp.diff(moved, nodes[n], h=mp.mpf(2) ** -20)
             assert abs(de2[n] - numeric) <= 1e-10 * abs(numeric), n
+
+
+@pytest.mark.parametrize("L", [LEB, GAUSS], ids=["lebesgue", "gaussian"])
+def test_variable_projection_jacobian_matches_numeric_differentiation(L):
+    """Every column of J, including the term -(phi'_n . r) Q R^-T e_n that
+    J^T r does not see, against a central difference (h = 2^-20) of the
+    residual r of the extended lane at 256 bits, to 1e-9 of the column's
+    norm."""
+    from mpmath import mp
+
+    nodes = np.array([-0.7, 0.1, 0.8])
+    prec = PrecisionConfig.extended(256)
+    box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
+    residual = gauss_optimal._BasisResidual(KernelSpec.gaussian(5.0), L, 3, box, prec, "extended")
+    h = 2.0**-20
+    shifted = [nodes + h * np.eye(3)[n] * sign for n in range(3) for sign in (1, -1)]
+    for x in [nodes] + shifted:  # grow the rows once, before comparing
+        residual(x)
+    _, _, _, jac = residual(nodes)
+    with mp.workprec(256):
+        for n in range(3):
+            numeric = (residual(shifted[2 * n])[2] - residual(shifted[2 * n + 1])[2]) / (2 * h)
+            column = jac[:, n]
+            assert mp.sqrt(sum((a - b) ** 2 for a, b in zip(column, numeric))) <= 1e-9 * mp.sqrt(column @ column), n
 
 
 def test_three_optimized_nodes_approach_gauss_legendre():
@@ -302,9 +324,15 @@ def test_three_optimized_nodes_approach_gauss_legendre():
 
 
 def test_nonpositive_squared_wce_raises(monkeypatch):
-    """LL[K] - w.z <= 0 is not clamped: with LL[K] read as 0 the first
+    """e^2 <= 0 is not clamped: with a zero basis residual the first
     evaluation of the extended search raises."""
-    monkeypatch.setattr(gauss_optimal, "double_embedding", lambda L, spec, prec: prec.to_real(0))
+    solve = gauss_optimal._basis_solve
+
+    def zero_residual(phi, dphi, c):
+        w, e2, r, jac = solve(phi, dphi, c)
+        return w, 0 * e2, r, jac
+
+    monkeypatch.setattr(gauss_optimal, "_basis_solve", zero_residual)
     settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="not positive"):
         optimize_points(KernelSpec.gaussian(1e4), LEB, 2, EXT, settings)
@@ -315,9 +343,9 @@ def test_float64_nonpositive_squared_wce_raises(monkeypatch):
     the float64 search raises."""
     solve = gauss_optimal._basis_solve
 
-    def zero_residual(phi, c):
-        w, _, r = solve(phi, c)
-        return w, 0.0, r
+    def zero_residual(phi, dphi, c):
+        w, _, r, jac = solve(phi, dphi, c)
+        return w, 0.0, r, jac
 
     monkeypatch.setattr(gauss_optimal, "_basis_solve", zero_residual)
     settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
@@ -372,12 +400,103 @@ def test_float64_study_makes_one_gram_solve_per_length_scale(monkeypatch):
     assert len(calls) == 3
 
 
-def test_single_blas_thread_restores_the_thread_count():
-    openblas = gauss_optimal._scipy_openblas()
-    if openblas is None:
-        pytest.skip("scipy does not bundle OpenBLAS here")
-    get_threads, _ = openblas
-    before = get_threads()
-    with gauss_optimal._single_blas_thread():
-        assert get_threads() == 1
-    assert get_threads() == before
+@pytest.mark.parametrize(
+    "n,ell,search,ratio",
+    [
+        (5, 16.0, "float64", 0.2),
+        (6, 8.0, "float64", 0.2),
+        (2, 1e4, "extended", 0.51),
+        (3, 100.0, "float64", 0.35),
+        (4, 100.0, "extended", 0.16),
+    ],
+    ids=["N5-16", "N6-8", "N2-1e4", "N3-100", "N4-100"],
+)
+def test_search_from_the_gauss_nodes_alone_leaves_them(n, ell, search, ratio):
+    """From the Gauss-Legendre start alone (restarts=0) on [-1, 1], the
+    found wce is at most ``ratio`` times that of the Gauss-Legendre nodes
+    with their optimal weights, both at the optimizer's bits; the optimum
+    sits near 0.099, 0.044, 0.5, 0.343 and 0.156 times it.  A search that
+    stalls at the start reads 1."""
+    k = KernelSpec.gaussian(ell)
+    rule, trace = optimize_points(k, LEB, n, settings=OptimizerSettings(restarts=0))
+    assert trace.search == search and trace.converged
+    prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, n))
+    nodes = PointSet.from_1d(gauss_rule_from_moments(LEB, n).nodes)
+    e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, nodes, prec), prec).wce
+    assert worst_case_error(k, LEB, rule, prec).wce <= ratio * e_gauss
+
+
+@pytest.mark.parametrize("n,ell", [(5, 16.0), (6, 8.0)], ids=["N5-16", "N6-8"])
+def test_float64_and_extended_lanes_find_the_same_rule(n, ell, monkeypatch):
+    """Below the lane bound the float64 search ends where the extended
+    search does: the same wce to 1e-6 and the same nodes to 1e-6."""
+    k = KernelSpec.gaussian(ell)
+    settings = OptimizerSettings(restarts=0)
+    rule, trace = optimize_points(k, LEB, n, settings=settings)
+    monkeypatch.setattr(gauss_optimal, "_search_lane", lambda *args: "extended")
+    ext_rule, ext_trace = optimize_points(k, LEB, n, settings=settings)
+    assert (trace.search, ext_trace.search) == ("float64", "extended")
+    assert abs(trace.entries[-1].wce - ext_trace.entries[-1].wce) <= 1e-6 * ext_trace.entries[-1].wce
+    assert max(abs(p[0] - q[0]) for p, q in zip(rule.points, ext_rule.points)) <= 1e-6
+
+
+def test_node_optimisation_needs_the_gaussian_kernel():
+    with pytest.raises(ValueError, match="gaussian kernel"):
+        optimize_points(KernelSpec.exponential(5.0), LEB, 2, EXT)
+
+
+@pytest.mark.parametrize("lane", ["float64", "extended"])
+def test_householder_least_squares_matches_lapack(lane):
+    """The in-repo Householder QR of the basis solve, with float64 or mpf
+    entries, against numpy's LAPACK least squares on a graded 14 x 3
+    matrix: the weights and e^2 to a relative 1e-10."""
+    from mpmath import mp
+
+    rng = np.random.default_rng(4)
+    phi = rng.standard_normal((14, 3)) * 0.3 ** np.arange(14)[:, None]
+    c = rng.standard_normal(14) * 0.3 ** np.arange(14)
+    w_ref, e2_ref = np.linalg.lstsq(phi, c, rcond=None)[:2]
+    with mp.workprec(200):
+        as_lane = (lambda a: a) if lane == "float64" else (lambda a: np.vectorize(mp.mpf, otypes=[object])(a))
+        w, e2, _, _ = gauss_optimal._basis_solve(as_lane(phi), as_lane(np.zeros_like(phi)), as_lane(c))
+        assert_allclose(np.array(w, dtype=float), w_ref, rtol=1e-10)
+        assert abs(float(e2) - e2_ref[0]) <= 1e-10 * e2_ref[0]
+
+
+def test_shifted_zeros_follow_the_node_polynomial():
+    """The nodes after a step da in the coefficients of prod (t - x_n) are
+    the zeros of the shifted polynomial (numpy's companion-matrix roots,
+    to 1e-12), and for a small step they move by (dx/da) da to first
+    order."""
+    x = np.array([-0.7, 0.1, 0.8])
+    sensitivity = gauss_optimal._zero_sensitivity(x, float)
+    da = np.array([1e-3, -2e-3, 5e-4])
+    shifted = gauss_optimal._shifted_zeros(x, da, sensitivity)
+    assert_allclose(shifted, np.sort(np.roots(np.poly(x) + np.append(0.0, da[::-1])).real), atol=1e-12)
+    small = 1e-7 * da
+    moved = gauss_optimal._shifted_zeros(x, small, sensitivity) - x
+    assert_allclose(moved, sensitivity @ small, rtol=1e-5)
+
+
+@pytest.mark.parametrize("ell,search", [(100.0, "float64"), (1e4, "extended")])
+def test_every_restart_reaches_the_two_point_optimum(ell, search):
+    """In the flat limit the steps in the node polynomial's coefficients
+    follow the curved valley to the optimum from every start: each
+    restart converges within 20 evaluations to the same wce, to 1e-12."""
+    k = KernelSpec.gaussian(ell)
+    _, trace = optimize_points(k, LEB, 2, settings=OptimizerSettings(restarts=3, seed=0))
+    assert trace.search == search
+    summaries = trace.restart_summaries
+    assert all(s["converged"] and s["nfev"] <= 20 for s in summaries), summaries
+    best = min(s["wce"] for s in summaries)
+    assert max(s["wce"] for s in summaries) <= best * (1 + 1e-12)
+
+
+def test_search_stops_unconverged_after_max_evals():
+    """max_evals counts residual evaluations per restart: at N = 5, l = 16
+    the random starts need more than 20, and each stops unconverged at
+    10."""
+    settings = OptimizerSettings(restarts=2, max_evals=10, seed=0)
+    _, trace = optimize_points(KernelSpec.gaussian(16.0), LEB, 5, settings=settings)
+    assert all(s["nfev"] <= 10 for s in trace.restart_summaries)
+    assert [(s["nfev"], s["converged"]) for s in trace.restart_summaries[1:]] == [(10, False), (10, False)]
