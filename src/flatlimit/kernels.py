@@ -119,8 +119,12 @@ def _damping_value(kind: str, x: Sequence[Real], ell: Real) -> Real:
     return rexp(-sq_norm(x) / (2 * ell * ell))
 
 
-def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: PrecisionConfig) -> Real:
-    """Sum the power series degree by degree.
+def _series_value(
+    spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: PrecisionConfig, derivative: bool = False
+) -> Real:
+    """Sum the power series degree by degree, or with ``derivative`` (one
+    dimension) its derivative in x term by term, n x^(n-1) y^n for
+    (x y)^n, plus the derivative -x / l^2 of the Gaussian damping's log.
 
     Stops once the geometric tail estimate from the last two nonzero terms
     drops below tolerance, or once two consecutive degree terms vanish
@@ -147,7 +151,10 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
         for comp in degree_compositions(d, deg):
             alpha = MultiIndex(comp)
             coeff = prec.to_real(params.weights(alpha)) / prec.to_real(alpha.factorial()) ** 2
-            term = term + coeff * monomial_eval(u, alpha)
+            if not derivative:
+                term = term + coeff * monomial_eval(u, alpha)
+            elif deg:
+                term = term + coeff * deg * y[0] * u[0] ** (deg - 1)
         term = term * scale
         total = total + term
         t = abs(term)
@@ -169,6 +176,8 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
         )
     gx = _damping_value(params.damping, x, ell)
     gy = _damping_value(params.damping, y, ell)
+    if derivative and params.damping == "gaussian":
+        return gx * gy * total - x[0] / (ell * ell) * _series_value(spec, x, y, prec)
     return gx * gy * total
 
 
@@ -200,6 +209,30 @@ def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real
                 )
             return ell * ell / (ell * ell - p)
         return _series_value(spec, xv, yv, prec)
+
+
+def kernel_derivative(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real:
+    """The derivative dK(x, y)/dx in the first argument, one-dimensional,
+    at the working precision: (y - x) / l^2 K for the Gaussian kernel,
+    y / l K for the exponential, y / l^2 K^2 for the Szego kernel (with
+    its domain check), and the term-by-term derivative of the damped power
+    series."""
+    with prec.workprec():
+        xv = _as_point(x, prec)
+        yv = _as_point(y, prec)
+        if len(xv) != 1 or len(yv) != 1:
+            raise ValueError("kernel derivatives are one-dimensional")
+        if spec.family == "damped_power_series":
+            return _series_value(spec, xv, yv, prec, derivative=True)
+        ell = prec.to_real(spec.length_scale)
+        if spec.family == "gaussian" and xv == yv:
+            return prec.to_real(0)  # the diagonal, without its exponential
+        k = kernel_eval(spec, xv, yv, prec)
+        if spec.family == "gaussian":
+            return (yv[0] - xv[0]) / (ell * ell) * k
+        if spec.family == "exponential":
+            return yv[0] / ell * k
+        return yv[0] / (ell * ell) * k * k
 
 
 def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACHINE):

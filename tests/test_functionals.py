@@ -11,6 +11,7 @@ from flatlimit import (
     PrecisionConfig,
     damped_moment,
     double_embedding,
+    embedding_derivative,
     kernel_embedding,
     moment,
     phi_basis_eval,
@@ -240,8 +241,8 @@ def test_exponential_double_embedding_on_the_symmetric_box_is_shi():
 
 @pytest.mark.parametrize("ell", [2.0, 20.0])
 def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
-    """The Szego kernel's embedding (l^2 / y) log1p((b - a) y / (l^2 - b y))
-    and its double embedding
+    """The Szego kernel's embedding (l^2 / y) log1p((b - a) y / (l^2 - b y)),
+    its derivative in y and its double embedding
     l^2 (Li2(b^2 / l^2) - 2 Li2(a b / l^2) + Li2(a^2 / l^2)) against
     tanh-sinh quadrature at 500 bits, to a relative 2^-(bits - 8) at 64
     and 200 bits.  Where the box reaches |x y| >= l^2 each raises
@@ -256,13 +257,15 @@ def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
         with mp.workprec(QUAD_BITS):
             lo, hi, l2 = mp.mpf(a), mp.mpf(b), mp.mpf(ell) ** 2
             z_refs = [mp.quad(lambda x: l2 / (l2 - x * mp.mpf(y)), [lo, hi]) for y in ys]
+            dz_refs = [mp.quad(lambda x: x * l2 / (l2 - x * mp.mpf(y)) ** 2, [lo, hi]) for y in ys]
             # LL = int z(y) dy with z(y) = (l^2 / y) ln((l^2 - a y) / (l^2 - b y))
             z = lambda y: l2 / y * mp.log((l2 - lo * y) / (l2 - hi * y)) if y else hi - lo
             ll_ref = mp.quad(z, [lo, 0, hi] if a < 0 < b else [lo, hi]) if R * R < ell * ell else None
         for bits in (64, 200):
             prec = PrecisionConfig.extended(bits)
             values = [kernel_embedding(L, spec, y, prec) for y in ys]
-            refs = list(z_refs)
+            values += [embedding_derivative(L, spec, y, prec) for y in ys]
+            refs = z_refs + dz_refs
             if ll_ref is None:
                 with pytest.raises(KernelDomainError):
                     double_embedding(L, spec, prec)
@@ -274,3 +277,37 @@ def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
                     assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
         with pytest.raises(KernelDomainError):
             kernel_embedding(L, spec, ell * ell / R, PrecisionConfig.extended(64))
+        with pytest.raises(KernelDomainError):
+            embedding_derivative(L, spec, ell * ell / R, PrecisionConfig.extended(64))
+
+
+EMBEDDING_DERIVATIVE_CASES = {
+    "gaussian_box": (KernelSpec.gaussian, FunctionalSpec.lebesgue_box(-1.0, 1.0)),
+    "gaussian_offset_box": (KernelSpec.gaussian, FunctionalSpec.lebesgue_box(0.3, 2.5)),
+    "gaussian_measure": (KernelSpec.gaussian, FunctionalSpec.gaussian_measure(1)),
+    "exponential_box": (KernelSpec.exponential, FunctionalSpec.lebesgue_box(-1.0, 1.0)),
+    "szego_box": (KernelSpec.szego, FunctionalSpec.lebesgue_box(-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("ell", [2.0, 20.0])
+@pytest.mark.parametrize("case", sorted(EMBEDDING_DERIVATIVE_CASES))
+def test_embedding_derivative_matches_numeric_differentiation(case, ell):
+    """z'(x) against mpmath's numerical derivative of kernel_embedding at
+    128 bits, to 2^-110: the Gaussian closed forms, and quadrature of the
+    kernel derivative for the exponential and Szego kernels."""
+    from mpmath import mp
+
+    family, L = EMBEDDING_DERIVATIVE_CASES[case]
+    spec = family(ell)
+    prec = PrecisionConfig.extended(128)
+    for x in (-0.7, 0.0, 0.45):
+        value = embedding_derivative(L, spec, x, prec)
+        with mp.workprec(128):
+            numeric = mp.diff(lambda t: kernel_embedding(L, spec, t, PrecisionConfig.extended(mp.prec)), x)
+            assert abs(value - numeric) <= mp.mpf(2) ** -110 * max(1, abs(numeric)), x
+
+
+def test_embedding_derivative_is_one_dimensional():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        embedding_derivative(FunctionalSpec.gaussian_measure(2), KernelSpec.gaussian(1.0), 0.0)
