@@ -269,7 +269,7 @@ def _parse_wce(raw: dict):
 def _run_wce(job, raw: dict, out: Optional[str]) -> int:
     kspec, L, points, rule, assume, prec = job
     if rule is None:
-        rule = optimal_weights(kspec, L, points, prec)  # its Gram condition is reused
+        rule = optimal_weights(kspec, L, points, prec)  # its Gram assembly and condition are reused
     report = worst_case_error(kspec, L, rule, prec, assume_optimal=assume)
     print(f"wce: {format_real(report.wce, prec.bits)}")
     print(f"initial term LL[K]: {format_real(report.initial_term, prec.bits)}")

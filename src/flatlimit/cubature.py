@@ -14,13 +14,15 @@ scale of its terms, a loss that grows about like 2 N log2 l, as
 :func:`linalg.auto_precision_bits` does.  :func:`worst_case_error`, the one
 wce evaluator, therefore evaluates the Gram form at 2 bits + 32, and higher
 when the radicand shows more loss, so the digits it returns at ``bits`` are
-correct.  Of a :class:`WeightSolution` it takes only the rule and the
-condition number of the Gram solve.
+correct.  The Gram system loses about as many bits, so
+:func:`optimal_weights` assembles G and z once, at that same 2 bits + 32,
+solves there and rounds the weights to ``bits``; the wce of its solution
+reuses that assembly for its first pass.
 
 The damped monomials exp(-|x|^2 / (2 l^2)) x^alpha collocate as V D, the
 Vandermonde matrix V times D = diag(exp(-|x_n|^2 / (2 l^2))), so one
-Vandermonde solve serves the polynomial weights, the phi weights (then
-rescaled by D^-1) and the unisolvency check.
+Vandermonde factor serves the polynomial weights, the phi weights at every
+length scale (then rescaled by D^-1) and the unisolvency check.
 """
 from __future__ import annotations
 
@@ -56,23 +58,27 @@ from .functionals import (
     moment,
 )
 from .kernels import KernelSpec, gram_matrix
-from .linalg import SolveResult, condition_estimate, solve_general, solve_spd
+from .linalg import SolveResult, _warning_for, condition_estimate, solve_general, solve_spd
 
 
 @dataclass(frozen=True)
 class WeightSolution:
     """A cubature rule produced by a linear solve, with solve diagnostics.
 
-    ``condition``, ``residual_norm`` and ``warning`` read through to the
-    :class:`SolveResult`, which computes them on first read.  Optimal
-    weights also record the kernel, the functional and the embedding they
-    were solved with: :func:`worst_case_error` takes the rule and the Gram
-    condition from such a solution, the node optimizer its embedding.  The
-    polynomial-type weight families leave these None.
+    ``precision`` is the precision the weights are rounded to; the solve
+    may run higher.  ``condition`` and ``residual_norm`` read through to
+    the :class:`SolveResult`, which computes them on first read, and
+    ``warning`` judges that condition at ``precision``.  Optimal weights
+    also record the kernel, the functional and the embedding (rounded to
+    ``precision``) they were solved with, and their solve keeps G and z at
+    its own precision: :func:`worst_case_error` takes the rule, the Gram
+    condition and that assembly from such a solution, the node optimizer
+    its embedding.  The polynomial-type weight families leave these None.
     """
 
     rule: CubatureRule
     solve: SolveResult
+    precision: PrecisionConfig
     kernel: Optional[KernelSpec] = None
     functional: Optional[FunctionalSpec] = None
     embedding: Optional[tuple[Real, ...]] = None
@@ -80,10 +86,6 @@ class WeightSolution:
     @property
     def weights(self) -> tuple[Real, ...]:
         return self.rule.weights
-
-    @property
-    def precision(self) -> PrecisionConfig:
-        return self.solve.precision
 
     @property
     def condition(self) -> float:
@@ -95,7 +97,7 @@ class WeightSolution:
 
     @property
     def warning(self) -> Optional[str]:
-        return self.solve.warning
+        return _warning_for(self.condition, self.precision)
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,12 @@ def _monomials(points: PointSet, degree: int) -> MultiIndexSet:
     return mset
 
 
+def _wce_bits(prec: PrecisionConfig) -> int:
+    """The precision of the first pass of :func:`worst_case_error`, at
+    which :func:`optimal_weights` also solves."""
+    return 2 * prec.bits + 32
+
+
 def optimal_weights(
     spec: KernelSpec,
     L: FunctionalSpec,
@@ -144,27 +152,37 @@ def optimal_weights(
 ) -> WeightSolution:
     """Weights minimizing the worst-case error over the kernel's unit ball.
 
-    Solves the symmetric positive definite system G w = z.  Distinct points
-    make G positive definite in exact arithmetic for every supported kernel;
-    a Cholesky failure therefore signals insufficient precision, not an
-    invalid problem, and raises accordingly.
+    Assembles G and z once, at 2 bits + 32 in both lanes, and solves the
+    symmetric positive definite system G w = z there by Cholesky, so the
+    weights rounded to ``prec`` keep their digits while the Gram system
+    loses up to bits + 32 of them.  The solution keeps that assembly for
+    :func:`worst_case_error`.  Distinct points make G positive definite in
+    exact arithmetic for every supported kernel; a Cholesky failure
+    therefore signals insufficient precision, not an invalid problem, and
+    raises accordingly.
     """
     _check_dims(L, points)
+    solve_prec = PrecisionConfig.extended(_wce_bits(prec))
+    with solve_prec.workprec():
+        G = gram_matrix(spec, points, solve_prec)
+        z = [kernel_embedding(L, spec, x, solve_prec) for x in points]
+        sol = solve_spd(G, z, solve_prec)
     with prec.workprec():
-        G = gram_matrix(spec, points, prec)
-        z = [kernel_embedding(L, spec, x, prec) for x in points]
-        sol = solve_spd(G, z, prec)
-        rule = CubatureRule(points, sol.solution)
-        return WeightSolution(rule, sol, spec, L, tuple(z))
+        rule = CubatureRule(points, tuple(prec.to_real(w) for w in sol.solution))
+        return WeightSolution(rule, sol, prec, spec, L, tuple(prec.to_real(zi) for zi in z))
 
 
-def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: int):
+def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):
     """The Gram matrix G, LL[K], the embedding z, w.G w and w.z of
-    ``rule`` at ``bits``, taking its weights as exact."""
+    ``rule`` at ``bits``, taking its weights as exact; ``assembly`` is a
+    pair (G, z) already assembled at ``bits``."""
     prec = PrecisionConfig.extended(bits)
     with prec.workprec():
-        G = gram_matrix(spec, rule.points, prec)
-        z = [kernel_embedding(L, spec, x, prec) for x in rule.points]
+        if assembly is None:
+            G = gram_matrix(spec, rule.points, prec)
+            z = [kernel_embedding(L, spec, x, prec) for x in rule.points]
+        else:
+            G, z = assembly
         w = [mp.mpf(wi) for wi in rule.weights]
         n = len(w)
         quad = mp.fsum(w[i] * mp.fsum(G[i, j] * w[j] for j in range(n)) for i in range(n))
@@ -182,8 +200,9 @@ def worst_case_error(
     for every kernel, functional and dimension, in both lanes.
 
     ``rule`` is a cubature rule or a :class:`WeightSolution`.  A solution
-    from :func:`optimal_weights` supplies its rule and the condition number
-    of its Gram solve, which is then not estimated again; its kernel,
+    from :func:`optimal_weights` supplies its rule, the condition number
+    of its Gram solve, which is then not estimated again, and the G and z
+    it was solved from, which are then not assembled again; its kernel,
     functional and precision must equal ``spec``, ``L`` and ``prec``
     (ValueError otherwise).
 
@@ -209,9 +228,11 @@ def worst_case_error(
     if solved is not None and (solved.kernel, solved.functional, solved.precision) != (spec, L, prec):
         raise ValueError("the weight solution was computed for another kernel, functional or precision")
     _check_dims(L, rule.points)
-    cap, bits = 4 * prec.bits + 64, 2 * prec.bits + 32
+    cap, bits = 4 * prec.bits + 64, _wce_bits(prec)
+    assembly = None if solved is None else (solved.solve.matrix, solved.solve.rhs)
     while True:
-        G, llk, z, quad, cross = _gram_terms(spec, L, rule, bits)
+        G, llk, z, quad, cross = _gram_terms(spec, L, rule, bits, assembly)
+        assembly = None  # a later pass assembles afresh, at its higher precision
         with mp.workprec(bits):
             radicand = llk - 2 * cross + quad
             scale = abs(llk) + 2 * abs(cross) + abs(quad)
@@ -284,7 +305,34 @@ def polynomial_weights(
     """
     _check_dims(L, points)
     sol = _vandermonde_solve(points, degree, lambda alpha: moment(L, alpha, prec), prec)
-    return WeightSolution(CubatureRule(points, sol.solution), sol)
+    return WeightSolution(CubatureRule(points, sol.solution), sol, prec)
+
+
+def _phi_weights(
+    vandermonde: SolveResult,
+    L: FunctionalSpec,
+    length_scale: float,
+    points: PointSet,
+    degree: int,
+    prec: PrecisionConfig,
+) -> WeightSolution:
+    """The phi weights through the factor of ``vandermonde``, a solve with
+    V^T at any precision: u solves V^T u = (L[phi_alpha])_alpha with the
+    damped moments at ``prec``, and w_n = exp(|x_n|^2/(2 l^2)) u_n is
+    rounded to ``prec``.  Machine-lane weights past the float64 range
+    raise :class:`FlatLimitError`."""
+    mset = _monomials(points, degree)
+    with prec.workprec():
+        sol = vandermonde.resolve([damped_moment(L, length_scale, alpha, prec) for alpha in mset])
+        ell = prec.to_real(length_scale)
+        try:
+            weights = tuple(
+                prec.to_real(u * rexp(sq_norm(prec.to_point(x)) / (2 * ell * ell)))
+                for u, x in zip(sol.solution, points)
+            )
+        except OverflowError as e:  # mpf exponents do not overflow
+            raise FlatLimitError(f"phi weights at length_scale={length_scale} exceed the float64 range") from e
+    return WeightSolution(CubatureRule(points, weights), sol, prec)
 
 
 def phi_weights(
@@ -298,20 +346,17 @@ def phi_weights(
 
     The damped collocation matrix is V D, the Vandermonde matrix V times
     D = diag(exp(-|x_n|^2/(2 l^2))), so solvability is exactly unisolvency
-    of the points.  This solves V^T u = (L[phi_alpha])_alpha and returns
-    w_n = exp(|x_n|^2/(2 l^2)) u_n; the diagnostics (condition, residual,
-    warning) are those of the Vandermonde solve.  Machine-lane weights
-    past the float64 range raise :class:`FlatLimitError`.
+    of the points.  This factors V^T at ``prec`` and solves
+    V^T u = (L[phi_alpha])_alpha through that factor, returning
+    w_n = exp(|x_n|^2/(2 l^2)) u_n (:func:`_phi_weights`, which a sweep
+    calls with one factor for all its length scales); the diagnostics
+    (condition, residual, warning) are those of the Vandermonde solve.
+    Machine-lane weights past the float64 range raise
+    :class:`FlatLimitError`.
     """
     _check_dims(L, points)
-    sol = _vandermonde_solve(points, degree, lambda alpha: damped_moment(L, length_scale, alpha, prec), prec)
-    with prec.workprec():
-        ell = prec.to_real(length_scale)
-        try:
-            weights = tuple(u * rexp(sq_norm(prec.to_point(x)) / (2 * ell * ell)) for u, x in zip(sol.solution, points))
-        except OverflowError as e:  # mpf exponents do not overflow
-            raise FlatLimitError(f"phi weights at length_scale={length_scale} exceed the float64 range") from e
-    return WeightSolution(CubatureRule(points, weights), sol)
+    factor = _vandermonde_solve(points, degree, lambda alpha: 0, prec)
+    return _phi_weights(factor, L, length_scale, points, degree, prec)
 
 
 @dataclass(frozen=True)

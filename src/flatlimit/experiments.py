@@ -28,9 +28,9 @@ from .core import MACHINE, PointSet, PrecisionConfig, Real
 from .cubature import (
     _check_dims,
     _monomials,
+    _phi_weights,
     _unisolvency_verdict,
     optimal_weights,
-    phi_weights,
     polynomial_weights,
     worst_case_error,
 )
@@ -227,7 +227,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     a point set that is not unisolvent at machine precision aborts up
     front.  That verdict takes the condition number of the reference
     polynomial weights' Vandermonde solve, whose factor is accurate at
-    256 bits, to the machine threshold of :func:`unisolvency_check`."""
+    256 bits, to the machine threshold of :func:`unisolvency_check`.  The
+    same factor gives every row's phi weights, from the damped moments at
+    the row's precision.  Each row assembles its Gram system once: the
+    wce reuses the optimal weights' assembly."""
     ref_prec = PrecisionConfig.extended(_REFERENCE_BITS)
     try:
         w_pol = polynomial_weights(cfg.functional, cfg.points, cfg.degree, ref_prec)
@@ -249,7 +252,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         try:
             wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
             wce = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True).wce
-            fsol = phi_weights(cfg.functional, ell, cfg.points, cfg.degree, prec)
+            fsol = _phi_weights(w_pol.solve, cfg.functional, ell, cfg.points, cfg.degree, prec)
             d_opt = max(abs(float(w) - r) for w, r in zip(wsol.weights, ref))
             d_phi = max(abs(float(w) - r) for w, r in zip(fsol.weights, ref))
             records.append(

@@ -181,6 +181,29 @@ def _series_value(
     return gx * gy * total
 
 
+def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell: Real, prec: PrecisionConfig) -> Real:
+    """K(x, y) of points and a length scale already converted to the
+    working type, inside the working precision."""
+    if len(xv) != len(yv):
+        raise ValueError(f"points have dimensions {len(xv)} and {len(yv)}")
+    if spec.family == "gaussian":
+        return rexp(-sq_dist(xv, yv) / (2 * ell * ell))
+    if spec.family == "exponential":
+        if len(xv) != 1:
+            raise ValueError("exponential kernel is one-dimensional")
+        return rexp(xv[0] * yv[0] / ell)
+    if spec.family == "szego":
+        if len(xv) != 1:
+            raise ValueError("szego kernel is one-dimensional")
+        p = xv[0] * yv[0]
+        if abs(p) >= ell * ell:
+            raise KernelDomainError(
+                f"szego kernel needs |x*y| < l^2, got |{float(p)!r}| with l^2={spec.length_scale ** 2!r}"
+            )
+        return ell * ell / (ell * ell - p)
+    return _series_value(spec, xv, yv, prec)
+
+
 def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real:
     """K(x, y) at the working precision.
 
@@ -188,27 +211,7 @@ def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real
     KernelDomainError for the Szego family when |x y| >= l^2.
     """
     with prec.workprec():
-        xv = _as_point(x, prec)
-        yv = _as_point(y, prec)
-        if len(xv) != len(yv):
-            raise ValueError(f"points have dimensions {len(xv)} and {len(yv)}")
-        ell = prec.to_real(spec.length_scale)
-        if spec.family == "gaussian":
-            return rexp(-sq_dist(xv, yv) / (2 * ell * ell))
-        if spec.family == "exponential":
-            if len(xv) != 1:
-                raise ValueError("exponential kernel is one-dimensional")
-            return rexp(xv[0] * yv[0] / ell)
-        if spec.family == "szego":
-            if len(xv) != 1:
-                raise ValueError("szego kernel is one-dimensional")
-            p = xv[0] * yv[0]
-            if abs(p) >= ell * ell:
-                raise KernelDomainError(
-                    f"szego kernel needs |x*y| < l^2, got |{float(p)!r}| with l^2={spec.length_scale ** 2!r}"
-                )
-            return ell * ell / (ell * ell - p)
-        return _series_value(spec, xv, yv, prec)
+        return _kernel_value(spec, _as_point(x, prec), _as_point(y, prec), prec.to_real(spec.length_scale), prec)
 
 
 def kernel_derivative(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real:
@@ -239,17 +242,18 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
     """Kernel matrix G[i, j] = K(x_i, x_j).
 
     Returns a float64 numpy array at machine precision and an mpmath matrix
-    in extended mode.  Only the upper triangle is evaluated; the lower is
-    mirrored, so the result is exactly symmetric.
+    in extended mode.  The points and the length scale are converted once;
+    only the upper triangle is evaluated and the lower is mirrored, so the
+    result is exactly symmetric.
     """
     n = len(points)
     with prec.workprec():
+        xs = [_as_point(x, prec) for x in points]
+        ell = prec.to_real(spec.length_scale)
         out = prec._matrix(n, n)
         for i in range(n):
             for j in range(i, n):
-                v = kernel_eval(spec, points[i], points[j], prec)
-                out[i, j] = v
-                out[j, i] = v
+                out[i, j] = out[j, i] = _kernel_value(spec, xs[i], xs[j], ell, prec)
         return out
 
 

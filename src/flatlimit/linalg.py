@@ -72,6 +72,16 @@ class SolveResult:
     def warning(self) -> Optional[str]:
         return _warning_for(self.condition, self.precision)
 
+    def resolve(self, b) -> "SolveResult":
+        """The solve of A x = b for another right-hand side, through the
+        stored factor: what a fresh solve of the same matrix returns."""
+        if self.precision.is_extended:
+            with self.precision.workprec():
+                bm = _to_mp_vec(b, self.matrix.rows)
+            return _result_mp(self.matrix, bm, self.substitute, self.precision)
+        bn = _to_numpy_vec(b, self.matrix.shape[0])
+        return SolveResult(tuple(float(v) for v in self.substitute(bn)), self.precision, self.matrix, bn, self.substitute)
+
 
 def auto_precision_bits(length_scale: float, n_points: int) -> int:
     """Mantissa bits needed to solve flat-limit weight systems reliably.

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from gram_oracle import assert_wce_matches
+from gram_oracle import assert_wce_matches, gaussian_optimal_weights
 from mpmath import mp
 from numpy.testing import assert_allclose
 
@@ -7,15 +9,20 @@ from flatlimit import (
     ConfigError,
     CubatureRule,
     FunctionalSpec,
+    KernelSpec,
     NotUnisolventError,
     OptimalStudyConfig,
     OptimizerSettings,
     PointSet,
+    PrecisionConfig,
     SweepConfig,
     fit_rate,
+    optimal_weights,
     run_optimal_study,
     run_sweep,
+    worst_case_error,
 )
+from flatlimit import cubature, kernels, linalg
 from flatlimit.experiments import (
     config_digest,
     optimal_csv_lines,
@@ -335,3 +342,77 @@ def test_sweep_aborts_on_points_that_are_not_unisolvent_at_machine_precision(poi
     cfg = make_sweep(functional=FunctionalSpec.gaussian_measure(2), points=PointSet.from_points(points), degree=1)
     with pytest.raises(NotUnisolventError, match=f"point set is {status} for degree 1"):
         run_sweep(cfg)
+
+
+def chebyshev(n):
+    """n Chebyshev points of the first kind, mirrored to be exactly symmetric."""
+    half = [math.cos((2 * k + 1) * math.pi / (2 * n)) for k in range(n // 2)]
+    return sorted([-x for x in half] + ([0.0] if n % 2 else []) + half)
+
+
+def count_calls(monkeypatch, counts, name, *modules):
+    """Count in ``counts[name]`` the calls of the function ``name`` through
+    every module in ``modules`` that holds it."""
+    counts[name] = 0
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_rows_assemble_and_factor_once(monkeypatch):
+    """A sweep of k rows with N nodes assembles G once and z once per row,
+    and makes one Vandermonde solve in all: the wce reuses the optimal
+    weights' assembly, and the phi weights of every row go through the
+    factor of the reference polynomial weights."""
+    from flatlimit import functionals
+
+    counts = {}
+    count_calls(monkeypatch, counts, "gram_matrix", kernels, cubature)
+    count_calls(monkeypatch, counts, "kernel_embedding", functionals, cubature)
+    count_calls(monkeypatch, counts, "solve_general", linalg, cubature)
+    k, n = 4, 6
+    result = run_sweep(make_sweep(points=PointSet.from_1d(chebyshev(n)), degree=n - 1, ell_count=k))
+    assert not result.failures and len(result.records) == k
+    assert counts == {"gram_matrix": k, "kernel_embedding": n * k, "solve_general": 1}
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(96)], ids=["machine", "extended"])
+def test_worst_case_error_of_a_weight_solution_assembles_no_gram_matrix(monkeypatch, prec):
+    """optimal_weights solves at the wce's first-pass precision 2 bits + 32
+    in both lanes, and the wce of its solution reuses that assembly."""
+    k, X = KernelSpec.gaussian(3.0), PointSet.from_1d(chebyshev(6))
+    sol = optimal_weights(k, LEB, X, prec)
+    assert sol.solve.precision == PrecisionConfig.extended(2 * prec.bits + 32)
+    assert sol.precision == prec
+    counts = {}
+    count_calls(monkeypatch, counts, "gram_matrix", kernels, cubature)
+    worst_case_error(k, LEB, sol, prec, assume_optimal=True)
+    assert counts == {"gram_matrix": 0}
+    worst_case_error(k, LEB, sol.rule, prec, assume_optimal=True)
+    assert counts == {"gram_matrix": 1}
+
+
+@pytest.mark.parametrize(
+    "functional, ell_count",
+    [(LEB, 3), (FunctionalSpec.gaussian_measure(1), 2)],
+    ids=["box", "normal"],
+)
+def test_sweep_weights_are_correct_to_their_bits(functional, ell_count):
+    """Every weight of a sweep on 10 Chebyshev nodes, at l = 1, 100, 1e4
+    (box) or 1, 1e4 (N(0, 1)) and the auto bits b of its row, matches the
+    closed-form optimal weights at 3 b + 64 to a relative 2^(2 - b),
+    although the Gram system at l = 1e4 loses about 2N log2 l = 266 bits."""
+    points = PointSet.from_1d(chebyshev(10))
+    result = run_sweep(make_sweep(functional=functional, points=points, degree=9, ell_max=1e4, ell_count=ell_count))
+    assert not result.failures and len(result.records) == ell_count
+    for r in result.records:
+        b = r.precision_bits
+        exact = gaussian_optimal_weights(r.ell, functional, points, 3 * b + 64)
+        with mp.workprec(3 * b + 64):
+            for w, ref in zip(r.weights, exact):
+                assert abs(mp.mpf(w) - ref) <= mp.mpf(2) ** (2 - b) * abs(ref), (r.ell, b, mp.nstr(w, 30), mp.nstr(ref, 30))

@@ -305,3 +305,17 @@ def test_lazy_diagnostics_equal_the_eager_values(lane, kind, read_bits):
     assert repr(got[0]) == repr(condition)
     assert (got[1]._mpf_ if prec.is_extended else repr(got[1])) == (residual if prec.is_extended else repr(residual))
     assert got[2] == warning
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"])
+@pytest.mark.parametrize("solve", [solve_spd, solve_general], ids=["spd", "general"])
+def test_resolve_through_the_factor_equals_a_fresh_solve(prec, solve):
+    """Another right-hand side through the stored factor gives the bytes,
+    residual and condition of a fresh solve of the same matrix."""
+    A = hilbert(5)
+    b = [Fraction(k - 2, k + 3) for k in range(5)]
+    again = solve(A, [1] * 5, prec).resolve(b)
+    fresh = solve(A, b, prec)
+    assert again.solution == fresh.solution
+    assert again.residual_norm == fresh.residual_norm
+    assert again.condition == fresh.condition
