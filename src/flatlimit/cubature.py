@@ -184,8 +184,7 @@ def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: i
         else:
             G, z = assembly
         w = [mp.mpf(wi) for wi in rule.weights]
-        n = len(w)
-        quad = mp.fsum(w[i] * mp.fsum(G[i, j] * w[j] for j in range(n)) for i in range(n))
+        quad = mp.fsum(wi * mp.fsum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, G.tolist()))
         return G, double_embedding(L, spec, prec), z, quad, mp.fsum(wi * zi for wi, zi in zip(w, z))
 
 
@@ -217,10 +216,14 @@ def worst_case_error(
 
     A negative radicand within the roundoff budget 10 u kappa(G) scale (u
     the unit roundoff of ``prec``) is clamped to zero, while anything below
-    it raises.  With ``assume_optimal`` the simplified form LL[K] - w.z is
-    computed as well and cross-checked against the full form at the same
-    budget, so passing non-optimal weights with the flag set is caught
-    instead of silently misreported.
+    it raises.  kappa(G) is the solution's Gram condition, or for a bare
+    rule that of an LU of G at the first pass's 2 bits + 32
+    (:func:`linalg.condition_estimate`, one triangular inverse of the
+    factor), in both lanes, so the two report the same condition.  With
+    ``assume_optimal`` the simplified form LL[K] - w.z is computed as well
+    and cross-checked against the full form at the same budget, so passing
+    non-optimal weights with the flag set is caught instead of silently
+    misreported.
     """
     solved = rule if isinstance(rule, WeightSolution) and rule.kernel is not None else None
     if isinstance(rule, WeightSolution):
@@ -240,7 +243,7 @@ def worst_case_error(
         if lost + prec.bits + 16 <= bits or bits >= cap:
             break
         bits = cap if math.isinf(lost) else min(cap, prec.bits + 32 + math.ceil(lost))
-    cond = solved.condition if solved is not None else condition_estimate(G, prec)
+    cond = solved.condition if solved is not None else condition_estimate(G, PrecisionConfig.extended(_wce_bits(prec)))
     with mp.workprec(bits):
         budget = 10 * max(cond, 1.0) * mp.mpf(2) ** -prec.bits * max(scale, mp.mpf(1e-300))
         if radicand < -budget:

@@ -5,7 +5,12 @@ solve), extended mode wraps mpmath, both behind one interface.  A solve
 factors the matrix once and returns the solution; the factorization-based
 condition number, the residual and the conditioning warning are computed
 from the stored factor on first read, so a caller that reads only the
-solution pays for nothing else.
+solution pays for nothing else.  In extended mode the condition number
+takes the inverse from the factor through one triangular inverse, as
+LAPACK's xPOTRI and xGETRI do (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, ch. 14): X = L^-1 and A^-1 = X^T X for
+Cholesky, U^-1 L^-1 for LU, whose rows are those of A^-1 up to the
+order of their entries.
 Ill-conditioning is never patched by jitter or regularization here; the
 remedy on failure is more precision, and the errors say so.
 """
@@ -34,32 +39,32 @@ class SolveResult:
 
     ``residual_norm`` is the inf-norm of b - A x, evaluated with 64 guard
     bits in extended mode.  ``condition`` is the inf-norm condition number
-    computed from the factorized inverse.  ``warning`` is set when the
-    condition estimate exceeds the precision policy's threshold; the solve
-    still returns.
+    ||A|| ||A^-1|| with the inverse taken from the factor: in extended mode
+    through one triangular inverse at the solve's guard bits (the norms
+    summed at the working precision), in machine mode by LAPACK
+    substitution of the identity.  ``warning`` is set when the condition
+    estimate exceeds the precision policy's threshold; the solve still
+    returns.
     """
 
     solution: tuple[Real, ...]
     precision: PrecisionConfig
-    # the working-precision system and the map v -> A^-1 v through the factor
+    # the working-precision system, the map v -> A^-1 v through the factor,
+    # and the rows of A^-1 from it (each up to the order of its entries)
     matrix: Any = field(repr=False, compare=False)
     rhs: Any = field(repr=False, compare=False)
     substitute: Callable = field(repr=False, compare=False)
+    inverse: Callable = field(repr=False, compare=False)
 
     @cached_property
     def condition(self) -> float:
         A, prec = self.matrix, self.precision
         if prec.is_extended:
-            n = A.rows
-            inv = mp.matrix(n, n)
             with mp.workprec(prec.bits + 10):  # the guard bits of the solve
-                for k in range(n):
-                    col = self.substitute(mp.unitvector(n, k + 1))
-                    for i in range(n):
-                        inv[i, k] = col[i]
+                inv = self.inverse()
             with prec.workprec():
-                return float(_inf_norm_mp(A) * _inf_norm_mp(inv))
-        return _inf_norm_np(A) * _inf_norm_np(self.substitute(np.eye(A.shape[0])))
+                return float(_inf_norm_mp(A.tolist()) * _inf_norm_mp(inv))
+        return _inf_norm_np(A) * _inf_norm_np(self.inverse())
 
     @cached_property
     def residual_norm(self) -> Real:
@@ -78,9 +83,9 @@ class SolveResult:
         if self.precision.is_extended:
             with self.precision.workprec():
                 bm = _to_mp_vec(b, self.matrix.rows)
-            return _result_mp(self.matrix, bm, self.substitute, self.precision)
+            return _result_mp(self.matrix, bm, self.substitute, self.inverse, self.precision)
         bn = _to_numpy_vec(b, self.matrix.shape[0])
-        return SolveResult(tuple(float(v) for v in self.substitute(bn)), self.precision, self.matrix, bn, self.substitute)
+        return _result_np(self.matrix, bn, self.substitute, self.precision)
 
 
 def auto_precision_bits(length_scale: float, n_points: int) -> int:
@@ -169,14 +174,46 @@ def _inf_norm_np(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=1).max())
 
 
-def _inf_norm_mp(A: mp.matrix) -> mp.mpf:
+def _inf_norm_mp(rows) -> mp.mpf:
     best = mp.mpf(0)
-    for i in range(A.rows):
+    for row in rows:
         s = mp.mpf(0)
-        for j in range(A.cols):
-            s += abs(A[i, j])
+        for v in row:
+            s += abs(v)
         best = max(best, s)
     return best
+
+
+def _lower_inverse(rows, unit: bool = False) -> list:
+    """The inverse X of the lower triangle of ``rows`` (unit diagonal when
+    ``unit``) by forward substitution, n^3/6 products; column j of X is
+    returned as its entries in rows j..n-1."""
+    n = len(rows)
+    cols = []
+    for j in range(n):
+        col = [mp.one if unit else 1 / rows[j][j]]
+        for i in range(j + 1, n):
+            s = -mp.fdot(rows[i][j:i], col)
+            col.append(s if unit else s / rows[i][i])
+        cols.append(col)
+    return cols
+
+
+def _triangular_product(upper, lower, symmetric: bool = False) -> list:
+    """The rows of Y X for upper triangular Y, given by its rows
+    (row i as its entries in columns i..n-1), and lower triangular X,
+    given by its columns (column j as its entries in rows j..n-1).  Entry
+    (i, j) sums over k >= max(i, j).  With ``symmetric`` (Y = X^T) only
+    the upper triangle is formed and mirrored."""
+    n = len(lower)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            k = max(i, j)
+            out[i][j] = mp.fdot(upper[i][k - i:], lower[j][k - j:])
+            if symmetric:
+                out[j][i] = out[i][j]
+    return out
 
 
 def _residual_mp(A: mp.matrix, x: mp.matrix, b: mp.matrix, bits: int) -> mp.mpf:
@@ -191,13 +228,20 @@ def _residual_mp(A: mp.matrix, x: mp.matrix, b: mp.matrix, bits: int) -> mp.mpf:
         return r
 
 
-def _result_mp(A: mp.matrix, b: mp.matrix, substitute, prec: PrecisionConfig) -> SolveResult:
+def _result_mp(A: mp.matrix, b: mp.matrix, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
     """The solution from one factorization, at the guard bits at which
     ``substitute(v)`` solves A x = v with the factor; the diagnostics
     reuse the factor when read."""
     with mp.workprec(prec.bits + 10):
         x = substitute(b)
-    return SolveResult(tuple(x), prec, A, b, substitute)
+    return SolveResult(tuple(x), prec, A, b, substitute, inverse)
+
+
+def _result_np(A: np.ndarray, b: np.ndarray, substitute, prec: PrecisionConfig) -> SolveResult:
+    """The solution from one LAPACK factorization; the condition number
+    substitutes the identity through the same factor."""
+    inverse = lambda: substitute(np.eye(A.shape[0]))
+    return SolveResult(tuple(float(v) for v in substitute(b)), prec, A, b, substitute, inverse)
 
 
 def _warning_for(cond: float, prec: PrecisionConfig) -> Optional[str]:
@@ -243,7 +287,12 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
                     y[i] /= Lc[i, i]
                 return mp.U_solve(Lt, y)
 
-            return _result_mp(Am, bm, substitute, prec)
+            def inverse():
+                # A^-1 = X^T X with X = L^-1
+                X = _lower_inverse(Lc.tolist())
+                return _triangular_product(X, X, symmetric=True)
+
+            return _result_mp(Am, bm, substitute, inverse, prec)
     import scipy.linalg  # deferred: slow to import, and only the machine lane needs LAPACK
 
     An = _to_numpy_matrix(A)
@@ -257,8 +306,7 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         raise NumericallyIndefiniteError(
             f"Cholesky failed at machine precision ({e}); increase the precision"
         ) from e
-    substitute = lambda v: scipy.linalg.cho_solve(factor, v)
-    return SolveResult(tuple(float(v) for v in substitute(bn)), prec, An, bn, substitute)
+    return _result_np(An, bn, lambda v: scipy.linalg.cho_solve(factor, v), prec)
 
 
 def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
@@ -270,12 +318,20 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
             Am = _to_mp_matrix(A)
             n = Am.rows
             bm = _to_mp_vec(b, n)
-            with mp.workprec(prec.bits + 10):  # the guard bits of mp.lu_solve and mp.inverse
+            with mp.workprec(prec.bits + 10):  # the guard bits of mp.lu_solve and of the inverse
                 try:
                     LU, p = mp.LU_decomp(Am)
                 except ZeroDivisionError as e:
                     raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
-            return _result_mp(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), prec)
+
+            def inverse():
+                # P A = L U, so A^-1 = U^-1 L^-1 P: P only reorders the
+                # columns of U^-1 L^-1, which leaves each row's entries.
+                # The rows of U^-1 are the columns of (U^T)^-1.
+                rows = LU.tolist()
+                return _triangular_product(_lower_inverse(list(zip(*rows))), _lower_inverse(rows, unit=True))
+
+            return _result_mp(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), inverse, prec)
     import scipy.linalg  # deferred, as in solve_spd
 
     An = _to_numpy_matrix(A)
@@ -286,13 +342,14 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         lu, piv = scipy.linalg.lu_factor(An)
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("matrix has an exactly zero pivot")
-    substitute = lambda v: scipy.linalg.lu_solve((lu, piv), v)
-    return SolveResult(tuple(float(v) for v in substitute(bn)), prec, An, bn, substitute)
+    return _result_np(An, bn, lambda v: scipy.linalg.lu_solve((lu, piv), v), prec)
 
 
 def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:
-    """Inf-norm condition number from the factorized inverse of one LU
-    solve; inf when the matrix is singular at the working precision."""
+    """Inf-norm condition number of one LU solve at ``prec``: the inverse
+    from the factor (U^-1 L^-1 through one triangular inverse in extended
+    mode, LAPACK substitution in machine mode); inf when the matrix is
+    singular at the working precision."""
     try:
         return solve_general(A, [0] * len(A), prec).condition
     except SingularMatrixError:

@@ -1,9 +1,18 @@
-"""An independent worst-case error and optimal weights for the tests: the
-Gram form e^2 = LL[K] - 2 w.z + w.G w of the Gaussian kernel and the
-system G w = z, assembled in mpmath from their closed forms alone (no
-flatlimit function is called), at a precision the caller chooses far above
-the one under test."""
+"""An independent worst-case error, optimal weights and Gram condition
+number for the tests: the Gram form e^2 = LL[K] - 2 w.z + w.G w of the
+Gaussian kernel, the system G w = z and ||G|| ||G^-1||, assembled in
+mpmath from their closed forms alone (no flatlimit function is called), at
+a precision far above the one under test."""
 from mpmath import mp
+
+
+def _gaussian_kernel(l2):
+    """The Gaussian kernel of squared length scale ``l2``."""
+
+    def kernel(x, y):
+        return mp.exp(-mp.fsum((a - b) ** 2 for a, b in zip(x, y)) / (2 * l2))
+
+    return kernel
 
 
 def _closed_forms(ell, L, X):
@@ -18,10 +27,7 @@ def _closed_forms(ell, L, X):
     (l^2 / (1 + l^2))^(d/2) exp(-|x|^2 / (2 (1 + l^2))) and
     (l^2 / (2 + l^2))^(d/2)."""
     l2 = mp.mpf(ell) ** 2
-
-    def kernel(x, y):
-        return mp.exp(-mp.fsum((a - b) ** 2 for a, b in zip(x, y)) / (2 * l2))
-
+    kernel = _gaussian_kernel(l2)
     if L.kind == "point_eval":
         y = [mp.mpf(c) for c in L.location]
         return kernel, [kernel(x, y) for x in X], mp.one
@@ -62,6 +68,18 @@ def gaussian_optimal_weights(ell, L, points, bits):
         kernel, z, _ = _closed_forms(ell, L, X)
         G = mp.matrix([[kernel(x, y) for y in X] for x in X])
         return list(mp.cholesky_solve(G, mp.matrix(z)))
+
+
+def gaussian_gram_condition(ell, points, bits):
+    """The inf-norm condition number ||G|| ||G^-1|| of the Gaussian Gram
+    matrix of length scale ``ell`` at ``points``, for a solve at ``bits``:
+    G from its closed form and G^-1 from mp.inverse, both at
+    3 bits + 64."""
+    with mp.workprec(3 * bits + 64):
+        X = [[mp.mpf(c) for c in x] for x in points]
+        kernel = _gaussian_kernel(mp.mpf(ell) ** 2)
+        G = mp.matrix([[kernel(x, y) for y in X] for x in X])
+        return mp.mnorm(G, mp.inf) * mp.mnorm(mp.inverse(G), mp.inf)
 
 
 def assert_wce_matches(wce, ell, L, rule, bits):

@@ -385,3 +385,29 @@ def test_shipped_configs_run_without_importing_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_wce_of_given_weights_at_machine_precision_imports_no_scipy(tmp_path):
+    """flatlimit wce with explicit weights at precision: machine reads the
+    Gram condition at the first pass's 2 bits + 32, in mpmath, and so
+    imports no scipy module; it prints the condition of the weight solve."""
+    root = Path(__file__).resolve().parent.parent
+    cfg = {
+        **WCE_CFG,
+        "kernel": {"family": "gaussian", "length_scale": 1e4},
+        "weights": [1 / 3, 4 / 3, 1 / 3],
+        "precision": "machine",
+    }
+    script = textwrap.dedent(f"""
+        import sys
+        from flatlimit.cli import main
+        assert main(["wce", "--config", {write_cfg(tmp_path / "w.yaml", cfg)!r}]) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("FLATLIMIT_PRECISION_BITS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "gram condition:     1.200000e+17" in lines
+    assert lines[-1] == "[]"

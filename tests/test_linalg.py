@@ -201,6 +201,30 @@ def test_extended_solve_general_factors_once_and_matches_lu_solve(monkeypatch):
     assert res.condition == cond_ref
 
 
+def test_pivoted_lu_condition_matches_the_inverse():
+    """Partial pivoting swaps rows here, P A = L U, and A^-1 = U^-1 L^-1 P:
+    the triangular inverse gives each row of A^-1 with its entries in
+    another order, so the condition of the solve and condition_estimate
+    equal ||A|| ||mp.inverse(A)||."""
+    bits = 128
+    prec = PrecisionConfig.extended(bits)
+    A = [[2.0**-10, 2.0, 1.0, -3.0], [3.0, 1.0, 0.5, 2.0], [1.0, -4.0, 2.5, 1.0], [-2.0, 1.0, 7.0, 0.25]]
+    with mp.workprec(bits):
+        Am = mp.matrix(A)
+        _, p = mp.LU_decomp(Am.copy())
+        assert p != list(range(len(A) - 1))  # rows are swapped
+        ref = mp.inverse(Am)
+        cond_ref = float(inf_norm(Am) * inf_norm(ref))
+    res = solve_general(A, [1, 2, 3, 4], prec)
+    with mp.workprec(bits + 10):
+        rows = res.inverse()
+        for i, row in enumerate(rows):
+            for got, want in zip(sorted(row), sorted(ref[i, j] for j in range(len(A)))):
+                assert abs(got - want) <= mp.mpf(2) ** (8 - bits) * abs(want)
+    assert res.condition == cond_ref
+    assert condition_estimate(A, prec) == cond_ref
+
+
 @pytest.mark.parametrize(
     "prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"]
 )
@@ -283,8 +307,9 @@ def test_unread_diagnostics_cost_no_inverse_columns(monkeypatch, lane, kind):
     assert sum(counts.values()) == 1  # the residual needs no substitution
     res.condition
     res.warning
-    n = len(b)
-    assert sum(counts.values()) == (1 + n if prec.is_extended else 2)
+    # extended: one triangular inverse of the factor; machine: one LAPACK
+    # substitution of the identity
+    assert sum(counts.values()) == (1 if prec.is_extended else 2)
 
 
 @pytest.mark.parametrize("lane,kind", list(EAGER_DIAGNOSTICS), ids=["-".join(k) for k in EAGER_DIAGNOSTICS])
