@@ -234,7 +234,8 @@ class CubatureRule:
 class PrecisionConfig:
     """Working-precision policy for a computation.
 
-    mode "machine" is IEEE double (float / float64 arithmetic throughout);
+    mode "machine" is IEEE double (float64 results, with linear solves in
+    mpmath at 53 + 10 bits);
     mode "extended" carries ``bits`` of mantissa through mpmath.  The
     condition-number warning threshold defaults to u^(-1/2), i.e. a warning
     fires once roughly half of the working digits must be presumed lost.

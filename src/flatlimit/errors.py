@@ -27,7 +27,7 @@ class QuadratureError(FlatLimitError):
 
 
 class SingularMatrixError(FlatLimitError):
-    """Exactly singular linear system."""
+    """Linear system singular at the working precision."""
 
 
 class NumericallyIndefiniteError(FlatLimitError):

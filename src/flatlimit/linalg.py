@@ -1,23 +1,22 @@
 """Dense linear solves at machine or extended precision.
 
-Machine mode wraps LAPACK (via scipy, imported on the first machine-lane
-solve), extended mode wraps mpmath, both behind one interface.  A solve
-factors the matrix once and returns the solution; the factorization-based
-condition number, the residual and the conditioning warning are computed
-from the stored factor on first read, so a caller that reads only the
-solution pays for nothing else.  In extended mode the condition number
-takes the inverse from the factor through one triangular inverse, as
-LAPACK's xPOTRI and xGETRI do (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2002, ch. 14): X = L^-1 and A^-1 = X^T X for
-Cholesky, U^-1 L^-1 for LU, whose rows are those of A^-1 up to the
-order of their entries.
+Both lanes run one mpmath code path at the precision's ``bits`` (53 for
+machine mode) with 10 guard bits; machine mode rounds the solution and
+the residual to float.  A solve factors the matrix once and returns the
+solution; the factorization-based condition number, the residual and
+the conditioning warning are computed from the stored factor on first
+read, so a caller that reads only the solution pays for nothing else.
+The condition number takes the inverse from the factor through one
+triangular inverse (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, ch. 14): X = L^-1 and A^-1 = X^T X for Cholesky,
+U^-1 L^-1 for LU, whose rows are those of A^-1 up to the order of their
+entries.
 Ill-conditioning is never patched by jitter or regularization here; the
 remedy on failure is more precision, and the errors say so.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,12 +36,12 @@ class SolveResult:
     values do not depend on mpmath's global precision at the time of
     reading.
 
-    ``residual_norm`` is the inf-norm of b - A x, evaluated with 64 guard
-    bits in extended mode.  ``condition`` is the inf-norm condition number
-    ||A|| ||A^-1|| with the inverse taken from the factor: in extended mode
+    ``residual_norm`` is the inf-norm of b - A x for the returned
+    solution, evaluated with 64 guard bits.  ``condition`` is the inf-norm
+    condition number ||A|| ||A^-1|| with the inverse taken from the factor
     through one triangular inverse at the solve's guard bits (the norms
-    summed at the working precision), in machine mode by LAPACK
-    substitution of the identity.  ``warning`` is set when the condition
+    summed at the working precision).  In machine mode the solution and
+    the residual are floats.  ``warning`` is set when the condition
     estimate exceeds the precision policy's threshold; the solve still
     returns.
     """
@@ -58,20 +57,15 @@ class SolveResult:
 
     @cached_property
     def condition(self) -> float:
-        A, prec = self.matrix, self.precision
-        if prec.is_extended:
-            with mp.workprec(prec.bits + 10):  # the guard bits of the solve
-                inv = self.inverse()
-            with prec.workprec():
-                return float(_inf_norm_mp(A.tolist()) * _inf_norm_mp(inv))
-        return _inf_norm_np(A) * _inf_norm_np(self.inverse())
+        bits = self.precision.bits
+        with mp.workprec(bits + 10):  # the guard bits of the solve
+            inv = self.inverse()
+        with mp.workprec(bits):
+            return float(_inf_norm_mp(self.matrix.tolist()) * _inf_norm_mp(inv))
 
     @cached_property
     def residual_norm(self) -> Real:
-        A, b, x = self.matrix, self.rhs, self.solution
-        if self.precision.is_extended:
-            return _residual_mp(A, x, b, self.precision.bits)
-        return float(np.max(np.abs(A @ np.array(x) - b)))
+        return _output(_residual_mp(self.matrix, self.solution, self.rhs, self.precision.bits), self.precision)
 
     @cached_property
     def warning(self) -> Optional[str]:
@@ -80,12 +74,9 @@ class SolveResult:
     def resolve(self, b) -> "SolveResult":
         """The solve of A x = b for another right-hand side, through the
         stored factor: what a fresh solve of the same matrix returns."""
-        if self.precision.is_extended:
-            with self.precision.workprec():
-                bm = _to_mp_vec(b, self.matrix.rows)
-            return _result_mp(self.matrix, bm, self.substitute, self.inverse, self.precision)
-        bn = _to_numpy_vec(b, self.matrix.shape[0])
-        return _result_np(self.matrix, bn, self.substitute, self.precision)
+        with mp.workprec(self.precision.bits):
+            bm = _to_mp_vec(b, self.matrix.rows)
+        return _result(self.matrix, bm, self.substitute, self.inverse, self.precision)
 
 
 def auto_precision_bits(length_scale: float, n_points: int) -> int:
@@ -101,30 +92,6 @@ def auto_precision_bits(length_scale: float, n_points: int) -> int:
     return max(64, 64 + math.ceil(2 * n_points * math.log2(length_scale)))
 
 
-def _to_numpy_matrix(A) -> np.ndarray:
-    if isinstance(A, mp.matrix):
-        out = np.array(A.tolist(), dtype=float)
-    else:
-        out = np.asarray(A, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite")
-    return out
-
-
-def _to_numpy_vec(b, n: int) -> np.ndarray:
-    if isinstance(b, mp.matrix):
-        out = np.array([float(v) for v in b], dtype=float)
-    else:
-        out = np.asarray(b, dtype=float).reshape(-1)
-    if out.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}")
-    if not np.isfinite(out).all():
-        raise ValueError("right-hand side entries must be finite")
-    return out
-
-
 def _mpf_entry(v) -> mp.mpf:
     # exact rational inputs (Fraction) round once, at the working precision
     if isinstance(v, Fraction):
@@ -138,9 +105,11 @@ def _to_mp_matrix(A) -> mp.matrix:
     else:
         if isinstance(A, np.ndarray):
             A = A.tolist()
-        rows = list(A)
-        n = len(rows)
-        M = mp.matrix(n, len(rows[0]) if n else 0)
+        try:
+            rows = [list(row) for row in A]
+        except TypeError as e:  # a scalar row: a vector, not a matrix
+            raise ValueError("matrix must be a sequence of rows") from e
+        M = mp.matrix(len(rows), len(rows[0]) if rows else 0)
         for i, row in enumerate(rows):
             if len(row) != M.cols:
                 raise ValueError("matrix rows must have equal length")
@@ -148,6 +117,8 @@ def _to_mp_matrix(A) -> mp.matrix:
                 M[i, j] = _mpf_entry(v)
     if M.rows != M.cols:
         raise ValueError(f"matrix must be square, got shape ({M.rows}, {M.cols})")
+    if not M.rows:
+        raise ValueError("matrix must not be empty")
     for v in M:
         if not mp.isfinite(v):
             raise ValueError("matrix entries must be finite")
@@ -160,18 +131,16 @@ def _to_mp_vec(b, n: int) -> mp.matrix:
     elif isinstance(b, np.ndarray):
         v = mp.matrix(b.reshape(-1).tolist())
     else:
-        entries = [_mpf_entry(c) for c in b]
-        v = mp.matrix(entries)
+        try:
+            v = mp.matrix([_mpf_entry(c) for c in b])
+        except TypeError as e:  # a scalar, or a sequence of sequences
+            raise ValueError("right-hand side must be a sequence of numbers") from e
     if v.rows != n or v.cols != 1:
         raise ValueError(f"right-hand side must have length {n}")
     for c in v:
         if not mp.isfinite(c):
             raise ValueError("right-hand side entries must be finite")
     return v
-
-
-def _inf_norm_np(A: np.ndarray) -> float:
-    return float(np.abs(A).sum(axis=1).max())
 
 
 def _inf_norm_mp(rows) -> mp.mpf:
@@ -228,20 +197,18 @@ def _residual_mp(A: mp.matrix, x: mp.matrix, b: mp.matrix, bits: int) -> mp.mpf:
         return r
 
 
-def _result_mp(A: mp.matrix, b: mp.matrix, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
+def _output(v: mp.mpf, prec: PrecisionConfig) -> Real:
+    # machine-lane results are returned as floats
+    return v if prec.is_extended else float(v)
+
+
+def _result(A: mp.matrix, b: mp.matrix, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
     """The solution from one factorization, at the guard bits at which
     ``substitute(v)`` solves A x = v with the factor; the diagnostics
     reuse the factor when read."""
     with mp.workprec(prec.bits + 10):
         x = substitute(b)
-    return SolveResult(tuple(x), prec, A, b, substitute, inverse)
-
-
-def _result_np(A: np.ndarray, b: np.ndarray, substitute, prec: PrecisionConfig) -> SolveResult:
-    """The solution from one LAPACK factorization; the condition number
-    substitutes the identity through the same factor."""
-    inverse = lambda: substitute(np.eye(A.shape[0]))
-    return SolveResult(tuple(float(v) for v in substitute(b)), prec, A, b, substitute, inverse)
+    return SolveResult(tuple(_output(v, prec) for v in x), prec, A, b, substitute, inverse)
 
 
 def _warning_for(cond: float, prec: PrecisionConfig) -> Optional[str]:
@@ -260,96 +227,68 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
     precision raises NumericallyIndefiniteError; the fix is more precision,
     never regularization.
     """
-    if prec.is_extended:
-        with prec.workprec():
-            Am = _to_mp_matrix(A)
-            n = Am.rows
-            bm = _to_mp_vec(b, n)
+    with mp.workprec(prec.bits):
+        Am = _to_mp_matrix(A)
+        n = Am.rows
+        bm = _to_mp_vec(b, n)
+        for i in range(n):
+            for j in range(i):
+                if Am[i, j] != Am[j, i]:
+                    raise ValueError("matrix must be symmetric")
+        tol = +mp.eps  # definiteness is judged at the working precision
+        with mp.workprec(prec.bits + 10):  # the guard bits of mp.cholesky_solve
+            try:
+                Lc = mp.cholesky(Am, tol)
+            except ValueError as e:
+                raise NumericallyIndefiniteError(
+                    f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
+                ) from e
+        Lt = Lc.T
+
+        def substitute(v):
+            # L L^T x = v, in the order of mp.cholesky_solve
+            y = v.copy()
             for i in range(n):
-                for j in range(i):
-                    if Am[i, j] != Am[j, i]:
-                        raise ValueError("matrix must be symmetric")
-            tol = +mp.eps  # definiteness is judged at the working precision
-            with mp.workprec(prec.bits + 10):  # the guard bits of mp.cholesky_solve
-                try:
-                    Lc = mp.cholesky(Am, tol)
-                except ValueError as e:
-                    raise NumericallyIndefiniteError(
-                        f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
-                    ) from e
-            Lt = Lc.T
+                y[i] -= mp.fsum(Lc[i, j] * y[j] for j in range(i))
+                y[i] /= Lc[i, i]
+            return mp.U_solve(Lt, y)
 
-            def substitute(v):
-                # L L^T x = v, in the order of mp.cholesky_solve
-                y = v.copy()
-                for i in range(n):
-                    y[i] -= mp.fsum(Lc[i, j] * y[j] for j in range(i))
-                    y[i] /= Lc[i, i]
-                return mp.U_solve(Lt, y)
+        def inverse():
+            # A^-1 = X^T X with X = L^-1
+            X = _lower_inverse(Lc.tolist())
+            return _triangular_product(X, X, symmetric=True)
 
-            def inverse():
-                # A^-1 = X^T X with X = L^-1
-                X = _lower_inverse(Lc.tolist())
-                return _triangular_product(X, X, symmetric=True)
-
-            return _result_mp(Am, bm, substitute, inverse, prec)
-    import scipy.linalg  # deferred: slow to import, and only the machine lane needs LAPACK
-
-    An = _to_numpy_matrix(A)
-    n = An.shape[0]
-    bn = _to_numpy_vec(b, n)
-    if not np.array_equal(An, An.T):
-        raise ValueError("matrix must be symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(An)
-    except scipy.linalg.LinAlgError as e:
-        raise NumericallyIndefiniteError(
-            f"Cholesky failed at machine precision ({e}); increase the precision"
-        ) from e
-    return _result_np(An, bn, lambda v: scipy.linalg.cho_solve(factor, v), prec)
+        return _result(Am, bm, substitute, inverse, prec)
 
 
 def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
     """Solve A x = b by LU with partial pivoting.
 
-    An exactly singular matrix raises SingularMatrixError."""
-    if prec.is_extended:
-        with prec.workprec():
-            Am = _to_mp_matrix(A)
-            n = Am.rows
-            bm = _to_mp_vec(b, n)
-            with mp.workprec(prec.bits + 10):  # the guard bits of mp.lu_solve and of the inverse
-                try:
-                    LU, p = mp.LU_decomp(Am)
-                except ZeroDivisionError as e:
-                    raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
+    A matrix singular at the working precision raises SingularMatrixError."""
+    with mp.workprec(prec.bits):
+        Am = _to_mp_matrix(A)
+        n = Am.rows
+        bm = _to_mp_vec(b, n)
+        with mp.workprec(prec.bits + 10):  # the guard bits of mp.lu_solve and of the inverse
+            try:
+                LU, p = mp.LU_decomp(Am)
+            except ZeroDivisionError as e:
+                raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
 
-            def inverse():
-                # P A = L U, so A^-1 = U^-1 L^-1 P: P only reorders the
-                # columns of U^-1 L^-1, which leaves each row's entries.
-                # The rows of U^-1 are the columns of (U^T)^-1.
-                rows = LU.tolist()
-                return _triangular_product(_lower_inverse(list(zip(*rows))), _lower_inverse(rows, unit=True))
+        def inverse():
+            # P A = L U, so A^-1 = U^-1 L^-1 P: P only reorders the
+            # columns of U^-1 L^-1, which leaves each row's entries.
+            # The rows of U^-1 are the columns of (U^T)^-1.
+            rows = LU.tolist()
+            return _triangular_product(_lower_inverse(list(zip(*rows))), _lower_inverse(rows, unit=True))
 
-            return _result_mp(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), inverse, prec)
-    import scipy.linalg  # deferred, as in solve_spd
-
-    An = _to_numpy_matrix(A)
-    n = An.shape[0]
-    bn = _to_numpy_vec(b, n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(An)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrixError("matrix has an exactly zero pivot")
-    return _result_np(An, bn, lambda v: scipy.linalg.lu_solve((lu, piv), v), prec)
+        return _result(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), inverse, prec)
 
 
 def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:
     """Inf-norm condition number of one LU solve at ``prec``: the inverse
-    from the factor (U^-1 L^-1 through one triangular inverse in extended
-    mode, LAPACK substitution in machine mode); inf when the matrix is
-    singular at the working precision."""
+    from the factor through one triangular inverse; inf when the matrix
+    is singular at the working precision."""
     try:
         return solve_general(A, [0] * len(A), prec).condition
     except SingularMatrixError:

@@ -368,8 +368,8 @@ def test_optimal_manifest_lists_restart_summaries(tmp_path):
 
 def test_shipped_configs_run_without_importing_scipy(tmp_path):
     """The four configs under configs/ run through flatlimit.cli in one
-    fresh interpreter that never imports scipy: LAPACK serves only
-    precision: machine, and QUADPACK only the numeric oracle."""
+    fresh interpreter that never imports scipy: scipy serves only the
+    numeric oracle's quadrature (QUADPACK) at precision: machine."""
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent(f"""
         import sys
@@ -389,8 +389,10 @@ def test_shipped_configs_run_without_importing_scipy(tmp_path):
 
 def test_wce_of_given_weights_at_machine_precision_imports_no_scipy(tmp_path):
     """flatlimit wce with explicit weights at precision: machine reads the
-    Gram condition at the first pass's 2 bits + 32, in mpmath, and so
-    imports no scipy module; it prints the condition of the weight solve."""
+    Gram condition at the first pass's 2 bits + 32, in mpmath, and prints
+    the condition of the weight solve; flatlimit check-unisolvent at its
+    default precision: machine solves in mpmath at 53 + 10 bits.  Neither
+    imports a scipy module."""
     root = Path(__file__).resolve().parent.parent
     cfg = {
         **WCE_CFG,
@@ -402,6 +404,7 @@ def test_wce_of_given_weights_at_machine_precision_imports_no_scipy(tmp_path):
         import sys
         from flatlimit.cli import main
         assert main(["wce", "--config", {write_cfg(tmp_path / "w.yaml", cfg)!r}]) == 0
+        assert main(["check-unisolvent", "--config", {write_cfg(tmp_path / "u.yaml", UNISOLVENT_CFG)!r}]) == 0
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -410,4 +413,5 @@ def test_wce_of_given_weights_at_machine_precision_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "gram condition:     1.200000e+17" in lines
+    assert "status: unisolvent" in lines
     assert lines[-1] == "[]"

@@ -254,14 +254,16 @@ WARNED_128 = PrecisionConfig("extended", 128, condition_warn_threshold=1e6)
 
 # The diagnostics the eager solves reported before they became lazy:
 # (condition, residual norm as a float or an mpf's (sign, man, exp, bc),
-# warning), for the systems of diagnostic_systems.
+# warning), for the systems of diagnostic_systems.  The machine entries are
+# those of the mpmath solve at 53 + 10 bits, with the residual of the
+# returned float solution evaluated with 64 guard bits.
 EAGER_DIAGNOSTICS = {
     ("machine", "spd"): (
-        839509674974.351,
-        1.9402701667559086e-11,
+        839509254981.9287,
+        2.167001447462736e-11,
         "condition estimate 8.395e+11 exceeds threshold 9.491e+07 at 53 bits; consider a higher precision",
     ),
-    ("machine", "general"): (69.99999999999999, 2.220446049250313e-16, None),
+    ("machine", "general"): (70.0, 5.551115123125783e-17, None),
     ("extended", "spd"): (839513240325.3585, (0, 120654436130713383, -177, 57), None),
     ("extended", "general"): (70.0, (0, 52031587694887131, -193, 56), None),
     ("warned", "spd"): (
@@ -273,43 +275,66 @@ EAGER_DIAGNOSTICS = {
 LANES = {"machine": PrecisionConfig.machine(), "extended": PrecisionConfig.extended(128), "warned": WARNED_128}
 
 
-def count_substitutions(monkeypatch, prec):
-    """Count the triangular substitutions through a stored factor: the
-    calls of scipy's cho_solve and lu_solve (one per right-hand side
-    block) in the machine lane, of mpmath's U_solve (one per column) in
-    the extended lane."""
-    if prec.is_extended:
-        return count_mp_calls(monkeypatch, "U_solve")
-    import scipy.linalg
-
-    counts = {}
-    for name in ("cho_solve", "lu_solve"):
-        original = getattr(scipy.linalg, name)
-        counts[name] = 0
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("lane", ["machine", "extended"])
 @pytest.mark.parametrize("kind", ["spd", "general"])
 def test_unread_diagnostics_cost_no_inverse_columns(monkeypatch, lane, kind):
     prec = LANES[lane]
     solve, A, b = diagnostic_systems(prec)[kind]
-    counts = count_substitutions(monkeypatch, prec)
+    counts = count_mp_calls(monkeypatch, "U_solve")
     res = solve(A, b, prec)
-    assert sum(counts.values()) == 1  # the solution only
+    assert counts["U_solve"] == 1  # the solution only
     res.residual_norm
-    assert sum(counts.values()) == 1  # the residual needs no substitution
+    assert counts["U_solve"] == 1  # the residual needs no substitution
     res.condition
     res.warning
-    # extended: one triangular inverse of the factor; machine: one LAPACK
-    # substitution of the identity
-    assert sum(counts.values()) == (1 if prec.is_extended else 2)
+    assert counts["U_solve"] == 1  # the inverse comes from the factor
+
+
+@pytest.mark.parametrize("kind", ["spd", "general"])
+def test_machine_condition_is_that_of_the_float64_system(kind):
+    """The machine lane reads ||A|| ||A^-1|| of the float64-rounded system,
+    with A^-1 from mp.inverse at 400 bits as the reference: the Gram
+    system within a relative kappa 2^-63 (u at the 63 bits of the
+    solve), the Vandermonde system to the float."""
+    prec = PrecisionConfig.machine()
+    solve, A, b = diagnostic_systems(prec)[kind]
+    with mp.workprec(400):
+        Am = mp.matrix(A)
+        exact = inf_norm(Am) * inf_norm(mp.inverse(Am))
+        got = solve(A, b, prec).condition
+        if kind == "spd":
+            assert abs(got - exact) <= exact * exact * mp.mpf(2) ** -63
+        else:
+            assert got == float(exact) == 70.0
+
+
+MALFORMED = {
+    "one_dimensional": ([1.0, 2.0], [1.0, 2.0]),
+    "one_dimensional_array": (np.array([1.0, 2.0]), [1.0, 2.0]),
+    "empty": ([], []),
+    "non_square": ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0]),
+    "ragged": ([[1.0, 2.0], [3.0]], [1.0, 2.0]),
+    "non_finite_entry": ([[1.0, math.nan], [math.nan, 1.0]], [1.0, 2.0]),
+    "non_finite_rhs": ([[2.0, 0.0], [0.0, 1.0]], [1.0, math.inf]),
+    "rhs_wrong_length": ([[2.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0]),
+    "rhs_scalar": ([[2.0, 0.0], [0.0, 1.0]], 1.0),
+    "rhs_nested": ([[2.0, 0.0], [0.0, 1.0]], [[1.0], [2.0]]),
+}
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"])
+@pytest.mark.parametrize(
+    "solve,A,b",
+    [
+        pytest.param(solve, A, b, id=f"{name}-{solve.__name__}")
+        for name, (A, b) in MALFORMED.items()
+        for solve in (solve_spd, solve_general)
+    ]
+    + [pytest.param(solve_spd, [[2.0, 1.0], [0.0, 1.0]], [1.0, 2.0], id="non_symmetric-solve_spd")],
+)
+def test_malformed_systems_raise_value_error(prec, solve, A, b):
+    with pytest.raises(ValueError):
+        solve(A, b, prec)
 
 
 @pytest.mark.parametrize("lane,kind", list(EAGER_DIAGNOSTICS), ids=["-".join(k) for k in EAGER_DIAGNOSTICS])
