@@ -69,11 +69,10 @@ class WeightSolution:
     may run higher.  ``condition`` and ``residual_norm`` read through to
     the :class:`SolveResult`, which computes them on first read, and
     ``warning`` judges that condition at ``precision``.  Optimal weights
-    also record the kernel, the functional and the embedding (rounded to
-    ``precision``) they were solved with, and their solve keeps G and z at
-    its own precision: :func:`worst_case_error` takes the rule, the Gram
-    condition and that assembly from such a solution, the node optimizer
-    its embedding.  The polynomial-type weight families leave these None.
+    also record the kernel and the functional they were solved with, and
+    their solve keeps G and z at its own precision: :func:`worst_case_error`
+    takes the rule, the Gram condition and that assembly from such a
+    solution.  The polynomial-type weight families leave these None.
     """
 
     rule: CubatureRule
@@ -81,7 +80,6 @@ class WeightSolution:
     precision: PrecisionConfig
     kernel: Optional[KernelSpec] = None
     functional: Optional[FunctionalSpec] = None
-    embedding: Optional[tuple[Real, ...]] = None
 
     @property
     def weights(self) -> tuple[Real, ...]:
@@ -169,7 +167,7 @@ def optimal_weights(
         sol = solve_spd(G, z, solve_prec)
     with prec.workprec():
         rule = CubatureRule(points, tuple(prec.to_real(w) for w in sol.solution))
-        return WeightSolution(rule, sol, prec, spec, L, tuple(prec.to_real(zi) for zi in z))
+        return WeightSolution(rule, sol, prec, spec, L)
 
 
 def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):

@@ -350,7 +350,7 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
             rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, settings)
             xs = tuple(p[0] for p in rule.points)
             ws = rule.weights_float()
-            wce = trace.entries[-1].wce if trace.entries else math.nan
+            wce = trace.entries[-1].wce
             nd = max(abs(a - b) for a, b in zip(xs, gauss.nodes))
             wd = max(abs(a - b) for a, b in zip(ws, gauss.weights))
             records.append(

@@ -33,7 +33,7 @@ from .core import (
     sq_norm,
 )
 from .errors import KernelDomainError, QuadratureError
-from .kernels import KernelSpec, kernel_derivative, kernel_eval, phi_basis_eval
+from .kernels import KernelSpec, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
 
@@ -364,21 +364,6 @@ def _check_szego_box(L: FunctionalSpec, spec: KernelSpec, y: float) -> None:
         )
 
 
-def _box_szego_embedding_derivative(a: float, b: float, length_scale: float, y: Real, bits: int) -> mp.mpf:
-    """z'(y) = int_a^b x l^2 / (l^2 - x y)^2 dx for y != 0, as an mpf rounded
-    to ``bits``: (l^2 / y^2) [l^2 / (l^2 - b y) - l^2 / (l^2 - a y)
-    + ln((l^2 - b y) / (l^2 - a y))].  The three terms are of size
-    l^2 / y^2 and cancel to about (b^2 - a^2) / (2 l^2)
-    (:func:`_cancelling_sum`)."""
-
-    def summands():
-        l2, ar, br, yr = mp.mpf(length_scale) ** 2, mp.mpf(a), mp.mpf(b), mp.mpf(y)
-        s = l2 / (yr * yr)
-        return [s * l2 / (l2 - br * yr), -s * l2 / (l2 - ar * yr), -s * mp.log1p((br - ar) * yr / (l2 - br * yr))]
-
-    return _cancelling_sum(summands, bits)
-
-
 def _box_szego_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
     """The Szego kernel l^2 / (l^2 - x y) integrated over [a, b] in both
     arguments, l^2 (Li2(b^2 / l^2) - 2 Li2(a b / l^2) + Li2(a^2 / l^2)), as
@@ -560,42 +545,6 @@ def kernel_embedding(
             return ell * ell / y * rlog1p((br - ar) * y / (ell * ell - br * y))
         target = xv[0] if L.dimension == 1 else xv
         return apply_functional(L, lambda t: kernel_eval(spec, t, target, prec), prec)
-
-
-def embedding_derivative(
-    L: FunctionalSpec,
-    spec: KernelSpec,
-    x: Real,
-    prec: PrecisionConfig = MACHINE,
-) -> Real:
-    """The derivative z'(x) = L[dK(., x)/dx] of the embedding at a scalar
-    x, for a one-dimensional functional.
-
-    Closed forms for the Gaussian kernel: exp(-(a - x)^2 / (2 l^2)) -
-    exp(-(b - x)^2 / (2 l^2)) on a box [a, b], and -x / (1 + l^2) z(x)
-    against the Gaussian measure; for the Szego kernel on a box, see
-    :func:`_box_szego_embedding_derivative` ((b^2 - a^2) / (2 l^2) at
-    x = 0).  Other combinations apply ``L`` to
-    :func:`kernels.kernel_derivative`, as :func:`kernel_embedding` applies
-    it to the kernel.
-    """
-    if L.dimension != 1:
-        raise ValueError(f"embedding derivatives are one-dimensional, got dimension {L.dimension}")
-    with prec.workprec():
-        xr = prec.to_real(x)
-        ell = prec.to_real(spec.length_scale)
-        if spec.family == "gaussian" and L.kind == "lebesgue_box":
-            ar, br = prec.to_real(L.lower[0]), prec.to_real(L.upper[0])
-            return rexp(-(ar - xr) ** 2 / (2 * ell * ell)) - rexp(-(br - xr) ** 2 / (2 * ell * ell))
-        if spec.family == "gaussian" and L.kind == "gaussian_measure":
-            return -xr / (1 + ell * ell) * kernel_embedding(L, spec, xr, prec)
-        if spec.family == "szego" and L.kind == "lebesgue_box":
-            a, b = L.lower[0], L.upper[0]
-            _check_szego_box(L, spec, xr)
-            if xr == 0:
-                return (prec.to_real(b) ** 2 - prec.to_real(a) ** 2) / (2 * ell * ell)
-            return prec.to_real(_box_szego_embedding_derivative(a, b, spec.length_scale, xr, prec.bits))
-        return apply_functional(L, lambda t: kernel_derivative(spec, xr, t, prec), prec)
 
 
 def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig = MACHINE) -> Real:

@@ -11,8 +11,10 @@ least-squares residual of the kernel's orthonormal basis in the nodes
 alone (:class:`_BasisResidual`), which a bounded Levenberg-Marquardt
 search (:func:`_levenberg_marquardt`) minimizes in numpy.  The search runs
 in float64 while 2 N log2(l / R) <= 40, and otherwise in mpmath at the
-optimizer's bits (:func:`_search_lane`); the winning nodes are re-solved
-once in extended precision for the written weights and wce.
+optimizer's own bits (:func:`_search_lane`), whatever the output
+precision; the winning nodes are re-solved once by
+:func:`cubature.optimal_weights` for the written weights, and
+:func:`cubature.worst_case_error` gives the written wce.
 """
 from __future__ import annotations
 
@@ -38,14 +40,8 @@ from .errors import (
     NumericallyIndefiniteError,
     SingularMatrixError,
 )
-from .cubature import optimal_weights
-from .functionals import (
-    FunctionalSpec,
-    damped_moment,
-    double_embedding,
-    moment,
-    quad1d,
-)
+from .cubature import optimal_weights, worst_case_error
+from .functionals import FunctionalSpec, damped_moment, moment, quad1d
 from .kernels import KernelSpec
 
 
@@ -570,28 +566,33 @@ def optimize_points(
     :class:`_BasisResidual`, whose squared norm is e^2, with its
     Golub-Pereyra Jacobian.  :func:`_levenberg_marquardt` minimizes it
     within the box bounds, in the lane :func:`_search_lane` picks per
-    length scale: float64, or mpmath at ``prec`` where float64 drifts.
-    Either way the winning nodes are then re-solved once by
-    :func:`cubature.optimal_weights` at ``prec``; that solve gives the
-    returned weights, the wce sqrt(LL[K] - w.z) of the last trace entry
-    and the winning restart's summary wce.  Every other wce of the search
-    (earlier trace entries, the other restarts' summaries) is scaled by
-    the ratio of the two wce at the winning nodes, so the winner stays the
-    least and the trace non-increasing.
+    length scale: float64, or mpmath at the optimizer's own
+    :func:`_default_optimizer_bits` whatever ``prec`` is, so the nodes
+    found do not depend on the output precision or on the caller's mpmath
+    context.  The winning nodes are then re-solved once by
+    :func:`cubature.optimal_weights` at ``prec`` for the returned weights,
+    and :func:`cubature.worst_case_error` of that solve gives the wce of
+    the last trace entry and the winning restart's summary.  Every other
+    wce of the search (earlier trace entries, the other restarts'
+    summaries) is scaled by the ratio of the two wce at the winning nodes,
+    so the winner stays the least and the trace non-increasing.
 
     Runs one deterministic start from the Gaussian quadrature nodes of the
     functional (when available) plus ``restarts`` seeded stratified random
     starts, with up to ``max_evals`` residual evaluations each; the lowest
     e^2 over all restarts wins.  A start whose basis matrix is singular
     ends that restart without a rule, and a restart summary reads it as
-    the zero rule (wce sqrt(LL[K])); a nonpositive e^2 raises.  Other
-    kernel families raise ValueError.
+    the zero rule (wce sqrt(LL[K])); a nonpositive e^2 in the search
+    raises, as does a negative squared wce beyond the roundoff budget of
+    :func:`cubature.worst_case_error`.  Other kernel families raise
+    ValueError.
     """
     _check_nodes(L, n_points)
     _check_kernel(spec.family)
     settings = settings or OptimizerSettings()
+    search_prec = PrecisionConfig.extended(_default_optimizer_bits(spec.length_scale, n_points))
     if prec is None:
-        prec = PrecisionConfig.extended(_default_optimizer_bits(spec.length_scale, n_points))
+        prec = search_prec
 
     if L.is_bounded:
         box = (L.lower[0], L.upper[0])
@@ -605,7 +606,7 @@ def optimize_points(
     width = b - a
 
     search = _search_lane(L, n_points, spec.length_scale, (a, b))
-    residual = _BasisResidual(spec, L, n_points, (a, b), prec, search)
+    residual = _BasisResidual(spec, L, n_points, (a, b), search_prec, search)
 
     inits: list[tuple[str, np.ndarray]] = []
     try:
@@ -625,46 +626,36 @@ def optimize_points(
         y0 = np.sort(lo + rng.random(n_points) * (width / n_points))
         inits.append((f"random{k}", y0))
 
-    with prec.workprec():
-        llk = double_embedding(L, spec, prec)
     trace = OptimizationTrace(search=search)
-    winner, searched = None, []  # searched: the summaries of restarts with an accepted rule
+    winner, finals = None, []  # finals: each restart's last accepted e^2, None without one
     for name, x0 in inits:
         x0 = np.asarray(x0, dtype=float)
         accepted, nfev, converged = _levenberg_marquardt(residual, x0, (a, b), settings.max_evals)
-        # a restart without a feasible evaluation reads as the zero rule
-        with prec.workprec():
-            wce = float(rsqrt(accepted[-1][2])) if accepted else math.sqrt(float(llk))
-        summary = {"start": name, "wce": wce, "nfev": nfev, "converged": converged}
-        trace.restart_summaries.append(summary)
-        if accepted:
-            searched.append(summary)
-            if winner is None or accepted[-1][2] < winner[0][-1][2]:
-                winner = (accepted, converged, wce)
+        trace.restart_summaries.append({"start": name, "wce": None, "nfev": nfev, "converged": converged})
+        finals.append(accepted[-1][2] if accepted else None)
+        if accepted and (winner is None or accepted[-1][2] < winner[0][-1][2]):
+            winner = (accepted, converged)
     if winner is None:
         raise NumericalInconsistencyError(
             "optimizer never reached a feasible node configuration; widen the box "
             "or reduce n_points"
         )
-    accepted, converged, found_wce = winner
+    accepted, converged = winner
     found = tuple(float(v) for v in accepted[-1][0])
     sol = optimal_weights(spec, L, PointSet.from_1d(found), prec)
-    with prec.workprec():
-        e2 = llk - sum(wi * zi for wi, zi in zip(sol.weights, sol.embedding))
-        if not e2 > 0:
-            raise NumericalInconsistencyError(
-                f"squared worst-case error LL[K] - w.z = {float(e2):.3e} is not positive "
-                f"at {prec.bits} bits; increase the precision"
-            )
-        wce = float(rsqrt(e2))
-        rescale = lambda v: wce * (v / found_wce)
+    report = worst_case_error(spec, L, sol, prec, assume_optimal=True)
+    wce = float(report.wce)
+    with search_prec.workprec():
+        found_wce = float(rsqrt(accepted[-1][2]))
+        rescale = lambda e: wce * (float(rsqrt(e)) / found_wce)
         trace.entries = [
-            TraceEntry(tuple(float(v) for v in x), tuple(float(v) for v in w), rescale(float(rsqrt(e))))
+            TraceEntry(tuple(float(v) for v in x), tuple(float(v) for v in w), rescale(e))
             for x, w, e in accepted[:-1]
         ]
+        for summary, e in zip(trace.restart_summaries, finals):
+            # a restart without a feasible evaluation reads as the zero rule
+            summary["wce"] = math.sqrt(float(report.initial_term)) if e is None else rescale(e)
     trace.entries.append(TraceEntry(found, sol.rule.weights_float(), wce))
-    for summary in searched:
-        summary["wce"] = rescale(summary["wce"])
     trace.converged = converged
     trace.n_evaluations = sum(r["nfev"] for r in trace.restart_summaries)
     return sol.rule, trace

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import flatlimit.experiments as experiments
+from flatlimit import CubatureRule, FunctionalSpec, KernelSpec, PointSet, PrecisionConfig, worst_case_error
 from flatlimit.cli import main
 
 SWEEP_CFG = {
@@ -364,6 +365,39 @@ def test_optimal_manifest_lists_restart_summaries(tmp_path):
         assert [r["start"] for r in s["restarts"]] == ["gauss", "random0", "random1"]
         assert all(set(r) == {"start", "wce", "nfev", "converged"} for r in s["restarts"])
         assert min(r["wce"] for r in s["restarts"]) == csv_wce[s["ell"]]
+
+
+def test_optimal_study_at_machine_precision_matches_the_golden(tmp_path):
+    """flatlimit optimal on the shipped optimal_legendre config with
+    --precision machine writes no failures, and its nodes, weights,
+    distances to Gauss and convergence are the golden's byte for byte: the
+    node search runs at the optimizer's own bits whatever the output
+    precision.  Each wce is worst_case_error of the written rule, to a
+    relative 1e-14 of a 256-bit evaluation of the rule as written.  It is
+    within a relative 1e-13 of the golden's: the float64 weights add
+    dw.G dw to e^2, about 1e-32 against e^2 = 1.3e-19 at l = 100, a
+    relative 2e-14 in the wce."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "out"
+    config = str(root / "configs" / "optimal_legendre.yaml")
+    assert main(["optimal", "--config", config, "--precision", "machine", "--out", str(out)]) == 0
+    assert yaml.safe_load((out / "manifest.yaml").read_text())["failures"] == []
+    golden = (Path(__file__).resolve().parent / "golden" / "optimal_legendre" / "optimal.csv").read_text()
+    rows, expected = (text.splitlines() for text in ((out / "optimal.csv").read_text(), golden))
+    header = rows[0].split(",")
+    assert header == expected[0].split(",") and len(rows) == len(expected)
+    exact = [c for c in header if c.startswith(("x_", "w_")) or c in ("node_dist_gauss", "weight_dist_gauss", "converged")]
+    for row, ref in zip(rows[1:], expected[1:]):
+        got, want = dict(zip(header, row.split(","))), dict(zip(header, ref.split(",")))
+        assert [got[c] for c in exact] == [want[c] for c in exact], got["ell"]
+        wce = float(got["wce"])
+        assert abs(wce - float(want["wce"])) <= 1e-13 * float(want["wce"]), got["ell"]
+        rule = CubatureRule(
+            PointSet.from_1d([float(got["x_0"]), float(got["x_1"])]), (float(got["w_0"]), float(got["w_1"]))
+        )
+        spec = KernelSpec.gaussian(float(got["ell"]))
+        ref = float(worst_case_error(spec, FunctionalSpec.lebesgue_box(-1.0, 1.0), rule, PrecisionConfig.extended(256)).wce)
+        assert abs(wce - ref) <= 1e-14 * ref, got["ell"]
 
 
 def test_shipped_configs_run_without_importing_scipy(tmp_path):

@@ -231,6 +231,25 @@ def test_optimized_rule_is_the_last_recorded_iterate():
     assert rule.weights_float() == trace.entries[-1].weights
 
 
+def test_machine_precision_search_ignores_the_callers_mpmath_precision():
+    """At precision: machine the search runs at the optimizer's own bits,
+    so the mpmath precision the caller left does not move the nodes, and
+    the last trace wce is the returned rule's worst_case_error.  At N = 2,
+    l = 2000 that wce is 2.27e-15, far below the 53-bit roundoff of
+    LL[K] - w.z (LL[K] is about 4)."""
+    from mpmath import mp
+
+    spec = KernelSpec.gaussian(2000.0)
+    nodes = set()
+    for bits in (20, 53, 300):
+        with mp.workprec(bits):
+            rule, trace = optimize_points(spec, LEB, 2, PrecisionConfig.machine(), OptimizerSettings(restarts=0))
+        nodes.add(tuple(p[0] for p in rule.points))
+        ref = float(worst_case_error(spec, LEB, rule, PrecisionConfig.extended(256)).wce)
+        assert abs(trace.entries[-1].wce - ref) <= 1e-12 * ref, bits
+    assert len(nodes) == 1
+
+
 def test_node_construction_rejects_point_evaluation():
     L = FunctionalSpec.point_eval(0.3)
     with pytest.raises(ValueError, match="point evaluation"):

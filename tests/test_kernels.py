@@ -13,7 +13,6 @@ from flatlimit import (
     PrecisionConfig,
     SeriesConvergenceError,
     gram_matrix,
-    kernel_derivative,
     kernel_eval,
     phi_basis_eval,
 )
@@ -135,40 +134,3 @@ def test_kernel_spec_validation():
         KernelSpec.gaussian(-2.0)
     with pytest.raises(ValueError):
         KernelSpec.damped_power_series(1.0, "nope", 2.0, lambda a: 1)
-
-
-DERIVATIVE_KERNELS = {
-    "gaussian": KernelSpec.gaussian(2.0),
-    "exponential": KernelSpec.exponential(2.0),
-    "szego": KernelSpec.szego(2.0),
-    "series_gaussian_weights": KernelSpec.damped_power_series(2.0, "gaussian", 2.0, lambda a: a.factorial()),
-    "series_szego_weights": KernelSpec.damped_power_series(2.0, "none", 2.0, lambda a: a.factorial() ** 2),
-}
-DERIVATIVE_PAIRS = [(0.7, -1.1), (0.0, 0.9), (-0.4, 0.0), (1.2, 1.2), (-1.5, 0.3)]
-
-
-@pytest.mark.parametrize("name", sorted(DERIVATIVE_KERNELS))
-def test_kernel_derivative_matches_numeric_differentiation(name):
-    """dK(x, y)/dx against mpmath's numerical derivative of kernel_eval at
-    128 bits: to 2^-110 for the closed forms, and to 2^-60 for the damped
-    series, whose sum stops at a relative 2^-64."""
-    spec = DERIVATIVE_KERNELS[name]
-    prec = PrecisionConfig.extended(128)
-    tol = mp.mpf(2) ** (-60 if spec.family == "damped_power_series" else -110)
-    for x, y in DERIVATIVE_PAIRS:
-        value = kernel_derivative(spec, x, y, prec)
-        with mp.workprec(128):
-            numeric = mp.diff(lambda t: kernel_eval(spec, t, y, PrecisionConfig.extended(mp.prec)), x)
-            assert abs(value - numeric) <= tol * max(1, abs(numeric)), (x, y)
-
-
-def test_series_with_gaussian_weights_differentiates_as_the_gaussian():
-    k_closed = KernelSpec.gaussian(1.5)
-    k_series = KernelSpec.damped_power_series(1.5, "gaussian", 2.0, lambda a: a.factorial())
-    for x, y in DERIVATIVE_PAIRS:
-        assert_allclose(kernel_derivative(k_series, x, y), kernel_derivative(k_closed, x, y), rtol=0, atol=1e-13)
-
-
-def test_kernel_derivative_is_one_dimensional():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        kernel_derivative(KernelSpec.gaussian(1.0), (0.0, 0.0), (1.0, 1.0))
