@@ -2,8 +2,9 @@
 working-precision configuration.
 
 Everything downstream is written against one scalar convention: in machine
-mode values are Python floats (and numpy arrays hold float64), in extended
-mode they are mpmath ``mpf`` numbers evaluated inside a ``workprec`` block.
+mode values are Python floats, in extended mode they are mpmath ``mpf``
+numbers evaluated inside a ``workprec`` block; vectors are lists or tuples
+of them, and matrices are ``mp.matrix`` in both modes.
 The helpers at the bottom (``rexp``, ``rsqrt``, ...) dispatch on the scalar
 type so the same formula serves both modes.
 """
@@ -14,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
-import numpy as np
 from mpmath import mp, mpf
 
 Real = Union[float, mpf]
@@ -298,14 +298,6 @@ class PrecisionConfig:
 
     def to_point(self, p: Sequence) -> tuple[Real, ...]:
         return tuple(self.to_real(c) for c in p)
-
-    def _matrix(self, rows: int, cols: int):
-        """Zero matrix of this precision's container type, indexed as
-        ``A[i, j]``: a float64 numpy array in machine mode, an mpmath
-        matrix in extended mode (package-internal)."""
-        if self.is_extended:
-            return mp.matrix(rows, cols)
-        return np.zeros((rows, cols), dtype=float)
 
 
 MACHINE = PrecisionConfig.machine()

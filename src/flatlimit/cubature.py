@@ -278,8 +278,8 @@ def _vandermonde_solve(points: PointSet, degree: int, rhs, prec: PrecisionConfig
     graded order, at the working precision; a singular system means the
     points are not unisolvent (:class:`NotUnisolventError`)."""
     mset = _monomials(points, degree)
-    with prec.workprec():
-        A = prec._matrix(len(points), len(points))
+    with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode: float entries stay exact
+        A = mp.matrix(len(points), len(points))
         for j, alpha in enumerate(mset):
             for i, x in enumerate(points):
                 A[j, i] = monomial_eval(prec.to_point(x), alpha)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-import numpy as np
 from mpmath import mp
 
 from . import __version__
@@ -119,8 +118,10 @@ class _LengthScaleGrid:
 
     @property
     def ell_grid(self) -> tuple[float, ...]:
-        grid = np.logspace(math.log10(self.ell_min), math.log10(self.ell_max), self.ell_count)
-        return tuple(float(v) for v in grid)
+        # numpy's logspace formula, so that the shipped grids keep their bits
+        lo, hi = math.log10(self.ell_min), math.log10(self.ell_max)
+        step = (hi - lo) / (self.ell_count - 1)
+        return tuple(10.0 ** (k * step + lo) for k in range(self.ell_count - 1)) + (10.0**hi,)
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,9 @@ def fit_rate(
 
     "middle" drops one sixth of the grid from each end, avoiding the
     pre-asymptotic start and the precision-saturated tail.  Zero wce values
-    cannot enter the log fit and are skipped.
+    cannot enter the log fit and are skipped.  The least-squares line is
+    taken in closed form, its sums by ``math.fsum``; None when fewer than
+    two points, or a single length scale, are left.
     """
     window = _fit_window(window)
     pairs = [(l, w) for l, w in zip(ells, wces) if w > 0 and math.isfinite(w)]
@@ -208,18 +211,20 @@ def fit_rate(
         pairs = pairs[drop: len(pairs) - drop] if drop else pairs
     if len(pairs) < 2:
         return None
-    xs = np.log([p[0] for p in pairs])
-    ys = np.log([float(p[1]) for p in pairs])
+    xs = [math.log(p[0]) for p in pairs]
+    ys = [math.log(float(p[1])) for p in pairs]
     n = len(xs)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    sxx = float(np.sum((xs - xs.mean()) ** 2))
-    if n > 2 and sxx > 0:
-        stderr = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
-    else:
-        # two points determine the line exactly; no residual degrees of freedom
-        stderr = 0.0
-    return RateFit(float(slope), stderr, (float(pairs[0][0]), float(pairs[-1][0])), n)
+    x_mean, y_mean = math.fsum(xs) / n, math.fsum(ys) / n
+    dx = [x - x_mean for x in xs]
+    sxx = math.fsum(d * d for d in dx)
+    if not sxx > 0:
+        return None  # a single length scale: no slope
+    slope = math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / sxx
+    intercept = y_mean - slope * x_mean
+    resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
+    # two points determine the line exactly; no residual degrees of freedom
+    stderr = math.sqrt(math.fsum(r * r for r in resid) / (n - 2) / sxx) if n > 2 else 0.0
+    return RateFit(slope, stderr, (float(pairs[0][0]), float(pairs[-1][0])), n)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

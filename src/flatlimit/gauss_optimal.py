@@ -9,8 +9,9 @@ of the Gaussian kernel over node positions.  The optimal weights are
 linear, so variable projection eliminates them: what is left is the
 least-squares residual of the kernel's orthonormal basis in the nodes
 alone (:class:`_BasisResidual`), which a bounded Levenberg-Marquardt
-search (:func:`_levenberg_marquardt`) minimizes in numpy.  The search runs
-in float64 while 2 N log2(l / R) <= 40, and otherwise in mpmath at the
+search (:func:`_levenberg_marquardt`) minimizes on Python lists of one
+scalar type, float or mpf, in one code path.  The search runs in float64
+while 2 N log2(l / R) <= 40, and otherwise in mpmath at the
 optimizer's own bits (:func:`_search_lane`), whatever the output
 precision; the winning nodes are re-solved once by
 :func:`cubature.optimal_weights` for the written weights, and
@@ -19,10 +20,13 @@ precision; the winning nodes are re-solved once by
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Optional
 
-import numpy as np
 from mpmath import mp
 
 from .core import (
@@ -268,76 +272,89 @@ def _gamma_tail(m: int, u: float) -> float:
     return math.exp(m * math.log(u) - u - math.lgamma(m + 1)) * (m + 1) / (m + 1 - u)
 
 
-def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder QR of the m x n matrix ``a`` (m > n) of float64 or mpf
-    entries, as LAPACK's dgeqr2 forms it: the reflectors (column j is v_j,
-    with v_j[j] = 1 and zeros above it), their factors tau_j, so that
-    Q = H_0 ... H_(n-1) with H_j = I - tau_j v_j v_j^T, and the n x n
-    upper triangle R.  A zero or non-finite pivot raises
-    :class:`SingularMatrixError`."""
-    a = a.copy()
-    n = a.shape[1]
-    v = np.zeros_like(a)
-    tau = np.zeros_like(a[0])
-    for j in range(n):
-        x = a[j:, j]
-        norm = rsqrt(x @ x)
+def _dot(a, b):
+    """sum_i a_i b_i, accumulated left to right in the type of the entries.
+    Every sum of the search goes through here: built-in sum() compensates
+    float sums from Python 3.12 on, and the nodes found must not depend on
+    the interpreter."""
+    total = 0
+    for p, q in zip(a, b):
+        total += p * q
+    return total
+
+
+def _householder(columns: list) -> tuple[list, list, list]:
+    """Householder QR of the m x n matrix given by its n ``columns``
+    (m > n) of float or mpf entries, as LAPACK's dgeqr2 forms it, one
+    column at a time: the reflectors v_j (from row j on, with
+    v_j[0] = 1) and their factors tau_j, so that Q = H_0 ... H_(n-1) with
+    H_j = I - tau_j v_j v_j^T, and the columns of the n x n upper
+    triangle R (column j down to its diagonal).  A zero or non-finite
+    pivot raises :class:`SingularMatrixError`."""
+    vs, taus, upper = [], [], []
+    for j, column in enumerate(columns):
+        x = _reflect(vs, taus, column, transpose=True)
+        norm = rsqrt(_dot(x[j:], x[j:]))
         if not 0 < norm < math.inf:
             raise SingularMatrixError(f"column {j} of the least-squares matrix has a zero or non-finite pivot")
-        beta = -norm if x[0] >= 0 else norm
-        v[j, j] = 1
-        v[j + 1:, j] = x[1:] / (x[0] - beta)
-        tau[j] = (beta - x[0]) / beta
-        a[j:, j:] -= np.outer(v[j:, j], v[j:, j] @ a[j:, j:]) * tau[j]
-    return v, tau, np.triu(a[:n])
+        beta = -norm if x[j] >= 0 else norm
+        vs.append([1] + [t / (x[j] - beta) for t in x[j + 1:]])
+        taus.append((beta - x[j]) / beta)
+        upper.append(x[:j] + [beta])
+    return vs, taus, upper
 
 
-def _reflect(v: np.ndarray, tau: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarray:
-    """Q^T b (``transpose``) or Q b for the columns of ``b``, with Q from
-    the reflectors of :func:`_householder`."""
-    b = b.copy()
-    order = range(len(tau))
+def _reflect(vs: list, taus: list, b: list, transpose: bool) -> list:
+    """Q^T b (``transpose``) or Q b for the vector ``b``, with Q from the
+    reflectors of :func:`_householder`."""
+    b = list(b)
+    order = range(len(taus))
     for j in order if transpose else reversed(order):
-        # the array first: an mpf on the left formats the whole array to try to convert it
-        b[j:] -= np.outer(v[j:, j], v[j:, j] @ b[j:]) * tau[j]
+        s = _dot(vs[j], b[j:]) * taus[j]
+        b[j:] = [bi - vi * s for bi, vi in zip(b[j:], vs[j])]
     return b
 
 
-def _back_substitute(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """R^-1 b for the columns of ``b``, with R upper triangular."""
-    x = b.copy()
-    for i in reversed(range(upper.shape[0])):
-        x[i] = (x[i] - upper[i, i + 1:] @ x[i + 1:]) / upper[i, i]
+def _back_substitute(upper: list, b: list) -> list:
+    """R^-1 b for R upper triangular, given by its columns."""
+    x = list(b)
+    for k in reversed(range(len(upper))):
+        x[k] /= upper[k][k]
+        x[:k] = [xi - rik * x[k] for xi, rik in zip(x[:k], upper[k])]
     return x
 
 
-def _basis_solve(phi: np.ndarray, dphi: np.ndarray, c: np.ndarray):
+def _basis_solve(phi: list, dphi: list, c: list):
     """min_w ||c - phi w|| by Householder QR of the M x N matrix phi = QR,
-    and the Jacobian of its residual in the nodes: the weights w, the
-    squared residual norm e^2 = ||Q_2^T c||^2, the residual
-    r = Q [0; Q_2^T c] = P c with P = I - Q Q^T, formed from the
-    reflectors, and the variable-projection Jacobian J (Golub & Pereyra,
-    SIAM J. Numer. Anal. 1973).  Column n of ``phi`` depends on x_n alone,
-    with derivative column n of ``dphi``, so
+    given by its columns, and the Jacobian of its residual in the nodes:
+    the weights w, the squared residual norm e^2 = ||Q_2^T c||^2, the
+    residual r = Q [0; Q_2^T c] = P c with P = I - Q Q^T, formed from the
+    reflectors, and the columns of the variable-projection Jacobian J
+    (Golub & Pereyra, SIAM J. Numer. Anal. 1973).  Column n of ``phi``
+    depends on x_n alone, with derivative column n of ``dphi``, so
 
-        dr/dx_n = -w_n P phi'_n - (phi'_n . r) Q R^-T e_n .
+        dr/dx_n = -w_n P phi'_n - (phi'_n . r) Q R^-T e_n
+                = Q [-(phi'_n . r) R^-T e_n; -w_n Q_2^T phi'_n] ,
+
+    one reflection per column.
 
     A zero or non-finite pivot, or weights that are not finite, raise
     :class:`SingularMatrixError`."""
-    m, n = phi.shape
-    v, tau, upper = _householder(phi)
-    t = _reflect(v, tau, np.column_stack([c, dphi]), transpose=True)
-    solved = _back_substitute(upper, np.column_stack([t[:n, 0], np.eye(n, dtype=phi.dtype)]))
-    w = solved[:, 0]
+    n = len(phi)
+    vs, taus, upper = _householder(phi)
+    t = [_reflect(vs, taus, col, transpose=True) for col in [c] + dphi]
+    w = _back_substitute(upper, t[0][:n])
     if not all(abs(wn) < math.inf for wn in w):
         raise SingularMatrixError("the basis least-squares weights are not finite")
-    block = np.zeros((m, 2 * n + 1), dtype=phi.dtype)
-    block[n:, :n + 1] = t[n:]
-    block[:n, n + 1:] = solved[:, 1:].T
-    block = _reflect(v, tau, block, transpose=False)
-    r = block[:, 0]
-    jac = -block[:, 1:n + 1] * w - block[:, n + 1:] * (r @ dphi)
-    return w, t[n:, 0] @ t[n:, 0], r, jac
+    tail = t[0][n:]
+    r = _reflect(vs, taus, [0] * n + tail, transpose=False)
+    inverse = [_back_substitute(upper, [int(i == k) for i in range(n)]) for k in range(n)]  # columns of R^-1
+    jac = []
+    for k in range(n):
+        d = _dot(r, dphi[k])
+        top = [-d * col[k] for col in inverse]
+        jac.append(_reflect(vs, taus, top + [-w[k] * v for v in t[k + 1][n:]], transpose=False))
+    return w, _dot(tail, tail), r, jac
 
 
 class _BasisResidual:
@@ -386,20 +403,19 @@ class _BasisResidual:
             self.mass = float(
                 quad1d(lambda t: abs(L.density(t)), L.lower[0], L.upper[0], MACHINE, L.rel_tol, L.subdivision_budget)
             )
-        self.c = np.empty(0, dtype=object if lane == "extended" else float)
+        self.c: list = []
         self._grow(2 * n_points + 2)
 
     def _grow(self, m: int) -> None:
         """Extend the coefficients to ``m`` rows and bound the tail past them."""
         with self.prec.workprec():
             ell = mp.mpf(self.ell)
-            new = [
+            self.c += [
                 self.real(mp.mpf(damped_moment(self.L, self.ell, MultiIndex((k,)), self.prec))
                           / (mp.sqrt(mp.factorial(k)) * ell**k))
-                for k in range(self.c.size, m)
+                for k in range(len(self.c), m)
             ]
-            self.c = np.append(self.c, np.array(new, dtype=self.c.dtype))
-            self.root_k = np.array([rsqrt(self.real(k)) for k in range(1, m)], dtype=self.c.dtype)[:, None]
+            self.root_k = [rsqrt(self.real(k)) for k in range(1, m)]
         self.tail_nodes = _gamma_tail(m, self.u)
         if self.mass is None:
             q = (1 + self.ell**2) ** -2
@@ -407,27 +423,29 @@ class _BasisResidual:
         else:
             self.tail_c = self.mass**2 * self.tail_nodes
 
-    def __call__(self, x: np.ndarray):
-        """The weights w, e^2 = ||r||^2, the residual r and its Jacobian
-        (:func:`_basis_solve`) at the sorted distinct nodes ``x``."""
+    def __call__(self, x: list):
+        """The weights w, e^2 = ||r||^2, the residual r and the columns of
+        its Jacobian (:func:`_basis_solve`) at the sorted distinct nodes
+        ``x``."""
         with self.prec.workprec():
             ell = self.real(self.ell)
-            s = np.array([self.real(v) for v in x], dtype=self.c.dtype) / ell
+            s = [self.real(v) / ell for v in x]
             while True:
-                m = self.c.size
-                steps = np.empty((m, x.size), dtype=self.c.dtype)
-                steps[0] = [rexp(-t * t / 2) for t in s]
-                steps[1:] = s / self.root_k
-                phi = np.cumprod(steps, axis=0)
-                dphi = -(s / ell) * phi
-                dphi[1:] += self.root_k / ell * phi[:-1]
+                m = len(self.c)
+                phi = [list(accumulate([rexp(-t * t / 2)] + [t / root for root in self.root_k], operator.mul))
+                       for t in s]
+                # phi_k' = sqrt(k) / l phi_(k-1) - x / l^2 phi_k, with phi_(-1) = 0
+                root_over_ell = [0] + [root / ell for root in self.root_k]
+                dphi = [[h * prev - t / ell * p for p, h, prev in zip(col, root_over_ell, [0] + col)]
+                        for t, col in zip(s, phi)]
                 w, e2, r, jac = _basis_solve(phi, dphi, self.c)
                 if not e2 > 0:
                     raise NumericalInconsistencyError(
                         f"squared worst-case error ||Q_2^T c||^2 = {float(e2):.3e} is not positive "
                         f"in the {self.lane} search"
                     )
-                dropped = (math.sqrt(self.tail_c) + np.abs(w).sum() * math.sqrt(self.tail_nodes)) ** 2
+                l1 = _dot([abs(v) for v in w], [1] * len(w))
+                dropped = (math.sqrt(self.tail_c) + l1 * math.sqrt(self.tail_nodes)) ** 2
                 if dropped <= 2.0**-_TAIL_BITS * e2:
                     return w, e2, r, jac
                 if m >= _MAX_BASIS_ROWS:
@@ -439,50 +457,51 @@ class _BasisResidual:
                 self._grow(m + 2)
 
 
-def _lm_step(jac: np.ndarray, r: np.ndarray, lam: float, scale: np.ndarray) -> np.ndarray:
+def _lm_step(jac: list, r: list, lam, scale: list) -> list:
     """The Levenberg-Marquardt step p minimizing
     ||J p + r||^2 + lam ||D p||^2 with D = diag(``scale``), from the
-    Householder QR of [J; sqrt(lam) D]."""
-    n = jac.shape[1]
-    v, tau, upper = _householder(np.concatenate([jac, np.diag(scale * lam**0.5)]))
-    rhs = np.concatenate([-r, np.zeros(n, dtype=r.dtype)])[:, None]
-    return _back_substitute(upper, _reflect(v, tau, rhs, transpose=True)[:n])[:, 0]
+    Householder QR of [J; sqrt(lam) D], J given by its columns."""
+    n = len(jac)
+    augmented = [col + [scale[k] * lam**0.5 if i == k else 0 for i in range(n)] for k, col in enumerate(jac)]
+    vs, taus, upper = _householder(augmented)
+    return _back_substitute(upper, _reflect(vs, taus, [-v for v in r] + [0] * n, transpose=True)[:n])
 
 
-def _zero_sensitivity(x: np.ndarray, real) -> np.ndarray:
+def _zero_sensitivity(x: list, real) -> list:
     """dx/da for the zeros x_n of the node polynomial
-    omega(t) = prod_n (t - x_n) = t^N + sum_(j < N) a_j t^j: the matrix
-    -x_n^j / omega'(x_n), with entries of type ``real``."""
+    omega(t) = prod_n (t - x_n) = t^N + sum_(j < N) a_j t^j: the rows of
+    the matrix -x_n^j / omega'(x_n), with entries of type ``real``."""
     xs = [real(v) for v in x]
-    rows = []
-    for n, xn in enumerate(xs):
-        slope = real(1)
-        for m, xm in enumerate(xs):
-            if m != n:
-                slope *= xn - xm
-        rows.append([-xn**j / slope for j in range(len(xs))])
-    return np.array(rows, dtype=object if real is mp.mpf else float)
+    slopes = [math.prod(xn - xm for m, xm in enumerate(xs) if m != n) for n, xn in enumerate(xs)]
+    return [[-xn**j / slope for j in range(len(xs))] for xn, slope in zip(xs, slopes)]
 
 
-def _shifted_zeros(x: np.ndarray, da: np.ndarray, sensitivity: np.ndarray) -> Optional[np.ndarray]:
+def _shifted_zeros(x: list, da: list, sensitivity: list) -> Optional[list]:
     """The zeros of omega(t) + sum_j da_j t^j next to the zeros ``x`` of
     omega(t) = prod_n (t - x_n), in float64: eight Newton steps from the
     first-order prediction x + (dx/da) da, with omega kept as the product.
-    None when the last correction is above 1e-12."""
-    powers = np.arange(x.size)
-    t = x + sensitivity @ da
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(8):
-            diff = t[:, None] - x[None, :]
-            value = np.prod(diff, axis=1) + t[:, None] ** powers @ da
-            slope = sum(np.prod(np.delete(diff, m, axis=1), axis=1) for m in range(x.size))
-            slope = slope + (powers[1:] * t[:, None] ** (powers[1:] - 1)) @ da[1:]
-            correction = value / slope
-            t = t - correction
-    return t if np.all(np.abs(correction) <= 1e-12) else None
+    None when the last correction is above 1e-12 or a slope is zero."""
+    t = [xn + _dot(row, da) for xn, row in zip(x, sensitivity)]
+    for _ in range(8):
+        correction = []
+        for tn in t:
+            # omega and omega' by the product rule, sum_j da_j t^j and its
+            # derivative by Horner: products only, so a diverging t
+            # overflows to inf instead of raising
+            f, df = 1.0, 0.0
+            for xm in x:
+                f, df = f * (tn - xm), df * (tn - xm) + f
+            g, dg = 0.0, 0.0
+            for aj in reversed(da):
+                g, dg = g * tn + aj, dg * tn + g
+            if df + dg == 0:
+                return None
+            correction.append((f + g) / (df + dg))
+        t = [tn - d for tn, d in zip(t, correction)]
+    return t if all(abs(d) <= 1e-12 for d in correction) else None
 
 
-def _levenberg_marquardt(residual: _BasisResidual, x: np.ndarray, box: tuple[float, float], max_evals: int):
+def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, float], max_evals: int):
     """Bounded Levenberg-Marquardt on ``residual`` from the sorted distinct
     nodes ``x`` (Nocedal & Wright, Numerical Optimization, ch. 10).
 
@@ -515,23 +534,24 @@ def _levenberg_marquardt(residual: _BasisResidual, x: np.ndarray, box: tuple[flo
     except SingularMatrixError:
         return [], 1, False
     accepted, nfev = [(x, w, e2)], 1
-    lam, scale = None, 0
+    lam, scale = None, [0] * len(x)
     step_tol = _STEP_TOL * max(abs(lo), abs(hi))
     while True:
         with residual.prec.workprec():
             sensitivity = _zero_sensitivity(x, residual.real)
-            jac_a = jac @ sensitivity
-            scale = np.maximum(scale, [rsqrt(col @ col) for col in jac_a.T])
+            rows = list(zip(*jac))
+            jac_a = [[_dot(row, sj) for row in rows] for sj in zip(*sensitivity)]
+            scale = [max(d, rsqrt(_dot(col, col))) for d, col in zip(scale, jac_a)]
             if lam is None:
-                upper = _householder(jac_a / scale)[2]
-                lam = _LM_DAMPING * min(abs(upper[j, j]) for j in range(x.size)) ** 2
+                upper = _householder([[v / d for v in col] for col, d in zip(jac_a, scale)])[2]
+                lam = _LM_DAMPING * min(abs(column[-1]) for column in upper) ** 2
             da = _lm_step(jac_a, r, lam, scale)
-        trial = _shifted_zeros(x, da.astype(float), sensitivity.astype(float))
+        trial = _shifted_zeros(x, [float(v) for v in da], [[float(v) for v in row] for row in sensitivity])
         if trial is not None:
-            trial = np.clip(trial, lo, hi)
-            if not np.max(np.abs(trial - x)) > step_tol:
+            trial = [min(max(t, lo), hi) for t in trial]
+            if not max(abs(t - xn) for t, xn in zip(trial, x)) > step_tol:
                 return accepted, nfev, True
-            if np.all(np.diff(trial) > 0):
+            if all(p < q for p, q in zip(trial, trial[1:])):
                 if nfev >= max_evals:
                     return accepted, nfev, False
                 nfev += 1
@@ -608,28 +628,26 @@ def optimize_points(
     search = _search_lane(L, n_points, spec.length_scale, (a, b))
     residual = _BasisResidual(spec, L, n_points, (a, b), search_prec, search)
 
-    inits: list[tuple[str, np.ndarray]] = []
+    inits: list[tuple[str, list[float]]] = []
     try:
         g = gauss_rule_from_moments(L, n_points, MACHINE)
     except FlatLimitError:
         pass  # no Gauss rule for this functional: start from the grid
     else:
-        gn = np.clip(np.array(g.nodes), a, b)
-        if n_points == 1 or float(np.diff(gn).min()) > 0:
+        gn = [min(max(v, a), b) for v in g.nodes]
+        if all(p < q for p, q in zip(gn, gn[1:])):
             inits.append(("gauss", gn))
     if not inits:
-        inits.append(("grid", a + (np.arange(1, n_points + 1) / (n_points + 1)) * width))
-    rng = np.random.default_rng(settings.seed)
+        inits.append(("grid", [a + (k / (n_points + 1)) * width for k in range(1, n_points + 1)]))
+    rng = random.Random(settings.seed)
     for k in range(settings.restarts):
         # one draw per stratum keeps the nodes spread out
-        lo = a + (np.arange(n_points) / n_points) * width
-        y0 = np.sort(lo + rng.random(n_points) * (width / n_points))
+        y0 = sorted(a + (j / n_points) * width + rng.random() * (width / n_points) for j in range(n_points))
         inits.append((f"random{k}", y0))
 
     trace = OptimizationTrace(search=search)
     winner, finals = None, []  # finals: each restart's last accepted e^2, None without one
     for name, x0 in inits:
-        x0 = np.asarray(x0, dtype=float)
         accepted, nfev, converged = _levenberg_marquardt(residual, x0, (a, b), settings.max_evals)
         trace.restart_summaries.append({"start": name, "wce": None, "nfev": nfev, "converged": converged})
         finals.append(accepted[-1][2] if accepted else None)
@@ -672,18 +690,37 @@ def chebyshev_system_zero_count(
     The damped monomials form an extended Chebyshev system, so any nonzero
     combination of the first m of them has at most m - 1 real zeros; this
     counts the sign changes actually seen, a cheap lower bound for the
-    zeros, used as a diagnostic of that property.
+    zeros, used as a diagnostic of that property.  Only the polynomial p
+    changes sign, so a run of grid points is halved until it holds at most
+    16 points, evaluated one by one, or until |p| at its middle exceeds
+    twice the run's half-width times sum_j j |c_j| R^(j-1) >= |p'| (R the
+    interval's largest |endpoint|) and the damping leaves the values
+    nonzero: the run then has the sign of p at its middle.
     """
-    c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or c.size == 0:
+    try:
+        c = [float(v) for v in coefficients]
+    except TypeError as e:
+        raise ValueError("coefficients must be a non-empty vector") from e
+    if not c:
         raise ValueError("coefficients must be a non-empty vector")
     a, b = interval
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("interval must be finite with a < b")
-    xs = np.linspace(a, b, n_grid)
-    vals = np.exp(-xs * xs / (2 * length_scale**2)) * np.polyval(c[::-1], xs)
-    signs = np.sign(vals)
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(signs) != 0))
+    step = (b - a) / max(n_grid - 1, 1)
+    slope = math.fsum(j * abs(cj) * max(-a, b) ** (j - 1) for j, cj in enumerate(c) if j)
+    poly = lambda x: reduce(lambda acc, cj: acc * x + cj, reversed(c), 0.0)
+    damping = lambda x: rexp(-x * x / (2 * length_scale**2))
+
+    def signs(first: int, last: int) -> list[bool]:
+        lo, hi = a + first * step, a + last * step
+        if last - first < 16:
+            values = (damping(x) * poly(x) for x in (a + k * step for k in range(first, last + 1)))
+            return [v > 0 for v in values if v != 0]
+        centre = poly((lo + hi) / 2)
+        if slope * (hi - lo) < abs(centre) and damping(max(-lo, hi)) * centre != 0:
+            return [centre > 0]
+        middle = (first + last) // 2
+        return signs(first, middle) + signs(middle + 1, last)
+
+    found = signs(0, n_grid - 1)
+    return sum(p != q for p, q in zip(found, found[1:]))

@@ -11,10 +11,10 @@ with damping G, growth exponent q and positive series weights w_alpha.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
 from mpmath import mp
 
 from .core import (
@@ -73,7 +73,7 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         ls = self.length_scale
-        if not (isinstance(ls, (int, float)) and np.isfinite(ls) and ls > 0):
+        if not (isinstance(ls, (int, float)) and math.isfinite(ls) and ls > 0):
             raise ValueError(f"length_scale must be positive and finite, got {ls!r}")
         if self.family == "damped_power_series" and self.series is None:
             raise ValueError("damped_power_series requires series parameters")
@@ -208,16 +208,18 @@ def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real
 def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACHINE):
     """Kernel matrix G[i, j] = K(x_i, x_j).
 
-    Returns a float64 numpy array at machine precision and an mpmath matrix
-    in extended mode.  The points and the length scale are converted once;
-    only the upper triangle is evaluated and the lower is mirrored, so the
-    result is exactly symmetric.
+    Returns an mpmath matrix in both modes, of float64 values at machine
+    precision; it is filled at ``prec.bits`` (53 in machine mode), so the
+    entries are those of :func:`kernel_eval` whatever mpmath's precision
+    is.  The points and the length scale are converted once; only the
+    upper triangle is evaluated and the lower is mirrored, so the result
+    is exactly symmetric.
     """
     n = len(points)
-    with prec.workprec():
+    with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
         xs = [_as_point(x, prec) for x in points]
         ell = prec.to_real(spec.length_scale)
-        out = prec._matrix(n, n)
+        out = mp.matrix(n, n)
         for i in range(n):
             for j in range(i, n):
                 out[i, j] = out[j, i] = _kernel_value(spec, xs[i], xs[j], ell, prec)

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Optional
 
-import numpy as np
 from mpmath import mp
 
 from .core import MACHINE, PrecisionConfig, Real
@@ -103,7 +102,7 @@ def _to_mp_matrix(A) -> mp.matrix:
     if isinstance(A, mp.matrix):
         M = A.copy()
     else:
-        if isinstance(A, np.ndarray):
+        if hasattr(A, "tolist"):  # an array-like, such as a numpy array
             A = A.tolist()
         try:
             rows = [list(row) for row in A]
@@ -128,9 +127,9 @@ def _to_mp_matrix(A) -> mp.matrix:
 def _to_mp_vec(b, n: int) -> mp.matrix:
     if isinstance(b, mp.matrix):
         v = b.copy()
-    elif isinstance(b, np.ndarray):
-        v = mp.matrix(b.reshape(-1).tolist())
     else:
+        if hasattr(b, "tolist"):  # an array-like: a column array reads as rows, and is rejected
+            b = b.tolist()
         try:
             v = mp.matrix([_mpf_entry(c) for c in b])
         except TypeError as e:  # a scalar, or a sequence of sequences

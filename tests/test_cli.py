@@ -400,9 +400,10 @@ def test_optimal_study_at_machine_precision_matches_the_golden(tmp_path):
         assert abs(wce - ref) <= 1e-14 * ref, got["ell"]
 
 
-def test_shipped_configs_run_without_importing_scipy(tmp_path):
+def test_shipped_configs_run_without_importing_numpy_or_scipy(tmp_path):
     """The four configs under configs/ run through flatlimit.cli in one
-    fresh interpreter that never imports scipy: scipy serves only the
+    fresh interpreter that never imports numpy or scipy: the library
+    computes on floats, mpf and mp.matrix, and scipy serves only the
     numeric oracle's quadrature (QUADPACK) at precision: machine."""
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent(f"""
@@ -412,7 +413,7 @@ def test_shipped_configs_run_without_importing_scipy(tmp_path):
                               ("gauss", "gauss_legendre"), ("optimal", "optimal_legendre")]:
             config = {str(root / "configs")!r} + "/" + name + ".yaml"
             assert main([command, "--config", config, "--out", {str(tmp_path)!r} + "/" + name]) == 0
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        print(sorted(m for m in sys.modules if m.startswith(("numpy", "scipy"))))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     env.pop("FLATLIMIT_PRECISION_BITS", None)
@@ -421,12 +422,12 @@ def test_shipped_configs_run_without_importing_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_wce_of_given_weights_at_machine_precision_imports_no_scipy(tmp_path):
+def test_wce_of_given_weights_at_machine_precision_imports_no_numpy_or_scipy(tmp_path):
     """flatlimit wce with explicit weights at precision: machine reads the
     Gram condition at the first pass's 2 bits + 32, in mpmath, and prints
     the condition of the weight solve; flatlimit check-unisolvent at its
     default precision: machine solves in mpmath at 53 + 10 bits.  Neither
-    imports a scipy module."""
+    imports a numpy or a scipy module."""
     root = Path(__file__).resolve().parent.parent
     cfg = {
         **WCE_CFG,
@@ -439,7 +440,7 @@ def test_wce_of_given_weights_at_machine_precision_imports_no_scipy(tmp_path):
         from flatlimit.cli import main
         assert main(["wce", "--config", {write_cfg(tmp_path / "w.yaml", cfg)!r}]) == 0
         assert main(["check-unisolvent", "--config", {write_cfg(tmp_path / "u.yaml", UNISOLVENT_CFG)!r}]) == 0
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        print(sorted(m for m in sys.modules if m.startswith(("numpy", "scipy"))))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     env.pop("FLATLIMIT_PRECISION_BITS", None)

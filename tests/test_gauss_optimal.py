@@ -132,6 +132,31 @@ def test_damped_monomial_combinations_respect_zero_bound():
         assert zeros <= m
 
 
+@pytest.mark.parametrize(
+    "ell,interval,n_grid", [(1.0, (-1.0, 1.0), 5000), (10.0, (-3.0, 2.0), 999), (0.1, (-2.0, 60.0), 3000)]
+)
+def test_zero_count_is_the_point_by_point_count(ell, interval, n_grid):
+    """The runs of grid points that the slope bound passes over hide no
+    sign change: the count equals that of numpy's evaluation of every grid
+    point, on random polynomials, double roots, and where the damping
+    underflows to zero."""
+    rng = np.random.default_rng(5)
+    xs = np.linspace(interval[0], interval[1], n_grid)
+    cases = [list(rng.normal(size=rng.integers(1, 8)) * 10.0 ** rng.uniform(-3, 3)) for _ in range(60)]
+    cases += [[r * r, -2 * r, 1.0] for r in rng.uniform(interval[0], interval[1], 10)]
+    cases += [[-(interval[0] + interval[1]) / 2, 1.0]]
+    for c in cases:
+        signs = np.sign(np.exp(-xs * xs / (2 * ell**2)) * np.polyval(c[::-1], xs))
+        signs = signs[signs != 0]
+        assert chebyshev_system_zero_count(ell, c, interval, n_grid) == np.count_nonzero(np.diff(signs)), c
+
+
+def test_search_sums_run_left_to_right():
+    """The search's sums do not depend on the interpreter: Python 3.12's
+    compensated sum() would give 1 here."""
+    assert gauss_optimal._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+
+
 def test_optimizer_settings_validation():
     # zero restarts keeps only the deterministic start and is allowed
     OptimizerSettings(restarts=0)
@@ -262,9 +287,9 @@ def _lane_gradient(lane, k, L, nodes, prec):
     """2 J^T r, the gradient of e^2, from the basis residual of ``lane``."""
     box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
     residual = gauss_optimal._BasisResidual(k, L, len(nodes), box, prec, lane)
-    _, _, r, jac = residual(np.array(nodes))
+    _, _, r, jac = residual(nodes)
     with prec.workprec():
-        return 2 * (r @ jac)
+        return [2 * gauss_optimal._dot(r, column) for column in jac]
 
 
 GRADIENT_CASES = [
@@ -312,20 +337,22 @@ def test_variable_projection_jacobian_matches_numeric_differentiation(L):
     norm."""
     from mpmath import mp
 
-    nodes = np.array([-0.7, 0.1, 0.8])
+    nodes = [-0.7, 0.1, 0.8]
     prec = PrecisionConfig.extended(256)
     box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
     residual = gauss_optimal._BasisResidual(KernelSpec.gaussian(5.0), L, 3, box, prec, "extended")
     h = 2.0**-20
-    shifted = [nodes + h * np.eye(3)[n] * sign for n in range(3) for sign in (1, -1)]
+    shifted = [[v + h * sign if m == n else v for m, v in enumerate(nodes)] for n in range(3) for sign in (1, -1)]
     for x in [nodes] + shifted:  # grow the rows once, before comparing
         residual(x)
     _, _, _, jac = residual(nodes)
     with mp.workprec(256):
         for n in range(3):
-            numeric = (residual(shifted[2 * n])[2] - residual(shifted[2 * n + 1])[2]) / (2 * h)
-            column = jac[:, n]
-            assert mp.sqrt(sum((a - b) ** 2 for a, b in zip(column, numeric))) <= 1e-9 * mp.sqrt(column @ column), n
+            plus, minus = residual(shifted[2 * n])[2], residual(shifted[2 * n + 1])[2]
+            numeric = [(a - b) / (2 * h) for a, b in zip(plus, minus)]
+            column = jac[n]
+            error = mp.sqrt(mp.fsum((a - b) ** 2 for a, b in zip(column, numeric)))
+            assert error <= 1e-9 * mp.sqrt(mp.fdot(column, column)), n
 
 
 def test_three_optimized_nodes_approach_gauss_legendre():
@@ -475,9 +502,12 @@ def test_householder_least_squares_matches_lapack(lane):
     phi = rng.standard_normal((14, 3)) * 0.3 ** np.arange(14)[:, None]
     c = rng.standard_normal(14) * 0.3 ** np.arange(14)
     w_ref, e2_ref = np.linalg.lstsq(phi, c, rcond=None)[:2]
+    real = float if lane == "float64" else mp.mpf
     with mp.workprec(200):
-        as_lane = (lambda a: a) if lane == "float64" else (lambda a: np.vectorize(mp.mpf, otypes=[object])(a))
-        w, e2, _, _ = gauss_optimal._basis_solve(as_lane(phi), as_lane(np.zeros_like(phi)), as_lane(c))
+        columns = [[real(v) for v in col] for col in phi.T.tolist()]
+        zeros = [[real(0)] * 14 for _ in range(3)]
+        w, e2, _, _ = gauss_optimal._basis_solve(columns, zeros, [real(v) for v in c.tolist()])
+        assert all(type(v) is real for v in w) and type(e2) is real
         assert_allclose(np.array(w, dtype=float), w_ref, rtol=1e-10)
         assert abs(float(e2) - e2_ref[0]) <= 1e-10 * e2_ref[0]
 
@@ -487,14 +517,14 @@ def test_shifted_zeros_follow_the_node_polynomial():
     the zeros of the shifted polynomial (numpy's companion-matrix roots,
     to 1e-12), and for a small step they move by (dx/da) da to first
     order."""
-    x = np.array([-0.7, 0.1, 0.8])
+    x = [-0.7, 0.1, 0.8]
     sensitivity = gauss_optimal._zero_sensitivity(x, float)
-    da = np.array([1e-3, -2e-3, 5e-4])
+    da = [1e-3, -2e-3, 5e-4]
     shifted = gauss_optimal._shifted_zeros(x, da, sensitivity)
     assert_allclose(shifted, np.sort(np.roots(np.poly(x) + np.append(0.0, da[::-1])).real), atol=1e-12)
-    small = 1e-7 * da
-    moved = gauss_optimal._shifted_zeros(x, small, sensitivity) - x
-    assert_allclose(moved, sensitivity @ small, rtol=1e-5)
+    small = [1e-7 * v for v in da]
+    moved = np.array(gauss_optimal._shifted_zeros(x, small, sensitivity)) - x
+    assert_allclose(moved, np.array(sensitivity) @ small, rtol=1e-5)
 
 
 @pytest.mark.parametrize("ell,search", [(100.0, "float64"), (1e4, "extended")])

@@ -96,12 +96,22 @@ def test_phi_basis_eval():
     assert phi_basis_eval(ell, MultiIndex((0, 0)), (0.0, 0.0)) == 1.0
 
 
-def test_gram_matrix_machine_is_symmetric_ndarray():
+def test_gram_matrix_machine_is_an_exactly_symmetric_mp_matrix():
+    """At machine precision the Gram matrix is an mp.matrix whose entries
+    are kernel_eval's floats bit for bit, and exactly symmetric, whatever
+    mpmath's precision is when it is built."""
     X = PointSet.from_1d([-1.0, 0.0, 0.7])
-    G = gram_matrix(KernelSpec.gaussian(3.0), X, PrecisionConfig.machine())
-    assert isinstance(G, np.ndarray)
-    assert np.array_equal(G, G.T)
-    assert_allclose(np.diag(G), 1.0)
+    spec = KernelSpec.gaussian(3.0)
+    for bits in (20, 53, 300):
+        with mp.workprec(bits):
+            G = gram_matrix(spec, X, PrecisionConfig.machine())
+        assert isinstance(G, mp.matrix)
+        for i, x in enumerate(X):
+            for j, y in enumerate(X):
+                assert G[i, j] == G[j, i]
+                assert float(G[i, j]) == kernel_eval(spec, x, y)
+                assert G[i, j] == mp.mpf(kernel_eval(spec, x, y))
+        assert [G[i, i] for i in range(3)] == [1.0, 1.0, 1.0]
 
 
 def test_gram_matrix_extended_uses_working_precision():
@@ -120,8 +130,8 @@ def test_gram_condition_growth_with_flatness():
     """The three-point Gram matrix degenerates as the kernel flattens; these
     reference values come from an independent eigenvalue computation."""
     X = PointSet.from_1d([-1.0, 0.0, 1.0])
-    G10 = gram_matrix(KernelSpec.gaussian(10.0), X, PrecisionConfig.machine())
-    G100 = gram_matrix(KernelSpec.gaussian(100.0), X, PrecisionConfig.machine())
+    G10 = np.array(gram_matrix(KernelSpec.gaussian(10.0), X, PrecisionConfig.machine()).tolist(), dtype=float)
+    G100 = np.array(gram_matrix(KernelSpec.gaussian(100.0), X, PrecisionConfig.machine()).tolist(), dtype=float)
     assert_allclose(np.linalg.cond(G10, 2), 8.970571e4, rtol=1e-5)
     assert_allclose(np.linalg.cond(G100, 2), 8.999700e8, rtol=1e-5)
     assert_allclose(np.linalg.cond(G100, np.inf), 1.199990e9, rtol=1e-5)

@@ -319,6 +319,7 @@ MALFORMED = {
     "rhs_wrong_length": ([[2.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0]),
     "rhs_scalar": ([[2.0, 0.0], [0.0, 1.0]], 1.0),
     "rhs_nested": ([[2.0, 0.0], [0.0, 1.0]], [[1.0], [2.0]]),
+    "rhs_column_array": ([[2.0, 0.0], [0.0, 1.0]], np.array([[1.0], [2.0]])),
 }
 
 
