@@ -69,8 +69,9 @@ def _load(args, required: tuple, optional: tuple) -> dict:
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {args.config}")
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml where PyYAML has it
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=loader)
     except yaml.YAMLError as e:
         raise ConfigError(f"config file is not valid YAML: {e}") from e
     if not isinstance(raw, dict):
@@ -183,7 +184,8 @@ def _finish(result, raw: dict, out: Optional[str], csv_name: str, csv_lines, man
         print(f"note: {note}")
     if out:
         csv_path = _write_out(out, csv_name, csv_lines(result))
-        _write_out(out, "manifest.yaml", [yaml.safe_dump(manifest(result, raw), sort_keys=False).rstrip()])
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml where PyYAML has it
+        _write_out(out, "manifest.yaml", [yaml.dump(manifest(result, raw), Dumper=dumper, sort_keys=False).rstrip()])
         print(f"wrote {csv_path}")
     return 3 if result.failures and not result.records else 0
 

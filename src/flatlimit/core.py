@@ -4,7 +4,7 @@ working-precision configuration.
 Everything downstream is written against one scalar convention: in machine
 mode values are Python floats, in extended mode they are mpmath ``mpf``
 numbers evaluated inside a ``workprec`` block; vectors are lists or tuples
-of them, and matrices are ``mp.matrix`` in both modes.
+of them, and matrices are lists of rows.
 The helpers at the bottom (``rexp``, ``rsqrt``, ...) dispatch on the scalar
 type so the same formula serves both modes.
 """
@@ -223,8 +223,8 @@ class CubatureRule:
 
     def apply(self, f: Callable[..., Real]) -> Real:
         if self.dimension == 1:
-            return sum(w * f(p[0]) for w, p in zip(self.weights, self.points))
-        return sum(w * f(p) for w, p in zip(self.weights, self.points))
+            return _dot(self.weights, [f(p[0]) for p in self.points])
+        return _dot(self.weights, [f(p) for p in self.points])
 
     def weights_float(self) -> tuple[float, ...]:
         return tuple(float(w) for w in self.weights)
@@ -331,8 +331,18 @@ def rpi(like: Real) -> Real:
     return mp.pi if isinstance(like, mpf) else math.pi
 
 
+def _dot(a, b):
+    """sum_i a_i b_i, left to right on every Python (sum() compensates floats from 3.12 on)."""
+    total = 0
+    for p, q in zip(a, b):
+        total += p * q
+    return total
+
+
 def sq_norm(x: Sequence[Real]) -> Real:
-    return sum(c * c for c in x)
+    return _dot(x, x)
+
 
 def sq_dist(x: Sequence[Real], y: Sequence[Real]) -> Real:
-    return sum((a - b) * (a - b) for a, b in zip(x, y))
+    d = [a - b for a, b in zip(x, y)]
+    return _dot(d, d)

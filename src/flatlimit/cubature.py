@@ -182,7 +182,7 @@ def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: i
         else:
             G, z = assembly
         w = [mp.mpf(wi) for wi in rule.weights]
-        quad = mp.fsum(wi * mp.fsum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, G.tolist()))
+        quad = mp.fsum(wi * mp.fsum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, G))
         return G, double_embedding(L, spec, prec), z, quad, mp.fsum(wi * zi for wi, zi in zip(w, z))
 
 
@@ -278,11 +278,9 @@ def _vandermonde_solve(points: PointSet, degree: int, rhs, prec: PrecisionConfig
     graded order, at the working precision; a singular system means the
     points are not unisolvent (:class:`NotUnisolventError`)."""
     mset = _monomials(points, degree)
-    with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode: float entries stay exact
-        A = mp.matrix(len(points), len(points))
-        for j, alpha in enumerate(mset):
-            for i, x in enumerate(points):
-                A[j, i] = monomial_eval(prec.to_point(x), alpha)
+    with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
+        xs = [prec.to_point(x) for x in points]
+        A = [[monomial_eval(x, alpha) for x in xs] for alpha in mset]
         try:
             return solve_general(A, [rhs(alpha) for alpha in mset], prec)
         except SingularMatrixError as e:

@@ -31,6 +31,7 @@ from mpmath import mp
 
 from .core import (
     MACHINE,
+    _dot,
     CubatureRule,
     MultiIndex,
     PointSet,
@@ -47,6 +48,7 @@ from .errors import (
 from .cubature import optimal_weights, worst_case_error
 from .functionals import FunctionalSpec, damped_moment, moment, quad1d
 from .kernels import KernelSpec
+from .linalg import _cholesky
 
 
 @dataclass(frozen=True)
@@ -107,20 +109,16 @@ def gauss_rule_from_moments(
     cprec = PrecisionConfig.extended(cbits)
     with cprec.workprec():
         mu = [moment(L, MultiIndex((k,)), cprec) for k in range(2 * n + 1)]
-        M = mp.matrix(n + 1, n + 1)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                M[i, j] = mu[i + j]
         try:
-            Lc = mp.cholesky(M)
-        except ValueError as e:
+            Lc = _cholesky([mu[i:i + n + 1] for i in range(n + 1)], +mp.eps)
+        except NumericallyIndefiniteError as e:
             raise NumericallyIndefiniteError(
                 f"Hankel moment matrix of order {n + 1} is not numerically positive "
                 f"definite at {cbits} bits; the functional may not be a positive "
                 "measure with distinct-support, or needs more precision"
             ) from e
         # R upper triangular with M = R^T R
-        r = lambda i, j: Lc[j, i]
+        r = lambda i, j: Lc[j][i]
         diag = []
         off = []
         for k in range(n):
@@ -270,17 +268,6 @@ def _gamma_tail(m: int, u: float) -> float:
     if m + 1 <= u:
         return 1.0
     return math.exp(m * math.log(u) - u - math.lgamma(m + 1)) * (m + 1) / (m + 1 - u)
-
-
-def _dot(a, b):
-    """sum_i a_i b_i, accumulated left to right in the type of the entries.
-    Every sum of the search goes through here: built-in sum() compensates
-    float sums from Python 3.12 on, and the nodes found must not depend on
-    the interpreter."""
-    total = 0
-    for p, q in zip(a, b):
-        total += p * q
-    return total
 
 
 def _householder(columns: list) -> tuple[list, list, list]:

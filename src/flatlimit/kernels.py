@@ -206,23 +206,23 @@ def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real
 
 
 def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACHINE):
-    """Kernel matrix G[i, j] = K(x_i, x_j).
+    """Kernel matrix G[i, j] = K(x_i, x_j) as a list of rows.
 
-    Returns an mpmath matrix in both modes, of float64 values at machine
-    precision; it is filled at ``prec.bits`` (53 in machine mode), so the
-    entries are those of :func:`kernel_eval` whatever mpmath's precision
-    is.  The points and the length scale are converted once; only the
-    upper triangle is evaluated and the lower is mirrored, so the result
-    is exactly symmetric.
+    The entries are floats at machine precision and mpf at extended
+    precision, filled at ``prec.bits`` (53 in machine mode), so they are
+    those of :func:`kernel_eval` whatever mpmath's precision is.  The
+    points and the length scale are converted once; only the upper
+    triangle is evaluated and the lower is mirrored, so the result is
+    exactly symmetric.
     """
     n = len(points)
     with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
         xs = [_as_point(x, prec) for x in points]
         ell = prec.to_real(spec.length_scale)
-        out = mp.matrix(n, n)
+        out = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                out[i, j] = out[j, i] = _kernel_value(spec, xs[i], xs[j], ell, prec)
+                out[i][j] = out[j][i] = _kernel_value(spec, xs[i], xs[j], ell, prec)
         return out
 
 

@@ -1,18 +1,20 @@
 """Dense linear solves at machine or extended precision.
 
-Both lanes run one mpmath code path at the precision's ``bits`` (53 for
-machine mode) with 10 guard bits; machine mode rounds the solution and
-the residual to float.  A solve factors the matrix once and returns the
-solution; the factorization-based condition number, the residual and
-the conditioning warning are computed from the stored factor on first
-read, so a caller that reads only the solution pays for nothing else.
-The condition number takes the inverse from the factor through one
-triangular inverse (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2002, ch. 14): X = L^-1 and A^-1 = X^T X for Cholesky,
-U^-1 L^-1 for LU, whose rows are those of A^-1 up to the order of their
-entries.
-Ill-conditioning is never patched by jitter or regularization here; the
-remedy on failure is more precision, and the errors say so.
+Both lanes run one code path on lists of rows of ``mpf`` at the
+precision's ``bits`` (53 for machine mode) with 10 guard bits; machine
+mode rounds the solution and the residual to float.  The Cholesky and LU
+factors and substitutions are mpmath's, operation for operation (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 9 and 10),
+so the bits are those of ``cholesky_solve`` and ``lu_solve``.  A solve
+factors the matrix once and returns the solution; the condition number,
+the residual and the conditioning warning are computed from the stored
+factor on first read, so a caller that reads only the solution pays for
+nothing else.  The condition number takes the inverse from the factor
+through one triangular inverse (Higham, ch. 14): X = L^-1 and
+A^-1 = X^T X for Cholesky, U^-1 L^-1 for LU, whose rows are those of
+A^-1 up to the order of their entries.  Ill-conditioning is never
+patched by jitter or regularization here; the remedy on failure is more
+precision, and the errors say so.
 """
 from __future__ import annotations
 
@@ -47,8 +49,8 @@ class SolveResult:
 
     solution: tuple[Real, ...]
     precision: PrecisionConfig
-    # the working-precision system, the map v -> A^-1 v through the factor,
-    # and the rows of A^-1 from it (each up to the order of its entries)
+    # the working-precision system (rows and a list), the map v -> A^-1 v through
+    # the factor, and the rows of A^-1 from it (each up to the order of its entries)
     matrix: Any = field(repr=False, compare=False)
     rhs: Any = field(repr=False, compare=False)
     substitute: Callable = field(repr=False, compare=False)
@@ -60,7 +62,7 @@ class SolveResult:
         with mp.workprec(bits + 10):  # the guard bits of the solve
             inv = self.inverse()
         with mp.workprec(bits):
-            return float(_inf_norm_mp(self.matrix.tolist()) * _inf_norm_mp(inv))
+            return float(_inf_norm_mp(self.matrix) * _inf_norm_mp(inv))
 
     @cached_property
     def residual_norm(self) -> Real:
@@ -74,7 +76,7 @@ class SolveResult:
         """The solve of A x = b for another right-hand side, through the
         stored factor: what a fresh solve of the same matrix returns."""
         with mp.workprec(self.precision.bits):
-            bm = _to_mp_vec(b, self.matrix.rows)
+            bm = _to_vec(b, len(self.matrix))
         return _result(self.matrix, bm, self.substitute, self.inverse, self.precision)
 
 
@@ -98,58 +100,108 @@ def _mpf_entry(v) -> mp.mpf:
     return mp.mpf(v)
 
 
-def _to_mp_matrix(A) -> mp.matrix:
-    if isinstance(A, mp.matrix):
-        M = A.copy()
-    else:
-        if hasattr(A, "tolist"):  # an array-like, such as a numpy array
-            A = A.tolist()
-        try:
-            rows = [list(row) for row in A]
-        except TypeError as e:  # a scalar row: a vector, not a matrix
-            raise ValueError("matrix must be a sequence of rows") from e
-        M = mp.matrix(len(rows), len(rows[0]) if rows else 0)
-        for i, row in enumerate(rows):
-            if len(row) != M.cols:
-                raise ValueError("matrix rows must have equal length")
-            for j, v in enumerate(row):
-                M[i, j] = _mpf_entry(v)
-    if M.rows != M.cols:
-        raise ValueError(f"matrix must be square, got shape ({M.rows}, {M.cols})")
-    if not M.rows:
-        raise ValueError("matrix must not be empty")
-    for v in M:
-        if not mp.isfinite(v):
-            raise ValueError("matrix entries must be finite")
-    return M
+def _to_rows(A) -> list:
+    """The rows of a square matrix of finite entries, each entry an mpf
+    rounded to the working precision; an array-like (a numpy array or an
+    mpmath matrix) is read through ``tolist()``."""
+    if hasattr(A, "tolist"):
+        A = A.tolist()
+    try:
+        rows = [[_mpf_entry(v) for v in row] for row in A]
+    except TypeError as e:  # a scalar row: a vector, not a matrix
+        raise ValueError("matrix must be a sequence of rows of numbers") from e
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"matrix must be square and not empty, got row lengths {[len(row) for row in rows]}")
+    if not all(mp.isfinite(v) for row in rows for v in row):
+        raise ValueError("matrix entries must be finite")
+    return rows
 
 
-def _to_mp_vec(b, n: int) -> mp.matrix:
-    if isinstance(b, mp.matrix):
-        v = b.copy()
-    else:
-        if hasattr(b, "tolist"):  # an array-like: a column array reads as rows, and is rejected
-            b = b.tolist()
-        try:
-            v = mp.matrix([_mpf_entry(c) for c in b])
-        except TypeError as e:  # a scalar, or a sequence of sequences
-            raise ValueError("right-hand side must be a sequence of numbers") from e
-    if v.rows != n or v.cols != 1:
-        raise ValueError(f"right-hand side must have length {n}")
-    for c in v:
-        if not mp.isfinite(c):
-            raise ValueError("right-hand side entries must be finite")
+def _to_vec(b, n: int) -> list:
+    if getattr(b, "cols", None) == 1:  # an mpmath vector: an n x 1 matrix
+        b = list(b)
+    elif hasattr(b, "tolist"):  # an array-like: a column array reads as rows, and is rejected
+        b = b.tolist()
+    try:
+        v = [_mpf_entry(c) for c in b]
+    except TypeError as e:  # a scalar, or a sequence of sequences
+        raise ValueError("right-hand side must be a sequence of numbers") from e
+    if len(v) != n or not all(mp.isfinite(c) for c in v):
+        raise ValueError(f"right-hand side must be {n} finite numbers")
     return v
 
 
+def _cholesky(A: list, tol) -> list:
+    """The rows of the lower triangular L with A = L L^T, as mpmath's
+    ``cholesky(A, tol)`` forms them: a pivot below ``tol`` raises
+    :class:`NumericallyIndefiniteError`."""
+    n = len(A)
+    L = [[mp.zero] * n for _ in range(n)]
+    for j in range(n):
+        Lj = L[j]
+        s = A[j][j] - mp.fsum(Lj[:j], absolute=True, squared=True)
+        if s < tol:
+            raise NumericallyIndefiniteError("matrix is not positive-definite")
+        Lj[j] = mp.sqrt(s)
+        for i in range(j, n):  # i = j recomputes the diagonal, as mpmath does
+            L[i][j] = (A[i][j] - mp.fdot(L[i][:j], Lj[:j])) / Lj[j]
+    return L
+
+
+def _lu(A: list) -> tuple[list, list]:
+    """P A = L U as mpmath's ``LU_decomp`` forms it, with its pivot rule (the largest
+    |a_kj| over the row sum of |a_kl|, l >= j) and tolerance ||A||_1 eps: the rows of L
+    below the unit diagonal and of U in one matrix, and the row swapped with row j at
+    step j.  A pivot or a row sum within the tolerance raises SingularMatrixError."""
+    n = len(A)
+    A = [row[:] for row in A]
+    tol = abs(max(mp.fsum((row[j] for row in A), absolute=True) for j in range(n)) * mp.eps)
+    p = []
+    for j in range(n):  # the last step only checks the last pivot
+        biggest, pivot = 0, j  # a zero column keeps row j, whose zero pivot raises below
+        for k in range(j, n):
+            s = mp.fsum([abs(v) for v in A[k][j:]])
+            if s <= tol:
+                raise SingularMatrixError("matrix is numerically singular")
+            current = 1 / s * abs(A[k][j])
+            if current > biggest:
+                biggest, pivot = current, k
+        p.append(pivot)
+        A[j], A[pivot] = A[pivot], A[j]
+        top = A[j]
+        if abs(top[j]) <= tol:
+            raise SingularMatrixError("matrix is numerically singular")
+        for row in A[j + 1:]:
+            f = row[j] = row[j] / top[j]
+            for k in range(j + 1, n):
+                row[k] -= f * top[k]
+    return A, p[:-1]
+
+
+def _l_solve(LU: list, b: list, p: list) -> list:
+    """y with L y = P b for the unit lower triangle of ``LU`` and swaps ``p``, as mpmath's ``L_solve``."""
+    y = list(b)
+    for k, pk in enumerate(p):
+        y[k], y[pk] = y[pk], y[k]
+    for i in range(1, len(y)):
+        for j in range(i):
+            y[i] -= LU[i][j] * y[j]
+    return y
+
+
+def _u_solve(U: list, y: list) -> list:
+    """x with U x = y for the upper triangle of ``U``, as mpmath's ``U_solve``."""
+    x = list(y)
+    for i in range(len(x) - 1, -1, -1):
+        for j in range(i + 1, len(x)):
+            x[i] -= U[i][j] * x[j]
+        x[i] /= U[i][i]
+    return x
+
+
 def _inf_norm_mp(rows) -> mp.mpf:
-    best = mp.mpf(0)
-    for row in rows:
-        s = mp.mpf(0)
-        for v in row:
-            s += abs(v)
-        best = max(best, s)
-    return best
+    # each row summed left to right: sum() compensates floats only
+    return max(sum(map(abs, row), mp.mpf(0)) for row in rows)
 
 
 def _lower_inverse(rows, unit: bool = False) -> list:
@@ -184,14 +236,13 @@ def _triangular_product(upper, lower, symmetric: bool = False) -> list:
     return out
 
 
-def _residual_mp(A: mp.matrix, x: mp.matrix, b: mp.matrix, bits: int) -> mp.mpf:
+def _residual_mp(A: list, x, b: list, bits: int) -> mp.mpf:
     # 64 guard bits so the reported residual is trustworthy at size u_bits
     with mp.workprec(bits + 64):
         r = mp.mpf(0)
-        for i in range(A.rows):
-            s = b[i]
-            for j in range(A.cols):
-                s -= A[i, j] * x[j]
+        for row, s in zip(A, b):
+            for a, xj in zip(row, x):
+                s -= a * xj
             r = max(r, abs(s))
         return r
 
@@ -201,7 +252,7 @@ def _output(v: mp.mpf, prec: PrecisionConfig) -> Real:
     return v if prec.is_extended else float(v)
 
 
-def _result(A: mp.matrix, b: mp.matrix, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
+def _result(A: list, b: list, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
     """The solution from one factorization, at the guard bits at which
     ``substitute(v)`` solves A x = v with the factor; the diagnostics
     reuse the factor when read."""
@@ -227,34 +278,32 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
     never regularization.
     """
     with mp.workprec(prec.bits):
-        Am = _to_mp_matrix(A)
-        n = Am.rows
-        bm = _to_mp_vec(b, n)
-        for i in range(n):
-            for j in range(i):
-                if Am[i, j] != Am[j, i]:
-                    raise ValueError("matrix must be symmetric")
+        Am = _to_rows(A)
+        n = len(Am)
+        bm = _to_vec(b, n)
+        if any(Am[i][j] != Am[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
         tol = +mp.eps  # definiteness is judged at the working precision
-        with mp.workprec(prec.bits + 10):  # the guard bits of mp.cholesky_solve
+        with mp.workprec(prec.bits + 10):  # the guard bits of mpmath's cholesky_solve
             try:
-                Lc = mp.cholesky(Am, tol)
-            except ValueError as e:
+                Lc = _cholesky(Am, tol)
+            except NumericallyIndefiniteError as e:
                 raise NumericallyIndefiniteError(
                     f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
                 ) from e
-        Lt = Lc.T
+        Lt = list(zip(*Lc))
 
         def substitute(v):
-            # L L^T x = v, in the order of mp.cholesky_solve
-            y = v.copy()
+            # L L^T x = v, in the order of mpmath's cholesky_solve
+            y = list(v)
             for i in range(n):
-                y[i] -= mp.fsum(Lc[i, j] * y[j] for j in range(i))
-                y[i] /= Lc[i, i]
-            return mp.U_solve(Lt, y)
+                y[i] -= mp.fsum(Lc[i][j] * y[j] for j in range(i))
+                y[i] /= Lc[i][i]
+            return _u_solve(Lt, y)
 
         def inverse():
             # A^-1 = X^T X with X = L^-1
-            X = _lower_inverse(Lc.tolist())
+            X = _lower_inverse(Lc)
             return _triangular_product(X, X, symmetric=True)
 
         return _result(Am, bm, substitute, inverse, prec)
@@ -265,23 +314,21 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
 
     A matrix singular at the working precision raises SingularMatrixError."""
     with mp.workprec(prec.bits):
-        Am = _to_mp_matrix(A)
-        n = Am.rows
-        bm = _to_mp_vec(b, n)
-        with mp.workprec(prec.bits + 10):  # the guard bits of mp.lu_solve and of the inverse
+        Am = _to_rows(A)
+        bm = _to_vec(b, len(Am))
+        with mp.workprec(prec.bits + 10):  # the guard bits of mpmath's lu_solve and of the inverse
             try:
-                LU, p = mp.LU_decomp(Am)
-            except ZeroDivisionError as e:
+                LU, p = _lu(Am)
+            except SingularMatrixError as e:
                 raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
 
         def inverse():
             # P A = L U, so A^-1 = U^-1 L^-1 P: P only reorders the
             # columns of U^-1 L^-1, which leaves each row's entries.
             # The rows of U^-1 are the columns of (U^T)^-1.
-            rows = LU.tolist()
-            return _triangular_product(_lower_inverse(list(zip(*rows))), _lower_inverse(rows, unit=True))
+            return _triangular_product(_lower_inverse(list(zip(*LU))), _lower_inverse(LU, unit=True))
 
-        return _result(Am, bm, lambda v: mp.U_solve(LU, mp.L_solve(LU, v, p)), inverse, prec)
+        return _result(Am, bm, lambda v: _u_solve(LU, _l_solve(LU, v, p)), inverse, prec)
 
 
 def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:

@@ -14,6 +14,7 @@ from flatlimit import (
     enumerate_multi_indices,
     monomial_eval,
 )
+from flatlimit.core import sq_dist, sq_norm
 
 
 def brute_force_indices(d, m):
@@ -163,3 +164,13 @@ def test_workprec_restores_outer_precision():
     with PrecisionConfig.extended(333).workprec():
         assert mp.prec == 333
     assert mp.prec == before
+
+
+def test_float_sums_run_left_to_right():
+    """Squared norms, squared distances and rule applications do not
+    depend on the interpreter: Python 3.12's compensated sum() would give
+    1 + 2^-52 here."""
+    assert sq_norm((1.0, 1e-8, 1e-8)) == 1.0
+    assert sq_dist((1.0, 1e-8, 1e-8), (0.0, 0.0, 0.0)) == 1.0
+    rule = CubatureRule(PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), (1.0, 1e-16, 1e-16))
+    assert rule.apply(lambda p: 1.0) == 1.0

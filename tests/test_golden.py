@@ -3,6 +3,7 @@ write matches, byte for byte, the files kept under ``tests/golden/``."""
 from pathlib import Path
 
 import pytest
+import yaml
 
 from flatlimit.cli import main
 
@@ -17,8 +18,7 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
-def test_config_output_matches_golden(name, argv, tmp_path, capsys):
+def assert_output_matches_golden(name, argv, tmp_path):
     out = tmp_path / name
     config = str(ROOT / "configs" / f"{name}.yaml")
     assert main([argv[0], "--config", config, "--out", str(out), *argv[1:]]) == 0
@@ -26,3 +26,17 @@ def test_config_output_matches_golden(name, argv, tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == expected
     for file_name in expected:
         assert (out / file_name).read_bytes() == (GOLDEN / name / file_name).read_bytes(), file_name
+
+
+@pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
+def test_config_output_matches_golden(name, argv, tmp_path, capsys):
+    assert_output_matches_golden(name, argv, tmp_path)
+
+
+@pytest.mark.parametrize("name,argv", [RUNS[0], RUNS[3]], ids=[RUNS[0][0], RUNS[3][0]])
+def test_pure_python_yaml_output_matches_golden(name, argv, tmp_path, capsys, monkeypatch):
+    """Without libyaml the configs are read and the manifests written by
+    PyYAML's pure-Python loader and dumper, to the same bytes."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    assert_output_matches_golden(name, argv, tmp_path)

@@ -96,8 +96,8 @@ def test_phi_basis_eval():
     assert phi_basis_eval(ell, MultiIndex((0, 0)), (0.0, 0.0)) == 1.0
 
 
-def test_gram_matrix_machine_is_an_exactly_symmetric_mp_matrix():
-    """At machine precision the Gram matrix is an mp.matrix whose entries
+def test_gram_matrix_machine_is_an_exactly_symmetric_list_of_rows():
+    """At machine precision the Gram matrix is a list of rows whose entries
     are kernel_eval's floats bit for bit, and exactly symmetric, whatever
     mpmath's precision is when it is built."""
     X = PointSet.from_1d([-1.0, 0.0, 0.7])
@@ -105,23 +105,32 @@ def test_gram_matrix_machine_is_an_exactly_symmetric_mp_matrix():
     for bits in (20, 53, 300):
         with mp.workprec(bits):
             G = gram_matrix(spec, X, PrecisionConfig.machine())
-        assert isinstance(G, mp.matrix)
+        assert isinstance(G, list) and all(isinstance(row, list) and len(row) == 3 for row in G)
+        assert len(G) == 3
         for i, x in enumerate(X):
             for j, y in enumerate(X):
-                assert G[i, j] == G[j, i]
-                assert float(G[i, j]) == kernel_eval(spec, x, y)
-                assert G[i, j] == mp.mpf(kernel_eval(spec, x, y))
-        assert [G[i, i] for i in range(3)] == [1.0, 1.0, 1.0]
+                assert G[i][j] == G[j][i]
+                assert type(G[i][j]) is float
+                assert G[i][j] == kernel_eval(spec, x, y)
+        assert [G[i][i] for i in range(3)] == [1.0, 1.0, 1.0]
 
 
 def test_gram_matrix_extended_uses_working_precision():
     X = PointSet.from_1d([-1.0, 0.0, 1.0])
-    G = gram_matrix(KernelSpec.gaussian(100.0), X, PrecisionConfig.extended(256))
-    assert isinstance(G, mp.matrix)
-    assert G[0, 1] == G[1, 0]
+    prec = PrecisionConfig.extended(256)
+    spec = KernelSpec.gaussian(100.0)
+    for bits in (20, 53, 300):
+        with mp.workprec(bits):
+            G = gram_matrix(spec, X, prec)
+        assert isinstance(G, list) and all(isinstance(row, list) and len(row) == 3 for row in G)
+        for i, x in enumerate(X):
+            for j, y in enumerate(X):
+                assert G[i][j] == G[j][i]
+                assert G[i][j]._mpf_ == kernel_eval(spec, x, y, prec)._mpf_
     # off-diagonal entries at ell=100 differ from 1 only near the 5th digit;
     # 256 bits must resolve far beyond float64
-    delta = mp.mpf(1) - G[0, 1]
+    with mp.workprec(256):
+        delta = mp.mpf(1) - G[0][1]
     assert delta > 0
     assert mp.log(delta, 10) < -4
 
@@ -130,11 +139,22 @@ def test_gram_condition_growth_with_flatness():
     """The three-point Gram matrix degenerates as the kernel flattens; these
     reference values come from an independent eigenvalue computation."""
     X = PointSet.from_1d([-1.0, 0.0, 1.0])
-    G10 = np.array(gram_matrix(KernelSpec.gaussian(10.0), X, PrecisionConfig.machine()).tolist(), dtype=float)
-    G100 = np.array(gram_matrix(KernelSpec.gaussian(100.0), X, PrecisionConfig.machine()).tolist(), dtype=float)
+    G10 = np.array(gram_matrix(KernelSpec.gaussian(10.0), X, PrecisionConfig.machine()), dtype=float)
+    G100 = np.array(gram_matrix(KernelSpec.gaussian(100.0), X, PrecisionConfig.machine()), dtype=float)
     assert_allclose(np.linalg.cond(G10, 2), 8.970571e4, rtol=1e-5)
     assert_allclose(np.linalg.cond(G100, 2), 8.999700e8, rtol=1e-5)
     assert_allclose(np.linalg.cond(G100, np.inf), 1.199990e9, rtol=1e-5)
+
+
+def test_three_dimensional_kernel_sums_left_to_right():
+    """A 3-D Gaussian kernel value is the exp of the squared distance
+    summed left to right, on every interpreter."""
+    x, y = (1.0, 1e-8, 1e-8), (0.0, 0.0, 0.0)
+    d2 = 0.0
+    for a, b in zip(x, y):
+        d2 += (a - b) * (a - b)
+    assert d2 == 1.0
+    assert kernel_eval(KernelSpec.gaussian(1.0), x, y) == math.exp(-d2 / 2) == math.exp(-0.5)
 
 
 def test_kernel_spec_validation():

@@ -12,6 +12,7 @@ from flatlimit import (
     SingularMatrixError,
     auto_precision_bits,
     condition_estimate,
+    linalg,
     solve_general,
     solve_spd,
 )
@@ -150,18 +151,24 @@ def test_auto_precision_bits_scales_with_flatness():
     assert b10000 - 64 == pytest.approx(2 * (b100 - 64), abs=2)
 
 
-def count_mp_calls(monkeypatch, *names):
-    """Count calls of mpmath context methods, including nested ones."""
+def count_calls(monkeypatch, owner, *names):
+    """Count calls of the functions ``names`` of ``owner`` (a module, or
+    mpmath's context class), including nested ones."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(type(mp), name)
+        original = getattr(owner, name)
 
-        def counted(ctx, *args, _name=name, _original=original, **kwargs):
+        def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(ctx, *args, **kwargs)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(type(mp), name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+# mpmath's solvers, none of which a solve calls
+MPMATH_SOLVERS = ("cholesky", "LU_decomp", "L_solve", "U_solve", "inverse", "cholesky_solve", "lu_solve")
+NO_MPMATH_SOLVE = dict.fromkeys(MPMATH_SOLVERS, 0)
 
 
 def inf_norm(A):
@@ -177,12 +184,15 @@ def test_extended_solve_spd_factors_once_and_matches_cholesky_solve(monkeypatch)
         b = mp.matrix([mp.mpf(k + 1) / 3 for k in range(len(xs))])
         x_ref = mp.cholesky_solve(A, b)
         cond_ref = inf_norm(A) * inf_norm(mp.inverse(A))
-    counts = count_mp_calls(monkeypatch, "cholesky", "cholesky_solve", "inverse", "LU_decomp")
+    mp_counts = count_calls(monkeypatch, type(mp), *MPMATH_SOLVERS)
+    counts = count_calls(monkeypatch, linalg, "_cholesky", "_lu")
     res = solve_spd(A, b, prec)
-    assert counts == {"cholesky": 1, "cholesky_solve": 0, "inverse": 0, "LU_decomp": 0}
+    assert counts == {"_cholesky": 1, "_lu": 0}
     assert list(res.solution) == list(x_ref)
     assert cond_ref > 1e6
     assert abs(res.condition - float(cond_ref)) <= 1e-10 * float(cond_ref)
+    assert counts == {"_cholesky": 1, "_lu": 0}
+    assert mp_counts == NO_MPMATH_SOLVE
 
 
 def test_extended_solve_general_factors_once_and_matches_lu_solve(monkeypatch):
@@ -194,11 +204,17 @@ def test_extended_solve_general_factors_once_and_matches_lu_solve(monkeypatch):
         b = mp.matrix([mp.mpf(2) / (j + 1) if j % 2 == 0 else 0 for j in range(len(xs))])
         x_ref = mp.lu_solve(A, b)
         cond_ref = float(inf_norm(A) * inf_norm(mp.inverse(A)))
-    counts = count_mp_calls(monkeypatch, "LU_decomp", "lu_solve", "inverse")
+    mp_counts = count_calls(monkeypatch, type(mp), *MPMATH_SOLVERS)
+    counts = count_calls(monkeypatch, linalg, "_cholesky", "_lu")
     res = solve_general(A, b, prec)
-    assert counts == {"LU_decomp": 1, "lu_solve": 0, "inverse": 0}
+    assert counts == {"_cholesky": 0, "_lu": 1}
     assert list(res.solution) == list(x_ref)
     assert res.condition == cond_ref
+    assert counts == {"_cholesky": 0, "_lu": 1}
+    assert mp_counts == NO_MPMATH_SOLVE
+
+
+PIVOTING_4X4 = [[2.0**-10, 2.0, 1.0, -3.0], [3.0, 1.0, 0.5, 2.0], [1.0, -4.0, 2.5, 1.0], [-2.0, 1.0, 7.0, 0.25]]
 
 
 def test_pivoted_lu_condition_matches_the_inverse():
@@ -208,7 +224,7 @@ def test_pivoted_lu_condition_matches_the_inverse():
     equal ||A|| ||mp.inverse(A)||."""
     bits = 128
     prec = PrecisionConfig.extended(bits)
-    A = [[2.0**-10, 2.0, 1.0, -3.0], [3.0, 1.0, 0.5, 2.0], [1.0, -4.0, 2.5, 1.0], [-2.0, 1.0, 7.0, 0.25]]
+    A = PIVOTING_4X4
     with mp.workprec(bits):
         Am = mp.matrix(A)
         _, p = mp.LU_decomp(Am.copy())
@@ -223,6 +239,68 @@ def test_pivoted_lu_condition_matches_the_inverse():
                 assert abs(got - want) <= mp.mpf(2) ** (8 - bits) * abs(want)
     assert res.condition == cond_ref
     assert condition_estimate(A, prec) == cond_ref
+
+
+def factor_systems():
+    """Rows of mpf at the working precision: a Gaussian Gram matrix and a
+    random B B^T + I (symmetric positive definite), a transposed
+    Vandermonde matrix, the pivoting 4 x 4 and a random 8 x 8."""
+    rng = np.random.default_rng(17)
+    B = [[mp.mpf(v) for v in row] for row in rng.uniform(-1.0, 1.0, size=(8, 8))]
+    xs = [mp.mpf(k) / 4 for k in range(-3, 4)]
+    ys = [mp.mpf(k) / 3 for k in (-3, -1, 0, 2, 3)]
+    spd = {
+        "gram": [[mp.exp(-(x - y) ** 2 / 8) for y in xs] for x in xs],
+        "random_spd": [[mp.fdot(u, v) + (i == j) for j, v in enumerate(B)] for i, u in enumerate(B)],
+    }
+    general = {
+        "gram": spd["gram"],
+        "vandermonde": [[y**j for y in ys] for j in range(len(ys))],
+        "pivoting": [[mp.mpf(v) for v in row] for row in PIVOTING_4X4],
+        "random": B,
+    }
+    return spd, general
+
+
+@pytest.mark.parametrize("bits", [63, 138, 700])
+def test_factors_equal_mpmath_entry_for_entry(bits):
+    """The in-repo Cholesky, LU and substitutions give the bits of
+    mpmath's cholesky, LU_decomp (pivots included), L_solve and U_solve."""
+    with mp.workprec(bits):
+        spd, general = factor_systems()
+        for A in spd.values():
+            assert linalg._cholesky(A, +mp.eps) == mp.cholesky(mp.matrix(A), +mp.eps).tolist()
+        swapped = False
+        for A in general.values():
+            LU, p = linalg._lu(A)
+            LU_ref, p_ref = mp.LU_decomp(mp.matrix(A))
+            assert p == p_ref
+            assert LU == LU_ref.tolist()
+            swapped = swapped or p != list(range(len(A) - 1))
+            b = [mp.mpf(k + 1) / 3 for k in range(len(A))]
+            x = linalg._u_solve(LU, linalg._l_solve(LU, b, p))
+            assert x == list(mp.U_solve(LU_ref, mp.L_solve(LU_ref, mp.matrix(b), p_ref)))
+        assert swapped
+
+
+def test_factor_failures_are_typed():
+    with mp.workprec(63):
+        with pytest.raises(SingularMatrixError):
+            linalg._lu([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]])
+        with pytest.raises(NumericallyIndefiniteError):
+            linalg._cholesky([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(1)]], +mp.eps)
+
+
+@pytest.mark.parametrize(
+    "prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"]
+)
+def test_zero_pivot_column_is_singular(prec):
+    """A column that is zero from the diagonal down, in rows of nonzero
+    sum, leaves mpmath's LU_decomp without a pivot row (a TypeError
+    there); here it is a singular matrix."""
+    with pytest.raises(SingularMatrixError):
+        solve_general([[0.0, 1.0], [0.0, 1.0]], [1.0, 1.0], prec)
+    assert condition_estimate([[1.0, 2.0, 3.0], [1.0, 2.0, 5.0], [2.0, 4.0, 1.0]], prec) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -280,14 +358,16 @@ LANES = {"machine": PrecisionConfig.machine(), "extended": PrecisionConfig.exten
 def test_unread_diagnostics_cost_no_inverse_columns(monkeypatch, lane, kind):
     prec = LANES[lane]
     solve, A, b = diagnostic_systems(prec)[kind]
-    counts = count_mp_calls(monkeypatch, "U_solve")
+    mp_counts = count_calls(monkeypatch, type(mp), *MPMATH_SOLVERS)
+    counts = count_calls(monkeypatch, linalg, "_u_solve")
     res = solve(A, b, prec)
-    assert counts["U_solve"] == 1  # the solution only
+    assert counts["_u_solve"] == 1  # the solution only
     res.residual_norm
-    assert counts["U_solve"] == 1  # the residual needs no substitution
+    assert counts["_u_solve"] == 1  # the residual needs no substitution
     res.condition
     res.warning
-    assert counts["U_solve"] == 1  # the inverse comes from the factor
+    assert counts["_u_solve"] == 1  # the inverse comes from the factor
+    assert mp_counts == NO_MPMATH_SOLVE
 
 
 @pytest.mark.parametrize("kind", ["spd", "general"])
