@@ -315,10 +315,6 @@ def rlog1p(x: Real) -> Real:
     return mp.log1p(x) if isinstance(x, mpf) else math.log1p(x)
 
 
-def rlog(x: Real) -> Real:
-    return mp.log(x) if isinstance(x, mpf) else math.log(x)
-
-
 def rsqrt(x: Real) -> Real:
     return mp.sqrt(x) if isinstance(x, mpf) else math.sqrt(x)
 

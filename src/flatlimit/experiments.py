@@ -99,9 +99,9 @@ def _normalize_study_fields(cfg) -> None:
     """Check the length-scale grid of a sweep or a study, and normalize its
     precision policy and fit window in place; a fit window must hold at
     least two grid points."""
-    if not (0 < cfg.ell_min < cfg.ell_max):
+    if not (0 < cfg.ell_min < cfg.ell_max < math.inf):
         raise ConfigError(
-            f"length-scale grid must be positive and increasing, got [{cfg.ell_min}, {cfg.ell_max}]"
+            f"length-scale grid must be positive, finite and increasing, got [{cfg.ell_min}, {cfg.ell_max}]"
         )
     if cfg.ell_count < 2:
         raise ConfigError(f"length-scale grid needs at least 2 points, got {cfg.ell_count}")

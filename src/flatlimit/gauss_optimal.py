@@ -110,30 +110,21 @@ def gauss_rule_from_moments(
     with cprec.workprec():
         mu = [moment(L, MultiIndex((k,)), cprec) for k in range(2 * n + 1)]
         try:
-            Lc = _cholesky([mu[i:i + n + 1] for i in range(n + 1)], +mp.eps)
+            Lc = _cholesky([[m._mpf_ for m in mu[i:i + n + 1]] for i in range(n + 1)], mp.eps._mpf_)
         except NumericallyIndefiniteError as e:
             raise NumericallyIndefiniteError(
                 f"Hankel moment matrix of order {n + 1} is not numerically positive "
                 f"definite at {cbits} bits; the functional may not be a positive "
                 "measure with distinct-support, or needs more precision"
             ) from e
-        # R upper triangular with M = R^T R
-        r = lambda i, j: Lc[j][i]
-        diag = []
-        off = []
-        for k in range(n):
-            a = r(k, k + 1) / r(k, k)
-            if k >= 1:
-                a -= r(k - 1, k) / r(k - 1, k - 1)
-            diag.append(a)
-        for k in range(1, n):
-            off.append(r(k, k) / r(k - 1, k - 1))
+        # R upper triangular with M = R^T R gives the Jacobi matrix J
+        r = lambda i, j: mp.make_mpf(Lc[j][i])
         J = mp.matrix(n, n)
         for k in range(n):
-            J[k, k] = diag[k]
-        for k in range(n - 1):
-            J[k, k + 1] = off[k]
-            J[k + 1, k] = off[k]
+            J[k, k] = r(k, k + 1) / r(k, k)
+            if k >= 1:
+                J[k, k] -= r(k - 1, k) / r(k - 1, k - 1)
+                J[k - 1, k] = J[k, k - 1] = r(k, k) / r(k - 1, k - 1)
         E, Q = mp.eigsy(J)
         nodes_mp = [E[k] for k in range(n)]
         weights_mp = [mu[0] * Q[0, k] ** 2 for k in range(n)]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
 
 from .core import (
     MACHINE,
@@ -172,13 +173,29 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
     return gx * gy * total
 
 
+def _gaussian_value(x: Sequence, y: Sequence, den: tuple, values: dict, prec: int, rnd: str) -> mp.mpf:
+    """exp(-|x - y|^2 / den) of mpf coordinates and a raw mpf den = 2 l^2, with the roundings of
+    rexp(-sq_dist(x, y) / den) (the squared distance summed left to right) made on raw mpf; exp
+    runs once per exponent not yet in ``values``, which maps each exponent to its value."""
+    total = fzero
+    for a, b in zip(x, y):
+        d = mpf_sub(a._mpf_, b._mpf_, prec, rnd)
+        total = mpf_add(total, mpf_mul(d, d, prec, rnd), prec, rnd)
+    e = mpf_div(mpf_neg(total, prec, rnd), den, prec, rnd)
+    if e not in values:
+        values[e] = mp.make_mpf(mpf_exp(e, prec, rnd))
+    return values[e]
+
+
 def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell: Real, prec: PrecisionConfig) -> Real:
     """K(x, y) of points and a length scale already converted to the
     working type, inside the working precision."""
     if len(xv) != len(yv):
         raise ValueError(f"points have dimensions {len(xv)} and {len(yv)}")
     if spec.family == "gaussian":
-        return rexp(-sq_dist(xv, yv) / (2 * ell * ell))
+        if isinstance(ell, float):
+            return math.exp(-sq_dist(xv, yv) / (2 * ell * ell))
+        return _gaussian_value(xv, yv, (2 * ell * ell)._mpf_, {}, *mp._prec_rounding)
     if spec.family == "exponential":
         if len(xv) != 1:
             raise ValueError("exponential kernel is one-dimensional")
@@ -213,16 +230,22 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
     those of :func:`kernel_eval` whatever mpmath's precision is.  The
     points and the length scale are converted once; only the upper
     triangle is evaluated and the lower is mirrored, so the result is
-    exactly symmetric.
+    exactly symmetric.  The extended Gaussian Gram forms 2 l^2 once and
+    each exponent as :func:`kernel_eval` does, on raw mpf tuples, and takes
+    exp once per distinct exponent (3 of the 6 entries of {-1, 0, 1}).
     """
     n = len(points)
     with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
         xs = [_as_point(x, prec) for x in points]
         ell = prec.to_real(spec.length_scale)
         out = [[None] * n for _ in range(n)]
+        entry = lambda x, y: _kernel_value(spec, x, y, ell, prec)
+        if spec.family == "gaussian" and prec.is_extended:
+            den, values = (2 * ell * ell)._mpf_, {}
+            entry = lambda x, y: _gaussian_value(x, y, den, values, *mp._prec_rounding)
         for i in range(n):
             for j in range(i, n):
-                out[i][j] = out[j][i] = _kernel_value(spec, xs[i], xs[j], ell, prec)
+                out[i][j] = out[j][i] = entry(xs[i], xs[j])
         return out
 
 

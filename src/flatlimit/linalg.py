@@ -1,33 +1,40 @@
 """Dense linear solves at machine or extended precision.
 
-Both lanes run one code path on lists of rows of ``mpf`` at the
-precision's ``bits`` (53 for machine mode) with 10 guard bits; machine
-mode rounds the solution and the residual to float.  The Cholesky and LU
-factors and substitutions are mpmath's, operation for operation (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 9 and 10),
-so the bits are those of ``cholesky_solve`` and ``lu_solve``.  A solve
-factors the matrix once and returns the solution; the condition number,
-the residual and the conditioning warning are computed from the stored
-factor on first read, so a caller that reads only the solution pays for
-nothing else.  The condition number takes the inverse from the factor
-through one triangular inverse (Higham, ch. 14): X = L^-1 and
-A^-1 = X^T X for Cholesky, U^-1 L^-1 for LU, whose rows are those of
-A^-1 up to the order of their entries.  Ill-conditioning is never
-patched by jitter or regularization here; the remedy on failure is more
-precision, and the errors say so.
+Both lanes run one code path at the precision's ``bits`` (53 for machine
+mode) with 10 guard bits, taking and returning ``mpf`` (floats in machine
+mode); inside, it runs on raw ``_mpf_`` tuples through the ``mpmath.libmp``
+calls that the ``mpf`` operators make.  The Cholesky and LU factors and
+substitutions are mpmath's, operation for operation (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, ch. 9 and 10), so the bits are
+those of ``cholesky_solve`` and ``lu_solve``.  A solve factors the matrix
+once and returns the solution; the condition number, the residual and the
+conditioning warning are computed from the stored factor on first read,
+so a caller that reads only the solution pays for nothing else.  The
+condition number takes the inverse from the factor through one
+triangular inverse (Higham, ch. 14): X = L^-1 and A^-1 = X^T X for
+Cholesky, U^-1 L^-1 for LU, whose rows are those of A^-1 up to the order
+of their entries.  Ill-conditioning is never patched by jitter or
+regularization here; the remedy on failure is more precision, and the
+errors say so.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Any, Callable, Optional
 
 from mpmath import mp
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int,
+    mpf_sqrt, mpf_sub, mpf_sum, to_float,
+)
 
 from .core import MACHINE, PrecisionConfig, Real
 from .errors import NumericallyIndefiniteError, SingularMatrixError
+
+_BY_VALUE = cmp_to_key(mpf_cmp)  # max(raw mpf values, key=_BY_VALUE) keeps the first largest, as max() of mpf
 
 
 @dataclass(frozen=True)
@@ -41,16 +48,16 @@ class SolveResult:
     solution, evaluated with 64 guard bits.  ``condition`` is the inf-norm
     condition number ||A|| ||A^-1|| with the inverse taken from the factor
     through one triangular inverse at the solve's guard bits (the norms
-    summed at the working precision).  In machine mode the solution and
-    the residual are floats.  ``warning`` is set when the condition
-    estimate exceeds the precision policy's threshold; the solve still
-    returns.
+    summed at the working precision).  The solution and the residual are
+    mpf, floats in machine mode; ``substitute`` and ``inverse`` work on raw
+    ``_mpf_`` tuples.  ``warning`` is set when the condition estimate
+    exceeds the precision policy's threshold; the solve still returns.
     """
 
     solution: tuple[Real, ...]
     precision: PrecisionConfig
-    # the working-precision system (rows and a list), the map v -> A^-1 v through
-    # the factor, and the rows of A^-1 from it (each up to the order of its entries)
+    # the working-precision system (rows and a list of mpf), the map v -> A^-1 v through
+    # the factor, and the rows of A^-1 from it (each up to the order of its entries), on raw mpf
     matrix: Any = field(repr=False, compare=False)
     rhs: Any = field(repr=False, compare=False)
     substitute: Callable = field(repr=False, compare=False)
@@ -62,11 +69,11 @@ class SolveResult:
         with mp.workprec(bits + 10):  # the guard bits of the solve
             inv = self.inverse()
         with mp.workprec(bits):
-            return float(_inf_norm_mp(self.matrix) * _inf_norm_mp(inv))
+            return float(mp.make_mpf(_inf_norm_mp(_raw_rows(self.matrix))) * mp.make_mpf(_inf_norm_mp(inv)))
 
     @cached_property
     def residual_norm(self) -> Real:
-        return _output(_residual_mp(self.matrix, self.solution, self.rhs, self.precision.bits), self.precision)
+        return _output(_residual_mp(self.matrix, self.solution, self.rhs, self.precision.bits)._mpf_, self.precision)
 
     @cached_property
     def warning(self) -> Optional[str]:
@@ -86,8 +93,8 @@ def auto_precision_bits(length_scale: float, n_points: int) -> int:
     The Gram spectrum collapses like powers of the inverse length scale, so
     the requirement grows with N log2(l): bits = max(64, 64 + ceil(2 N log2 l)).
     """
-    if not length_scale > 0:
-        raise ValueError("length_scale must be positive")
+    if not 0 < length_scale < math.inf:
+        raise ValueError(f"length_scale must be positive and finite, got {length_scale!r}")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     return max(64, 64 + math.ceil(2 * n_points * math.log2(length_scale)))
@@ -131,90 +138,116 @@ def _to_vec(b, n: int) -> list:
     return v
 
 
-def _cholesky(A: list, tol) -> list:
+def _fdot(a, b, prec: int, rnd: str) -> tuple:
+    """mp.fdot on raw mpf values: the exact products summed and rounded once."""
+    return mpf_sum([mpf_mul(x, y) for x, y in zip(a, b)], prec, rnd)
+
+
+def _cholesky(A: list, tol: tuple) -> list:
     """The rows of the lower triangular L with A = L L^T, as mpmath's
-    ``cholesky(A, tol)`` forms them: a pivot below ``tol`` raises
-    :class:`NumericallyIndefiniteError`."""
+    ``cholesky(A, tol)`` forms them, on raw mpf rows: a pivot below
+    ``tol`` raises :class:`NumericallyIndefiniteError`."""
+    prec, rnd = mp._prec_rounding
     n = len(A)
-    L = [[mp.zero] * n for _ in range(n)]
+    L = [[fzero] * n for _ in range(n)]
     for j in range(n):
         Lj = L[j]
-        s = A[j][j] - mp.fsum(Lj[:j], absolute=True, squared=True)
-        if s < tol:
+        s = mpf_sub(A[j][j], mpf_sum([mpf_mul(v, v) for v in Lj[:j]], prec, rnd, absolute=True), prec, rnd)
+        if mpf_lt(s, tol):
             raise NumericallyIndefiniteError("matrix is not positive-definite")
-        Lj[j] = mp.sqrt(s)
-        for i in range(j, n):  # i = j recomputes the diagonal, as mpmath does
-            L[i][j] = (A[i][j] - mp.fdot(L[i][:j], Lj[:j])) / Lj[j]
+        Lj[j] = mpf_sqrt(s, prec, rnd)
+        for i in range(j, n):  # i = j recomputes the diagonal, which the rows below divide by, as mpmath does
+            L[i][j] = mpf_div(mpf_sub(A[i][j], _fdot(L[i][:j], Lj[:j], prec, rnd), prec, rnd), Lj[j], prec, rnd)
     return L
 
 
 def _lu(A: list) -> tuple[list, list]:
-    """P A = L U as mpmath's ``LU_decomp`` forms it, with its pivot rule (the largest
-    |a_kj| over the row sum of |a_kl|, l >= j) and tolerance ||A||_1 eps: the rows of L
-    below the unit diagonal and of U in one matrix, and the row swapped with row j at
-    step j.  A pivot or a row sum within the tolerance raises SingularMatrixError."""
+    """P A = L U of raw mpf rows as mpmath's ``LU_decomp`` forms it, with its pivot rule (the
+    largest |a_kj| over the row sum of |a_kl|, l >= j) and tolerance ||A||_1 eps: the rows of
+    L below the unit diagonal and of U in one matrix, and the row swapped with row j at step
+    j.  A pivot or a row sum within the tolerance raises SingularMatrixError."""
+    prec, rnd = mp._prec_rounding
     n = len(A)
     A = [row[:] for row in A]
-    tol = abs(max(mp.fsum((row[j] for row in A), absolute=True) for j in range(n)) * mp.eps)
+    colsum = max((mpf_sum([row[j] for row in A], prec, rnd, absolute=True) for j in range(n)), key=_BY_VALUE)
+    tol = mpf_abs(mpf_mul(colsum, mp.eps._mpf_, prec, rnd), prec, rnd)
     p = []
     for j in range(n):  # the last step only checks the last pivot
-        biggest, pivot = 0, j  # a zero column keeps row j, whose zero pivot raises below
+        biggest, pivot = fzero, j  # a zero column keeps row j, whose zero pivot raises below
         for k in range(j, n):
-            s = mp.fsum([abs(v) for v in A[k][j:]])
-            if s <= tol:
+            s = mpf_sum([mpf_abs(v, prec, rnd) for v in A[k][j:]], prec, rnd)
+            if mpf_le(s, tol):
                 raise SingularMatrixError("matrix is numerically singular")
-            current = 1 / s * abs(A[k][j])
-            if current > biggest:
+            current = mpf_mul(mpf_rdiv_int(1, s, prec, rnd), mpf_abs(A[k][j], prec, rnd), prec, rnd)
+            if mpf_gt(current, biggest):
                 biggest, pivot = current, k
         p.append(pivot)
         A[j], A[pivot] = A[pivot], A[j]
         top = A[j]
-        if abs(top[j]) <= tol:
+        if mpf_le(mpf_abs(top[j], prec, rnd), tol):
             raise SingularMatrixError("matrix is numerically singular")
         for row in A[j + 1:]:
-            f = row[j] = row[j] / top[j]
+            f = row[j] = mpf_div(row[j], top[j], prec, rnd)
             for k in range(j + 1, n):
-                row[k] -= f * top[k]
+                row[k] = mpf_sub(row[k], mpf_mul(f, top[k], prec, rnd), prec, rnd)
     return A, p[:-1]
 
 
 def _l_solve(LU: list, b: list, p: list) -> list:
     """y with L y = P b for the unit lower triangle of ``LU`` and swaps ``p``, as mpmath's ``L_solve``."""
+    prec, rnd = mp._prec_rounding
     y = list(b)
     for k, pk in enumerate(p):
         y[k], y[pk] = y[pk], y[k]
     for i in range(1, len(y)):
         for j in range(i):
-            y[i] -= LU[i][j] * y[j]
+            y[i] = mpf_sub(y[i], mpf_mul(LU[i][j], y[j], prec, rnd), prec, rnd)
     return y
+
+
+def _cholesky_substitute(L: list, v: list) -> list:
+    """x with L L^T x = v for the Cholesky factor ``L``, in the order of mpmath's ``cholesky_solve``."""
+    prec, rnd = mp._prec_rounding
+    y = list(v)
+    for i, row in enumerate(L):
+        s = mpf_sum([mpf_mul(row[j], y[j], prec, rnd) for j in range(i)], prec, rnd)
+        y[i] = mpf_div(mpf_sub(y[i], s, prec, rnd), row[i], prec, rnd)
+    return _u_solve(list(zip(*L)), y)
 
 
 def _u_solve(U: list, y: list) -> list:
     """x with U x = y for the upper triangle of ``U``, as mpmath's ``U_solve``."""
+    prec, rnd = mp._prec_rounding
     x = list(y)
     for i in range(len(x) - 1, -1, -1):
         for j in range(i + 1, len(x)):
-            x[i] -= U[i][j] * x[j]
-        x[i] /= U[i][i]
+            x[i] = mpf_sub(x[i], mpf_mul(U[i][j], x[j], prec, rnd), prec, rnd)
+        x[i] = mpf_div(x[i], U[i][i], prec, rnd)
     return x
 
 
-def _inf_norm_mp(rows) -> mp.mpf:
-    # each row summed left to right: sum() compensates floats only
-    return max(sum(map(abs, row), mp.mpf(0)) for row in rows)
+def _inf_norm_mp(rows) -> tuple:
+    """max_i sum_j |a_ij| of raw mpf rows, each row summed left to right, as sum() of mpf."""
+    prec, rnd = mp._prec_rounding
+    norms = [fzero] * len(rows)
+    for i, row in enumerate(rows):
+        for v in row:
+            norms[i] = mpf_add(norms[i], mpf_abs(v, prec, rnd), prec, rnd)
+    return max(norms, key=_BY_VALUE)
 
 
 def _lower_inverse(rows, unit: bool = False) -> list:
     """The inverse X of the lower triangle of ``rows`` (unit diagonal when
     ``unit``) by forward substitution, n^3/6 products; column j of X is
     returned as its entries in rows j..n-1."""
+    prec, rnd = mp._prec_rounding
     n = len(rows)
     cols = []
     for j in range(n):
-        col = [mp.one if unit else 1 / rows[j][j]]
+        col = [fone if unit else mpf_rdiv_int(1, rows[j][j], prec, rnd)]
         for i in range(j + 1, n):
-            s = -mp.fdot(rows[i][j:i], col)
-            col.append(s if unit else s / rows[i][i])
+            s = mpf_neg(_fdot(rows[i][j:i], col, prec, rnd), prec, rnd)
+            col.append(s if unit else mpf_div(s, rows[i][i], prec, rnd))
         cols.append(col)
     return cols
 
@@ -225,12 +258,13 @@ def _triangular_product(upper, lower, symmetric: bool = False) -> list:
     given by its columns (column j as its entries in rows j..n-1).  Entry
     (i, j) sums over k >= max(i, j).  With ``symmetric`` (Y = X^T) only
     the upper triangle is formed and mirrored."""
+    prec, rnd = mp._prec_rounding
     n = len(lower)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i if symmetric else 0, n):
             k = max(i, j)
-            out[i][j] = mp.fdot(upper[i][k - i:], lower[j][k - j:])
+            out[i][j] = _fdot(upper[i][k - i:], lower[j][k - j:], prec, rnd)
             if symmetric:
                 out[j][i] = out[i][j]
     return out
@@ -247,17 +281,21 @@ def _residual_mp(A: list, x, b: list, bits: int) -> mp.mpf:
         return r
 
 
-def _output(v: mp.mpf, prec: PrecisionConfig) -> Real:
-    # machine-lane results are returned as floats
-    return v if prec.is_extended else float(v)
+def _raw_rows(A: list) -> list:
+    return [[v._mpf_ for v in row] for row in A]
+
+
+def _output(v: tuple, prec: PrecisionConfig) -> Real:
+    # a raw mpf at the API: an mpf, or in the machine lane a float rounded as float(mpf) rounds
+    return mp.make_mpf(v) if prec.is_extended else to_float(v, rnd=mp._prec_rounding[1])
 
 
 def _result(A: list, b: list, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
     """The solution from one factorization, at the guard bits at which
-    ``substitute(v)`` solves A x = v with the factor; the diagnostics
-    reuse the factor when read."""
+    ``substitute(v)`` solves A x = v with the factor on raw mpf values; the
+    diagnostics reuse the factor when read."""
     with mp.workprec(prec.bits + 10):
-        x = substitute(b)
+        x = substitute([v._mpf_ for v in b])
     return SolveResult(tuple(_output(v, prec) for v in x), prec, A, b, substitute, inverse)
 
 
@@ -281,32 +319,24 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         Am = _to_rows(A)
         n = len(Am)
         bm = _to_vec(b, n)
-        if any(Am[i][j] != Am[j][i] for i in range(n) for j in range(i)):
+        Ar = _raw_rows(Am)
+        if any(Ar[i][j] != Ar[j][i] for i in range(n) for j in range(i)):  # finite raw mpf are normalized
             raise ValueError("matrix must be symmetric")
-        tol = +mp.eps  # definiteness is judged at the working precision
+        tol = mp.eps._mpf_  # definiteness is judged at the working precision
         with mp.workprec(prec.bits + 10):  # the guard bits of mpmath's cholesky_solve
             try:
-                Lc = _cholesky(Am, tol)
+                Lc = _cholesky(Ar, tol)
             except NumericallyIndefiniteError as e:
                 raise NumericallyIndefiniteError(
                     f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
                 ) from e
-        Lt = list(zip(*Lc))
-
-        def substitute(v):
-            # L L^T x = v, in the order of mpmath's cholesky_solve
-            y = list(v)
-            for i in range(n):
-                y[i] -= mp.fsum(Lc[i][j] * y[j] for j in range(i))
-                y[i] /= Lc[i][i]
-            return _u_solve(Lt, y)
 
         def inverse():
             # A^-1 = X^T X with X = L^-1
             X = _lower_inverse(Lc)
             return _triangular_product(X, X, symmetric=True)
 
-        return _result(Am, bm, substitute, inverse, prec)
+        return _result(Am, bm, lambda v: _cholesky_substitute(Lc, v), inverse, prec)
 
 
 def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
@@ -318,7 +348,7 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         bm = _to_vec(b, len(Am))
         with mp.workprec(prec.bits + 10):  # the guard bits of mpmath's lu_solve and of the inverse
             try:
-                LU, p = _lu(Am)
+                LU, p = _lu(_raw_rows(Am))
             except SingularMatrixError as e:
                 raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
 

@@ -263,6 +263,20 @@ def test_invalid_value_is_config_error(command, cfg, flags, env, tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,cfg", [("sweep", SWEEP_CFG), ("optimal", OPTIMAL_CFG)], ids=["sweep", "optimal"])
+@pytest.mark.parametrize("ell_max", [".inf", "1e400"])
+def test_infinite_length_scale_bound_is_config_error(command, cfg, ell_max, tmp_path, capsys):
+    """An infinite upper bound of the grid (1e400 reads as inf too) is a
+    config error, not a traceback from the precision policy."""
+    text = yaml.safe_dump({**cfg, "ell_grid": {"min": 1.0, "max": 2.0, "count": 3}})
+    path = tmp_path / "c.yaml"
+    path.write_text(text.replace("max: 2.0", f"max: {ell_max}"))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: length-scale grid must be positive, finite and increasing")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "cfg,flags,seed",
     [

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from numpy.testing import assert_allclose
 
+from flatlimit import kernels
 from flatlimit import (
     KernelDomainError,
     KernelSpec,
@@ -133,6 +134,66 @@ def test_gram_matrix_extended_uses_working_precision():
         delta = mp.mpf(1) - G[0][1]
     assert delta > 0
     assert mp.log(delta, 10) < -4
+
+
+def chebyshev(n):
+    """Chebyshev points of the first kind on [-1, 1], mirrored so the set is
+    exactly symmetric in binary (the node sets of the perfbench sweeps)."""
+    half = [math.cos((2 * k + 1) * math.pi / (2 * n)) for k in range(n // 2)]
+    return sorted([-x for x in half] + ([0.0] if n % 2 else []) + half)
+
+
+@pytest.mark.parametrize("points,exps", [([-1.0, 0.0, 1.0], 3), (chebyshev(6), 10), (chebyshev(10), 26)])
+@pytest.mark.parametrize("bits", [64, 692])
+def test_extended_gaussian_gram_takes_one_exp_per_distinct_exponent(points, exps, bits, monkeypatch):
+    """A mirrored node set repeats squared distances: {-1, 0, 1} has 3
+    distinct exponents among its 6 upper-triangle entries, 6 Chebyshev
+    points 10 of 21, 10 of them 26 of 55."""
+    calls = []
+    original = kernels.mpf_exp
+    monkeypatch.setattr(kernels, "mpf_exp", lambda *args: calls.append(args[0]) or original(*args))
+    X = PointSet.from_1d(points)
+    for ell in (1.0, 46.4, 10000.0):
+        calls.clear()
+        G = gram_matrix(KernelSpec.gaussian(ell), X, PrecisionConfig.extended(bits))
+        assert len(calls) == len(set(calls)) == exps
+        assert len({id(v) for row in G for v in row}) == exps  # entries of one exponent share one mpf
+
+
+def mpf_gaussian(x, y, ell):
+    """The Gaussian kernel on mpf objects: exp(-sq_dist(x, y) / (2 l^2)),
+    the squared distance summed left to right."""
+    d2 = 0
+    for a, b in zip(x, y):
+        d2 += (a - b) * (a - b)
+    return mp.exp(-d2 / (2 * ell * ell))
+
+
+GRAM_POINT_SETS = {
+    "symmetric": PointSet.from_1d(chebyshev(7)),
+    "asymmetric": PointSet.from_1d([-0.9, -0.31, 0.0, 0.2, 0.77, 1.0]),
+    "plane": PointSet.from_points([(math.sin(3 * k + 1), math.cos(5 * k)) for k in range(8)]),
+}
+
+
+@pytest.mark.parametrize("name", GRAM_POINT_SETS)
+@pytest.mark.parametrize("ell", [0.7, 100.0])
+def test_extended_gaussian_gram_entries_are_kernel_eval_bits(name, ell):
+    """Every entry of the extended Gaussian Gram, whatever mpmath's
+    precision at the call, is kernel_eval's mpf and the mpf-object formula's
+    at the Gram's bits."""
+    X = GRAM_POINT_SETS[name]
+    spec = KernelSpec.gaussian(ell)
+    for bits in (64, 700):
+        prec = PrecisionConfig.extended(bits)
+        with mp.workprec(bits):
+            want = [[mpf_gaussian([mp.mpf(c) for c in x], [mp.mpf(c) for c in y], mp.mpf(ell))._mpf_ for y in X] for x in X]
+        for outer in (20, 53, 300, 700):
+            with mp.workprec(outer):
+                G = gram_matrix(spec, X, prec)
+                got = [[v._mpf_ for v in row] for row in G]
+                assert got == want
+                assert got == [[kernel_eval(spec, x, y, prec)._mpf_ for y in X] for x in X]
 
 
 def test_gram_condition_growth_with_flatness():

@@ -151,6 +151,12 @@ def test_auto_precision_bits_scales_with_flatness():
     assert b10000 - 64 == pytest.approx(2 * (b100 - 64), abs=2)
 
 
+@pytest.mark.parametrize("ell", [math.inf, math.nan, 0.0, -1.0])
+def test_auto_precision_bits_rejects_a_length_scale_that_is_not_positive_and_finite(ell):
+    with pytest.raises(ValueError, match="positive and finite"):
+        auto_precision_bits(ell, 3)
+
+
 def count_calls(monkeypatch, owner, *names):
     """Count calls of the functions ``names`` of ``owner`` (a module, or
     mpmath's context class), including nested ones."""
@@ -233,9 +239,9 @@ def test_pivoted_lu_condition_matches_the_inverse():
         cond_ref = float(inf_norm(Am) * inf_norm(ref))
     res = solve_general(A, [1, 2, 3, 4], prec)
     with mp.workprec(bits + 10):
-        rows = res.inverse()
+        rows = res.inverse()  # raw mpf values
         for i, row in enumerate(rows):
-            for got, want in zip(sorted(row), sorted(ref[i, j] for j in range(len(A)))):
+            for got, want in zip(sorted(map(mp.make_mpf, row)), sorted(ref[i, j] for j in range(len(A)))):
                 assert abs(got - want) <= mp.mpf(2) ** (8 - bits) * abs(want)
     assert res.condition == cond_ref
     assert condition_estimate(A, prec) == cond_ref
@@ -262,33 +268,114 @@ def factor_systems():
     return spd, general
 
 
+def raw(rows):
+    """The raw mpf tuples of rows of mpf."""
+    return [[v._mpf_ for v in row] for row in rows]
+
+
+def mpf_rows(rows):
+    return [[mp.make_mpf(v) for v in row] for row in rows]
+
+
 @pytest.mark.parametrize("bits", [63, 138, 700])
 def test_factors_equal_mpmath_entry_for_entry(bits):
-    """The in-repo Cholesky, LU and substitutions give the bits of
-    mpmath's cholesky, LU_decomp (pivots included), L_solve and U_solve."""
+    """The in-repo Cholesky, LU and substitutions on raw mpf give the bits
+    of mpmath's cholesky, LU_decomp (pivots included), L_solve and U_solve."""
     with mp.workprec(bits):
         spd, general = factor_systems()
         for A in spd.values():
-            assert linalg._cholesky(A, +mp.eps) == mp.cholesky(mp.matrix(A), +mp.eps).tolist()
+            assert linalg._cholesky(raw(A), mp.eps._mpf_) == raw(mp.cholesky(mp.matrix(A), +mp.eps).tolist())
         swapped = False
         for A in general.values():
-            LU, p = linalg._lu(A)
+            LU, p = linalg._lu(raw(A))
             LU_ref, p_ref = mp.LU_decomp(mp.matrix(A))
             assert p == p_ref
-            assert LU == LU_ref.tolist()
+            assert LU == raw(LU_ref.tolist())
             swapped = swapped or p != list(range(len(A) - 1))
             b = [mp.mpf(k + 1) / 3 for k in range(len(A))]
-            x = linalg._u_solve(LU, linalg._l_solve(LU, b, p))
-            assert x == list(mp.U_solve(LU_ref, mp.L_solve(LU_ref, mp.matrix(b), p_ref)))
+            x = linalg._u_solve(LU, linalg._l_solve(LU, [v._mpf_ for v in b], p))
+            assert x == [v._mpf_ for v in mp.U_solve(LU_ref, mp.L_solve(LU_ref, mp.matrix(b), p_ref))]
         assert swapped
+
+
+# The mpf-object forms of the raw-mpf kernels, as linalg ran them before it
+# moved to raw tuples; the oracle of test_raw_kernels_equal_the_mpf_object_forms.
+def mpf_inf_norm(rows):
+    return max(sum(map(abs, row), mp.mpf(0)) for row in rows)
+
+
+def mpf_lower_inverse(rows, unit=False):
+    n = len(rows)
+    cols = []
+    for j in range(n):
+        col = [mp.one if unit else 1 / rows[j][j]]
+        for i in range(j + 1, n):
+            s = -mp.fdot(rows[i][j:i], col)
+            col.append(s if unit else s / rows[i][i])
+        cols.append(col)
+    return cols
+
+
+def mpf_triangular_product(upper, lower, symmetric=False):
+    n = len(lower)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            k = max(i, j)
+            out[i][j] = mp.fdot(upper[i][k - i:], lower[j][k - j:])
+            if symmetric:
+                out[j][i] = out[i][j]
+    return out
+
+
+def mpf_cholesky_substitute(L, v):
+    y = list(v)
+    for i in range(len(y)):
+        y[i] -= mp.fsum(L[i][j] * y[j] for j in range(i))
+        y[i] /= L[i][i]
+    return list(mp.U_solve(mp.matrix(L).T, mp.matrix(y)))
+
+
+@pytest.mark.parametrize("bits", [63, 138, 700])
+def test_raw_kernels_equal_the_mpf_object_forms(bits):
+    """The Cholesky substitution, the triangular inverses, their product
+    and the inf-norm on raw mpf give the bits of the same loops on mpf
+    objects, the norms also at fewer bits than their entries carry."""
+    with mp.workprec(bits):
+        spd, general = factor_systems()
+        for A in spd.values():
+            Lc = linalg._cholesky(raw(A), mp.eps._mpf_)
+            Lm = mpf_rows(Lc)
+            b = [mp.mpf(k + 1) / 3 for k in range(len(A))]
+            x = linalg._cholesky_substitute(Lc, [v._mpf_ for v in b])
+            assert x == [v._mpf_ for v in mpf_cholesky_substitute(Lm, b)]
+            X, Xm = linalg._lower_inverse(Lc), mpf_lower_inverse(Lm)
+            assert X == raw(Xm)
+            inv, inv_m = linalg._triangular_product(X, X, symmetric=True), mpf_triangular_product(Xm, Xm, symmetric=True)
+            assert inv == raw(inv_m)
+            for norm_bits in (bits, bits - 10):
+                with mp.workprec(norm_bits):
+                    assert linalg._inf_norm_mp(inv) == mpf_inf_norm(inv_m)._mpf_
+                    assert linalg._inf_norm_mp(raw(A)) == mpf_inf_norm(A)._mpf_
+        for A in general.values():
+            LU, _ = linalg._lu(raw(A))
+            LUm = mpf_rows(LU)
+            Ut, Utm = linalg._lower_inverse(list(zip(*LU))), mpf_lower_inverse(list(zip(*LUm)))
+            Li, Lim = linalg._lower_inverse(LU, unit=True), mpf_lower_inverse(LUm, unit=True)
+            assert (Ut, Li) == (raw(Utm), raw(Lim))
+            inv, inv_m = linalg._triangular_product(Ut, Li), mpf_triangular_product(Utm, Lim)
+            assert inv == raw(inv_m)
+            for norm_bits in (bits, bits - 10):
+                with mp.workprec(norm_bits):
+                    assert linalg._inf_norm_mp(inv) == mpf_inf_norm(inv_m)._mpf_
 
 
 def test_factor_failures_are_typed():
     with mp.workprec(63):
         with pytest.raises(SingularMatrixError):
-            linalg._lu([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]])
+            linalg._lu(raw([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]]))
         with pytest.raises(NumericallyIndefiniteError):
-            linalg._cholesky([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(1)]], +mp.eps)
+            linalg._cholesky(raw([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(1)]]), mp.eps._mpf_)
 
 
 @pytest.mark.parametrize(
