@@ -4,9 +4,8 @@ Subcommands: ``sweep`` (flat-limit weight sweep), ``optimal`` (node
 optimization study), ``gauss`` (Gaussian quadrature from moments), ``wce``
 (worst-case error of one rule), ``check-unisolvent``.
 
-This module loads the YAML configuration, applies the overrides (the
-``--precision`` flag, then the ``FLATLIMIT_PRECISION_BITS`` environment
-variable, then the file), checks the keys, dispatches each subcommand to
+This module loads the YAML configuration, applies the ``--precision`` and
+``--seed`` overrides, checks the keys, dispatches each subcommand to
 its parse step and its run step, and prints and writes the output.  The
 value rules live with the configurations in :mod:`flatlimit.experiments`.
 Unknown keys are hard errors so typos cannot silently change an
@@ -16,7 +15,7 @@ parse step rejects), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
@@ -44,8 +43,6 @@ from .functionals import FunctionalSpec
 from .gauss_optimal import OptimizerSettings, _check_nodes, gauss_rule_from_moments
 from .kernels import KernelSpec
 from .linalg import auto_precision_bits
-
-ENV_PRECISION = "FLATLIMIT_PRECISION_BITS"
 
 
 def _keys(d, context: str, required: tuple = (), optional: tuple = ()) -> dict:
@@ -76,9 +73,8 @@ def _load(args, required: tuple, optional: tuple) -> dict:
         raise ConfigError(f"config file is not valid YAML: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping at top level")
-    for value in (os.environ.get(ENV_PRECISION), args.precision):  # the later one wins
-        if value is not None:
-            raw["precision"] = _precision_policy(value)
+    if args.precision is not None:
+        raw["precision"] = _precision_policy(args.precision)
     if args.seed is not None:
         raw["seed"] = args.seed
     return _keys(raw, f"{args.command} config", required, (*optional, "precision", "seed"))
@@ -214,12 +210,12 @@ def _run_sweep(cfg: SweepConfig, raw: dict, out: Optional[str]) -> int:
 
 def _parse_optimal(raw: dict) -> OptimalStudyConfig:
     optimizer = _optimizer(raw.get("optimizer"))
+    if "seed" in raw:  # --seed (already in raw), then the top-level seed, then the optimizer's
+        optimizer = dataclasses.replace(optimizer, seed=_int(raw["seed"]))
     return OptimalStudyConfig(
         n_points=_int(raw["n_points"]),
         optimizer=optimizer,
         allow_unbounded=_bool(raw.get("experimental_unbounded", False)),
-        # --seed (already in raw), then the top-level seed, then the optimizer's
-        seed=_int(raw.get("seed", optimizer.seed)),
         **_study_fields(raw),
     )
 

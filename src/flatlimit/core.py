@@ -236,14 +236,13 @@ class PrecisionConfig:
 
     mode "machine" is IEEE double (float64 results, with linear solves in
     mpmath at 53 + 10 bits);
-    mode "extended" carries ``bits`` of mantissa through mpmath.  The
-    condition-number warning threshold defaults to u^(-1/2), i.e. a warning
-    fires once roughly half of the working digits must be presumed lost.
+    mode "extended" carries ``bits`` of mantissa through mpmath.  A
+    condition-number warning fires above u^(-1/2) (:attr:`warn_threshold`),
+    once roughly half of the working digits must be presumed lost.
     """
 
     mode: str = "machine"
     bits: int = 53
-    condition_warn_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("machine", "extended"):
@@ -252,8 +251,6 @@ class PrecisionConfig:
             raise ValueError("machine mode is fixed at 53 mantissa bits")
         if self.mode == "extended" and self.bits < 64:
             raise ValueError(f"extended mode needs at least 64 bits, got {self.bits}")
-        if self.condition_warn_threshold is not None and not self.condition_warn_threshold > 0:
-            raise ValueError("condition_warn_threshold must be positive")
 
     @classmethod
     def machine(cls) -> "PrecisionConfig":
@@ -275,8 +272,6 @@ class PrecisionConfig:
 
     @property
     def warn_threshold(self) -> float:
-        if self.condition_warn_threshold is not None:
-            return self.condition_warn_threshold
         return self.unit_roundoff ** -0.5
 
     @contextmanager

@@ -109,7 +109,6 @@ class WorstCaseReport:
 
     wce: Real
     initial_term: Real
-    embedding: tuple[Real, ...]
     quadratic_form: Real
     cross_term: Real
     radicand: Real
@@ -171,7 +170,7 @@ def optimal_weights(
 
 
 def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):
-    """The Gram matrix G, LL[K], the embedding z, w.G w and w.z of
+    """The Gram matrix G, LL[K], w.G w and w.z (z the embedding) of
     ``rule`` at ``bits``, taking its weights as exact; ``assembly`` is a
     pair (G, z) already assembled at ``bits``."""
     prec = PrecisionConfig.extended(bits)
@@ -183,7 +182,7 @@ def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: i
             G, z = assembly
         w = [mp.mpf(wi) for wi in rule.weights]
         quad = mp.fsum(wi * mp.fsum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, G))
-        return G, double_embedding(L, spec, prec), z, quad, mp.fsum(wi * zi for wi, zi in zip(w, z))
+        return G, double_embedding(L, spec, prec), quad, mp.fsum(wi * zi for wi, zi in zip(w, z))
 
 
 def worst_case_error(
@@ -232,7 +231,7 @@ def worst_case_error(
     cap, bits = 4 * prec.bits + 64, _wce_bits(prec)
     assembly = None if solved is None else (solved.solve.matrix, solved.solve.rhs)
     while True:
-        G, llk, z, quad, cross = _gram_terms(spec, L, rule, bits, assembly)
+        G, llk, quad, cross = _gram_terms(spec, L, rule, bits, assembly)
         assembly = None  # a later pass assembles afresh, at its higher precision
         with mp.workprec(bits):
             radicand = llk - 2 * cross + quad
@@ -263,7 +262,6 @@ def worst_case_error(
         return WorstCaseReport(
             wce=prec.to_real(wce),
             initial_term=prec.to_real(llk),
-            embedding=tuple(prec.to_real(zi) for zi in z),
             quadratic_form=prec.to_real(quad),
             cross_term=prec.to_real(cross),
             radicand=prec.to_real(radicand),

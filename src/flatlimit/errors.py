@@ -19,11 +19,13 @@ class KernelDomainError(FlatLimitError):
 
 
 class SeriesConvergenceError(FlatLimitError):
-    """Power-series kernel evaluation did not converge within its budget."""
+    """Power-series kernel evaluation did not converge within its maximal
+    degree, or left the float64 range at machine precision."""
 
 
 class QuadratureError(FlatLimitError):
-    """Adaptive quadrature failed to reach the requested tolerance in budget."""
+    """Adaptive quadrature left its error estimate above the requested
+    tolerance."""
 
 
 class SingularMatrixError(FlatLimitError):

@@ -13,7 +13,6 @@ parallelism is not safe) and written in grid order.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -297,7 +296,11 @@ class OptimalStudyConfig(_LengthScaleGrid):
     fit_window: Union[str, tuple[float, float]] = "middle"
     optimizer: OptimizerSettings = OptimizerSettings()
     allow_unbounded: bool = False
-    seed: int = 0
+
+    @property
+    def seed(self) -> int:
+        """The study's seed, which is the optimizer's: the manifest writes it."""
+        return self.optimizer.seed
 
     def __post_init__(self) -> None:
         _config_check(_check_nodes, self.functional, self.n_points)
@@ -343,16 +346,16 @@ class OptimalStudyResult:
 
 def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
     """Optimize node positions at every length scale and compare each rule
-    to the functional's Gaussian quadrature rule."""
+    to the functional's Gaussian quadrature rule, built once: it is also
+    every search's first start."""
     gauss = gauss_rule_from_moments(cfg.functional, cfg.n_points, MACHINE)
-    settings = dataclasses.replace(cfg.optimizer, seed=cfg.seed)
     records: list[OptimalRecord] = []
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
         kspec = KernelSpec(cfg.kernel_family, ell)
         prec = _precision_for(cfg.precision, _default_optimizer_bits(ell, cfg.n_points))
         try:
-            rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, settings)
+            rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, cfg.optimizer, _gauss=gauss)
             xs = tuple(p[0] for p in rule.points)
             ws = rule.weights_float()
             wce = trace.entries[-1].wce

@@ -6,7 +6,8 @@ integration against the standard Gaussian measure, and a user-supplied
 density on a box ("numeric oracle", evaluated only by adaptive quadrature).
 Closed forms are used wherever available, including the damped moments
 and the double embedding of a box; everything else goes through adaptive
-quadrature with an explicit tolerance and budget.
+quadrature (:func:`quad1d`) to a fixed relative tolerance: 1e-10 at
+machine precision and for the numeric oracle, 2^-(bits // 2) otherwise.
 """
 from __future__ import annotations
 
@@ -47,9 +48,9 @@ class FunctionalSpec:
     kind "gaussian_measure": L[f] = integral of f against N(0, I_d)
     kind "numeric_oracle":   L[f] = integral of f * density over [lower, upper]
 
-    The numeric oracle carries its own quadrature tolerance and subdivision
-    budget; its standing assumptions (continuity, integrability of the
-    density) cannot be checked mechanically, which :attr:`assumptions_checked`
+    The numeric oracle is integrated to a relative 1e-10 in both lanes;
+    its standing assumptions (continuity, integrability of the density)
+    cannot be checked mechanically, which :attr:`assumptions_checked`
     reports.
     """
 
@@ -59,8 +60,6 @@ class FunctionalSpec:
     lower: Optional[tuple[float, ...]] = None
     upper: Optional[tuple[float, ...]] = None
     density: Optional[Callable] = None
-    rel_tol: float = 1e-10
-    subdivision_budget: int = 200
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -80,13 +79,8 @@ class FunctionalSpec:
             for a, b in zip(self.lower, self.upper):
                 if not (math.isfinite(a) and math.isfinite(b) and a < b):
                     raise ValueError(f"box bounds must be finite with lower < upper, got [{a}, {b}]")
-        if self.kind == "numeric_oracle":
-            if self.density is None:
-                raise ValueError("numeric_oracle needs a density callable")
-            if not self.rel_tol > 0:
-                raise ValueError("rel_tol must be positive")
-            if self.subdivision_budget < 10:
-                raise ValueError("subdivision_budget must be at least 10")
+        if self.kind == "numeric_oracle" and self.density is None:
+            raise ValueError("numeric_oracle needs a density callable")
 
     @classmethod
     def point_eval(cls, location) -> "FunctionalSpec":
@@ -103,24 +97,9 @@ class FunctionalSpec:
         return cls("gaussian_measure", dimension)
 
     @classmethod
-    def numeric_oracle(
-        cls,
-        density: Callable,
-        lower,
-        upper,
-        rel_tol: float = 1e-10,
-        subdivision_budget: int = 200,
-    ) -> "FunctionalSpec":
+    def numeric_oracle(cls, density: Callable, lower, upper) -> "FunctionalSpec":
         lower, upper = _coords(lower), _coords(upper)
-        return cls(
-            "numeric_oracle",
-            len(lower),
-            lower=lower,
-            upper=upper,
-            density=density,
-            rel_tol=rel_tol,
-            subdivision_budget=subdivision_budget,
-        )
+        return cls("numeric_oracle", len(lower), lower=lower, upper=upper, density=density)
 
     @property
     def is_bounded(self) -> bool:
@@ -150,27 +129,19 @@ def _odd_double_factorial(n: int) -> int:
     return out
 
 
-def _quad_tols(L: FunctionalSpec, prec: PrecisionConfig, rel_tol: Optional[float]) -> float:
-    if rel_tol is not None:
-        return rel_tol
-    if L.kind == "numeric_oracle":
-        return L.rel_tol
-    return 1e-10 if not prec.is_extended else 2.0 ** (-(prec.bits // 2))
-
-
 def quad1d(
     f: Callable[[Real], Real],
     a: float,
     b: float,
     prec: PrecisionConfig = MACHINE,
     rel_tol: float = 1e-10,
-    budget: int = 200,
 ) -> Real:
-    """Adaptive integral of f over (a, b); the endpoints may be infinite.
+    """Adaptive integral of f over (a, b) to a relative ``rel_tol``; the
+    endpoints may be infinite.
 
-    Machine mode uses QUADPACK, extended mode tanh-sinh quadrature at the
-    working precision.  Raises QuadratureError when the error estimate
-    cannot be pushed below tolerance within the budget.
+    Machine mode uses QUADPACK with at most 200 subintervals, extended
+    mode tanh-sinh quadrature at the working precision.  Raises
+    QuadratureError when the error estimate stays above the tolerance.
     """
     if prec.is_extended:
         with prec.workprec():
@@ -185,7 +156,7 @@ def quad1d(
             return val
     import scipy.integrate  # deferred: only the machine lane needs QUADPACK
 
-    out = scipy.integrate.quad(f, a, b, epsabs=1e-14, epsrel=rel_tol, limit=budget, full_output=1)
+    out = scipy.integrate.quad(f, a, b, epsabs=1e-14, epsrel=rel_tol, limit=200, full_output=1)
     val_f, err_f = out[0], out[1]
     # QUADPACK warning messages are advisory; what matters is whether the
     # reported error estimate meets the tolerance
@@ -195,14 +166,14 @@ def quad1d(
     return val_f
 
 
-def _quad2d(f, ax, bx, ay, by, prec, rel_tol, budget) -> Real:
+def _quad2d(f, ax, bx, ay, by, prec, rel_tol) -> Real:
     """Nested 1-D adaptive quadrature over a (possibly unbounded) rectangle."""
     inner_tol = rel_tol / 10
 
     def outer(x):
-        return quad1d(lambda y: f(x, y), ay, by, prec, inner_tol, budget)
+        return quad1d(lambda y: f(x, y), ay, by, prec, inner_tol)
 
-    return quad1d(outer, ax, bx, prec, rel_tol, budget)
+    return quad1d(outer, ax, bx, prec, rel_tol)
 
 
 def _gauss_weight_1d(t: Real) -> Real:
@@ -378,13 +349,10 @@ def _box_szego_double_embedding(a: float, b: float, length_scale: float, bits: i
     return _cancelling_sum(summands, bits)
 
 
-def apply_functional(
-    L: FunctionalSpec,
-    f: Callable,
-    prec: PrecisionConfig = MACHINE,
-    rel_tol: Optional[float] = None,
-) -> Real:
-    """L[f] by direct evaluation (point_eval) or adaptive quadrature.
+def apply_functional(L: FunctionalSpec, f: Callable, prec: PrecisionConfig = MACHINE) -> Real:
+    """L[f] by direct evaluation (point_eval) or adaptive quadrature
+    (:func:`quad1d`) to a relative 1e-10 at machine precision and for the
+    numeric oracle, 2^-(bits // 2) otherwise.
 
     ``f`` receives a bare scalar in one dimension and a coordinate tuple
     otherwise, matching CubatureRule.apply.  Quadrature supports d <= 2;
@@ -394,8 +362,7 @@ def apply_functional(
         if L.kind == "point_eval":
             x0 = prec.to_point(L.location)
             return f(x0[0]) if L.dimension == 1 else f(x0)
-        tol = _quad_tols(L, prec, rel_tol)
-        budget = L.subdivision_budget
+        tol = 1e-10 if L.kind == "numeric_oracle" or not prec.is_extended else 2.0 ** (-(prec.bits // 2))
         if L.kind == "lebesgue_box":
             lo, hi = L.lower, L.upper
             weight = None
@@ -413,7 +380,7 @@ def apply_functional(
                 g = f
             else:
                 g = lambda t: f(t) * weight(t)
-            return quad1d(g, lo[0], hi[0], prec, tol, budget)
+            return quad1d(g, lo[0], hi[0], prec, tol)
         if L.dimension == 2:
             if L.kind == "numeric_oracle":
                 g2 = lambda s, t: f((s, t)) * L.density((s, t))
@@ -421,7 +388,7 @@ def apply_functional(
                 g2 = lambda s, t: f((s, t))
             else:
                 g2 = lambda s, t: f((s, t)) * weight(s) * weight(t)
-            return _quad2d(g2, lo[0], hi[0], lo[1], hi[1], prec, tol, budget)
+            return _quad2d(g2, lo[0], hi[0], lo[1], hi[1], prec, tol)
         raise ValueError(f"adaptive quadrature supports dimension <= 2, got {L.dimension}")
 
 

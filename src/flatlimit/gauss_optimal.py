@@ -211,8 +211,12 @@ class OptimizationTrace:
     entries: list[TraceEntry] = field(default_factory=list)
     restart_summaries: list[dict] = field(default_factory=list)
     converged: bool = False
-    n_evaluations: int = 0
     search: str = "extended"
+
+    @property
+    def n_evaluations(self) -> int:
+        """The residual evaluations of all restarts."""
+        return sum(r["nfev"] for r in self.restart_summaries)
 
 
 def _default_optimizer_bits(length_scale: float, n_points: int) -> int:
@@ -378,9 +382,7 @@ class _BasisResidual:
         elif L.kind == "lebesgue_box":
             self.mass = L.upper[0] - L.lower[0]
         else:
-            self.mass = float(
-                quad1d(lambda t: abs(L.density(t)), L.lower[0], L.upper[0], MACHINE, L.rel_tol, L.subdivision_budget)
-            )
+            self.mass = float(quad1d(lambda t: abs(L.density(t)), L.lower[0], L.upper[0]))
         self.c: list = []
         self._grow(2 * n_points + 2)
 
@@ -554,6 +556,8 @@ def optimize_points(
     n_points: int,
     prec: Optional[PrecisionConfig] = None,
     settings: Optional[OptimizerSettings] = None,
+    *,
+    _gauss: Optional[GaussRule] = None,
 ) -> tuple[CubatureRule, OptimizationTrace]:
     """Minimize the worst-case error of the Gaussian kernel jointly over
     nodes and weights.
@@ -576,9 +580,10 @@ def optimize_points(
     so the winner stays the least and the trace non-increasing.
 
     Runs one deterministic start from the Gaussian quadrature nodes of the
-    functional (when available) plus ``restarts`` seeded stratified random
-    starts, with up to ``max_evals`` residual evaluations each; the lowest
-    e^2 over all restarts wins.  A start whose basis matrix is singular
+    functional (when available; a study passes the machine-precision rule
+    it has already built as ``_gauss``) plus ``restarts`` seeded
+    stratified random starts, with up to ``max_evals`` residual
+    evaluations each; the lowest e^2 over all restarts wins.  A start whose basis matrix is singular
     ends that restart without a rule, and a restart summary reads it as
     the zero rule (wce sqrt(LL[K])); a nonpositive e^2 in the search
     raises, as does a negative squared wce beyond the roundoff budget of
@@ -607,12 +612,13 @@ def optimize_points(
     residual = _BasisResidual(spec, L, n_points, (a, b), search_prec, search)
 
     inits: list[tuple[str, list[float]]] = []
-    try:
-        g = gauss_rule_from_moments(L, n_points, MACHINE)
-    except FlatLimitError:
-        pass  # no Gauss rule for this functional: start from the grid
-    else:
-        gn = [min(max(v, a), b) for v in g.nodes]
+    if _gauss is None:
+        try:
+            _gauss = gauss_rule_from_moments(L, n_points, MACHINE)
+        except FlatLimitError:
+            pass  # no Gauss rule for this functional: start from the grid
+    if _gauss is not None:
+        gn = [min(max(v, a), b) for v in _gauss.nodes]
         if all(p < q for p, q in zip(gn, gn[1:])):
             inits.append(("gauss", gn))
     if not inits:
@@ -653,7 +659,6 @@ def optimize_points(
             summary["wce"] = math.sqrt(float(report.initial_term)) if e is None else rescale(e)
     trace.entries.append(TraceEntry(found, sol.rule.weights_float(), wce))
     trace.converged = converged
-    trace.n_evaluations = sum(r["nfev"] for r in trace.restart_summaries)
     return sol.rule, trace
 
 

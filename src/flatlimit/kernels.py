@@ -41,14 +41,13 @@ class DampedSeriesParams:
 
     ``damping`` is "gaussian" for G(r) = exp(-r^2/2) or "none" for G = 1.
     ``weights`` maps a MultiIndex to the positive series weight w_alpha.
-    ``tolerance`` of None defers to the precision default (1e-14 at machine
-    precision, 2^(-bits/2) in extended mode).
+    The series is summed up to degree ``max_degree``, to a tolerance of
+    1e-14 at machine precision and 2^(-bits/2) in extended mode.
     """
 
     damping: str
     exponent: float
     weights: Callable[[MultiIndex], float]
-    tolerance: Optional[float] = None
     max_degree: int = 200
 
     def __post_init__(self) -> None:
@@ -56,8 +55,6 @@ class DampedSeriesParams:
             raise ValueError(f"damping must be 'gaussian' or 'none', got {self.damping!r}")
         if not self.exponent > 0:
             raise ValueError(f"series exponent must be positive, got {self.exponent}")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("series tolerance must be positive")
         if self.max_degree < 2:
             raise ValueError("max_degree must be at least 2")
 
@@ -101,10 +98,9 @@ class KernelSpec:
         damping: str,
         exponent: float,
         weights: Callable[[MultiIndex], float],
-        tolerance: Optional[float] = None,
         max_degree: int = 200,
     ) -> "KernelSpec":
-        params = DampedSeriesParams(damping, float(exponent), weights, tolerance, max_degree)
+        params = DampedSeriesParams(damping, float(exponent), weights, max_degree)
         return cls("damped_power_series", float(length_scale), params)
 
 
@@ -114,14 +110,12 @@ def _as_point(x, prec: PrecisionConfig) -> tuple[Real, ...]:
     return tuple(prec.to_real(c) for c in x)
 
 
-def _damping_value(kind: str, x: Sequence[Real], ell: Real) -> Real:
-    if kind == "none":
-        return 1.0 if isinstance(ell, float) else mp.mpf(1)
-    return rexp(-sq_norm(x) / (2 * ell * ell))
-
-
 def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: PrecisionConfig) -> Real:
-    """Sum the power series degree by degree.
+    """Sum the power series degree by degree, in mpmath at ``prec.bits``
+    (53 in machine mode).  mpf has no exponent range to leave, so a
+    weight, a factorial or a power of x y or l may pass the float64 range
+    while the term they form does not; a machine-mode term or value
+    that does pass it raises SeriesConvergenceError.
 
     Stops once the geometric tail estimate from the last two nonzero terms
     drops below tolerance, or once two consecutive degree terms vanish
@@ -131,46 +125,54 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
     """
     params = spec.series
     assert params is not None
-    ell = prec.to_real(spec.length_scale)
-    d = len(x)
-    tol = params.tolerance
-    if tol is None:
-        tol = 1e-14 if not prec.is_extended else 2.0 ** (-prec.bits // 2)
-    tol = prec.to_real(tol)
+    machine = not prec.is_extended
 
-    u = tuple(a * b for a, b in zip(x, y))
-    total = prec.to_real(0)
-    prev_abs: Optional[Real] = None
-    converged = False
-    for deg in range(params.max_degree + 1):
-        term = prec.to_real(0)
-        scale = ell ** (-params.exponent * deg)
-        for comp in degree_compositions(d, deg):
-            alpha = MultiIndex(comp)
-            coeff = prec.to_real(params.weights(alpha)) / prec.to_real(alpha.factorial()) ** 2
-            term = term + coeff * monomial_eval(u, alpha)
-        term = term * scale
-        total = total + term
-        t = abs(term)
-        if deg >= 1:
-            tol_abs = tol * max(prec.to_real(1), abs(total))
-            if prev_abs is not None and prev_abs > 0 and t > 0:
-                r = t / prev_abs
-                if r < 1 and t * r / (1 - r) < tol_abs:
+    def in_float_range(value, what: str):
+        if math.isinf(float(value)):
+            raise SeriesConvergenceError(
+                f"{what} of the power series is past the float64 range (length_scale={spec.length_scale})"
+            )
+        return value
+
+    with mp.workprec(prec.bits):
+        ell = mp.mpf(spec.length_scale)
+        tol = mp.mpf(1e-14 if machine else 2.0 ** (-prec.bits // 2))
+        u = tuple(mp.mpf(a) * mp.mpf(b) for a, b in zip(x, y))
+        total = mp.zero
+        prev_abs: Optional[Real] = None
+        converged = False
+        for deg in range(params.max_degree + 1):
+            term = mp.zero
+            scale = ell ** (-params.exponent * deg)
+            for comp in degree_compositions(len(x), deg):
+                alpha = MultiIndex(comp)
+                coeff = mp.mpf(params.weights(alpha)) / mp.mpf(alpha.factorial()) ** 2
+                term = term + coeff * monomial_eval(u, alpha)
+            term = term * scale
+            if machine:
+                in_float_range(term, f"the term of degree {deg}")
+            total = total + term
+            t = abs(term)
+            if deg >= 1:
+                tol_abs = tol * max(mp.one, abs(total))
+                if prev_abs is not None and prev_abs > 0 and t > 0:
+                    r = t / prev_abs
+                    if r < 1 and t * r / (1 - r) < tol_abs:
+                        converged = True
+                        break
+                if prev_abs == 0 and t == 0 and deg >= 2:
                     converged = True
                     break
-            if prev_abs == 0 and t == 0 and deg >= 2:
-                converged = True
-                break
-        prev_abs = t
-    if not converged:
-        raise SeriesConvergenceError(
-            f"power series did not converge within degree {params.max_degree} "
-            f"(length_scale={spec.length_scale}); increase max_degree or the length scale"
-        )
-    gx = _damping_value(params.damping, x, ell)
-    gy = _damping_value(params.damping, y, ell)
-    return gx * gy * total
+            prev_abs = t
+        if not converged:
+            raise SeriesConvergenceError(
+                f"power series did not converge within degree {params.max_degree} "
+                f"(length_scale={spec.length_scale}); increase max_degree or the length scale"
+            )
+        if params.damping == "gaussian":
+            gx, gy = (mp.exp(-sq_norm(p) / (2 * ell * ell)) for p in (x, y))
+            total = gx * gy * total
+        return float(in_float_range(total, "the value")) if machine else total
 
 
 def _gaussian_value(x: Sequence, y: Sequence, den: tuple, values: dict, prec: int, rnd: str) -> mp.mpf:

@@ -99,31 +99,6 @@ def test_precision_flag_overrides_config(tmp_path):
     assert all(r.rsplit(",", 1)[1] == "128" for r in rows)
 
 
-def test_precision_env_var_between_flag_and_config(tmp_path):
-    cfg = dict(SWEEP_CFG)
-    cfg["ell_grid"] = {"min": 1.0, "max": 10.0, "count": 2}
-    cfg["precision"] = "machine"
-    path = write_cfg(tmp_path / "c.yaml", cfg)
-    out_env = tmp_path / "env"
-    out_flag = tmp_path / "flag"
-    old = os.environ.get("FLATLIMIT_PRECISION_BITS")
-    os.environ["FLATLIMIT_PRECISION_BITS"] = "96"
-    try:
-        assert main(["sweep", "--config", path, "--out", str(out_env)]) == 0
-        assert main(
-            ["sweep", "--config", path, "--out", str(out_flag), "--precision", "160"]
-        ) == 0
-    finally:
-        if old is None:
-            del os.environ["FLATLIMIT_PRECISION_BITS"]
-        else:
-            os.environ["FLATLIMIT_PRECISION_BITS"] = old
-    env_rows = (out_env / "sweep.csv").read_text().splitlines()[1:]
-    flag_rows = (out_flag / "sweep.csv").read_text().splitlines()[1:]
-    assert all(r.rsplit(",", 1)[1] == "96" for r in env_rows)
-    assert all(r.rsplit(",", 1)[1] == "160" for r in flag_rows)
-
-
 def test_gauss_command(tmp_path, capsys):
     cfg = {
         "functional": {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0},
@@ -191,71 +166,64 @@ OPTIMAL_CFG = {
 SEEDED_OPTIMIZER = {**OPTIMAL_CFG["optimizer"], "seed": 7}
 PLANE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
-# (command, config, extra flags, FLATLIMIT_PRECISION_BITS)
+# (command, config, extra flags)
 BAD_CONFIGS = {
-    "gauss_precision_flag_32": ("gauss", GAUSS_CFG, ["--precision", "32"], None),
-    "gauss_precision_env_32": ("gauss", GAUSS_CFG, [], "32"),
-    "sweep_precision_env_32": ("sweep", SWEEP_CFG, [], "32"),
-    "sweep_precision_flag_word": ("sweep", SWEEP_CFG, ["--precision", "fast"], None),
-    "check_unisolvent_precision_48": ("check-unisolvent", {**UNISOLVENT_CFG, "precision": 48}, [], None),
-    "wce_precision_16": ("wce", {**WCE_CFG, "precision": 16}, [], None),
-    "gauss_n_points_0": ("gauss", {**GAUSS_CFG, "n_points": 0}, [], None),
-    "gauss_n_points_two": ("gauss", {**GAUSS_CFG, "n_points": "two"}, [], None),
-    "check_unisolvent_degree_minus_1": ("check-unisolvent", {**UNISOLVENT_CFG, "degree": -1}, [], None),
+    "gauss_precision_flag_32": ("gauss", GAUSS_CFG, ["--precision", "32"]),
+    "sweep_precision_flag_word": ("sweep", SWEEP_CFG, ["--precision", "fast"]),
+    "check_unisolvent_precision_48": ("check-unisolvent", {**UNISOLVENT_CFG, "precision": 48}, []),
+    "wce_precision_16": ("wce", {**WCE_CFG, "precision": 16}, []),
+    "gauss_n_points_0": ("gauss", {**GAUSS_CFG, "n_points": 0}, []),
+    "gauss_n_points_two": ("gauss", {**GAUSS_CFG, "n_points": "two"}, []),
+    "check_unisolvent_degree_minus_1": ("check-unisolvent", {**UNISOLVENT_CFG, "degree": -1}, []),
     "check_unisolvent_four_points_degree_2": (
-        "check-unisolvent", {**UNISOLVENT_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, [], None
+        "check-unisolvent", {**UNISOLVENT_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, []
     ),
-    "wce_weight_not_a_number": ("wce", {**WCE_CFG, "weights": [1, 2, "x"]}, [], None),
-    "wce_too_few_weights": ("wce", {**WCE_CFG, "weights": [1, 2]}, [], None),
-    "wce_2d_points_1d_box": ("wce", {**WCE_CFG, "points": PLANE}, [], None),
-    "sweep_2d_points_1d_box": ("sweep", {**SWEEP_CFG, "points": PLANE, "degree": 1}, [], None),
-    "sweep_four_points_degree_2": ("sweep", {**SWEEP_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, [], None),
-    "sweep_ell_grid_without_count": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": 10.0}}, [], None),
-    "optimal_fit_window_decreasing": ("optimal", {**OPTIMAL_CFG, "fit_window": [100.0, 10.0]}, [], None),
-    "gauss_n_points_fraction": ("gauss", {**GAUSS_CFG, "n_points": 2.7}, [], None),
-    "sweep_degree_true": ("sweep", {**SWEEP_CFG, "points": [-1.0, 1.0], "degree": True}, [], None),
+    "wce_weight_not_a_number": ("wce", {**WCE_CFG, "weights": [1, 2, "x"]}, []),
+    "wce_too_few_weights": ("wce", {**WCE_CFG, "weights": [1, 2]}, []),
+    "wce_2d_points_1d_box": ("wce", {**WCE_CFG, "points": PLANE}, []),
+    "sweep_2d_points_1d_box": ("sweep", {**SWEEP_CFG, "points": PLANE, "degree": 1}, []),
+    "sweep_four_points_degree_2": ("sweep", {**SWEEP_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, []),
+    "sweep_ell_grid_without_count": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": 10.0}}, []),
+    "optimal_fit_window_decreasing": ("optimal", {**OPTIMAL_CFG, "fit_window": [100.0, 10.0]}, []),
+    "gauss_n_points_fraction": ("gauss", {**GAUSS_CFG, "n_points": 2.7}, []),
+    "sweep_degree_true": ("sweep", {**SWEEP_CFG, "points": [-1.0, 1.0], "degree": True}, []),
     "optimal_unbounded_string": (
         "optimal",
         {**OPTIMAL_CFG, "functional": {"kind": "gaussian_measure"}, "experimental_unbounded": "false"},
         [],
-        None,
     ),
-    "optimal_fit_window_outside_grid": ("optimal", {**OPTIMAL_CFG, "fit_window": [1e3, 1e4]}, [], None),
+    "optimal_fit_window_outside_grid": ("optimal", {**OPTIMAL_CFG, "fit_window": [1e3, 1e4]}, []),
     "optimal_restarts_not_a_number": (
-        "optimal", {**OPTIMAL_CFG, "optimizer": {"restarts": "many"}}, [], None
+        "optimal", {**OPTIMAL_CFG, "optimizer": {"restarts": "many"}}, []
     ),
-    "check_unisolvent_points_string": ("check-unisolvent", {**UNISOLVENT_CFG, "points": "123"}, [], None),
-    "wce_weights_string": ("wce", {**WCE_CFG, "weights": "123"}, [], None),
+    "check_unisolvent_points_string": ("check-unisolvent", {**UNISOLVENT_CFG, "points": "123"}, []),
+    "wce_weights_string": ("wce", {**WCE_CFG, "weights": "123"}, []),
     "optimal_search_box_string": (
-        "optimal", {**OPTIMAL_CFG, "optimizer": {**OPTIMAL_CFG["optimizer"], "search_box": "12"}}, [], None
+        "optimal", {**OPTIMAL_CFG, "optimizer": {**OPTIMAL_CFG["optimizer"], "search_box": "12"}}, []
     ),
     "wce_box_lower_string": (
-        "wce", {**WCE_CFG, "points": PLANE, "functional": {**BOX, "lower": "12", "upper": [3, 4]}}, [], None
+        "wce", {**WCE_CFG, "points": PLANE, "functional": {**BOX, "lower": "12", "upper": [3, 4]}}, []
     ),
-    "wce_location_string": ("wce", {**WCE_CFG, "functional": {"kind": "point_eval", "location": "0"}}, [], None),
-    "wce_point_entry_string": ("wce", {**WCE_CFG, "points": [-1.0, "0", 1.0]}, [], None),
+    "wce_location_string": ("wce", {**WCE_CFG, "functional": {"kind": "point_eval", "location": "0"}}, []),
+    "wce_point_entry_string": ("wce", {**WCE_CFG, "points": [-1.0, "0", 1.0]}, []),
     "gauss_2d_box": (
-        "gauss", {**GAUSS_CFG, "functional": {**BOX, "lower": [0, 0], "upper": [1, 1]}}, [], None
+        "gauss", {**GAUSS_CFG, "functional": {**BOX, "lower": [0, 0], "upper": [1, 1]}}, []
     ),
     "gauss_2d_gaussian_measure": (
-        "gauss", {**GAUSS_CFG, "functional": {"kind": "gaussian_measure", "dimension": 2}}, [], None
+        "gauss", {**GAUSS_CFG, "functional": {"kind": "gaussian_measure", "dimension": 2}}, []
     ),
-    "optimal_xatol_rel": ("optimal", {**OPTIMAL_CFG, "optimizer": {"xatol_rel": 1e-10}}, [], None),
-    "optimal_fatol_rel": ("optimal", {**OPTIMAL_CFG, "optimizer": {"fatol_rel": 1e-12}}, [], None),
+    "optimal_xatol_rel": ("optimal", {**OPTIMAL_CFG, "optimizer": {"xatol_rel": 1e-10}}, []),
+    "optimal_fatol_rel": ("optimal", {**OPTIMAL_CFG, "optimizer": {"fatol_rel": 1e-12}}, []),
     "optimal_point_eval": (
-        "optimal", {**OPTIMAL_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, [], None
+        "optimal", {**OPTIMAL_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, []
     ),
-    "gauss_point_eval": ("gauss", {**GAUSS_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, [], None),
-    "optimal_non_gaussian_kernel": ("optimal", {**OPTIMAL_CFG, "kernel": {"family": "exponential"}}, [], None),
+    "gauss_point_eval": ("gauss", {**GAUSS_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, []),
+    "optimal_non_gaussian_kernel": ("optimal", {**OPTIMAL_CFG, "kernel": {"family": "exponential"}}, []),
 }
 
 
-@pytest.mark.parametrize("command,cfg,flags,env", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
-def test_invalid_value_is_config_error(command, cfg, flags, env, tmp_path, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("FLATLIMIT_PRECISION_BITS", raising=False)
-    else:
-        monkeypatch.setenv("FLATLIMIT_PRECISION_BITS", env)
+@pytest.mark.parametrize("command,cfg,flags", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_invalid_value_is_config_error(command, cfg, flags, tmp_path, capsys):
     path = write_cfg(tmp_path / "c.yaml", cfg)
     assert main([command, "--config", path, *flags]) == 2
     err = capsys.readouterr().err
@@ -292,9 +260,9 @@ def test_study_seed_precedence(cfg, flags, seed, tmp_path, monkeypatch):
     seen = []
     original = experiments.optimize_points
 
-    def recording(spec, L, n_points, prec, settings):
+    def recording(spec, L, n_points, prec, settings, **kwargs):
         seen.append(settings.seed)
-        return original(spec, L, n_points, prec, settings)
+        return original(spec, L, n_points, prec, settings, **kwargs)
 
     monkeypatch.setattr(experiments, "optimize_points", recording)
     path = write_cfg(tmp_path / "o.yaml", cfg)
@@ -302,6 +270,43 @@ def test_study_seed_precedence(cfg, flags, seed, tmp_path, monkeypatch):
     assert main(["optimal", "--config", path, "--out", str(out), *flags]) == 0
     assert seen == [seed, seed]
     assert yaml.safe_load((out / "manifest.yaml").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("command,cfg", [("sweep", SWEEP_CFG), ("gauss", GAUSS_CFG)], ids=["sweep", "gauss"])
+@pytest.mark.parametrize("bits", ["32", "96"])
+def test_precision_comes_from_the_flag_or_the_config_only(command, cfg, bits, tmp_path, monkeypatch):
+    """The environment sets no precision: FLATLIMIT_PRECISION_BITS, once
+    read between the flag and the config, changes no output byte."""
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    monkeypatch.delenv("FLATLIMIT_PRECISION_BITS", raising=False)
+    assert main([command, "--config", path, "--out", str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("FLATLIMIT_PRECISION_BITS", bits)
+    assert main([command, "--config", path, "--out", str(tmp_path / "set")]) == 0
+    names = sorted(p.name for p in (tmp_path / "unset").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "set").iterdir())
+    for name in names:
+        assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
+
+
+def test_study_seed_is_the_optimizer_seed(tmp_path):
+    """A study built through the API runs and writes its optimizer's seed,
+    as the CLI does with --seed."""
+    cfg = {**OPTIMAL_CFG, "optimizer": {"restarts": 2, "max_evals": 40}}
+    out = tmp_path / "out"
+    assert main(["optimal", "--config", write_cfg(tmp_path / "o.yaml", cfg), "--out", str(out), "--seed", "7"]) == 0
+    cli_manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+    study = experiments.OptimalStudyConfig(
+        kernel_family="gaussian",
+        functional=FunctionalSpec.lebesgue_box(-1.0, 1.0),
+        n_points=2,
+        ell_min=10.0,
+        ell_max=100.0,
+        ell_count=2,
+        optimizer=experiments.OptimizerSettings(restarts=2, max_evals=40, seed=7),
+    )
+    manifest = experiments.optimal_manifest(experiments.run_optimal_study(study), cfg)
+    assert manifest["seed"] == cli_manifest["seed"] == 7
+    assert manifest["restart_summaries"] == cli_manifest["restart_summaries"]
 
 
 @pytest.mark.parametrize("flags", [[], ["--precision", "machine"]], ids=["auto", "machine"])
@@ -418,7 +423,8 @@ def test_shipped_configs_run_without_importing_numpy_or_scipy(tmp_path):
     """The four configs under configs/ run through flatlimit.cli in one
     fresh interpreter that never imports numpy or scipy: the library
     computes on floats, mpf and mp.matrix, and scipy serves only the
-    numeric oracle's quadrature (QUADPACK) at precision: machine."""
+    machine lane's adaptive quadrature (QUADPACK), which no closed-form
+    functional of these configs reaches."""
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent(f"""
         import sys
@@ -430,7 +436,6 @@ def test_shipped_configs_run_without_importing_numpy_or_scipy(tmp_path):
         print(sorted(m for m in sys.modules if m.startswith(("numpy", "scipy"))))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    env.pop("FLATLIMIT_PRECISION_BITS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -457,7 +462,6 @@ def test_wce_of_given_weights_at_machine_precision_imports_no_numpy_or_scipy(tmp
         print(sorted(m for m in sys.modules if m.startswith(("numpy", "scipy"))))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    env.pop("FLATLIMIT_PRECISION_BITS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -446,6 +446,38 @@ def test_float64_study_makes_one_gram_solve_per_length_scale(monkeypatch):
     assert len(calls) == 3
 
 
+def test_optimal_study_builds_its_gauss_rule_once(monkeypatch):
+    """A study's Gauss rule is its reference and every search's first
+    start, built once for all its length scales; the rule an
+    optimize_points call builds for itself is the same start."""
+    import flatlimit.experiments as experiments
+
+    calls = []
+    build = gauss_optimal.gauss_rule_from_moments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", counting)
+    monkeypatch.setattr(experiments, "gauss_rule_from_moments", counting)
+    cfg = OptimalStudyConfig(
+        kernel_family="gaussian", functional=LEB, n_points=2, ell_min=5.0, ell_max=100.0, ell_count=5,
+        optimizer=OptimizerSettings(restarts=0, seed=0),
+    )
+    result = run_optimal_study(cfg)
+    assert len(calls) == 1
+    assert [r.restart_summaries[0]["start"] for r in result.records] == ["gauss"] * 5
+    for r in result.records:
+        rule, trace = gauss_optimal.optimize_points(
+            KernelSpec.gaussian(r.ell), LEB, 2, PrecisionConfig.extended(r.precision_bits), cfg.optimizer
+        )
+        assert r.points == tuple(p[0] for p in rule.points)
+        assert r.weights == rule.weights_float()
+        assert r.restart_summaries == tuple(trace.restart_summaries)
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize(
     "n,ell,search,ratio",
     [

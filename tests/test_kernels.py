@@ -85,6 +85,36 @@ def test_series_divergence_raises():
         kernel_eval(k, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "x,y,ell",
+    [(9.0, 9.0, 1.0), (45.0, 45.0, 5.0), ((6.0, 6.5), (6.5, 6.0), 1.0)],
+    ids=["9-9", "45-45-l5", "2d"],
+)
+def test_series_term_factors_may_leave_the_float_range(x, y, ell):
+    """The Gaussian kernel's own series at x . y / l^2 = 81 (78 in 2-D):
+    its largest term is about 7e33, but (n!)^2 passes the float64 range
+    from n = 99, and (x y)^n from n = 162 (from n = 94 at l = 5), before
+    the series converges.  The machine lane agrees with the 128-bit lane
+    and the closed form."""
+    k_series = KernelSpec.damped_power_series(ell, "gaussian", 2.0, lambda a: a.factorial())
+    machine = kernel_eval(k_series, x, y)
+    extended = kernel_eval(k_series, x, y, PrecisionConfig.extended(128))
+    closed = kernel_eval(KernelSpec.gaussian(ell), x, y)
+    assert isinstance(machine, float)
+    assert abs(machine - float(extended)) <= 1e-13 * float(extended)
+    assert abs(machine - closed) <= 1e-13 * closed
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"])
+def test_series_past_the_float_range_raises_series_convergence_error(prec):
+    """A divergent series at the default max_degree: the terms n! 0.81^n
+    pass the float64 range from n = 178, which machine precision reports
+    as non-convergence, as the extended lane does at degree 200."""
+    k = KernelSpec.damped_power_series(1.0, "none", 1.0, lambda a: a.factorial() ** 3)
+    with pytest.raises(SeriesConvergenceError):
+        kernel_eval(k, 0.9, 0.9, prec)
+
+
 def test_phi_basis_eval():
     from flatlimit.core import MultiIndex
 

@@ -1,0 +1,100 @@
+"""The inventory of every setting a caller can give: the fields of the
+configuration objects, and the config keys and flags of each CLI command.
+An option added or removed has to edit this file, so the count of
+options shows in review."""
+import argparse
+import dataclasses
+import re
+
+import pytest
+import yaml
+
+from flatlimit import cli
+from flatlimit.core import PrecisionConfig
+from flatlimit.experiments import OptimalStudyConfig, SweepConfig
+from flatlimit.functionals import FunctionalSpec
+from flatlimit.gauss_optimal import OptimizerSettings
+from flatlimit.kernels import DampedSeriesParams
+
+FIELDS = {
+    PrecisionConfig: ("mode", "bits"),
+    FunctionalSpec: ("kind", "dimension", "location", "lower", "upper", "density"),
+    DampedSeriesParams: ("damping", "exponent", "weights", "max_degree"),
+    OptimizerSettings: ("restarts", "max_evals", "seed", "search_box"),
+    SweepConfig: (
+        "kernel_family", "functional", "points", "degree", "ell_min", "ell_max", "ell_count",
+        "precision", "fit_window", "seed",
+    ),
+    OptimalStudyConfig: (
+        "kernel_family", "functional", "n_points", "ell_min", "ell_max", "ell_count",
+        "precision", "fit_window", "optimizer", "allow_unbounded",
+    ),
+}
+
+# the top-level config keys of each command, precision and seed included
+KEYS = {
+    "sweep": {"kernel", "functional", "points", "degree", "ell_grid", "fit_window", "precision", "seed"},
+    "optimal": {
+        "kernel", "functional", "n_points", "ell_grid", "fit_window", "optimizer", "experimental_unbounded",
+        "precision", "seed",
+    },
+    "gauss": {"functional", "n_points", "precision", "seed"},
+    "wce": {"kernel", "functional", "points", "weights", "assume_optimal", "precision", "seed"},
+    "check-unisolvent": {"points", "degree", "precision", "seed"},
+}
+
+BOX = {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0}
+GRID = {"min": 10.0, "max": 100.0, "count": 2}
+# (command, config, block): the keys a nested block accepts
+BLOCKS = {
+    ("optimal", "optimizer"): (
+        {"kernel": {"family": "gaussian"}, "functional": BOX, "n_points": 2, "ell_grid": GRID},
+        {"restarts", "max_evals", "seed", "search_box"},
+    ),
+    ("sweep", "ell_grid"): (
+        {"kernel": {"family": "gaussian"}, "functional": BOX, "points": [-1.0, 1.0], "degree": 1},
+        {"min", "max", "count"},
+    ),
+}
+
+FLAGS = {"--config", "--out", "--precision", "--seed"}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_configuration_fields(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[cls]
+
+
+def allowed_keys(command: str, cfg: dict, tmp_path, capsys) -> set:
+    """The keys the unknown-key error of ``command`` lists for ``cfg``."""
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    found = re.search(r"unknown key\(s\) \['zz_unknown'\] in .*; allowed: (\[.*\])$", err.strip())
+    assert found, err
+    return set(yaml.safe_load(found.group(1)))
+
+
+def test_every_command_is_inventoried():
+    assert set(cli._COMMANDS) == set(KEYS)
+
+
+@pytest.mark.parametrize("command", KEYS)
+def test_command_config_keys(command, tmp_path, capsys):
+    assert allowed_keys(command, {"zz_unknown": 1}, tmp_path, capsys) == KEYS[command]
+
+
+@pytest.mark.parametrize("command,block", BLOCKS, ids=["-".join(k) for k in BLOCKS])
+def test_nested_block_keys(command, block, tmp_path, capsys):
+    cfg, expected = BLOCKS[(command, block)]
+    assert allowed_keys(command, {**cfg, block: {"zz_unknown": 1}}, tmp_path, capsys) == expected
+
+
+def test_command_flags():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(KEYS)
+    for name, sub in commands.choices.items():
+        flags = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == FLAGS, name
