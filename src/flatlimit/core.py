@@ -302,6 +302,14 @@ def rexp(x: Real) -> Real:
     return mp.exp(x) if isinstance(x, mpf) else math.exp(x)
 
 
+def rexp_once(x: Real, values: dict) -> Real:
+    """rexp(x), taken once per distinct x: ``values`` maps each x seen (an mpf by its raw tuple) to it."""
+    key = getattr(x, "_mpf_", x)
+    if key not in values:
+        values[key] = rexp(x)
+    return values[key]
+
+
 def rexpm1(x: Real) -> Real:
     return mp.expm1(x) if isinstance(x, mpf) else math.expm1(x)
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from mpmath import mp
+from mpmath.libmp import mpf_mul, mpf_sum
 
 from .core import (
     MACHINE,
@@ -41,7 +42,7 @@ from .core import (
     Real,
     enumerate_multi_indices,
     monomial_eval,
-    rexp,
+    rexp_once,
     sq_norm,
 )
 from .errors import (
@@ -52,9 +53,9 @@ from .errors import (
 )
 from .functionals import (
     FunctionalSpec,
+    _row_embeddings,
     damped_moment,
     double_embedding,
-    kernel_embedding,
     moment,
 )
 from .kernels import KernelSpec, gram_matrix
@@ -162,27 +163,29 @@ def optimal_weights(
     solve_prec = PrecisionConfig.extended(_wce_bits(prec))
     with solve_prec.workprec():
         G = gram_matrix(spec, points, solve_prec)
-        z = [kernel_embedding(L, spec, x, solve_prec) for x in points]
-        sol = solve_spd(G, z, solve_prec)
+        sol = solve_spd(G, _row_embeddings(L, spec, points, solve_prec), solve_prec)
     with prec.workprec():
         rule = CubatureRule(points, tuple(prec.to_real(w) for w in sol.solution))
         return WeightSolution(rule, sol, prec, spec, L)
 
 
 def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):
-    """The Gram matrix G, LL[K], w.G w and w.z (z the embedding) of
-    ``rule`` at ``bits``, taking its weights as exact; ``assembly`` is a
-    pair (G, z) already assembled at ``bits``."""
+    """The Gram matrix G (raw mpf rows), LL[K], w.G w and w.z (z the
+    embedding) of ``rule`` at ``bits``, taking its weights as exact, with the
+    roundings of ``mp.fsum`` of mpf products; ``assembly`` is a pair (G, z)
+    of raw rows and a raw vector already assembled at ``bits``."""
     prec = PrecisionConfig.extended(bits)
     with prec.workprec():
         if assembly is None:
-            G = gram_matrix(spec, rule.points, prec)
-            z = [kernel_embedding(L, spec, x, prec) for x in rule.points]
+            G = [[g._mpf_ for g in row] for row in gram_matrix(spec, rule.points, prec)]
+            z = [v._mpf_ for v in _row_embeddings(L, spec, rule.points, prec)]
         else:
             G, z = assembly
-        w = [mp.mpf(wi) for wi in rule.weights]
-        quad = mp.fsum(wi * mp.fsum(g * wj for g, wj in zip(row, w)) for wi, row in zip(w, G))
-        return G, double_embedding(L, spec, prec), quad, mp.fsum(wi * zi for wi, zi in zip(w, z))
+        p, rnd = mp._prec_rounding
+        w = [mp.mpf(wi)._mpf_ for wi in rule.weights]
+        dot = lambda a, b: mpf_sum([mpf_mul(x, y, p, rnd) for x, y in zip(a, b)], p, rnd)
+        quad = dot(w, [dot(row, w) for row in G])
+        return G, double_embedding(L, spec, prec), mp.make_mpf(quad), mp.make_mpf(dot(w, z))
 
 
 def worst_case_error(
@@ -204,12 +207,13 @@ def worst_case_error(
 
     The weights are taken as exact, and LL[K], z, G, w.z and w.G w are
     evaluated at 2 bits + 32.  The radicand cancels by
-    lost = log2(scale / |radicand|) bits, scale = |LL[K]| + 2 |w.z| +
-    |w.G w|; while a pass shows lost + bits + 16 above its precision, the
-    terms are evaluated again at bits + 32 + lost, up to 4 bits + 64.  The
-    radicand then has a relative error of about 2^-(bits + 16), or an
-    absolute one of about 2^-(3 bits) scale at the cap.  Every field of
-    the report is rounded to ``prec`` on return.
+    lost = ceil(log2(scale / |radicand|)) bits, scale = |LL[K]| + 2 |w.z| +
+    |w.G w|, the least c with scale <= |radicand| 2^c by exact comparisons;
+    while a pass shows lost + bits + 16 above its precision, the terms are
+    evaluated again at bits + 32 + lost, up to 4 bits + 64.  The radicand
+    then has a relative error of about 2^-(bits + 16), or an absolute one
+    of about 2^-(3 bits) scale at the cap.  Every field of the report is
+    rounded to ``prec`` on return.
 
     A negative radicand within the roundoff budget 10 u kappa(G) scale (u
     the unit roundoff of ``prec``) is clamped to zero, while anything below
@@ -236,11 +240,14 @@ def worst_case_error(
         with mp.workprec(bits):
             radicand = llk - 2 * cross + quad
             scale = abs(llk) + 2 * abs(cross) + abs(quad)
-            lost = float(mp.log(scale / abs(radicand), 2)) if radicand else math.inf
-        if lost + prec.bits + 16 <= bits or bits >= cap:
+            if radicand:  # scale / |radicand| lies in (2^(lost - 1), 2^(lost + 1)); ldexp is exact
+                lost = mp.mag(scale) - mp.mag(radicand)
+                lost += scale > mp.ldexp(abs(radicand), lost)
+        if bits >= cap or radicand and lost + prec.bits + 16 <= bits:
             break
-        bits = cap if math.isinf(lost) else min(cap, prec.bits + 32 + math.ceil(lost))
-    cond = solved.condition if solved is not None else condition_estimate(G, PrecisionConfig.extended(_wce_bits(prec)))
+        bits = min(cap, prec.bits + 32 + lost) if radicand else cap
+    cond = solved.condition if solved is not None else condition_estimate(
+        [[mp.make_mpf(g) for g in row] for row in G], PrecisionConfig.extended(_wce_bits(prec)))
     with mp.workprec(bits):
         budget = 10 * max(cond, 1.0) * mp.mpf(2) ** -prec.bits * max(scale, mp.mpf(1e-300))
         if radicand < -budget:
@@ -322,9 +329,10 @@ def _phi_weights(
     with prec.workprec():
         sol = vandermonde.resolve([damped_moment(L, length_scale, alpha, prec) for alpha in mset])
         ell = prec.to_real(length_scale)
+        two_l2, values = 2 * ell * ell, {}
         try:
             weights = tuple(
-                prec.to_real(u * rexp(sq_norm(prec.to_point(x)) / (2 * ell * ell)))
+                prec.to_real(u * rexp_once(sq_norm(prec.to_point(x)) / two_l2, values))
                 for u, x in zip(sol.solution, points)
             )
         except OverflowError as e:  # mpf exponents do not overflow

@@ -27,6 +27,7 @@ from .core import (
     monomial_eval,
     rerf,
     rexp,
+    rexp_once,
     rexpm1,
     rlog1p,
     rpi,
@@ -34,7 +35,7 @@ from .core import (
     sq_norm,
 )
 from .errors import KernelDomainError, QuadratureError
-from .kernels import KernelSpec, kernel_eval, phi_basis_eval
+from .kernels import KernelSpec, _as_point, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
 
@@ -464,13 +465,51 @@ def damped_moment(
         return apply_functional(L, phi, prec)
 
 
+def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: PrecisionConfig) -> list:
+    """The embeddings z(x) = L[K(., x)] of ``points``, the factors the
+    closed forms share formed once: under the Gaussian measure v^(d/2) and
+    2 (1 + l^2), with one exp per distinct exponent; on a box sqrt(2) l,
+    the scale and the endpoints."""
+    with prec.workprec():
+        if L.kind == "point_eval":
+            return [kernel_eval(spec, L.location, x, prec) for x in points]
+        xs = [_as_point(x, prec) for x in points]
+        for xv in xs:
+            if len(xv) != L.dimension:
+                raise ValueError(f"point dimension {len(xv)} != functional dimension {L.dimension}")
+        ell = prec.to_real(spec.length_scale)
+        if spec.family == "gaussian" and L.kind == "gaussian_measure":
+            c = (ell * ell / (1 + ell * ell)) ** (prec.to_real(L.dimension) / 2)
+            den, values = 2 * (1 + ell * ell), {}
+            return [c * rexp_once(-sq_norm(xv) / den, values) for xv in xs]
+        if L.kind == "lebesgue_box":
+            box = list(zip(prec.to_point(L.lower), prec.to_point(L.upper)))
+            ar, br = box[0]
+        if spec.family == "gaussian" and L.kind == "lebesgue_box":
+            s, scale, out = rsqrt(prec.to_real(2)) * ell, ell * rsqrt(rpi(ell) / 2), []
+            for xv in xs:
+                z = prec.to_real(1)
+                for (a, b), xi in zip(box, xv):
+                    z = z * scale * (rerf((b - xi) / s) - rerf((a - xi) / s))
+                out.append(z)
+            return out
+        if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
+            return [br - ar if y == 0 else ell * rexp(ar * y / ell) * rexpm1((br - ar) * y / ell) / y for (y,) in xs]
+        if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
+            for (y,) in xs:
+                _check_szego_box(L, spec, y)
+            return [br - ar if y == 0 else ell * ell / y * rlog1p((br - ar) * y / (ell * ell - br * y)) for (y,) in xs]
+        targets = [xv[0] for xv in xs] if L.dimension == 1 else xs
+        return [apply_functional(L, lambda t: kernel_eval(spec, t, y, prec), prec) for y in targets]
+
+
 def kernel_embedding(
     L: FunctionalSpec,
     spec: KernelSpec,
     x,
     prec: PrecisionConfig = MACHINE,
 ) -> Real:
-    """The embedding z(x) = L[K(., x)].
+    """The embedding z(x) = L[K(., x)], one point of :func:`_row_embeddings`.
 
     Closed forms cover point evaluation (a kernel value), the Gaussian
     kernel against the Gaussian measure or a box, the exponential kernel
@@ -478,40 +517,7 @@ def kernel_embedding(
     on a box, (l^2 / x) log1p((b - a) x / (l^2 - b x)) (both b - a at
     x = 0); other combinations use adaptive quadrature.
     """
-    with prec.workprec():
-        if L.kind == "point_eval":
-            return kernel_eval(spec, L.location, x, prec)
-        if isinstance(x, (int, float)) or isinstance(x, mp.mpf):
-            xv = (prec.to_real(x),)
-        else:
-            xv = tuple(prec.to_real(c) for c in x)
-        if len(xv) != L.dimension:
-            raise ValueError(f"point dimension {len(xv)} != functional dimension {L.dimension}")
-        ell = prec.to_real(spec.length_scale)
-        if spec.family == "gaussian" and L.kind == "gaussian_measure":
-            v = ell * ell / (1 + ell * ell)
-            return v ** (prec.to_real(L.dimension) / 2) * rexp(-sq_norm(xv) / (2 * (1 + ell * ell)))
-        if spec.family == "gaussian" and L.kind == "lebesgue_box":
-            root2 = rsqrt(prec.to_real(2))
-            scale = ell * rsqrt(rpi(ell) / 2)
-            out = prec.to_real(1)
-            for a, b, xi in zip(L.lower, L.upper, xv):
-                ar, br = prec.to_real(a), prec.to_real(b)
-                out = out * scale * (rerf((br - xi) / (root2 * ell)) - rerf((ar - xi) / (root2 * ell)))
-            return out
-        if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
-            ar, br, y = prec.to_real(L.lower[0]), prec.to_real(L.upper[0]), xv[0]
-            if y == 0:
-                return br - ar
-            return ell * rexp(ar * y / ell) * rexpm1((br - ar) * y / ell) / y
-        if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
-            ar, br, y = prec.to_real(L.lower[0]), prec.to_real(L.upper[0]), xv[0]
-            _check_szego_box(L, spec, y)
-            if y == 0:
-                return br - ar
-            return ell * ell / y * rlog1p((br - ar) * y / (ell * ell - br * y))
-        target = xv[0] if L.dimension == 1 else xv
-        return apply_functional(L, lambda t: kernel_eval(spec, t, target, prec), prec)
+    return _row_embeddings(L, spec, [x], prec)[0]
 
 
 def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig = MACHINE) -> Real:

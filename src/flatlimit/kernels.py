@@ -33,6 +33,7 @@ from .core import (
 from .errors import KernelDomainError, SeriesConvergenceError
 
 _FAMILIES = ("gaussian", "exponential", "szego", "damped_power_series")
+_SERIES_MIN_DEGREE = 200  # the default cap of a series while its terms have not shown their decay
 
 
 @dataclass(frozen=True)
@@ -41,21 +42,21 @@ class DampedSeriesParams:
 
     ``damping`` is "gaussian" for G(r) = exp(-r^2/2) or "none" for G = 1.
     ``weights`` maps a MultiIndex to the positive series weight w_alpha.
-    The series is summed up to degree ``max_degree``, to a tolerance of
-    1e-14 at machine precision and 2^(-bits/2) in extended mode.
+    The series is summed to a tolerance of 1e-14 at machine precision and
+    2^(-bits/2) extended, up to ``max_degree`` or a cap its terms set.
     """
 
     damping: str
     exponent: float
     weights: Callable[[MultiIndex], float]
-    max_degree: int = 200
+    max_degree: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.damping not in ("gaussian", "none"):
             raise ValueError(f"damping must be 'gaussian' or 'none', got {self.damping!r}")
         if not self.exponent > 0:
             raise ValueError(f"series exponent must be positive, got {self.exponent}")
-        if self.max_degree < 2:
+        if self.max_degree is not None and self.max_degree < 2:
             raise ValueError("max_degree must be at least 2")
 
 
@@ -98,7 +99,7 @@ class KernelSpec:
         damping: str,
         exponent: float,
         weights: Callable[[MultiIndex], float],
-        max_degree: int = 200,
+        max_degree: Optional[int] = None,
     ) -> "KernelSpec":
         params = DampedSeriesParams(damping, float(exponent), weights, max_degree)
         return cls("damped_power_series", float(length_scale), params)
@@ -121,7 +122,9 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
     drops below tolerance, or once two consecutive degree terms vanish
     exactly (which for the built-in weight families means the exact tail is
     zero).  The heuristic presumes eventually decaying terms, which holds on
-    the domain of every built-in family.
+    the domain of every built-in family.  Without a ``max_degree`` it gives
+    up past degree 200 or, if later, where the estimate of a decaying pair
+    (ratio r < 1), falling by r a degree, drops below tolerance.
     """
     params = spec.series
     assert params is not None
@@ -141,7 +144,9 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
         total = mp.zero
         prev_abs: Optional[Real] = None
         converged = False
-        for deg in range(params.max_degree + 1):
+        cap, predicted, deg = params.max_degree or _SERIES_MIN_DEGREE, math.inf, -1
+        while not converged and deg < cap:
+            deg += 1
             term = mp.zero
             scale = ell ** (-params.exponent * deg)
             for comp in degree_compositions(len(x), deg):
@@ -159,14 +164,16 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
                     r = t / prev_abs
                     if r < 1 and t * r / (1 - r) < tol_abs:
                         converged = True
-                        break
+                    elif r < 1 and params.max_degree is None:  # the estimate falls by r a degree
+                        with mp.workprec(53):
+                            predicted = min(predicted, deg + int(mp.ceil(mp.log(tol_abs * (1 - r) / (t * r), r))))
+                        cap = max(_SERIES_MIN_DEGREE, predicted)
                 if prev_abs == 0 and t == 0 and deg >= 2:
                     converged = True
-                    break
             prev_abs = t
         if not converged:
             raise SeriesConvergenceError(
-                f"power series did not converge within degree {params.max_degree} "
+                f"power series did not converge within degree {cap} "
                 f"(length_scale={spec.length_scale}); increase max_degree or the length scale"
             )
         if params.damping == "gaussian":

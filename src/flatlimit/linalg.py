@@ -3,19 +3,21 @@
 Both lanes run one code path at the precision's ``bits`` (53 for machine
 mode) with 10 guard bits, taking and returning ``mpf`` (floats in machine
 mode); inside, it runs on raw ``_mpf_`` tuples through the ``mpmath.libmp``
-calls that the ``mpf`` operators make.  The Cholesky and LU factors and
-substitutions are mpmath's, operation for operation (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, ch. 9 and 10), so the bits are
-those of ``cholesky_solve`` and ``lu_solve``.  A solve factors the matrix
-once and returns the solution; the condition number, the residual and the
-conditioning warning are computed from the stored factor on first read,
-so a caller that reads only the solution pays for nothing else.  The
-condition number takes the inverse from the factor through one
-triangular inverse (Higham, ch. 14): X = L^-1 and A^-1 = X^T X for
-Cholesky, U^-1 L^-1 for LU, whose rows are those of A^-1 up to the order
-of their entries.  Ill-conditioning is never patched by jitter or
-regularization here; the remedy on failure is more precision, and the
-errors say so.
+calls that the ``mpf`` operators make, from input rounded as ``mp.mpf``
+rounds it; an exact dot product sums in one integer and rounds once (Brent
+and Zimmermann, *Modern Computer Arithmetic*, 2010, sec. 3.1).  The
+Cholesky and LU factors and substitutions are mpmath's, operation for
+operation (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+ch. 9 and 10), so the bits are those of ``cholesky_solve`` and
+``lu_solve``.  A solve factors the matrix once and returns the solution;
+the condition number, the residual and the conditioning warning are
+computed from the stored factor on first read, so a caller that reads only
+the solution pays for nothing else.  The condition number takes the inverse
+from the factor through one triangular inverse (Higham, ch. 14): X = L^-1
+and A^-1 = X^T X for Cholesky, U^-1 L^-1 for LU, whose rows are those of
+A^-1 up to the order of their entries.  Ill-conditioning is never patched
+by jitter or regularization here; the remedy on failure is more precision,
+and the errors say so.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import Any, Callable, Optional
 from mpmath import mp
 from mpmath.libmp import (
     fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int,
-    mpf_sqrt, mpf_sub, mpf_sum, to_float,
+    mpf_sqrt, mpf_sub, mpf_sum, normalize, to_float,
 )
 
 from .core import MACHINE, PrecisionConfig, Real
@@ -49,15 +51,16 @@ class SolveResult:
     condition number ||A|| ||A^-1|| with the inverse taken from the factor
     through one triangular inverse at the solve's guard bits (the norms
     summed at the working precision).  The solution and the residual are
-    mpf, floats in machine mode; ``substitute`` and ``inverse`` work on raw
+    mpf, floats in machine mode; ``matrix`` and ``rhs``, the system at the
+    working precision, and ``substitute`` and ``inverse`` are on raw
     ``_mpf_`` tuples.  ``warning`` is set when the condition estimate
     exceeds the precision policy's threshold; the solve still returns.
     """
 
     solution: tuple[Real, ...]
     precision: PrecisionConfig
-    # the working-precision system (rows and a list of mpf), the map v -> A^-1 v through
-    # the factor, and the rows of A^-1 from it (each up to the order of its entries), on raw mpf
+    # the working-precision system, the map v -> A^-1 v through the factor, and the rows
+    # of A^-1 from it (each up to the order of its entries), on raw mpf
     matrix: Any = field(repr=False, compare=False)
     rhs: Any = field(repr=False, compare=False)
     substitute: Callable = field(repr=False, compare=False)
@@ -69,7 +72,7 @@ class SolveResult:
         with mp.workprec(bits + 10):  # the guard bits of the solve
             inv = self.inverse()
         with mp.workprec(bits):
-            return float(mp.make_mpf(_inf_norm_mp(_raw_rows(self.matrix))) * mp.make_mpf(_inf_norm_mp(inv)))
+            return float(mp.make_mpf(_inf_norm_mp(self.matrix)) * mp.make_mpf(_inf_norm_mp(inv)))
 
     @cached_property
     def residual_norm(self) -> Real:
@@ -100,26 +103,31 @@ def auto_precision_bits(length_scale: float, n_points: int) -> int:
     return max(64, 64 + math.ceil(2 * n_points * math.log2(length_scale)))
 
 
-def _mpf_entry(v) -> mp.mpf:
-    # exact rational inputs (Fraction) round once, at the working precision
+def _raw_entry(v, prec: int, rnd: str) -> tuple:
+    """The raw mpf of ``mp.mpf(v)`` at the working precision ``prec``; an mpf is
+    rounded there directly, and an exact rational (Fraction) rounds once."""
+    if type(v) is mp.mpf:
+        sign, man, exp, bc = v._mpf_
+        return normalize(sign, man, exp, bc, prec, rnd) if man else v._mpf_
     if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-    return mp.mpf(v)
+        return (mp.mpf(v.numerator) / mp.mpf(v.denominator))._mpf_
+    return mp.mpf(v)._mpf_
 
 
 def _to_rows(A) -> list:
-    """The rows of a square matrix of finite entries, each entry an mpf
-    rounded to the working precision; an array-like (a numpy array or an
-    mpmath matrix) is read through ``tolist()``."""
+    """The raw mpf rows of a square matrix of finite entries rounded to the
+    working precision; an array-like (a numpy array or an mpmath matrix) is
+    read through ``tolist()``."""
     if hasattr(A, "tolist"):
         A = A.tolist()
+    prec, rnd = mp._prec_rounding
     try:
-        rows = [[_mpf_entry(v) for v in row] for row in A]
+        rows = [[_raw_entry(v, prec, rnd) for v in row] for row in A]
     except TypeError as e:  # a scalar row: a vector, not a matrix
         raise ValueError("matrix must be a sequence of rows of numbers") from e
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"matrix must be square and not empty, got row lengths {[len(row) for row in rows]}")
-    if not all(mp.isfinite(v) for row in rows for v in row):
+    if not all(v[1] or not v[2] for row in rows for v in row):  # inf and nan: no mantissa, an exponent
         raise ValueError("matrix entries must be finite")
     return rows
 
@@ -129,18 +137,36 @@ def _to_vec(b, n: int) -> list:
         b = list(b)
     elif hasattr(b, "tolist"):  # an array-like: a column array reads as rows, and is rejected
         b = b.tolist()
+    prec, rnd = mp._prec_rounding
     try:
-        v = [_mpf_entry(c) for c in b]
+        v = [_raw_entry(c, prec, rnd) for c in b]
     except TypeError as e:  # a scalar, or a sequence of sequences
         raise ValueError("right-hand side must be a sequence of numbers") from e
-    if len(v) != n or not all(mp.isfinite(c) for c in v):
+    if len(v) != n or not all(c[1] or not c[2] for c in v):
         raise ValueError(f"right-hand side must be {n} finite numbers")
     return v
 
 
 def _fdot(a, b, prec: int, rnd: str) -> tuple:
-    """mp.fdot on raw mpf values: the exact products summed and rounded once."""
-    return mpf_sum([mpf_mul(x, y) for x, y in zip(a, b)], prec, rnd)
+    """mp.fdot on finite raw mpf: ``mpf_sum`` of the exact ``mpf_mul(x, y)``
+    bit for bit, in one integer; as there, a product 2 prec bits below the
+    sum so far is dropped, and one that far above it replaces the sum."""
+    man, exp, gap = 0, 0, 2 * prec
+    for (xs, xm, xe, _), (ys, ym, ye, _) in zip(a, b):
+        m, e = (-xm * ym if xs != ys else xm * ym), xe + ye
+        if not m:
+            continue
+        delta = e - exp
+        if delta >= 0:
+            if delta > gap and (not man or delta - man.bit_length() > gap):
+                man, exp = m, e
+            else:
+                man += m << delta
+        elif -delta - m.bit_length() <= gap:
+            man, exp = (man << -delta) + m, e
+        elif not man:
+            man, exp = m, e
+    return normalize(int(man < 0), abs(man), exp, man.bit_length(), prec, rnd) if man else fzero
 
 
 def _cholesky(A: list, tol: tuple) -> list:
@@ -152,7 +178,7 @@ def _cholesky(A: list, tol: tuple) -> list:
     L = [[fzero] * n for _ in range(n)]
     for j in range(n):
         Lj = L[j]
-        s = mpf_sub(A[j][j], mpf_sum([mpf_mul(v, v) for v in Lj[:j]], prec, rnd, absolute=True), prec, rnd)
+        s = mpf_sub(A[j][j], _fdot(Lj[:j], Lj[:j], prec, rnd), prec, rnd)
         if mpf_lt(s, tol):
             raise NumericallyIndefiniteError("matrix is not positive-definite")
         Lj[j] = mpf_sqrt(s, prec, rnd)
@@ -274,15 +300,11 @@ def _residual_mp(A: list, x, b: list, bits: int) -> mp.mpf:
     # 64 guard bits so the reported residual is trustworthy at size u_bits
     with mp.workprec(bits + 64):
         r = mp.mpf(0)
-        for row, s in zip(A, b):
+        for row, s in zip(A, map(mp.make_mpf, b)):
             for a, xj in zip(row, x):
-                s -= a * xj
+                s -= mp.make_mpf(a) * xj
             r = max(r, abs(s))
         return r
-
-
-def _raw_rows(A: list) -> list:
-    return [[v._mpf_ for v in row] for row in A]
 
 
 def _output(v: tuple, prec: PrecisionConfig) -> Real:
@@ -295,7 +317,7 @@ def _result(A: list, b: list, substitute, inverse, prec: PrecisionConfig) -> Sol
     ``substitute(v)`` solves A x = v with the factor on raw mpf values; the
     diagnostics reuse the factor when read."""
     with mp.workprec(prec.bits + 10):
-        x = substitute([v._mpf_ for v in b])
+        x = substitute(b)
     return SolveResult(tuple(_output(v, prec) for v in x), prec, A, b, substitute, inverse)
 
 
@@ -319,13 +341,12 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         Am = _to_rows(A)
         n = len(Am)
         bm = _to_vec(b, n)
-        Ar = _raw_rows(Am)
-        if any(Ar[i][j] != Ar[j][i] for i in range(n) for j in range(i)):  # finite raw mpf are normalized
+        if any(Am[i][j] != Am[j][i] for i in range(n) for j in range(i)):  # finite raw mpf are normalized
             raise ValueError("matrix must be symmetric")
         tol = mp.eps._mpf_  # definiteness is judged at the working precision
         with mp.workprec(prec.bits + 10):  # the guard bits of mpmath's cholesky_solve
             try:
-                Lc = _cholesky(Ar, tol)
+                Lc = _cholesky(Am, tol)
             except NumericallyIndefiniteError as e:
                 raise NumericallyIndefiniteError(
                     f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
@@ -348,7 +369,7 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
         bm = _to_vec(b, len(Am))
         with mp.workprec(prec.bits + 10):  # the guard bits of mpmath's lu_solve and of the inverse
             try:
-                LU, p = _lu(_raw_rows(Am))
+                LU, p = _lu(Am)
             except SingularMatrixError as e:
                 raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
 

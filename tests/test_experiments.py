@@ -366,19 +366,21 @@ def count_calls(monkeypatch, counts, name, *modules):
 
 def test_sweep_rows_assemble_and_factor_once(monkeypatch):
     """A sweep of k rows with N nodes assembles G once and z once per row,
-    and makes one Vandermonde solve in all: the wce reuses the optimal
-    weights' assembly, and the phi weights of every row go through the
-    factor of the reference polynomial weights."""
+    all N embeddings of a row in one call, and makes one Vandermonde solve
+    in all: the wce reuses the optimal weights' assembly, and the phi
+    weights of every row go through the factor of the reference polynomial
+    weights."""
     from flatlimit import functionals
 
     counts = {}
     count_calls(monkeypatch, counts, "gram_matrix", kernels, cubature)
-    count_calls(monkeypatch, counts, "kernel_embedding", functionals, cubature)
+    count_calls(monkeypatch, counts, "kernel_embedding", functionals)
+    count_calls(monkeypatch, counts, "_row_embeddings", functionals, cubature)
     count_calls(monkeypatch, counts, "solve_general", linalg, cubature)
     k, n = 4, 6
     result = run_sweep(make_sweep(points=PointSet.from_1d(chebyshev(n)), degree=n - 1, ell_count=k))
     assert not result.failures and len(result.records) == k
-    assert counts == {"gram_matrix": k, "kernel_embedding": n * k, "solve_general": 1}
+    assert counts == {"gram_matrix": k, "kernel_embedding": 0, "_row_embeddings": k, "solve_general": 1}
 
 
 @pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(96)], ids=["machine", "extended"])

@@ -274,3 +274,63 @@ def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
                     assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
         with pytest.raises(KernelDomainError):
             kernel_embedding(L, spec, ell * ell / R, PrecisionConfig.extended(64))
+
+
+def pointwise_embedding(L, spec, xv, prec):
+    """The closed forms of the Gaussian kernel's embedding, point by point,
+    every factor formed afresh: the oracle of the per-row embedding."""
+    from flatlimit.core import rerf, rexp, rpi, rsqrt, sq_norm
+
+    with prec.workprec():
+        xv = prec.to_point(xv)
+        ell = prec.to_real(spec.length_scale)
+        if L.kind == "gaussian_measure":
+            v = ell * ell / (1 + ell * ell)
+            return v ** (prec.to_real(L.dimension) / 2) * rexp(-sq_norm(xv) / (2 * (1 + ell * ell)))
+        root2 = rsqrt(prec.to_real(2))
+        scale = ell * rsqrt(rpi(ell) / 2)
+        out = prec.to_real(1)
+        for a, b, xi in zip(L.lower, L.upper, xv):
+            ar, br = prec.to_real(a), prec.to_real(b)
+            out = out * scale * (rerf((br - xi) / (root2 * ell)) - rerf((ar - xi) / (root2 * ell)))
+        return out
+
+
+_CHEB_HALF = [0.15643446504023092, 0.4539904997395468, 0.7071067811865476, 0.8910065241883679, 0.9876883405951378]
+ROW_POINT_SETS = {
+    # (points, the number of distinct |x|^2 among them)
+    "three": ([(-1.0,), (0.0,), (1.0,)], 2),
+    "chebyshev10": ([(-x,) for x in reversed(_CHEB_HALF)] + [(x,) for x in _CHEB_HALF], 5),
+    "plane": ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.5, -0.25), (-0.25, 0.5), (0.0, 0.0)], 3),
+}
+ROW_PRECISIONS = [PrecisionConfig.machine(), PrecisionConfig.extended(64), PrecisionConfig.extended(692)]
+
+
+@pytest.mark.parametrize("prec", ROW_PRECISIONS, ids=["machine", "64", "692"])
+@pytest.mark.parametrize("name", ROW_POINT_SETS)
+@pytest.mark.parametrize("kind", ["gaussian_measure", "lebesgue_box"])
+def test_row_embeddings_are_the_pointwise_closed_forms(kind, name, prec, monkeypatch):
+    """The embeddings a row takes at once equal kernel_embedding's and the
+    point-by-point closed form's bits, for the Gaussian measure and the
+    box in one and two dimensions; under the Gaussian measure they take
+    one exp per distinct |x|^2 (the mirrored sets repeat it)."""
+    from flatlimit import core
+    from flatlimit.functionals import _row_embeddings
+
+    points, distinct = ROW_POINT_SETS[name]
+    d = len(points[0])
+    L = FunctionalSpec.gaussian_measure(d) if kind == "gaussian_measure" else FunctionalSpec.lebesgue_box((-1.0,) * d, (1.0,) * d)
+    calls = []
+    original = core.rexp
+    monkeypatch.setattr(core, "rexp", lambda x: calls.append(getattr(x, "_mpf_", x)) or original(x))
+    for ell in (1.0, 46.4, 10000.0):
+        spec = KernelSpec.gaussian(ell)
+        calls.clear()
+        row = _row_embeddings(L, spec, points, prec)
+        if kind == "gaussian_measure":
+            assert len(calls) == len(set(calls)) == distinct
+        singles = [kernel_embedding(L, spec, x, prec) for x in points]
+        oracle = [pointwise_embedding(L, spec, x, prec) for x in points]
+        assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in singles]
+        assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in oracle]
+        assert all(isinstance(v, float) != prec.is_extended for v in row)

@@ -370,6 +370,67 @@ def test_raw_kernels_equal_the_mpf_object_forms(bits):
                     assert linalg._inf_norm_mp(inv) == mpf_inf_norm(inv_m)._mpf_
 
 
+def random_raw(rng, n, bits, exps):
+    """n raw mpf of random signs and ``bits``-bit mantissas, at exponents
+    drawn from ``exps``, with every fifth entry zero."""
+    out = []
+    for k in range(n):
+        man = int(rng.integers(1, 2**62)) << (bits - 62) if bits > 62 else int(rng.integers(1, 2**bits))
+        v = mp.ldexp(mp.mpf(man), int(rng.choice(exps)) - bits) * (-1) ** int(rng.integers(2))
+        out.append(mp.zero._mpf_ if k % 5 == 4 else v._mpf_)
+    return out
+
+
+@pytest.mark.parametrize("bits", [63, 138, 712])
+def test_fused_dot_equals_mpf_sum_of_exact_products(bits):
+    """_fdot is mpf_sum over the exact mpf_mul products, bit for bit, in
+    every rounding: on random vectors with zeros and mixed signs, with
+    exponent gaps beyond 2 bits in both orders (which mpf_sum drops or lets
+    replace the sum), after a sum cancelled to zero, and on empty and
+    one-term vectors."""
+    from mpmath.libmp import mpf_mul, mpf_neg, mpf_sum
+
+    rng = np.random.default_rng(bits)
+    far = 3 * bits + 70  # past 2 bits plus a product's bits
+    x, y = mp.mpf(3) / 7, mp.mpf(-5) / 11
+    with mp.workprec(bits):
+        big, tiny, one = x._mpf_, mp.ldexp(y, -far)._mpf_, mp.one._mpf_
+        cases = [([], []), ([big], [tiny]), ([mp.zero._mpf_], [big])]
+        cases += [([big, tiny, big], [one, one, one]), ([tiny, big, tiny], [one, one, mpf_neg(one)])]
+        cases += [([big, mpf_neg(big), tiny, big], [one] * 4), ([tiny, big, mpf_neg(big), tiny], [one] * 4)]
+        cases += [([big, big], [tiny, big]), ([tiny, tiny], [big, tiny])]
+        for n in (1, 2, 8, 13):
+            for exps in ([0], range(-8, 9), [-far, 0, far], range(-4 * bits, 4 * bits)):
+                cases.append((random_raw(rng, n, bits, exps), random_raw(rng, n, bits, exps)))
+    for a, b in cases:
+        for rnd in "nfcdu":
+            expected = mpf_sum([mpf_mul(u, v) for u, v in zip(a, b)], bits, rnd)
+            assert linalg._fdot(a, b, bits, rnd) == expected, (a, b, rnd)
+
+
+@pytest.mark.parametrize("bits", [63, 138, 712])
+def test_solve_input_rounds_as_mpf_and_rejects_non_finite_entries(bits):
+    """_to_rows and _to_vec read an mpf of more bits than the working
+    precision as mp.mpf(v) rounds it, other numbers through mp.mpf too,
+    and refuse inf, nan and ragged rows."""
+    with mp.workprec(bits + 300):
+        over = [mp.pi, -mp.e / 3, mp.ldexp(mp.sqrt(2), -900), mp.zero, mp.mpf(1) + mp.ldexp(1, -bits - 1)]
+    with mp.workprec(bits):
+        expected = [mp.mpf(v)._mpf_ for v in over]
+        assert expected != [v._mpf_ for v in over]
+        assert linalg._to_vec(over, len(over)) == expected
+        assert linalg._to_rows([over] * len(over)) == [expected] * len(over)
+        mixed = [0.1, 3, Fraction(1, 3), mp.mpf(2) / 3]
+        assert linalg._to_rows([mixed] * 4)[0] == [mp.mpf(v)._mpf_ for v in (0.1, 3, mp.mpf(1) / 3, mp.mpf(2) / 3)]
+        for bad in (mp.inf, -mp.inf, mp.nan, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                linalg._to_rows([[mp.one, bad], [bad, mp.one]])
+            with pytest.raises(ValueError):
+                linalg._to_vec([mp.one, bad], 2)
+        with pytest.raises(ValueError):
+            linalg._to_rows([[mp.one, mp.one], [mp.one]])
+
+
 def test_factor_failures_are_typed():
     with mp.workprec(63):
         with pytest.raises(SingularMatrixError):
