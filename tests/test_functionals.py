@@ -319,7 +319,9 @@ def test_row_embeddings_are_the_pointwise_closed_forms(kind, name, prec, monkeyp
 
     points, distinct = ROW_POINT_SETS[name]
     d = len(points[0])
-    L = FunctionalSpec.gaussian_measure(d) if kind == "gaussian_measure" else FunctionalSpec.lebesgue_box((-1.0,) * d, (1.0,) * d)
+    L = FunctionalSpec.gaussian_measure(d)
+    if kind == "lebesgue_box":
+        L = FunctionalSpec.lebesgue_box((-1.0,) * d, (1.0,) * d)
     calls = []
     original = core.rexp
     monkeypatch.setattr(core, "rexp", lambda x: calls.append(getattr(x, "_mpf_", x)) or original(x))
