@@ -1,7 +1,7 @@
 """The output contract of the shipped configs: every CSV and manifest they
-write matches, byte for byte, the files kept under ``tests/golden/``.  Two
-sweeps on ten nodes, whose rows solve at up to 692 + 10 bits, are pinned
-the same way from configs held here."""
+write matches, byte for byte, the files kept under ``tests/golden/``.  Four
+sweeps on six and ten Chebyshev nodes, whose rows solve at up to 692 + 10
+bits, are pinned the same way from configs held here."""
 import json
 from pathlib import Path
 
@@ -21,24 +21,32 @@ RUNS = [
 ]
 
 
-# Chebyshev points of the first kind, cos((2k + 1) pi / 20), mirrored so
-# the set is exactly symmetric in binary
-_HALF = [0.15643446504023092, 0.4539904997395468, 0.7071067811865476, 0.8910065241883679, 0.9876883405951378]
-CHEBYSHEV_10 = [-x for x in reversed(_HALF)] + _HALF
-TEN_NODE_SWEEPS = {
-    f"chebyshev10_{name}_sweep": {
-        "kernel": {"family": "gaussian"},
-        "functional": functional,
-        "points": CHEBYSHEV_10,
-        "degree": 9,
-        "ell_grid": {"min": 1.0, "max": 10000.0, "count": 13},
-        "precision": "auto",
+def chebyshev_sweeps(half: list, degree: int) -> dict:
+    """Sweeps of the Gaussian kernel on Chebyshev points of the first kind,
+    the positive ``half`` mirrored so the set is exactly symmetric in
+    binary, over 13 log-spaced length scales in [1, 1e4], on [-1, 1] and
+    under N(0, 1)."""
+    points = [-x for x in reversed(half)] + half
+    return {
+        f"chebyshev{len(points)}_{name}_sweep": {
+            "kernel": {"family": "gaussian"},
+            "functional": functional,
+            "points": points,
+            "degree": degree,
+            "ell_grid": {"min": 1.0, "max": 10000.0, "count": 13},
+            "precision": "auto",
+        }
+        for name, functional in [
+            ("box", {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0}),
+            ("normal", {"kind": "gaussian_measure"}),
+        ]
     }
-    for name, functional in [
-        ("box", {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0}),
-        ("normal", {"kind": "gaussian_measure"}),
-    ]
-}
+
+
+# cos((2k + 1) pi / 20) and cos((2k + 1) pi / 12)
+TEN_NODE_SWEEPS = chebyshev_sweeps(
+    [0.15643446504023092, 0.4539904997395468, 0.7071067811865476, 0.8910065241883679, 0.9876883405951378], 9)
+SIX_NODE_SWEEPS = chebyshev_sweeps([0.25881904510252074, 0.7071067811865476, 0.9659258262890683], 5)
 
 
 def assert_output_matches_golden(name, argv, tmp_path, config=None):
@@ -66,10 +74,21 @@ def test_pure_python_yaml_output_matches_golden(name, argv, tmp_path, capsys, mo
     assert_output_matches_golden(name, argv, tmp_path)
 
 
+def assert_sweep_matches_golden(config_dict, name, tmp_path):
+    """The configs are written as JSON (which is YAML), so their hash in
+    the manifest is fixed."""
+    config = tmp_path / f"{name}.yaml"
+    config.write_text(json.dumps(config_dict))
+    assert_output_matches_golden(name, ["sweep"], tmp_path, config)
+
+
 @pytest.mark.parametrize("name", sorted(TEN_NODE_SWEEPS))
 def test_ten_node_sweep_matches_golden(name, tmp_path, capsys):
-    """The rows at up to 692 bits: the configs are written as JSON (which
-    is YAML), so their hash in the manifest is fixed."""
-    config = tmp_path / f"{name}.yaml"
-    config.write_text(json.dumps(TEN_NODE_SWEEPS[name]))
-    assert_output_matches_golden(name, ["sweep"], tmp_path, config)
+    """The rows at up to 692 bits."""
+    assert_sweep_matches_golden(TEN_NODE_SWEEPS[name], name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SIX_NODE_SWEEPS))
+def test_six_node_sweep_matches_golden(name, tmp_path, capsys):
+    """The six-node sweeps of the benchmark, at up to 480 bits."""
+    assert_sweep_matches_golden(SIX_NODE_SWEEPS[name], name, tmp_path)
