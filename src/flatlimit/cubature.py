@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from mpmath import mp
@@ -53,13 +54,20 @@ from .errors import (
 )
 from .functionals import (
     FunctionalSpec,
+    _row_damped_moments,
     _row_embeddings,
-    damped_moment,
     double_embedding,
     moment,
 )
 from .kernels import KernelSpec, gram_matrix
-from .linalg import SolveResult, _warning_for, condition_estimate, solve_general, solve_spd
+from .linalg import (
+    SolveResult,
+    _warning_for,
+    checkerboard_condition,
+    condition_estimate,
+    solve_general,
+    solve_spd,
+)
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ class WeightSolution:
     """A cubature rule produced by a linear solve, with solve diagnostics.
 
     ``precision`` is the precision the weights are rounded to; the solve
-    may run higher.  ``condition`` and ``residual_norm`` read through to
-    the :class:`SolveResult`, which computes them on first read, and
+    may run higher.  ``condition`` and ``residual_norm`` are computed on
+    first read from the :class:`SolveResult`'s stored factor, and
     ``warning`` judges that condition at ``precision``.  Optimal weights
     also record the kernel and the functional they were solved with, and
     their solve keeps G and z at its own precision: :func:`worst_case_error`
@@ -86,8 +94,19 @@ class WeightSolution:
     def weights(self) -> tuple[Real, ...]:
         return self.rule.weights
 
-    @property
+    @cached_property
     def condition(self) -> float:
+        """The condition number of the solve.  For optimal weights of the
+        Gaussian kernel on 1-D points it takes one substitution: the
+        Gaussian is a Polya frequency function (Schoenberg, 1951), so its
+        Gram matrix on distinct ascending points is strictly totally
+        positive (Karlin, *Total Positivity*, 1968), whose inverse has the
+        checkerboard sign pattern (-1)^(i+j) (G^-1)_ij > 0, and
+        ||G^-1|| = ||G^-1 s|| for s = (1, -1, 1, ...)
+        (:func:`linalg.checkerboard_condition`).  Every other solve reads
+        :attr:`SolveResult.condition`."""
+        if self.kernel is not None and self.kernel.family == "gaussian" and self.rule.points.dimension == 1:
+            return checkerboard_condition(self.solve, [(-1) ** i for i in range(len(self.rule.points))])
         return self.solve.condition
 
     @property
@@ -327,7 +346,7 @@ def _phi_weights(
     raise :class:`FlatLimitError`."""
     mset = _monomials(points, degree)
     with prec.workprec():
-        sol = vandermonde.resolve([damped_moment(L, length_scale, alpha, prec) for alpha in mset])
+        sol = vandermonde.resolve(_row_damped_moments(L, length_scale, mset, prec))
         ell = prec.to_real(length_scale)
         two_l2, values = 2 * ell * ell, {}
         try:

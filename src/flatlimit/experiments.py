@@ -232,9 +232,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     front.  That verdict takes the condition number of the reference
     polynomial weights' Vandermonde solve, whose factor is accurate at
     256 bits, to the machine threshold of :func:`unisolvency_check`.  The
-    same factor gives every row's phi weights, from the damped moments at
-    the row's precision.  Each row assembles its Gram system once: the
-    wce reuses the optimal weights' assembly."""
+    same 256-bit factor resolves every row's phi weights: the damped
+    moments are formed at the row's precision, and ``resolve`` rounds them
+    to 256 bits whatever the row's bits are.  Each row assembles its Gram
+    system once: the wce reuses the optimal weights' assembly, and the
+    Gram condition on 1-D points takes one substitution
+    (:attr:`cubature.WeightSolution.condition`)."""
     ref_prec = PrecisionConfig.extended(_REFERENCE_BITS)
     try:
         w_pol = polynomial_weights(cfg.functional, cfg.points, cfg.degree, ref_prec)

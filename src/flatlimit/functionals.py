@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from mpmath import mp
+from mpmath.libmp import mpf_pow_int, mpf_sqrt
 
 from .core import (
     MACHINE,
@@ -427,42 +429,73 @@ def _monomial_fn(alpha: MultiIndex):
     return lambda p: monomial_eval(p, alpha)
 
 
+def _row_damped_moments(L: FunctionalSpec, length_scale: float, alphas, prec: PrecisionConfig) -> list:
+    """The damped moments L[phi_alpha] of ``alphas``, the factors the closed
+    forms share formed once: under the Gaussian measure v = l^2 / (1 + l^2),
+    and in the extended lane the half-integer powers v^(n/2) taken as
+    ``mpf_pow`` takes them, by one square root shared by every odd n > 1;
+    on a box each (axis, k) factor."""
+    alphas = list(alphas)
+    for alpha in alphas:
+        if alpha.dimension != L.dimension:
+            raise ValueError(f"multi-index dimension {alpha.dimension} != functional dimension {L.dimension}")
+    with prec.workprec():
+        if L.kind == "point_eval":
+            return [phi_basis_eval(length_scale, alpha, L.location, prec) for alpha in alphas]
+        if L.kind == "gaussian_measure":
+            ell = prec.to_real(length_scale)
+            v = ell * ell / (1 + ell * ell)
+            if prec.is_extended:
+                p, rnd = mp._prec_rounding
+                root = cache(lambda: mpf_sqrt(v._mpf_, p + 10, rnd))  # taken once, if an odd n > 1 needs it
+
+                def power(n):  # v ** (mpf(n) / 2), as mpf_pow forms it
+                    if n % 2 == 0:
+                        return mp.make_mpf(mpf_pow_int(v._mpf_, n // 2, p, rnd))
+                    return mp.make_mpf(mpf_sqrt(v._mpf_, p, rnd) if n == 1 else mpf_pow_int(root(), n, p, rnd))
+            else:
+                power = lambda n: v ** (n / 2)
+            out = []
+            for alpha in alphas:
+                if any(k % 2 == 1 for k in alpha):
+                    out.append(prec.to_real(0))
+                    continue
+                dd = 1
+                for k in alpha:
+                    dd *= _odd_double_factorial(k)
+                out.append(power(L.dimension + alpha.degree()) * dd)
+            return out
+        if L.kind == "lebesgue_box":
+            factors, out = {}, []
+            for alpha in alphas:
+                value = prec.to_real(1)
+                for axis, (a, b, k) in enumerate(zip(L.lower, L.upper, alpha)):
+                    if (axis, k) not in factors:
+                        factors[axis, k] = prec.to_real(_box_damped_moment(a, b, length_scale, k, prec.bits))
+                    value = value * factors[axis, k]
+                out.append(value)
+            return out
+        return [apply_functional(L, lambda t: phi_basis_eval(length_scale, alpha, t, prec), prec) for alpha in alphas]
+
+
 def damped_moment(
     L: FunctionalSpec,
     length_scale: float,
     alpha: MultiIndex,
     prec: PrecisionConfig = MACHINE,
 ) -> Real:
-    """L[phi_alpha] for the damped monomial phi_alpha(x) = exp(-|x|^2/(2 l^2)) x^alpha.
+    """L[phi_alpha] for the damped monomial phi_alpha(x) = exp(-|x|^2/(2 l^2)) x^alpha,
+    one moment of :func:`_row_damped_moments`.
 
     Gaussian measure: with v = l^2 / (1 + l^2) the value is
     v^((d + |alpha|)/2) * prod_i (alpha_i - 1)!!  for all-even alpha, zero
-    otherwise.  Boxes factorize into one closed form per axis (a series
-    in the power moments in the flat regime, incomplete gamma functions
-    otherwise; see :func:`_box_damped_moment`).  The numeric oracle
-    integrates.
+    otherwise; a half-integer power is a square root and an integer
+    power, as mpmath takes it.  Boxes factorize into one closed form per
+    axis (a series in the power moments in the flat regime, incomplete
+    gamma functions otherwise; see :func:`_box_damped_moment`).  The
+    numeric oracle integrates.
     """
-    if alpha.dimension != L.dimension:
-        raise ValueError(f"multi-index dimension {alpha.dimension} != functional dimension {L.dimension}")
-    with prec.workprec():
-        ell = prec.to_real(length_scale)
-        if L.kind == "point_eval":
-            return phi_basis_eval(length_scale, alpha, L.location, prec)
-        if L.kind == "gaussian_measure":
-            if any(k % 2 == 1 for k in alpha):
-                return prec.to_real(0)
-            v = ell * ell / (1 + ell * ell)
-            dd = 1
-            for k in alpha:
-                dd *= _odd_double_factorial(k)
-            return v ** (prec.to_real(L.dimension + alpha.degree()) / 2) * dd
-        if L.kind == "lebesgue_box":
-            out = prec.to_real(1)
-            for a, b, k in zip(L.lower, L.upper, alpha):
-                out = out * prec.to_real(_box_damped_moment(a, b, length_scale, k, prec.bits))
-            return out
-        phi = lambda t: phi_basis_eval(length_scale, alpha, t, prec)
-        return apply_functional(L, phi, prec)
+    return _row_damped_moments(L, length_scale, [alpha], prec)[0]
 
 
 def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: PrecisionConfig) -> list:

@@ -46,7 +46,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .cubature import optimal_weights, worst_case_error
-from .functionals import FunctionalSpec, damped_moment, moment, quad1d
+from .functionals import FunctionalSpec, _row_damped_moments, moment, quad1d
 from .kernels import KernelSpec
 from .linalg import _cholesky
 
@@ -389,12 +389,9 @@ class _BasisResidual:
     def _grow(self, m: int) -> None:
         """Extend the coefficients to ``m`` rows and bound the tail past them."""
         with self.prec.workprec():
-            ell = mp.mpf(self.ell)
-            self.c += [
-                self.real(mp.mpf(damped_moment(self.L, self.ell, MultiIndex((k,)), self.prec))
-                          / (mp.sqrt(mp.factorial(k)) * ell**k))
-                for k in range(len(self.c), m)
-            ]
+            ell, ks = mp.mpf(self.ell), range(len(self.c), m)
+            moments = _row_damped_moments(self.L, self.ell, [MultiIndex((k,)) for k in ks], self.prec)
+            self.c += [self.real(mp.mpf(c) / (mp.sqrt(mp.factorial(k)) * ell**k)) for k, c in zip(ks, moments)]
             self.root_k = [rsqrt(self.real(k)) for k in range(1, m)]
         self.tail_nodes = _gamma_tail(m, self.u)
         if self.mass is None:

@@ -15,7 +15,11 @@ computed from the stored factor on first read, so a caller that reads only
 the solution pays for nothing else.  The condition number takes the inverse
 from the factor through one triangular inverse (Higham, ch. 14): X = L^-1
 and A^-1 = X^T X for Cholesky, U^-1 L^-1 for LU, whose rows are those of
-A^-1 up to the order of their entries.  Ill-conditioning is never patched
+A^-1 up to the order of their entries.  Where the inverse is known to be
+checkerboard, as for the Gram matrix of a totally positive kernel, one
+substitution gives its norm instead (:func:`checkerboard_condition`).
+The Cholesky diagonal is s / sqrt(s), the value mpmath keeps, from the
+one s = a_jj - sum_k l_jk^2.  Ill-conditioning is never patched
 by jitter or regularization here; the remedy on failure is more precision,
 and the errors say so.
 """
@@ -29,7 +33,7 @@ from typing import Any, Callable, Optional
 
 from mpmath import mp
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int,
+    fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int,
     mpf_sqrt, mpf_sub, mpf_sum, normalize, to_float,
 )
 
@@ -50,10 +54,11 @@ class SolveResult:
     solution, evaluated with 64 guard bits.  ``condition`` is the inf-norm
     condition number ||A|| ||A^-1|| with the inverse taken from the factor
     through one triangular inverse at the solve's guard bits (the norms
-    summed at the working precision).  The solution and the residual are
-    mpf, floats in machine mode; ``matrix`` and ``rhs``, the system at the
-    working precision, and ``substitute`` and ``inverse`` are on raw
-    ``_mpf_`` tuples.  ``warning`` is set when the condition estimate
+    summed at the working precision); :func:`checkerboard_condition` gives
+    the same number from one ``substitute`` when A^-1 is checkerboard.
+    The solution and the residual are mpf, floats in machine mode;
+    ``matrix`` and ``rhs``, the system at the working precision, and
+    ``substitute`` and ``inverse`` are on raw ``_mpf_`` tuples.  ``warning`` is set when the condition estimate
     exceeds the precision policy's threshold; the solve still returns.
     """
 
@@ -181,8 +186,9 @@ def _cholesky(A: list, tol: tuple) -> list:
         s = mpf_sub(A[j][j], _fdot(Lj[:j], Lj[:j], prec, rnd), prec, rnd)
         if mpf_lt(s, tol):
             raise NumericallyIndefiniteError("matrix is not positive-definite")
-        Lj[j] = mpf_sqrt(s, prec, rnd)
-        for i in range(j, n):  # i = j recomputes the diagonal, which the rows below divide by, as mpmath does
+        # mpmath divides the diagonal too: L_jj = s / sqrt(s), by which the rows below divide
+        Lj[j] = mpf_div(s, mpf_sqrt(s, prec, rnd), prec, rnd)
+        for i in range(j + 1, n):
             L[i][j] = mpf_div(mpf_sub(A[i][j], _fdot(L[i][:j], Lj[:j], prec, rnd), prec, rnd), Lj[j], prec, rnd)
     return L
 
@@ -390,3 +396,21 @@ def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:
         return solve_general(A, [0] * len(A), prec).condition
     except SingularMatrixError:
         return math.inf
+
+
+def checkerboard_condition(sol: SolveResult, signs) -> float:
+    """The inf-norm condition number of an SPD solve whose inverse has the
+    checkerboard sign pattern s_i s_j (A^-1)_ij > 0 for the signs ``signs``
+    (each +1 or -1), as the Gram matrix of a strictly totally positive
+    kernel on ascending points has with alternating signs (Karlin, *Total
+    Positivity*, 1968).  Row i of |A^-1| then sums to s_i (A^-1 s)_i, so
+    ||A^-1|| = ||A^-1 s||: one substitution through the stored factor at
+    the solve's guard bits, rounded to its ``bits``, in place of the
+    inverse that :attr:`SolveResult.condition` forms."""
+    bits = sol.precision.bits
+    with mp.workprec(bits + 10):
+        y = sol.substitute([fone if s > 0 else fnone for s in signs])
+    with mp.workprec(bits):
+        prec, rnd = mp._prec_rounding
+        inv_norm = max((mpf_abs(v, prec, rnd) for v in y), key=_BY_VALUE)
+        return float(mp.make_mpf(_inf_norm_mp(sol.matrix)) * mp.make_mpf(inv_norm))

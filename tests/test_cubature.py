@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_bare_rule_reports_the_gram_condition_of_its_weight_solution(prec):
 @pytest.mark.parametrize("ell", [1.0, 1e2, 1e4])
 def test_gram_condition_matches_the_closed_form_inverse(ell):
     """The Gram condition of optimal_weights on 10 mirrored Chebyshev nodes
-    at the auto bits b, from one triangular inverse of the Cholesky factor,
+    at the auto bits b, from one substitution through the Cholesky factor,
     matches ||G|| ||G^-1|| of the closed-form G and mp.inverse at 3 b + 64
     to a relative 2^-50; at l = 1e4 it is about 6e82."""
     points = PointSet.from_1d(chebyshev(10))
@@ -154,6 +155,64 @@ def test_gram_condition_matches_the_closed_form_inverse(ell):
     ref = gaussian_gram_condition(ell, points, bits)
     with mp.workprec(3 * bits + 64):
         assert abs(sol.condition - ref) <= mp.mpf(2) ** -50 * ref, (sol.condition, float(ref))
+
+
+def random_gaussian_gram_cases(count, seed):
+    """Sorted 1-D node sets of 2 to 12 points, at least 1 / n apart on
+    [-1, 1], each with a log-uniform length scale in [0.1, 1e3], on
+    [-1, 1] or under N(0, 1)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        points = PointSet.from_1d([-1 + 2 * (k + 0.25 + rng.random() / 2) / n for k in range(n)])
+        L = rng.choice([FunctionalSpec.lebesgue_box(-1.0, 1.0), FunctionalSpec.gaussian_measure(1)])
+        cases.append((points, L, 10 ** rng.uniform(-1, 3)))
+    return cases
+
+
+GRAM_CASES = random_gaussian_gram_cases(60, 2021)
+
+
+@pytest.mark.parametrize(
+    "points,L,ell", GRAM_CASES, ids=[f"n{len(p)}-{L.kind}-ell{ell:.3g}" for p, L, ell in GRAM_CASES]
+)
+def test_gaussian_gram_condition_by_total_positivity(points, L, ell):
+    """The premise of the Gram condition in one substitution: the Gaussian
+    Gram matrix on sorted distinct points is strictly totally positive, so
+    its inverse (mp.inverse 200 bits above the solve) has the checkerboard
+    sign pattern (-1)^(i+j) (G^-1)_ij > 0.  The condition read from
+    ||G^-1 s|| then equals, to the float, the one SolveResult forms from
+    the whole inverse, which reading it does not form."""
+    prec = PrecisionConfig.extended(auto_precision_bits(ell, len(points)))
+    sol = optimal_weights(KernelSpec.gaussian(ell), L, points, prec)
+    with mp.workprec(sol.solve.precision.bits + 200):
+        inv = mp.inverse(mp.matrix([[mp.make_mpf(g) for g in row] for row in sol.solve.matrix]))
+        assert all((-1) ** (i + j) * inv[i, j] > 0 for i in range(len(points)) for j in range(len(points)))
+    condition = sol.condition
+    assert "condition" not in vars(sol.solve)
+    assert condition == sol.solve.condition
+
+
+@pytest.mark.parametrize("case", ["gaussian_2d", "exponential", "polynomial"])
+def test_other_solves_read_the_solve_condition(case, monkeypatch):
+    """A 2-D Gram, an exponential-kernel Gram and a Vandermonde solve keep
+    the condition from the whole inverse."""
+    from flatlimit import cubature
+
+    def refuse(*args):
+        raise AssertionError("the checkerboard condition is taken for 1-D Gaussian Grams only")
+
+    monkeypatch.setattr(cubature, "checkerboard_condition", refuse)
+    box = FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    if case == "gaussian_2d":
+        points = PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        sol = optimal_weights(KernelSpec.gaussian(3.0), FunctionalSpec.gaussian_measure(2), points, EXT)
+    elif case == "exponential":
+        sol = optimal_weights(KernelSpec.exponential(3.0), box, PointSet.from_1d([-0.5, 0.25, 1.0]), EXT)
+    else:
+        sol = polynomial_weights(box, PointSet.from_1d([-1.0, 0.0, 1.0]), 2, EXT)
+    assert sol.condition == vars(sol.solve)["condition"]
 
 
 def test_simpson_weights_from_polynomial_exactness():

@@ -336,3 +336,63 @@ def test_row_embeddings_are_the_pointwise_closed_forms(kind, name, prec, monkeyp
         assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in singles]
         assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in oracle]
         assert all(isinstance(v, float) != prec.is_extended for v in row)
+
+
+def per_alpha_damped_moment(L, length_scale, alpha, prec):
+    """The closed forms of the damped moment one multi-index at a time,
+    every factor formed afresh and the power taken by mpf ** mpf: the
+    mpf-object oracle of the per-row damped moments."""
+    from flatlimit import functionals
+
+    with prec.workprec():
+        ell = prec.to_real(length_scale)
+        if L.kind == "gaussian_measure":
+            if any(k % 2 == 1 for k in alpha):
+                return prec.to_real(0)
+            v = ell * ell / (1 + ell * ell)
+            dd = 1
+            for k in alpha:
+                dd *= functionals._odd_double_factorial(k)
+            return v ** (prec.to_real(L.dimension + alpha.degree()) / 2) * dd
+        out = prec.to_real(1)
+        for a, b, k in zip(L.lower, L.upper, alpha):
+            out = out * prec.to_real(functionals._box_damped_moment(a, b, length_scale, k, prec.bits))
+        return out
+
+
+DAMPED_ROWS = {
+    # the functional and the degree of its row
+    "normal_1d": (FunctionalSpec.gaussian_measure(1), 9),
+    "normal_2d": (FunctionalSpec.gaussian_measure(2), 5),
+    "normal_3d": (FunctionalSpec.gaussian_measure(3), 3),
+    "box_1d": (FunctionalSpec.lebesgue_box(-1.0, 1.0), 9),
+    "box_2d": (FunctionalSpec.lebesgue_box((-1.0, 0.25), (1.0, 2.0)), 5),
+}
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(64),
+                                  PrecisionConfig.extended(300)], ids=["machine", "64", "300"])
+@pytest.mark.parametrize("name", DAMPED_ROWS)
+def test_row_damped_moments_are_the_per_alpha_closed_forms(name, prec, monkeypatch):
+    """A row's damped moments, and damped_moment one at a time, have the
+    bits of the per-multi-index closed forms in both lanes.  The length
+    scales fall on both sides of the box's switch from the series to the
+    incomplete gammas at R^2 = 2 l^2 (R = 1 and 2 on the two axes of the
+    2-D box), and the box takes each (axis, k) factor once a row."""
+    from flatlimit import enumerate_multi_indices, functionals
+
+    L, degree = DAMPED_ROWS[name]
+    alphas = list(enumerate_multi_indices(L.dimension, degree))
+    calls = []
+    original = functionals._box_damped_moment
+    monkeypatch.setattr(functionals, "_box_damped_moment", lambda *args: calls.append(args) or original(*args))
+    for ell in (0.3, 1.0, 46.4, 1e4):
+        calls.clear()
+        row = functionals._row_damped_moments(L, ell, alphas, prec)
+        if L.kind == "lebesgue_box":
+            assert len(calls) == len(set(calls)) == L.dimension * (degree + 1)
+        singles = [damped_moment(L, ell, alpha, prec) for alpha in alphas]
+        oracle = [per_alpha_damped_moment(L, ell, alpha, prec) for alpha in alphas]
+        assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in oracle]
+        assert [getattr(v, "_mpf_", v) for v in singles] == [getattr(v, "_mpf_", v) for v in oracle]
+        assert all(isinstance(v, float) != prec.is_extended for v in row)

@@ -591,3 +591,17 @@ def test_resolve_through_the_factor_equals_a_fresh_solve(prec, solve):
     assert again.solution == fresh.solution
     assert again.residual_norm == fresh.residual_norm
     assert again.condition == fresh.condition
+
+
+@pytest.mark.parametrize("bits", [128, 300])
+def test_checkerboard_condition_of_totally_positive_systems(bits):
+    """Hilbert matrices and the diagnostic Gaussian Gram are totally
+    positive, so their inverses are checkerboard: the condition from one
+    substitution with alternating signs is the one from the whole inverse,
+    and all signs +1 read less."""
+    prec = PrecisionConfig.extended(bits)
+    _, G, _ = diagnostic_systems(prec)["spd"]
+    for A in [G] + [hilbert(n) for n in (2, 5, 9)]:
+        res = solve_spd(A, [1] * len(A), prec)
+        assert linalg.checkerboard_condition(res, [(-1) ** i for i in range(len(A))]) == res.condition
+        assert linalg.checkerboard_condition(res, [1] * len(A)) < res.condition
