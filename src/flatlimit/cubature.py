@@ -60,14 +60,7 @@ from .functionals import (
     moment,
 )
 from .kernels import KernelSpec, gram_matrix
-from .linalg import (
-    SolveResult,
-    _warning_for,
-    checkerboard_condition,
-    condition_estimate,
-    solve_general,
-    solve_spd,
-)
+from .linalg import SolveResult, _warning_for, checkerboard_condition, condition_estimate, solve_general, solve_spd
 
 
 @dataclass(frozen=True)
@@ -96,14 +89,12 @@ class WeightSolution:
 
     @cached_property
     def condition(self) -> float:
-        """The condition number of the solve.  For optimal weights of the
-        Gaussian kernel on 1-D points it takes one substitution: the
-        Gaussian is a Polya frequency function (Schoenberg, 1951), so its
-        Gram matrix on distinct ascending points is strictly totally
-        positive (Karlin, *Total Positivity*, 1968), whose inverse has the
-        checkerboard sign pattern (-1)^(i+j) (G^-1)_ij > 0, and
-        ||G^-1|| = ||G^-1 s|| for s = (1, -1, 1, ...)
-        (:func:`linalg.checkerboard_condition`).  Every other solve reads
+        """The condition number of the solve.  The Gaussian is a Polya
+        frequency function (Schoenberg, 1951), so its Gram matrix on
+        distinct ascending 1-D points is strictly totally positive and its
+        inverse checkerboard: optimal weights of the Gaussian kernel on 1-D
+        points take it from one substitution with s = (1, -1, 1, ...)
+        (:func:`linalg.checkerboard_condition`), every other solve from
         :attr:`SolveResult.condition`."""
         if self.kernel is not None and self.kernel.family == "gaussian" and self.rule.points.dimension == 1:
             return checkerboard_condition(self.solve, [(-1) ** i for i in range(len(self.rule.points))])

@@ -435,7 +435,6 @@ def _row_damped_moments(L: FunctionalSpec, length_scale: float, alphas, prec: Pr
     and in the extended lane the half-integer powers v^(n/2) taken as
     ``mpf_pow`` takes them, by one square root shared by every odd n > 1;
     on a box each (axis, k) factor."""
-    alphas = list(alphas)
     for alpha in alphas:
         if alpha.dimension != L.dimension:
             raise ValueError(f"multi-index dimension {alpha.dimension} != functional dimension {L.dimension}")

@@ -399,14 +399,12 @@ def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:
 
 
 def checkerboard_condition(sol: SolveResult, signs) -> float:
-    """The inf-norm condition number of an SPD solve whose inverse has the
-    checkerboard sign pattern s_i s_j (A^-1)_ij > 0 for the signs ``signs``
-    (each +1 or -1), as the Gram matrix of a strictly totally positive
-    kernel on ascending points has with alternating signs (Karlin, *Total
-    Positivity*, 1968).  Row i of |A^-1| then sums to s_i (A^-1 s)_i, so
-    ||A^-1|| = ||A^-1 s||: one substitution through the stored factor at
-    the solve's guard bits, rounded to its ``bits``, in place of the
-    inverse that :attr:`SolveResult.condition` forms."""
+    """``sol.condition`` of an SPD solve whose inverse has the sign pattern
+    s_i s_j (A^-1)_ij > 0 for ``signs`` (each +1 or -1), as a strictly
+    totally positive matrix has with alternating signs (Karlin, *Total
+    Positivity*, 1968): row i of |A^-1| sums to s_i (A^-1 s)_i, so
+    ||A^-1|| = ||A^-1 s||, one substitution through the stored factor at
+    the solve's guard bits, rounded to its ``bits``."""
     bits = sol.precision.bits
     with mp.workprec(bits + 10):
         y = sol.substitute([fone if s > 0 else fnone for s in signs])
