@@ -93,9 +93,9 @@ class WeightSolution:
         frequency function (Schoenberg, 1951), so its Gram matrix on
         distinct ascending 1-D points is strictly totally positive and its
         inverse checkerboard: optimal weights of the Gaussian kernel on 1-D
-        points take it from one substitution with s = (1, -1, 1, ...)
-        (:func:`linalg.checkerboard_condition`), every other solve from
-        :attr:`SolveResult.condition`."""
+        points take it from one substitution with s = (1, -1, 1, ...) up
+        to the solve's warning threshold (:func:`linalg.checkerboard_condition`),
+        every other solve from :attr:`SolveResult.condition`."""
         if self.kernel is not None and self.kernel.family == "gaussian" and self.rule.points.dimension == 1:
             return checkerboard_condition(self.solve, [(-1) ** i for i in range(len(self.rule.points))])
         return self.solve.condition

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Optional
 
 from mpmath import mp
-from mpmath.libmp import mpf_pow_int, mpf_sqrt
 
 from .core import (
     MACHINE,
@@ -430,11 +428,8 @@ def _monomial_fn(alpha: MultiIndex):
 
 
 def _row_damped_moments(L: FunctionalSpec, length_scale: float, alphas, prec: PrecisionConfig) -> list:
-    """The damped moments L[phi_alpha] of ``alphas``, the factors the closed
-    forms share formed once: under the Gaussian measure v = l^2 / (1 + l^2),
-    and in the extended lane the half-integer powers v^(n/2) taken as
-    ``mpf_pow`` takes them, by one square root shared by every odd n > 1;
-    on a box each (axis, k) factor."""
+    """The damped moments L[phi_alpha] of ``alphas``, under the Gaussian
+    measure with v = l^2 / (1 + l^2) formed once for the row."""
     for alpha in alphas:
         if alpha.dimension != L.dimension:
             raise ValueError(f"multi-index dimension {alpha.dimension} != functional dimension {L.dimension}")
@@ -444,16 +439,6 @@ def _row_damped_moments(L: FunctionalSpec, length_scale: float, alphas, prec: Pr
         if L.kind == "gaussian_measure":
             ell = prec.to_real(length_scale)
             v = ell * ell / (1 + ell * ell)
-            if prec.is_extended:
-                p, rnd = mp._prec_rounding
-                root = cache(lambda: mpf_sqrt(v._mpf_, p + 10, rnd))  # taken once, if an odd n > 1 needs it
-
-                def power(n):  # v ** (mpf(n) / 2), as mpf_pow forms it
-                    if n % 2 == 0:
-                        return mp.make_mpf(mpf_pow_int(v._mpf_, n // 2, p, rnd))
-                    return mp.make_mpf(mpf_sqrt(v._mpf_, p, rnd) if n == 1 else mpf_pow_int(root(), n, p, rnd))
-            else:
-                power = lambda n: v ** (n / 2)
             out = []
             for alpha in alphas:
                 if any(k % 2 == 1 for k in alpha):
@@ -462,16 +447,14 @@ def _row_damped_moments(L: FunctionalSpec, length_scale: float, alphas, prec: Pr
                 dd = 1
                 for k in alpha:
                     dd *= _odd_double_factorial(k)
-                out.append(power(L.dimension + alpha.degree()) * dd)
+                out.append(v ** (prec.to_real(L.dimension + alpha.degree()) / 2) * dd)
             return out
         if L.kind == "lebesgue_box":
-            factors, out = {}, []
+            out = []
             for alpha in alphas:
                 value = prec.to_real(1)
-                for axis, (a, b, k) in enumerate(zip(L.lower, L.upper, alpha)):
-                    if (axis, k) not in factors:
-                        factors[axis, k] = prec.to_real(_box_damped_moment(a, b, length_scale, k, prec.bits))
-                    value = value * factors[axis, k]
+                for a, b, k in zip(L.lower, L.upper, alpha):
+                    value = value * prec.to_real(_box_damped_moment(a, b, length_scale, k, prec.bits))
                 out.append(value)
             return out
         return [apply_functional(L, lambda t: phi_basis_eval(length_scale, alpha, t, prec), prec) for alpha in alphas]
@@ -488,11 +471,10 @@ def damped_moment(
 
     Gaussian measure: with v = l^2 / (1 + l^2) the value is
     v^((d + |alpha|)/2) * prod_i (alpha_i - 1)!!  for all-even alpha, zero
-    otherwise; a half-integer power is a square root and an integer
-    power, as mpmath takes it.  Boxes factorize into one closed form per
-    axis (a series in the power moments in the flat regime, incomplete
-    gamma functions otherwise; see :func:`_box_damped_moment`).  The
-    numeric oracle integrates.
+    otherwise.  Boxes factorize into one closed form per axis (a series
+    in the power moments in the flat regime, incomplete gamma functions
+    otherwise; see :func:`_box_damped_moment`).  The numeric oracle
+    integrates.
     """
     return _row_damped_moments(L, length_scale, [alpha], prec)[0]
 

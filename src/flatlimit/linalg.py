@@ -404,11 +404,15 @@ def checkerboard_condition(sol: SolveResult, signs) -> float:
     totally positive matrix has with alternating signs (Karlin, *Total
     Positivity*, 1968): row i of |A^-1| sums to s_i (A^-1 s)_i, so
     ||A^-1|| = ||A^-1 s||, one substitution through the stored factor at
-    the solve's guard bits, rounded to its ``bits``."""
+    the solve's guard bits, rounded to its ``bits``.  A reading above the
+    solve's warning threshold u^(-1/2) gives way to ``sol.condition``: near
+    1/u the factor of A rounded to u need no longer keep the sign pattern,
+    and ||A^-1 s|| reads low."""
     bits = sol.precision.bits
     with mp.workprec(bits + 10):
         y = sol.substitute([fone if s > 0 else fnone for s in signs])
     with mp.workprec(bits):
         prec, rnd = mp._prec_rounding
         inv_norm = max((mpf_abs(v, prec, rnd) for v in y), key=_BY_VALUE)
-        return float(mp.make_mpf(_inf_norm_mp(sol.matrix)) * mp.make_mpf(inv_norm))
+        cond = float(mp.make_mpf(_inf_norm_mp(sol.matrix)) * mp.make_mpf(inv_norm))
+    return cond if cond <= sol.precision.warn_threshold else sol.condition

@@ -13,6 +13,7 @@ from flatlimit import (
     KernelSpec,
     NotUnisolventError,
     NumericalInconsistencyError,
+    NumericallyIndefiniteError,
     PointSet,
     PrecisionConfig,
     auto_precision_bits,
@@ -192,6 +193,33 @@ def test_gaussian_gram_condition_by_total_positivity(points, L, ell):
     condition = sol.condition
     assert "condition" not in vars(sol.solve)
     assert condition == sol.solve.condition
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(96)], ids=["machine", "96"])
+def test_gaussian_gram_condition_at_a_fixed_precision(prec):
+    """At a fixed precision the Gram solve runs at 2 bits + 32, u = 2^-138
+    in the machine lane and 2^-224 at 96 bits; l runs in steps of 10^(1/32)
+    from 0.1 past the first NumericallyIndefiniteError (near 75 and 5600),
+    through the sporadic successes beyond it, where the reading ||G^-1 s||
+    alone would read low.  The condition of every solve that
+    succeeds equals the one from the whole inverse: read from ||G^-1 s||
+    up to the solve's warning threshold u^(-1/2), from the whole inverse
+    above it."""
+    points = PointSet.from_1d(chebyshev(10))
+    L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    read, failed = set(), 0
+    for e in range(-32, {53: 104, 96: 160}[prec.bits]):
+        try:
+            sol = optimal_weights(KernelSpec.gaussian(10 ** (e / 32)), L, points, prec)
+        except NumericallyIndefiniteError:
+            failed += 1
+            continue
+        condition = sol.condition
+        below = condition <= sol.solve.precision.warn_threshold
+        assert ("condition" in vars(sol.solve)) != below
+        read.add(below)
+        assert condition == sol.solve.condition
+    assert read == {True, False} and failed > 0
 
 
 @pytest.mark.parametrize("case", ["gaussian_2d", "exponential", "polynomial"])
