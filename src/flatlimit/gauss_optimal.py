@@ -275,7 +275,7 @@ def _householder(columns: list) -> tuple[list, list, list]:
     pivot raises :class:`SingularMatrixError`."""
     vs, taus, upper = [], [], []
     for j, column in enumerate(columns):
-        x = _reflect(vs, taus, column, transpose=True)
+        x = _reflect(vs, taus, column)
         norm = rsqrt(_dot(x[j:], x[j:]))
         if not 0 < norm < math.inf:
             raise SingularMatrixError(f"column {j} of the least-squares matrix has a zero or non-finite pivot")
@@ -286,12 +286,11 @@ def _householder(columns: list) -> tuple[list, list, list]:
     return vs, taus, upper
 
 
-def _reflect(vs: list, taus: list, b: list, transpose: bool) -> list:
-    """Q^T b (``transpose``) or Q b for the vector ``b``, with Q from the
-    reflectors of :func:`_householder`."""
+def _reflect(vs: list, taus: list, b: list) -> list:
+    """Q^T b for the vector ``b``, with Q from the reflectors of
+    :func:`_householder`."""
     b = list(b)
-    order = range(len(taus))
-    for j in order if transpose else reversed(order):
+    for j in range(len(taus)):
         s = _dot(vs[j], b[j:]) * taus[j]
         b[j:] = [bi - vi * s for bi, vi in zip(b[j:], vs[j])]
     return b
@@ -308,35 +307,35 @@ def _back_substitute(upper: list, b: list) -> list:
 
 def _basis_solve(phi: list, dphi: list, c: list):
     """min_w ||c - phi w|| by Householder QR of the M x N matrix phi = QR,
-    given by its columns, and the Jacobian of its residual in the nodes:
-    the weights w, the squared residual norm e^2 = ||Q_2^T c||^2, the
-    residual r = Q [0; Q_2^T c] = P c with P = I - Q Q^T, formed from the
-    reflectors, and the columns of the variable-projection Jacobian J
-    (Golub & Pereyra, SIAM J. Numer. Anal. 1973).  Column n of ``phi``
-    depends on x_n alone, with derivative column n of ``dphi``, so
+    given by its columns, and the Jacobian of its residual in the nodes,
+    both in the coordinates of Q^T: the weights w, the squared residual
+    norm e^2 = ||Q_2^T c||^2, Q^T r = [0; Q_2^T c] for the residual
+    r = P c with P = I - Q Q^T, and the columns of Q^T J for the
+    variable-projection Jacobian J (Golub & Pereyra, SIAM J. Numer. Anal.
+    1973).  Column n of ``phi`` depends on x_n alone, with derivative
+    column n of ``dphi``, so
 
-        dr/dx_n = -w_n P phi'_n - (phi'_n . r) Q R^-T e_n
-                = Q [-(phi'_n . r) R^-T e_n; -w_n Q_2^T phi'_n] ,
+        Q^T dr/dx_n = Q^T (-w_n P phi'_n - (phi'_n . r) Q R^-T e_n)
+                    = [-(Q_2^T phi'_n . Q_2^T c) R^-T e_n; -w_n Q_2^T phi'_n] .
 
-    one reflection per column.
+    The Levenberg-Marquardt step, Marquardt's scaling and 2 J^T r do not
+    change under Q^T, so r and J are never reflected back.
 
     A zero or non-finite pivot, or weights that are not finite, raise
     :class:`SingularMatrixError`."""
     n = len(phi)
     vs, taus, upper = _householder(phi)
-    t = [_reflect(vs, taus, col, transpose=True) for col in [c] + dphi]
+    t = [_reflect(vs, taus, col) for col in [c] + dphi]
     w = _back_substitute(upper, t[0][:n])
     if not all(abs(wn) < math.inf for wn in w):
         raise SingularMatrixError("the basis least-squares weights are not finite")
     tail = t[0][n:]
-    r = _reflect(vs, taus, [0] * n + tail, transpose=False)
     inverse = [_back_substitute(upper, [int(i == k) for i in range(n)]) for k in range(n)]  # columns of R^-1
     jac = []
-    for k in range(n):
-        d = _dot(r, dphi[k])
-        top = [-d * col[k] for col in inverse]
-        jac.append(_reflect(vs, taus, top + [-w[k] * v for v in t[k + 1][n:]], transpose=False))
-    return w, _dot(tail, tail), r, jac
+    for k, tk in enumerate(t[1:]):
+        lower = tk[n:]  # Q_2^T phi'_k
+        jac.append([-_dot(lower, tail) * col[k] for col in inverse] + [-w[k] * v for v in lower])
+    return w, _dot(tail, tail), [0] * n + tail, jac
 
 
 class _BasisResidual:
@@ -351,12 +350,13 @@ class _BasisResidual:
     Phi_kn = phi_k(x_n), a rule's squared error is
     sum_k (c_k - (Phi w)_k)^2 over all k.  Over the first M rows its
     minimum is e^2 = ||r||^2 with the variable-projection residual
-    r = P c (:func:`_basis_solve`), free of the cancellation in
-    LL[K] - w.z.  The derivatives of the basis are
-    phi_k' = sqrt(k) / l phi_(k-1) - x / l^2 phi_k.  Formed as c - Phi w,
-    r cancels in the leading rows: at l = 100 with nodes (-0.7, 0.1, 0.8)
-    on [-1, 1] the gradient 2 J^T r was off by a relative 3e-5, against
-    7e-15 from the reflectors, next to a 400-bit central difference.
+    r = P c, free of the cancellation in LL[K] - w.z; :func:`_basis_solve`
+    gives r and its Jacobian J in the coordinates of Q^T.  The derivatives
+    of the basis are phi_k' = sqrt(k) / l phi_(k-1) - x / l^2 phi_k.
+    Formed as c - Phi w, r cancels in the leading rows: at l = 100 with
+    nodes (-0.7, 0.1, 0.8) on [-1, 1] the gradient 2 J^T r was off by a
+    relative 3e-5, against 7e-15 from the reflectors, next to a 400-bit
+    central difference.
 
     Tail bound: sum_{k >= M} phi_k(x)^2 = P(M, x^2 / l^2) is at most
     t_M = :func:`_gamma_tail` (M, R^2 / l^2) on the search box |x| <= R.
@@ -367,6 +367,10 @@ class _BasisResidual:
     add at most (sqrt(sum_{k >= M} c_k^2) + ||w||_1 sqrt(t_M))^2 to the
     M-row e^2, which is itself a lower bound.  Each evaluation checks that
     this is below 2^-55 e^2, and otherwise adds rows until it is.
+
+    Only the coefficients are computed in an mpmath context, at ``prec``;
+    in the float64 lane ``arith`` is MACHINE, so an evaluation, and the
+    search's own arithmetic, enter none.
     """
 
     def __init__(
@@ -376,6 +380,7 @@ class _BasisResidual:
         self.ell, self.L, self.prec, self.lane = spec.length_scale, L, prec, lane
         # the entries: float64, or mpf at the working precision of prec
         self.real = mp.mpf if lane == "extended" else float
+        self.arith = prec if lane == "extended" else MACHINE
         self.u = (max(abs(box[0]), abs(box[1])) / self.ell) ** 2
         if L.kind == "gaussian_measure":
             self.mass = None
@@ -401,10 +406,9 @@ class _BasisResidual:
             self.tail_c = self.mass**2 * self.tail_nodes
 
     def __call__(self, x: list):
-        """The weights w, e^2 = ||r||^2, the residual r and the columns of
-        its Jacobian (:func:`_basis_solve`) at the sorted distinct nodes
-        ``x``."""
-        with self.prec.workprec():
+        """The weights w, e^2 = ||r||^2, Q^T r and the columns of Q^T J
+        (:func:`_basis_solve`) at the sorted distinct nodes ``x``."""
+        with self.arith.workprec():
             ell = self.real(self.ell)
             s = [self.real(v) / ell for v in x]
             while True:
@@ -441,7 +445,7 @@ def _lm_step(jac: list, r: list, lam, scale: list) -> list:
     n = len(jac)
     augmented = [col + [scale[k] * lam**0.5 if i == k else 0 for i in range(n)] for k, col in enumerate(jac)]
     vs, taus, upper = _householder(augmented)
-    return _back_substitute(upper, _reflect(vs, taus, [-v for v in r] + [0] * n, transpose=True)[:n])
+    return _back_substitute(upper, _reflect(vs, taus, [-v for v in r] + [0] * n)[:n])
 
 
 def _zero_sensitivity(x: list, real) -> list:
@@ -455,9 +459,12 @@ def _zero_sensitivity(x: list, real) -> list:
 
 def _shifted_zeros(x: list, da: list, sensitivity: list) -> Optional[list]:
     """The zeros of omega(t) + sum_j da_j t^j next to the zeros ``x`` of
-    omega(t) = prod_n (t - x_n), in float64: eight Newton steps from the
-    first-order prediction x + (dx/da) da, with omega kept as the product.
-    None when the last correction is above 1e-12 or a slope is zero."""
+    omega(t) = prod_n (t - x_n), in float64: up to eight Newton steps from
+    the first-order prediction x + (dx/da) da, with omega kept as the
+    product.  None when the last correction is above 1e-12 or a slope is
+    zero.  Each node's step depends on that node alone, so once a step
+    leaves every node unchanged the steps left would repeat it bit for bit
+    (a zero whose sign flips stays zero), and the loop stops there."""
     t = [xn + _dot(row, da) for xn, row in zip(x, sensitivity)]
     for _ in range(8):
         correction = []
@@ -474,7 +481,9 @@ def _shifted_zeros(x: list, da: list, sensitivity: list) -> Optional[list]:
             if df + dg == 0:
                 return None
             correction.append((f + g) / (df + dg))
-        t = [tn - d for tn, d in zip(t, correction)]
+        t, previous = [tn - d for tn, d in zip(t, correction)], t
+        if t == previous:
+            break
     return t if all(abs(d) <= 1e-12 for d in correction) else None
 
 
@@ -492,7 +501,10 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
     far (Moré, 1978).  The first damping is 1e-3 times the smallest
     squared pivot of the QR of J dx/da D^-1: the graded residual's
     singular values spread over many orders of magnitude, and a damping
-    relative to the largest would freeze the weak directions.
+    relative to the largest would freeze the weak directions.  r and J
+    come in the coordinates of Q^T of each iterate (:func:`_basis_solve`),
+    where the step, the scaling and the pivots are those of r and J; the
+    loop runs in ``residual.arith``, no mpmath context in float64.
 
     A step that raises e^2, merges or reorders the nodes, or whose zeros
     or basis matrix fail, is rejected and the damping multiplied by 10;
@@ -514,7 +526,7 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
     lam, scale = None, [0] * len(x)
     step_tol = _STEP_TOL * max(abs(lo), abs(hi))
     while True:
-        with residual.prec.workprec():
+        with residual.arith.workprec():
             sensitivity = _zero_sensitivity(x, residual.real)
             rows = list(zip(*jac))
             jac_a = [[_dot(row, sj) for row in rows] for sj in zip(*sensitivity)]

@@ -329,14 +329,34 @@ def test_envelope_gradient_matches_numeric_differentiation(lane, ell, L, nodes):
             assert abs(de2[n] - numeric) <= 1e-10 * abs(numeric), n
 
 
+def _apply_q(vs, taus, b):
+    """Q b, with Q from the reflectors of _householder, applied last to
+    first."""
+    b = list(b)
+    for j in reversed(range(len(taus))):
+        s = gauss_optimal._dot(vs[j], b[j:]) * taus[j]
+        b[j:] = [bi - vi * s for bi, vi in zip(b[j:], vs[j])]
+    return b
+
+
 @pytest.mark.parametrize("L", [LEB, GAUSS], ids=["lebesgue", "gaussian"])
-def test_variable_projection_jacobian_matches_numeric_differentiation(L):
+def test_variable_projection_jacobian_matches_numeric_differentiation(L, monkeypatch):
     """Every column of J, including the term -(phi'_n . r) Q R^-T e_n that
     J^T r does not see, against a central difference (h = 2^-20) of the
     residual r of the extended lane at 256 bits, to 1e-9 of the column's
-    norm."""
+    norm.  The basis solve gives Q^T r and Q^T J, with the Q of its own
+    nodes; both are mapped back through that Q's reflectors, so r is
+    differenced in the original coordinates."""
     from mpmath import mp
 
+    solve = gauss_optimal._basis_solve
+
+    def in_original_coordinates(phi, dphi, c):
+        w, e2, r, jac = solve(phi, dphi, c)
+        vs, taus, _ = gauss_optimal._householder(phi)
+        return w, e2, _apply_q(vs, taus, r), [_apply_q(vs, taus, column) for column in jac]
+
+    monkeypatch.setattr(gauss_optimal, "_basis_solve", in_original_coordinates)
     nodes = [-0.7, 0.1, 0.8]
     prec = PrecisionConfig.extended(256)
     box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
@@ -557,6 +577,90 @@ def test_shifted_zeros_follow_the_node_polynomial():
     small = [1e-7 * v for v in da]
     moved = np.array(gauss_optimal._shifted_zeros(x, small, sensitivity)) - x
     assert_allclose(moved, np.array(sensitivity) @ small, rtol=1e-5)
+
+
+def _eight_newton_steps(x, da, sensitivity):
+    """The shifted zeros as eight full Newton steps, every one taken: the
+    oracle for the early stop of _shifted_zeros.  Returns the zeros (None
+    as there), the last iterate, and whether a step before the eighth
+    left every node unchanged."""
+    t = [xn + gauss_optimal._dot(row, da) for xn, row in zip(x, sensitivity)]
+    fixed = False
+    for step in range(8):
+        correction = []
+        for tn in t:
+            f, df = 1.0, 0.0
+            for xm in x:
+                f, df = f * (tn - xm), df * (tn - xm) + f
+            g, dg = 0.0, 0.0
+            for aj in reversed(da):
+                g, dg = g * tn + aj, dg * tn + g
+            if df + dg == 0:
+                return None, t, fixed
+            correction.append((f + g) / (df + dg))
+        moved = [tn - d for tn, d in zip(t, correction)]
+        fixed = fixed or (step < 7 and moved == t)
+        t = moved
+    return (t if all(abs(d) <= 1e-12 for d in correction) else None), t, fixed
+
+
+def test_shifted_zeros_stop_where_eight_steps_end():
+    """The Newton loop stops at the first step that leaves every node
+    unchanged, with the same bits, or None, as eight steps give: on seeded
+    random steps of 1 to 6 nodes, from far below the nodes' spacing to
+    far above it (every 20th at 1e200, where omega overflows), and on a
+    zero slope.  The cases include zeros found at a fixed point before the
+    eighth step, steps whose correction stays above 1e-12, and iterates
+    that run to inf or nan."""
+    rng = np.random.default_rng(22)
+    cases = [([-1.0, 1.0], [2.0, 0.0])]  # omega + da = t^2 + 1: the slope 2 t is zero at t = 0
+    for k in range(400):
+        n = int(rng.integers(1, 7))
+        x = np.sort(rng.uniform(-1.0, 1.0, n)).tolist()
+        scale = 10.0 ** rng.uniform(-12, 4) if k % 20 else 1e200
+        cases.append((x, (rng.standard_normal(n) * scale).tolist()))
+    seen = set()
+    for x, da in cases:
+        sensitivity = gauss_optimal._zero_sensitivity(x, float)
+        found = gauss_optimal._shifted_zeros(x, da, sensitivity)
+        expected, last, fixed = _eight_newton_steps(x, da, sensitivity)
+        bits = lambda t: None if t is None else [v.hex() for v in t]
+        assert bits(found) == bits(expected), (x, da)
+        seen.add("fixed" if fixed and expected is not None else "found" if expected is not None else
+                 "diverged" if not all(math.isfinite(v) for v in last) else "none")
+    assert seen == {"fixed", "found", "none", "diverged"}, seen
+
+
+@pytest.mark.parametrize("bits", [30, 400])
+def test_float64_search_is_the_same_under_any_callers_precision(bits):
+    """The float64 lane enters no mpmath context of its own, and only its
+    coefficients are computed at the optimizer's bits, so the rule and the
+    whole trace are the same bits under the caller's mp.workprec(30) and
+    mp.workprec(400) as at the default precision."""
+    from mpmath import mp
+
+    k, settings = KernelSpec.gaussian(10.0), OptimizerSettings(restarts=1, seed=0)
+    rule, trace = optimize_points(k, LEB, 3, settings=settings)
+    with mp.workprec(bits):
+        moved_rule, moved_trace = optimize_points(k, LEB, 3, settings=settings)
+    assert trace.search == "float64"
+    assert moved_rule.points == rule.points
+    assert [w._mpf_ for w in moved_rule.weights] == [w._mpf_ for w in rule.weights]
+    assert moved_trace == trace
+
+
+@pytest.mark.parametrize(
+    "L,n,ell,wce",
+    [(LEB, 6, 5.0, 1.367493128867961e-16), (GAUSS, 6, 3.0, 3.173716611678661e-08), (LEB, 4, 10.0, 5.767283684411727e-13)],
+    ids=["box-N6-5", "normal-N6-3", "box-N4-10"],
+)
+def test_float64_search_keeps_its_wce(L, n, ell, wce):
+    """Two restarts with seed 0 reach, to a relative 1e-9, the wce that the
+    search found with r and J reflected back to the original coordinates
+    and eight Newton steps per step's zeros."""
+    _, trace = optimize_points(KernelSpec.gaussian(ell), L, n, settings=OptimizerSettings(restarts=2, seed=0))
+    assert trace.search == "float64"
+    assert abs(trace.entries[-1].wce - wce) <= 1e-9 * wce
 
 
 @pytest.mark.parametrize("ell,search", [(100.0, "float64"), (1e4, "extended")])
