@@ -36,7 +36,6 @@ from .errors import (
     NumericalInconsistencyError,
     NumericallyIndefiniteError,
     QuadratureError,
-    SeriesConvergenceError,
     SingularMatrixError,
 )
 from .experiments import (
@@ -68,7 +67,6 @@ from .gauss_optimal import (
     optimize_points,
 )
 from .kernels import (
-    DampedSeriesParams,
     KernelSpec,
     gram_matrix,
     kernel_eval,
@@ -106,7 +104,6 @@ __all__ = [
     "NumericalInconsistencyError",
     "NumericallyIndefiniteError",
     "QuadratureError",
-    "SeriesConvergenceError",
     "SingularMatrixError",
     "OptimalRecord",
     "OptimalStudyConfig",
@@ -130,7 +127,6 @@ __all__ = [
     "chebyshev_system_zero_count",
     "gauss_rule_from_moments",
     "optimize_points",
-    "DampedSeriesParams",
     "KernelSpec",
     "gram_matrix",
     "kernel_eval",

@@ -4,13 +4,13 @@ Subcommands: ``sweep`` (flat-limit weight sweep), ``optimal`` (node
 optimization study), ``gauss`` (Gaussian quadrature from moments), ``wce``
 (worst-case error of one rule), ``check-unisolvent``.
 
-This module loads the YAML configuration, applies the ``--precision`` and
-``--seed`` overrides, checks the keys, dispatches each subcommand to
-its parse step and its run step, and prints and writes the output.  The
-value rules live with the configurations in :mod:`flatlimit.experiments`.
-Unknown keys are hard errors so typos cannot silently change an
-experiment.  Exit codes: 0 success, 2 configuration error (anything the
-parse step rejects), 3 numerical failure.
+This module loads the YAML configuration, applies the ``--precision``
+override (and ``optimal``'s ``--seed``), checks the keys, dispatches each
+subcommand to its parse step and its run step, and prints and writes the
+output.  The value rules live with the configurations in
+:mod:`flatlimit.experiments`.  Unknown keys are hard errors so typos cannot
+silently change an experiment.  Exit codes: 0 success, 2 configuration
+error (anything the parse step rejects), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def _keys(d, context: str, required: tuple = (), optional: tuple = ()) -> dict:
 
 def _load(args, required: tuple, optional: tuple) -> dict:
     """The config file of ``args`` with the overrides applied and its keys
-    checked; every command also takes ``precision`` and ``seed``."""
+    checked; every command also takes ``precision``."""
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {args.config}")
@@ -75,9 +75,9 @@ def _load(args, required: tuple, optional: tuple) -> dict:
         raise ConfigError("config file must contain a mapping at top level")
     if args.precision is not None:
         raw["precision"] = _precision_policy(args.precision)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
-    return _keys(raw, f"{args.command} config", required, (*optional, "precision", "seed"))
+    return _keys(raw, f"{args.command} config", required, (*optional, "precision"))
 
 
 def _int(value) -> int:
@@ -126,11 +126,6 @@ def _kernel(d, need_length_scale: bool) -> KernelSpec:
     """The kernel of a config; without ``length_scale`` its family is
     checked at length scale 1."""
     _keys(d, "kernel", ("family", "length_scale") if need_length_scale else ("family",))
-    if d["family"] == "damped_power_series":
-        raise ConfigError(
-            "damped_power_series kernels carry a Python callable and are only "
-            "available through the library API, not config files"
-        )
     return KernelSpec(d["family"], float(d["length_scale"]) if need_length_scale else 1.0)
 
 
@@ -190,7 +185,6 @@ def _parse_sweep(raw: dict) -> SweepConfig:
     return SweepConfig(
         points=PointSet.from_points(_list(raw["points"], "points")),
         degree=_int(raw["degree"]),
-        seed=_int(raw.get("seed", 0)),
         **_study_fields(raw),
     )
 
@@ -292,7 +286,7 @@ def _run_check_unisolvent(job, raw: dict, out: Optional[str]) -> int:
     return 0 if report.ok else 3
 
 
-# name: (help, required keys, optional keys besides precision and seed, parse, run)
+# name: (help, required keys, optional keys besides precision, parse, run)
 _COMMANDS = {
     "sweep": (
         "flat-limit weight sweep",
@@ -304,7 +298,7 @@ _COMMANDS = {
     "optimal": (
         "node optimization study",
         ("kernel", "functional", "n_points", "ell_grid"),
-        ("fit_window", "optimizer", "experimental_unbounded"),
+        ("fit_window", "optimizer", "experimental_unbounded", "seed"),
         _parse_optimal,
         _run_optimal,
     ),
@@ -340,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override precision policy: auto, machine, or a bit count",
     )
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     for name, (help_text, *_) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "optimal":  # the one command that draws random numbers
+            command.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

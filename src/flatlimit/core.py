@@ -40,13 +40,6 @@ class MultiIndex:
     def degree(self) -> int:
         return sum(self.entries)
 
-    def factorial(self) -> int:
-        """Product of the entrywise factorials, computed exactly."""
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
-        return out
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 

@@ -18,11 +18,6 @@ class KernelDomainError(FlatLimitError):
     """Kernel evaluated outside its domain of definition (e.g. at a pole)."""
 
 
-class SeriesConvergenceError(FlatLimitError):
-    """Power-series kernel evaluation did not converge within its maximal
-    degree, or left the float64 range at machine precision."""
-
-
 class QuadratureError(FlatLimitError):
     """Adaptive quadrature left its error estimate above the requested
     tolerance."""

@@ -136,9 +136,9 @@ class SweepConfig(_LengthScaleGrid):
     ell_count: int
     precision: Union[str, int] = "auto"
     fit_window: Union[str, tuple[float, float]] = "middle"
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        _config_check(KernelSpec, self.kernel_family, 1.0)  # the family, checked at length scale 1
         _normalize_study_fields(self)
         _config_check(_check_dims, self.functional, self.points)
         _config_check(_monomials, self.points, self.degree)
@@ -452,7 +452,7 @@ def _manifest(command: str, result, raw_config: dict, details: dict) -> dict:
         "tool": f"flatlimit {__version__}",
         "command": command,
         "config_sha256": config_digest(raw_config),
-        "seed": cfg.seed,
+        **({"seed": cfg.seed} if command == "optimal" else {}),  # only a study draws random numbers
         "functional": cfg.functional.label(),
         "kernel_family": cfg.kernel_family,
         "precision_policy": str(cfg.precision),

@@ -213,11 +213,6 @@ class OptimizationTrace:
     converged: bool = False
     search: str = "extended"
 
-    @property
-    def n_evaluations(self) -> int:
-        """The residual evaluations of all restarts."""
-        return sum(r["nfev"] for r in self.restart_summaries)
-
 
 def _default_optimizer_bits(length_scale: float, n_points: int) -> int:
     # the optimum's squared error scales like l^(-4N); resolve its

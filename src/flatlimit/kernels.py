@@ -1,19 +1,13 @@
 """Positive-definite kernels with a length scale.
 
-Families: the Gaussian kernel in any dimension, two one-dimensional Taylor
-kernels (exponential and Szego), and the generic damped power series
-form that subsumes all three,
-
-    K(x, y) = G(|x|/l) G(|y|/l) sum_alpha w_alpha / (alpha!)^2 / l^(q|alpha|)
-              * x^alpha y^alpha ,
-
-with damping G, growth exponent q and positive series weights w_alpha.
+Families: the Gaussian kernel in any dimension and two one-dimensional
+Taylor kernels, the exponential and the Szego kernel.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
@@ -24,39 +18,14 @@ from .core import (
     PointSet,
     PrecisionConfig,
     Real,
-    degree_compositions,
     monomial_eval,
     rexp,
     sq_dist,
     sq_norm,
 )
-from .errors import KernelDomainError, SeriesConvergenceError
+from .errors import KernelDomainError
 
-_FAMILIES = ("gaussian", "exponential", "szego", "damped_power_series")
-
-
-@dataclass(frozen=True)
-class DampedSeriesParams:
-    """Parameters of the damped power series form.
-
-    ``damping`` is "gaussian" for G(r) = exp(-r^2/2) or "none" for G = 1.
-    ``weights`` maps a MultiIndex to the positive series weight w_alpha.
-    The series is summed to a tolerance of 1e-14 at machine precision and
-    2^(-bits/2) extended, up to ``max_degree`` or the ratio test's bound.
-    """
-
-    damping: str
-    exponent: float
-    weights: Callable[[MultiIndex], float]
-    max_degree: int = 200
-
-    def __post_init__(self) -> None:
-        if self.damping not in ("gaussian", "none"):
-            raise ValueError(f"damping must be 'gaussian' or 'none', got {self.damping!r}")
-        if not self.exponent > 0:
-            raise ValueError(f"series exponent must be positive, got {self.exponent}")
-        if self.max_degree < 2:
-            raise ValueError("max_degree must be at least 2")
+_FAMILIES = ("gaussian", "exponential", "szego")
 
 
 @dataclass(frozen=True)
@@ -65,7 +34,6 @@ class KernelSpec:
 
     family: str
     length_scale: float
-    series: Optional[DampedSeriesParams] = None
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -73,8 +41,6 @@ class KernelSpec:
         ls = self.length_scale
         if not (isinstance(ls, (int, float)) and math.isfinite(ls) and ls > 0):
             raise ValueError(f"length_scale must be positive and finite, got {ls!r}")
-        if self.family == "damped_power_series" and self.series is None:
-            raise ValueError("damped_power_series requires series parameters")
 
     @classmethod
     def gaussian(cls, length_scale: float) -> "KernelSpec":
@@ -82,103 +48,19 @@ class KernelSpec:
 
     @classmethod
     def exponential(cls, length_scale: float) -> "KernelSpec":
-        """exp(x y / l), one-dimensional (series weights n!, q = 1)."""
+        """exp(x y / l), one-dimensional."""
         return cls("exponential", float(length_scale))
 
     @classmethod
     def szego(cls, length_scale: float) -> "KernelSpec":
-        """l^2 / (l^2 - x y), one-dimensional (series weights (n!)^2, q = 2);
-        defined only for |x y| < l^2."""
+        """l^2 / (l^2 - x y), one-dimensional; defined only for |x y| < l^2."""
         return cls("szego", float(length_scale))
-
-    @classmethod
-    def damped_power_series(
-        cls,
-        length_scale: float,
-        damping: str,
-        exponent: float,
-        weights: Callable[[MultiIndex], float],
-        max_degree: int = 200,
-    ) -> "KernelSpec":
-        params = DampedSeriesParams(damping, float(exponent), weights, max_degree)
-        return cls("damped_power_series", float(length_scale), params)
 
 
 def _as_point(x, prec: PrecisionConfig) -> tuple[Real, ...]:
     if isinstance(x, (int, float)) or isinstance(x, mp.mpf):
         return (prec.to_real(x),)
     return tuple(prec.to_real(c) for c in x)
-
-
-def _series_value(spec: KernelSpec, x: Sequence[Real], y: Sequence[Real], prec: PrecisionConfig) -> Real:
-    """Sum the power series degree by degree, in mpmath at ``prec.bits``
-    (53 in machine mode).  mpf has no exponent range to leave, so a
-    weight, a factorial or a power of x y or l may pass the float64 range
-    while the term they form does not; a machine-mode term or value
-    that does pass it raises SeriesConvergenceError.
-
-    Stops once the geometric tail estimate from the last two nonzero terms
-    drops below tolerance, or once two consecutive degree terms vanish
-    exactly (which for the built-in weight families means the exact tail is
-    zero).  The heuristic presumes eventually decaying terms, which holds on
-    the domain of every built-in family.  It gives up past ``max_degree``
-    unless the pair of terms there decays (ratio r < 1); then it extends
-    once, to the degree where that estimate, falling by r a degree, drops
-    below tolerance.
-    """
-    params = spec.series
-    assert params is not None
-    machine = not prec.is_extended
-
-    def in_float_range(value, what: str):
-        if math.isinf(float(value)):
-            raise SeriesConvergenceError(
-                f"{what} of the power series is past the float64 range (length_scale={spec.length_scale})"
-            )
-        return value
-
-    with mp.workprec(prec.bits):
-        ell = mp.mpf(spec.length_scale)
-        tol = mp.mpf(1e-14 if machine else 2.0 ** (-prec.bits // 2))
-        u = tuple(mp.mpf(a) * mp.mpf(b) for a, b in zip(x, y))
-        total = mp.zero
-        prev_abs: Optional[Real] = None
-        converged = False
-        cap, deg = params.max_degree, -1
-        while not converged and deg < cap:
-            deg += 1
-            term = mp.zero
-            scale = ell ** (-params.exponent * deg)
-            for comp in degree_compositions(len(x), deg):
-                alpha = MultiIndex(comp)
-                coeff = mp.mpf(params.weights(alpha)) / mp.mpf(alpha.factorial()) ** 2
-                term = term + coeff * monomial_eval(u, alpha)
-            term = term * scale
-            if machine:
-                in_float_range(term, f"the term of degree {deg}")
-            total = total + term
-            t = abs(term)
-            if deg >= 1:
-                tol_abs = tol * max(mp.one, abs(total))
-                if prev_abs is not None and prev_abs > 0 and t > 0:
-                    r = t / prev_abs
-                    if r < 1 and t * r / (1 - r) < tol_abs:
-                        converged = True
-                    elif r < 1 and deg == params.max_degree:  # the estimate falls by r a degree
-                        with mp.workprec(53):
-                            cap += int(mp.ceil(mp.log(tol_abs * (1 - r) / (t * r), r)))
-                if prev_abs == 0 and t == 0 and deg >= 2:
-                    converged = True
-            prev_abs = t
-        if not converged:
-            raise SeriesConvergenceError(
-                f"power series did not converge within degree {cap} "
-                f"(length_scale={spec.length_scale}); increase max_degree or the length scale"
-            )
-        if params.damping == "gaussian":
-            gx, gy = (mp.exp(-sq_norm(p) / (2 * ell * ell)) for p in (x, y))
-            total = gx * gy * total
-        return float(in_float_range(total, "the value")) if machine else total
 
 
 def _gaussian_value(x: Sequence, y: Sequence, den: tuple, values: dict, prec: int, rnd: str) -> mp.mpf:
@@ -195,7 +77,7 @@ def _gaussian_value(x: Sequence, y: Sequence, den: tuple, values: dict, prec: in
     return values[e]
 
 
-def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell: Real, prec: PrecisionConfig) -> Real:
+def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell: Real) -> Real:
     """K(x, y) of points and a length scale already converted to the
     working type, inside the working precision."""
     if len(xv) != len(yv):
@@ -208,16 +90,14 @@ def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell:
         if len(xv) != 1:
             raise ValueError("exponential kernel is one-dimensional")
         return rexp(xv[0] * yv[0] / ell)
-    if spec.family == "szego":
-        if len(xv) != 1:
-            raise ValueError("szego kernel is one-dimensional")
-        p = xv[0] * yv[0]
-        if abs(p) >= ell * ell:
-            raise KernelDomainError(
-                f"szego kernel needs |x*y| < l^2, got |{float(p)!r}| with l^2={spec.length_scale ** 2!r}"
-            )
-        return ell * ell / (ell * ell - p)
-    return _series_value(spec, xv, yv, prec)
+    if len(xv) != 1:
+        raise ValueError("szego kernel is one-dimensional")
+    p = xv[0] * yv[0]
+    if abs(p) >= ell * ell:
+        raise KernelDomainError(
+            f"szego kernel needs |x*y| < l^2, got |{float(p)!r}| with l^2={spec.length_scale ** 2!r}"
+        )
+    return ell * ell / (ell * ell - p)
 
 
 def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real:
@@ -227,7 +107,7 @@ def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real
     KernelDomainError for the Szego family when |x y| >= l^2.
     """
     with prec.workprec():
-        return _kernel_value(spec, _as_point(x, prec), _as_point(y, prec), prec.to_real(spec.length_scale), prec)
+        return _kernel_value(spec, _as_point(x, prec), _as_point(y, prec), prec.to_real(spec.length_scale))
 
 
 def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACHINE):
@@ -247,7 +127,7 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
         xs = [_as_point(x, prec) for x in points]
         ell = prec.to_real(spec.length_scale)
         out = [[None] * n for _ in range(n)]
-        entry = lambda x, y: _kernel_value(spec, x, y, ell, prec)
+        entry = lambda x, y: _kernel_value(spec, x, y, ell)
         if spec.family == "gaussian" and prec.is_extended:
             den, values = (2 * ell * ell)._mpf_, {}
             entry = lambda x, y: _gaussian_value(x, y, den, values, *mp._prec_rounding)

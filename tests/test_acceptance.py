@@ -367,7 +367,6 @@ def test_criterion_12_deterministic_output(tmp_path):
         "degree": 2,
         "ell_grid": {"min": 1.0, "max": 100.0, "count": 3},
         "precision": "auto",
-        "seed": 7,
     }
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
@@ -376,8 +375,8 @@ def test_criterion_12_deterministic_output(tmp_path):
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
     csv1 = (out1 / "sweep.csv").read_bytes()
     csv2 = (out2 / "sweep.csv").read_bytes()
-    assert csv1 == csv2, "identical config and seed produced different CSV bytes"
+    assert csv1 == csv2, "identical config produced different CSV bytes"
     man1 = (out1 / "manifest.yaml").read_bytes()
     man2 = (out2 / "manifest.yaml").read_bytes()
-    assert man1 == man2, "identical config and seed produced different manifest bytes"
+    assert man1 == man2, "identical config produced different manifest bytes"
     report(12, "deterministic output", f"{len(csv1)} CSV bytes identical, {time.perf_counter()-t0:.2f}s")

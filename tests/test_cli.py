@@ -219,6 +219,10 @@ BAD_CONFIGS = {
     ),
     "gauss_point_eval": ("gauss", {**GAUSS_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, []),
     "optimal_non_gaussian_kernel": ("optimal", {**OPTIMAL_CFG, "kernel": {"family": "exponential"}}, []),
+    "sweep_seed": ("sweep", {**SWEEP_CFG, "seed": 0}, []),
+    "gauss_seed": ("gauss", {**GAUSS_CFG, "seed": 0}, []),
+    "wce_seed": ("wce", {**WCE_CFG, "seed": 0}, []),
+    "check_unisolvent_seed": ("check-unisolvent", {**UNISOLVENT_CFG, "seed": 0}, []),
 }
 
 
@@ -229,6 +233,21 @@ def test_invalid_value_is_config_error(command, cfg, flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [("sweep", SWEEP_CFG), ("gauss", GAUSS_CFG), ("wce", WCE_CFG), ("check-unisolvent", UNISOLVENT_CFG)],
+    ids=["sweep", "gauss", "wce", "check_unisolvent"],
+)
+def test_seed_flag_is_a_usage_error_outside_optimal(command, cfg, tmp_path, capsys):
+    """Only optimal draws random numbers, so only it takes --seed; the
+    other commands exit 2 on it, as on any unknown flag."""
+    path = write_cfg(tmp_path / "c.yaml", cfg)
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--config", path, "--seed", "1"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,cfg", [("sweep", SWEEP_CFG), ("optimal", OPTIMAL_CFG)], ids=["sweep", "optimal"])

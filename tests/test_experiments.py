@@ -60,6 +60,12 @@ def test_sweep_config_validation():
         make_sweep(fit_window="edges")
 
 
+def test_sweep_config_rejects_an_unknown_kernel_family():
+    """The family is checked when the sweep is configured, not on its first row."""
+    with pytest.raises(ConfigError, match="unknown kernel family 'nope'"):
+        make_sweep(kernel_family="nope")
+
+
 def test_sweep_config_normalizes_precision_and_fit_window():
     cfg = make_sweep(precision="96", fit_window=[10, 100])
     assert cfg.precision == 96
@@ -418,3 +424,30 @@ def test_sweep_weights_are_correct_to_their_bits(functional, ell_count):
         with mp.workprec(3 * b + 64):
             for w, ref in zip(r.weights, exact):
                 assert abs(mp.mpf(w) - ref) <= mp.mpf(2) ** (2 - b) * abs(ref), (r.ell, b, mp.nstr(w, 30), mp.nstr(ref, 30))
+
+
+@pytest.mark.parametrize(
+    "functional, dist_at_1e4",
+    [(LEB, 5.0505155613222996e-12), (FunctionalSpec.gaussian_measure(1), 9.1272247573215282e-05)],
+    ids=["box", "normal"],
+)
+def test_phi_weights_above_256_bits_are_those_of_600_bits(functional, dist_at_1e4):
+    """A sweep resolves every row's phi weights through the 256-bit
+    Vandermonde factor of its reference weights.  On 10 Chebyshev nodes the
+    three flattest rows of the 13-point grid in [1, 1e4] solve at 286, 308
+    and 330 bits, and their float64 phi weights are still those of
+    phi_weights at 600 bits; so is the written distance at l = 1e4."""
+    points = PointSet.from_1d(chebyshev(10))
+    grid = make_sweep(points=points, degree=9, ell_max=1e4, ell_count=13).ell_grid
+    factor = cubature.polynomial_weights(functional, points, 9, PrecisionConfig.extended(256))
+    for ell, bits in zip(grid[-3:], (286, 308, 330)):
+        assert linalg.auto_precision_bits(ell, 10) == bits
+        prec = PrecisionConfig.extended(bits)
+        swept = cubature._phi_weights(factor.solve, functional, ell, points, 9, prec).weights
+        exact = cubature.phi_weights(functional, ell, points, 9, PrecisionConfig.extended(600)).weights
+        assert [float(w) for w in swept] == [float(w) for w in exact], ell
+    ref = [float(w) for w in factor.weights]
+    assert max(abs(float(w) - r) for w, r in zip(exact, ref)) == dist_at_1e4
+    cfg = make_sweep(functional=functional, points=points, degree=9, ell_min=1e3, ell_max=1e4, ell_count=2)
+    row = run_sweep(cfg).records[-1]
+    assert row.ell == 1e4 and row.dist_phi_pol == dist_at_1e4

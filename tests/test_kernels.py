@@ -12,7 +12,6 @@ from flatlimit import (
     KernelSpec,
     PointSet,
     PrecisionConfig,
-    SeriesConvergenceError,
     gram_matrix,
     kernel_eval,
     phi_basis_eval,
@@ -38,32 +37,43 @@ def test_gaussian_symmetry_and_bounds(x, y, ell):
     assert 0.0 < v <= 1.0
 
 
+def power_series(coefficient, t, terms=120):
+    """sum_{n < terms} coefficient(n) t^n at 128 bits.  Each closed-form
+    kernel below is such a series in t = x . y / l^q: the Gaussian with
+    its damping exp(-|x|^2/(2 l^2)) exp(-|y|^2/(2 l^2)) and 1/n!, the
+    exponential 1/n!, the Szego 1."""
+    with mp.workprec(128):
+        t = mp.mpf(t)
+        return float(mp.fsum(coefficient(n) * t**n for n in range(terms)))
+
+
+def inverse_factorial(n):
+    return 1 / mp.factorial(n)
+
+
 def test_series_reproduces_gaussian():
-    """Summing the damped power series with factorial weights must agree with
-    the closed-form Gaussian kernel, in any dimension."""
-    k_closed = KernelSpec.gaussian(1.5)
-    k_series = KernelSpec.damped_power_series(1.5, "gaussian", 2.0, lambda a: a.factorial())
+    """The closed-form Gaussian kernel in 2-D agrees with its power series."""
+    ell = 1.5
+    k_closed = KernelSpec.gaussian(ell)
     pts = [(-1.3, 0.4), (0.2, -0.9), (1.8, 1.1)]
     for x in pts:
         for y in pts:
-            assert_allclose(
-                kernel_eval(k_series, x, y), kernel_eval(k_closed, x, y), rtol=0, atol=1e-10
-            )
+            damping = math.exp(-(sum(c * c for c in x) + sum(c * c for c in y)) / (2 * ell * ell))
+            series = damping * power_series(inverse_factorial, sum(a * b for a, b in zip(x, y)) / ell**2)
+            assert_allclose(kernel_eval(k_closed, x, y), series, rtol=0, atol=1e-10)
 
 
 def test_series_reproduces_exponential():
     k_closed = KernelSpec.exponential(2.0)
-    k_series = KernelSpec.damped_power_series(2.0, "none", 1.0, lambda a: a.factorial())
     for x, y in [(0.7, -1.1), (1.5, 1.5), (-0.2, 0.3)]:
-        assert_allclose(kernel_eval(k_series, x, y), kernel_eval(k_closed, x, y), atol=1e-12)
+        assert_allclose(kernel_eval(k_closed, x, y), power_series(inverse_factorial, x * y / 2.0), atol=1e-12)
     assert_allclose(kernel_eval(k_closed, 1.0, 2.0), math.exp(2.0 / 2.0))
 
 
 def test_series_reproduces_szego():
     k_closed = KernelSpec.szego(2.0)
-    k_series = KernelSpec.damped_power_series(2.0, "none", 2.0, lambda a: a.factorial() ** 2)
     for x, y in [(0.9, 1.2), (-1.0, 1.0), (0.0, 3.0)]:
-        assert_allclose(kernel_eval(k_series, x, y), kernel_eval(k_closed, x, y), atol=1e-12)
+        assert_allclose(kernel_eval(k_closed, x, y), power_series(lambda n: 1, x * y / 4.0), atol=1e-12)
     # geometric series: l^2 / (l^2 - xy)
     assert_allclose(kernel_eval(k_closed, 1.0, 2.0), 4.0 / (4.0 - 2.0))
 
@@ -74,59 +84,6 @@ def test_szego_outside_domain_raises():
         kernel_eval(k, 2.0, 2.1)
     with pytest.raises(KernelDomainError):
         kernel_eval(k, 2.0, 2.0)
-
-
-def test_series_divergence_raises():
-    # weights grow like (n!)^3 against a single factorial of damping: terms blow up
-    k = KernelSpec.damped_power_series(
-        1.0, "none", 1.0, lambda a: a.factorial() ** 3, max_degree=60
-    )
-    with pytest.raises(SeriesConvergenceError):
-        kernel_eval(k, 1.0, 1.0)
-
-
-@pytest.mark.parametrize(
-    "x,y,ell",
-    [(9.0, 9.0, 1.0), (45.0, 45.0, 5.0), ((6.0, 6.5), (6.5, 6.0), 1.0)],
-    ids=["9-9", "45-45-l5", "2d"],
-)
-def test_series_term_factors_may_leave_the_float_range(x, y, ell):
-    """The Gaussian kernel's own series at x . y / l^2 = 81 (78 in 2-D):
-    its largest term is about 7e33, but (n!)^2 passes the float64 range
-    from n = 99, and (x y)^n from n = 162 (from n = 94 at l = 5), before
-    the series converges.  The machine lane agrees with the 128-bit lane
-    and the closed form."""
-    k_series = KernelSpec.damped_power_series(ell, "gaussian", 2.0, lambda a: a.factorial())
-    machine = kernel_eval(k_series, x, y)
-    extended = kernel_eval(k_series, x, y, PrecisionConfig.extended(128))
-    closed = kernel_eval(KernelSpec.gaussian(ell), x, y)
-    assert isinstance(machine, float)
-    assert abs(machine - float(extended)) <= 1e-13 * float(extended)
-    assert abs(machine - closed) <= 1e-13 * closed
-
-
-@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "extended"])
-def test_series_past_the_float_range_raises_series_convergence_error(prec):
-    """A divergent series at the default max_degree: the terms n! 0.81^n
-    pass the float64 range from n = 178, which machine precision reports
-    as non-convergence, as the extended lane does at degree 200."""
-    k = KernelSpec.damped_power_series(1.0, "none", 1.0, lambda a: a.factorial() ** 3)
-    with pytest.raises(SeriesConvergenceError):
-        kernel_eval(k, 0.9, 0.9, prec)
-
-
-def test_default_series_cap_follows_the_ratio_test():
-    """The Gaussian kernel's own series at x = y = 300, l = 30 (x y / l^2 =
-    100): its terms 100^n / n! peak near n = 100 and fall below 2^-64 of
-    the sum only past degree 200, where a fixed default cap stopped the
-    128-bit lane.  Where the terms at the cap still decay, the cap now
-    extends once to the ratio test's bound, and the value is the closed
-    form's 1 to 2^-(bits/2) in both lanes."""
-    k = KernelSpec.damped_power_series(30.0, "gaussian", 2.0, lambda a: a.factorial())
-    assert abs(kernel_eval(k, 300.0, 300.0) - 1.0) <= 1e-14
-    for bits in (128, 256):
-        value = kernel_eval(k, 300.0, 300.0, PrecisionConfig.extended(bits))
-        assert abs(value - 1) <= mp.mpf(2) ** (-bits // 2)
 
 
 def test_phi_basis_eval():
@@ -267,5 +224,5 @@ def test_kernel_spec_validation():
         KernelSpec.gaussian(0.0)
     with pytest.raises(ValueError):
         KernelSpec.gaussian(-2.0)
-    with pytest.raises(ValueError):
-        KernelSpec.damped_power_series(1.0, "nope", 2.0, lambda a: 1)
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        KernelSpec("damped_power_series", 1.0)

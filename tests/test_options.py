@@ -1,7 +1,7 @@
 """The inventory of every setting a caller can give: the fields of the
-configuration objects, and the config keys and flags of each CLI command.
-An option added or removed has to edit this file, so the count of
-options shows in review."""
+configuration objects, the config keys and flags of each CLI command,
+and the public names of the package.  An option or a name added or
+removed has to edit this file, so the count of them shows in review."""
 import argparse
 import dataclasses
 import re
@@ -9,21 +9,22 @@ import re
 import pytest
 import yaml
 
+import flatlimit
 from flatlimit import cli
 from flatlimit.core import PrecisionConfig
 from flatlimit.experiments import OptimalStudyConfig, SweepConfig
 from flatlimit.functionals import FunctionalSpec
 from flatlimit.gauss_optimal import OptimizerSettings
-from flatlimit.kernels import DampedSeriesParams
+from flatlimit.kernels import KernelSpec
 
 FIELDS = {
     PrecisionConfig: ("mode", "bits"),
     FunctionalSpec: ("kind", "dimension", "location", "lower", "upper", "density"),
-    DampedSeriesParams: ("damping", "exponent", "weights", "max_degree"),
+    KernelSpec: ("family", "length_scale"),
     OptimizerSettings: ("restarts", "max_evals", "seed", "search_box"),
     SweepConfig: (
         "kernel_family", "functional", "points", "degree", "ell_min", "ell_max", "ell_count",
-        "precision", "fit_window", "seed",
+        "precision", "fit_window",
     ),
     OptimalStudyConfig: (
         "kernel_family", "functional", "n_points", "ell_min", "ell_max", "ell_count",
@@ -31,16 +32,16 @@ FIELDS = {
     ),
 }
 
-# the top-level config keys of each command, precision and seed included
+# the top-level config keys of each command, precision included
 KEYS = {
-    "sweep": {"kernel", "functional", "points", "degree", "ell_grid", "fit_window", "precision", "seed"},
+    "sweep": {"kernel", "functional", "points", "degree", "ell_grid", "fit_window", "precision"},
     "optimal": {
         "kernel", "functional", "n_points", "ell_grid", "fit_window", "optimizer", "experimental_unbounded",
         "precision", "seed",
     },
-    "gauss": {"functional", "n_points", "precision", "seed"},
-    "wce": {"kernel", "functional", "points", "weights", "assume_optimal", "precision", "seed"},
-    "check-unisolvent": {"points", "degree", "precision", "seed"},
+    "gauss": {"functional", "n_points", "precision"},
+    "wce": {"kernel", "functional", "points", "weights", "assume_optimal", "precision"},
+    "check-unisolvent": {"points", "degree", "precision"},
 }
 
 BOX = {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0}
@@ -57,7 +58,33 @@ BLOCKS = {
     ),
 }
 
-FLAGS = {"--config", "--out", "--precision", "--seed"}
+COMMON_FLAGS = {"--config", "--out", "--precision"}
+FLAGS = {**{command: COMMON_FLAGS for command in KEYS}, "optimal": COMMON_FLAGS | {"--seed"}}
+
+PUBLIC = {
+    "__version__",
+    # core
+    "MACHINE", "CubatureRule", "MultiIndex", "MultiIndexSet", "PointSet", "PrecisionConfig",
+    "enumerate_multi_indices", "monomial_eval",
+    # cubature
+    "UnisolvencyReport", "WeightSolution", "WorstCaseReport", "optimal_weights", "phi_weights",
+    "polynomial_weights", "unisolvency_check", "worst_case_error",
+    # errors
+    "ConfigError", "FlatLimitError", "KernelDomainError", "NotUnisolventError", "NumericalInconsistencyError",
+    "NumericallyIndefiniteError", "QuadratureError", "SingularMatrixError",
+    # experiments
+    "OptimalRecord", "OptimalStudyConfig", "OptimalStudyResult", "RateFit", "SweepConfig", "SweepRecord",
+    "SweepResult", "fit_rate", "run_optimal_study", "run_sweep",
+    # functionals
+    "FunctionalSpec", "apply_functional", "damped_moment", "double_embedding", "kernel_embedding", "moment",
+    # gauss_optimal
+    "GaussRule", "OptimizationTrace", "OptimizerSettings", "chebyshev_system_zero_count",
+    "gauss_rule_from_moments", "optimize_points",
+    # kernels
+    "KernelSpec", "gram_matrix", "kernel_eval", "phi_basis_eval",
+    # linalg
+    "SolveResult", "auto_precision_bits", "condition_estimate", "solve_general", "solve_spd",
+}
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
@@ -97,4 +124,9 @@ def test_command_flags():
     assert set(commands.choices) == set(KEYS)
     for name, sub in commands.choices.items():
         flags = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
-        assert flags == FLAGS, name
+        assert flags == FLAGS[name], name
+
+
+def test_public_names():
+    assert len(flatlimit.__all__) == len(PUBLIC) and set(flatlimit.__all__) == PUBLIC
+    assert all(hasattr(flatlimit, name) for name in PUBLIC)
