@@ -3,11 +3,12 @@ interactions with kernels: moments, damped moments, kernel embeddings.
 
 Four kinds are supported: point evaluation, integration over a bounded box,
 integration against the standard Gaussian measure, and a user-supplied
-density on a box ("numeric oracle", evaluated only by adaptive quadrature).
+density on a box ("numeric oracle", evaluated only by quadrature).
 Closed forms are used wherever available, including the damped moments
-and the double embedding of a box; everything else goes through adaptive
-quadrature (:func:`quad1d`) to a fixed relative tolerance: 1e-10 at
-machine precision and for the numeric oracle, 2^-(bits // 2) otherwise.
+and the double embedding of a box; everything else goes through tanh-sinh
+quadrature in both lanes (:func:`quad1d`) to a fixed relative tolerance:
+1e-10 at machine precision and for the numeric oracle, 2^-(bits // 2)
+otherwise.
 """
 from __future__ import annotations
 
@@ -49,10 +50,10 @@ class FunctionalSpec:
     kind "gaussian_measure": L[f] = integral of f against N(0, I_d)
     kind "numeric_oracle":   L[f] = integral of f * density over [lower, upper]
 
-    The numeric oracle is integrated to a relative 1e-10 in both lanes;
-    its standing assumptions (continuity, integrability of the density)
-    cannot be checked mechanically, which :attr:`assumptions_checked`
-    reports.
+    The numeric oracle is integrated by tanh-sinh quadrature to a
+    relative 1e-10 in both lanes; its standing assumptions (a density
+    smooth inside the box, a finite integral) cannot be checked
+    mechanically, which :attr:`assumptions_checked` reports.
     """
 
     kind: str
@@ -137,48 +138,27 @@ def quad1d(
     prec: PrecisionConfig = MACHINE,
     rel_tol: float = 1e-10,
 ) -> Real:
-    """Adaptive integral of f over (a, b) to a relative ``rel_tol``; the
-    endpoints may be infinite.
-
-    Machine mode uses QUADPACK with at most 200 subintervals, extended
-    mode tanh-sinh quadrature at the working precision.  Raises
-    QuadratureError when the error estimate stays above the tolerance.
-    """
-    if prec.is_extended:
-        with prec.workprec():
-            lo = mp.mpf(a) if math.isfinite(a) else mp.inf * (1 if a > 0 else -1)
-            hi = mp.mpf(b) if math.isfinite(b) else mp.inf * (1 if b > 0 else -1)
-            val, err = mp.quad(f, [lo, hi], error=True)
-            bound = mp.mpf(rel_tol) * max(mp.mpf(1), abs(val))
-            if not err <= bound:
-                raise QuadratureError(
-                    f"tanh-sinh error estimate {mp.nstr(err, 8)} above tolerance {mp.nstr(bound, 8)}"
-                )
-            return val
-    import scipy.integrate  # deferred: only the machine lane needs QUADPACK
-
-    out = scipy.integrate.quad(f, a, b, epsabs=1e-14, epsrel=rel_tol, limit=200, full_output=1)
-    val_f, err_f = out[0], out[1]
-    # QUADPACK warning messages are advisory; what matters is whether the
-    # reported error estimate meets the tolerance
-    if not err_f <= 10 * max(1e-14, rel_tol * abs(val_f)):
-        detail = f": {out[3]}" if len(out) > 3 else ""
-        raise QuadratureError(f"quadrature error estimate {err_f:.3e} above tolerance{detail}")
-    return val_f
-
-
-def _quad2d(f, ax, bx, ay, by, prec, rel_tol) -> Real:
-    """Nested 1-D adaptive quadrature over a (possibly unbounded) rectangle."""
-    inner_tol = rel_tol / 10
-
-    def outer(x):
-        return quad1d(lambda y: f(x, y), ay, by, prec, inner_tol)
-
-    return quad1d(outer, ax, bx, prec, rel_tol)
-
-
-def _gauss_weight_1d(t: Real) -> Real:
-    return rexp(-t * t / 2) / rsqrt(2 * rpi(t))
+    """The integral of f over (a, b), whose endpoints may be infinite, by
+    tanh-sinh quadrature at the lane's bits: 53 in machine mode, where f
+    receives floats and the value returns as a float.  Raises
+    QuadratureError when the error estimate is above
+    10 max(1e-14, rel_tol |v|) in machine mode, rel_tol max(1, |v|) in
+    extended mode, as it is on a kink, a jump or a divergent integral."""
+    with mp.workprec(prec.bits):
+        g = f if prec.is_extended else lambda t: f(float(t))
+        val, err = mp.quad(g, [mp.mpf(a), mp.mpf(b)], error=True)
+        if prec.is_extended:
+            bound = rel_tol * max(1, abs(val))
+        else:
+            val, err = float(val), float(err)
+            bound = 10 * max(1e-14, rel_tol * abs(val))
+        if not err <= bound:
+            raise QuadratureError(
+                f"tanh-sinh error estimate {mp.nstr(mp.mpf(err), 4)} above {mp.nstr(mp.mpf(bound), 4)} on ({a}, {b}):"
+                " the integrand must be smooth inside the interval and its integral finite; split the"
+                " interval at a kink or jump, or integrate a singularity in closed form"
+            )
+        return val
 
 
 _SERIES_GUARD_BITS = 16
@@ -326,6 +306,16 @@ def _box_exponential_double_embedding(a: float, b: float, length_scale: float, b
     return _cancelling_sum(summands, bits)
 
 
+def _check_szego_bounded(L: FunctionalSpec, spec: KernelSpec) -> None:
+    """The Szego kernel needs |x y| < l^2, a domain that a functional on
+    an unbounded support leaves."""
+    if spec.family == "szego" and not L.is_bounded:
+        raise KernelDomainError(
+            f"szego kernel needs |x*y| < l^2, which {L.label()} leaves on its unbounded support;"
+            " integrate over a box inside |x| < l instead"
+        )
+
+
 def _check_szego_box(L: FunctionalSpec, spec: KernelSpec, y: float) -> None:
     """The Szego kernel on the box [a, b] against a point y needs
     |x y| < l^2 for every x in the box, as :func:`kernels.kernel_eval` does."""
@@ -351,46 +341,36 @@ def _box_szego_double_embedding(a: float, b: float, length_scale: float, bits: i
 
 
 def apply_functional(L: FunctionalSpec, f: Callable, prec: PrecisionConfig = MACHINE) -> Real:
-    """L[f] by direct evaluation (point_eval) or adaptive quadrature
+    """L[f] by direct evaluation (point_eval) or tanh-sinh quadrature
     (:func:`quad1d`) to a relative 1e-10 at machine precision and for the
     numeric oracle, 2^-(bits // 2) otherwise.
 
     ``f`` receives a bare scalar in one dimension and a coordinate tuple
-    otherwise, matching CubatureRule.apply.  Quadrature supports d <= 2;
-    higher-dimensional functionals only expose their closed-form operations.
+    otherwise, matching CubatureRule.apply.  Quadrature supports d <= 2,
+    in two dimensions as nested 1-D quadratures, the inner ones to a tenth
+    of the tolerance; higher-dimensional functionals only expose their
+    closed-form operations.
     """
     with prec.workprec():
         if L.kind == "point_eval":
             x0 = prec.to_point(L.location)
             return f(x0[0]) if L.dimension == 1 else f(x0)
+        if L.dimension > 2:
+            raise ValueError(f"quadrature supports dimension <= 2, got {L.dimension}")
         tol = 1e-10 if L.kind == "numeric_oracle" or not prec.is_extended else 2.0 ** (-(prec.bits // 2))
-        if L.kind == "lebesgue_box":
-            lo, hi = L.lower, L.upper
-            weight = None
-        elif L.kind == "gaussian_measure":
-            lo = (-math.inf,) * L.dimension
-            hi = (math.inf,) * L.dimension
-            weight = _gauss_weight_1d
-        else:
-            lo, hi = L.lower, L.upper
-            weight = None
+        box = [(-math.inf, math.inf)] * L.dimension if L.kind == "gaussian_measure" else list(zip(L.lower, L.upper))
+        # the normal density c exp(-|t|^2 / 2), its constant (2 pi)^(-d/2) formed once
+        c = (2 * rpi(prec.to_real(1))) ** (-prec.to_real(L.dimension) / 2)
+
+        def g(*t):
+            x = t[0] if L.dimension == 1 else t
+            value = f(x) * L.density(x) if L.kind == "numeric_oracle" else f(x)
+            return value * (c * rexp(-sq_norm(t) / 2)) if L.kind == "gaussian_measure" else value
+
         if L.dimension == 1:
-            if L.kind == "numeric_oracle":
-                g = lambda t: f(t) * L.density(t)
-            elif weight is None:
-                g = f
-            else:
-                g = lambda t: f(t) * weight(t)
-            return quad1d(g, lo[0], hi[0], prec, tol)
-        if L.dimension == 2:
-            if L.kind == "numeric_oracle":
-                g2 = lambda s, t: f((s, t)) * L.density((s, t))
-            elif weight is None:
-                g2 = lambda s, t: f((s, t))
-            else:
-                g2 = lambda s, t: f((s, t)) * weight(s) * weight(t)
-            return _quad2d(g2, lo[0], hi[0], lo[1], hi[1], prec, tol)
-        raise ValueError(f"adaptive quadrature supports dimension <= 2, got {L.dimension}")
+            return quad1d(g, *box[0], prec, tol)
+        (ax, bx), (ay, by) = box
+        return quad1d(lambda x: quad1d(lambda y: g(x, y), ay, by, prec, tol / 10), ax, bx, prec, tol)
 
 
 def moment(L: FunctionalSpec, alpha: MultiIndex, prec: PrecisionConfig = MACHINE) -> Real:
@@ -491,6 +471,7 @@ def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: Precision
         for xv in xs:
             if len(xv) != L.dimension:
                 raise ValueError(f"point dimension {len(xv)} != functional dimension {L.dimension}")
+        _check_szego_bounded(L, spec)
         ell = prec.to_real(spec.length_scale)
         if spec.family == "gaussian" and L.kind == "gaussian_measure":
             c = (ell * ell / (1 + ell * ell)) ** (prec.to_real(L.dimension) / 2)
@@ -507,6 +488,8 @@ def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: Precision
                     z = z * scale * (rerf((b - xi) / s) - rerf((a - xi) / s))
                 out.append(z)
             return out
+        if spec.family == "exponential" and L.kind == "gaussian_measure" and L.dimension == 1:
+            return [rexp(y * y / (2 * ell * ell)) for (y,) in xs]
         if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
             return [br - ar if y == 0 else ell * rexp(ar * y / ell) * rexpm1((br - ar) * y / ell) / y for (y,) in xs]
         if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
@@ -527,9 +510,11 @@ def kernel_embedding(
 
     Closed forms cover point evaluation (a kernel value), the Gaussian
     kernel against the Gaussian measure or a box, the exponential kernel
-    on a box, l e^(a x / l) expm1((b - a) x / l) / x, and the Szego kernel
-    on a box, (l^2 / x) log1p((b - a) x / (l^2 - b x)) (both b - a at
-    x = 0); other combinations use adaptive quadrature.
+    under N(0, 1), exp(x^2 / (2 l^2)), and on a box,
+    l e^(a x / l) expm1((b - a) x / l) / x, and the Szego kernel on a box,
+    (l^2 / x) log1p((b - a) x / (l^2 - b x)) (both b - a at x = 0).  The
+    Szego kernel under the Gaussian measure raises KernelDomainError;
+    other combinations use tanh-sinh quadrature.
     """
     return _row_embeddings(L, spec, [x], prec)[0]
 
@@ -545,12 +530,15 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
     :func:`_box_double_embedding`).  The exponential and Szego kernels on
     an interval have the closed forms of
     :func:`_box_exponential_double_embedding` and
-    :func:`_box_szego_double_embedding`.  Everything else integrates the
-    embedding function.
+    :func:`_box_szego_double_embedding`; the exponential kernel under
+    N(0, 1) has (1 - l^-2)^(-1/2), formed as l / sqrt((l - 1)(l + 1)), and
+    raises KernelDomainError for l <= 1, where it diverges.  Everything
+    else integrates the embedding function.
     """
     with prec.workprec():
         if L.kind == "point_eval":
             return kernel_eval(spec, L.location, L.location, prec)
+        _check_szego_bounded(L, spec)
         ell = prec.to_real(spec.length_scale)
         if spec.family == "gaussian" and L.kind == "gaussian_measure":
             v = ell * ell / (2 + ell * ell)
@@ -560,6 +548,13 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
             for a, b in zip(L.lower, L.upper):
                 out = out * prec.to_real(_box_double_embedding(a, b, spec.length_scale, prec.bits))
             return out
+        if spec.family == "exponential" and L.kind == "gaussian_measure" and L.dimension == 1:
+            if spec.length_scale <= 1:
+                raise KernelDomainError(
+                    f"exponential kernel under {L.label()} needs l > 1, got l={spec.length_scale!r}:"
+                    " the double embedding E[exp(x y / l)] = (1 - l^-2)^(-1/2) diverges for l <= 1"
+                )
+            return ell / rsqrt((ell - 1) * (ell + 1))
         if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
             a, b = L.lower[0], L.upper[0]
             return prec.to_real(_box_exponential_double_embedding(a, b, spec.length_scale, prec.bits))

@@ -356,7 +356,7 @@ class _BasisResidual:
     Tail bound: sum_{k >= M} phi_k(x)^2 = P(M, x^2 / l^2) is at most
     t_M = :func:`_gamma_tail` (M, R^2 / l^2) on the search box |x| <= R.
     By Cauchy-Schwarz sum_{k >= M} c_k^2 is at most m^2 t_M for a box or a
-    numeric oracle of total variation m, and under the Gaussian measure,
+    numeric oracle of total variation at most m, and under the Gaussian measure,
     where c_k^2 <= v (1 + l^2)^-k with v = l^2 / (1 + l^2), at most
     v q^ceil(M / 2) / (1 - q) with q = (1 + l^2)^-2.  So the rows k >= M
     add at most (sqrt(sum_{k >= M} c_k^2) + ||w||_1 sqrt(t_M))^2 to the
@@ -382,7 +382,9 @@ class _BasisResidual:
         elif L.kind == "lebesgue_box":
             self.mass = L.upper[0] - L.lower[0]
         else:
-            self.mass = float(quad1d(lambda t: abs(L.density(t)), L.lower[0], L.upper[0]))
+            # int |rho| <= sqrt((b - a) int rho^2), whose integrand stays smooth where rho changes sign
+            a, b = L.lower[0], L.upper[0]
+            self.mass = math.sqrt((b - a) * float(quad1d(lambda t: L.density(t) ** 2, a, b)))
         self.c: list = []
         self._grow(2 * n_points + 2)
 

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -123,6 +124,19 @@ def test_wce_command(tmp_path, capsys):
     path = write_cfg(tmp_path / "w.yaml", cfg)
     assert main(["wce", "--config", path]) == 0
     assert "wce" in capsys.readouterr().out
+
+
+def test_wce_of_the_exponential_kernel_under_the_gaussian_measure(tmp_path, capsys):
+    """At precision: machine the exponential kernel under N(0, 1) takes
+    its closed forms, and at l <= 1, where its double embedding diverges,
+    the command fails as a numerical error (exit 3) that says so."""
+    cfg = {**WCE_CFG, "functional": {"kind": "gaussian_measure"}, "precision": "machine"}
+    path = write_cfg(tmp_path / "w.yaml", {**cfg, "kernel": {"family": "exponential", "length_scale": 2.0}})
+    assert main(["wce", "--config", path]) == 0
+    assert "wce" in capsys.readouterr().out
+    path = write_cfg(tmp_path / "w1.yaml", {**cfg, "kernel": {"family": "exponential", "length_scale": 1.0}})
+    assert main(["wce", "--config", path]) == 3
+    assert "needs l > 1" in capsys.readouterr().err
 
 
 def test_check_unisolvent_exit_codes(tmp_path):
@@ -438,12 +452,27 @@ def test_optimal_study_at_machine_precision_matches_the_golden(tmp_path):
         assert abs(wce - ref) <= 1e-14 * ref, got["ell"]
 
 
+def test_no_library_module_imports_numpy_or_scipy():
+    """Every module under src/flatlimit/ parses without an import of numpy
+    or scipy, deferred imports inside functions included."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "flatlimit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] in ("numpy", "scipy")]
+    assert found == []
+
+
 def test_shipped_configs_run_without_importing_numpy_or_scipy(tmp_path):
     """The four configs under configs/ run through flatlimit.cli in one
     fresh interpreter that never imports numpy or scipy: the library
-    computes on floats, mpf and mp.matrix, and scipy serves only the
-    machine lane's adaptive quadrature (QUADPACK), which no closed-form
-    functional of these configs reaches."""
+    computes on floats and mpf, and integrates with mpmath's tanh-sinh
+    quadrature in both lanes."""
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent(f"""
         import sys
@@ -464,8 +493,10 @@ def test_wce_of_given_weights_at_machine_precision_imports_no_numpy_or_scipy(tmp
     """flatlimit wce with explicit weights at precision: machine reads the
     Gram condition at the first pass's 2 bits + 32, in mpmath, and prints
     the condition of the weight solve; flatlimit check-unisolvent at its
-    default precision: machine solves in mpmath at 53 + 10 bits.  Neither
-    imports a numpy or a scipy module."""
+    default precision: machine solves in mpmath at 53 + 10 bits; and
+    apply_functional at machine precision integrates over a box and
+    against a numeric oracle by tanh-sinh quadrature at 53 bits.  None of
+    them imports a numpy or a scipy module."""
     root = Path(__file__).resolve().parent.parent
     cfg = {
         **WCE_CFG,
@@ -478,6 +509,10 @@ def test_wce_of_given_weights_at_machine_precision_imports_no_numpy_or_scipy(tmp
         from flatlimit.cli import main
         assert main(["wce", "--config", {write_cfg(tmp_path / "w.yaml", cfg)!r}]) == 0
         assert main(["check-unisolvent", "--config", {write_cfg(tmp_path / "u.yaml", UNISOLVENT_CFG)!r}]) == 0
+        from flatlimit import FunctionalSpec, apply_functional
+        assert abs(apply_functional(FunctionalSpec.lebesgue_box(-1.0, 1.0), lambda t: t * t) - 2 / 3) < 1e-15
+        oracle = FunctionalSpec.numeric_oracle(lambda t: t * t, 0.0, 1.0)
+        assert abs(apply_functional(oracle, lambda t: 1.0) - 1 / 3) < 1e-15
         print(sorted(m for m in sys.modules if m.startswith(("numpy", "scipy"))))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -285,6 +285,30 @@ def test_exponential_kernel_sweep_writes_correct_digits():
             assert abs(mp.mpf(r.wce) - ref) <= mp.mpf(2) ** (8 - r.precision_bits) * ref, (r.ell, float(r.wce), float(ref))
 
 
+def test_exponential_kernel_sweep_under_the_gaussian_measure():
+    """The exponential kernel exp(x y / l) under N(0, 1) with nodes
+    {-1, 0, 1} at l = 2, 6.3 and 20: every row runs, its wce matches a
+    600-bit Gram form from z(y) = exp(y^2 / (2 l^2)) and
+    LL[K] = (1 - l^-2)^(-1/2) to a relative 2^-(bits - 8), and the weights
+    approach (1/2, 0, 1/2)."""
+    nodes = [-1.0, 0.0, 1.0]
+    result = run_sweep(make_sweep(
+        kernel_family="exponential", functional=FunctionalSpec.gaussian_measure(1), ell_min=2.0, ell_max=20.0,
+        ell_count=3,
+    ))
+    assert not result.failures and len(result.records) == 3
+    deviations = []
+    for r in result.records:
+        with mp.workprec(600):
+            ell, x, w = mp.mpf(r.ell), [mp.mpf(v) for v in nodes], [mp.mpf(v) for v in r.weights]
+            z = [mp.exp(y * y / (2 * ell * ell)) for y in x]
+            quad = mp.fsum(wi * wj * mp.exp(xi * xj / ell) for wi, xi in zip(w, x) for wj, xj in zip(w, x))
+            ref = mp.sqrt(1 / mp.sqrt(1 - 1 / ell**2) - 2 * mp.fsum(wi * zi for wi, zi in zip(w, z)) + quad)
+            assert abs(mp.mpf(r.wce) - ref) <= mp.mpf(2) ** (8 - r.precision_bits) * ref, (r.ell, float(r.wce), float(ref))
+        deviations.append(max(abs(float(wi) - t) for wi, t in zip(r.weights, (0.5, 0.0, 0.5))))
+    assert deviations == sorted(deviations, reverse=True) and deviations[-1] < 1e-3
+
+
 def test_two_dimensional_gaussian_measure_sweep_down_to_small_length_scales():
     """Under N(0, I) in 2-D down to ell = 0.3 no row is lost."""
     result = run_sweep(make_sweep(

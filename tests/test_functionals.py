@@ -9,13 +9,14 @@ from flatlimit import (
     KernelSpec,
     MultiIndex,
     PrecisionConfig,
+    QuadratureError,
     damped_moment,
     double_embedding,
     kernel_embedding,
     moment,
     phi_basis_eval,
 )
-from flatlimit.functionals import apply_functional
+from flatlimit.functionals import apply_functional, quad1d
 
 
 def test_point_eval_applies_at_location():
@@ -274,6 +275,71 @@ def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
                     assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
         with pytest.raises(KernelDomainError):
             kernel_embedding(L, spec, ell * ell / R, PrecisionConfig.extended(64))
+
+
+@pytest.mark.parametrize("ell", [1.5, 10.0])
+def test_exponential_closed_forms_under_the_gaussian_measure_match_224_bit_quadrature(ell):
+    """The exponential kernel's embedding exp(y^2 / (2 l^2)) and double
+    embedding (1 - l^-2)^(-1/2) under N(0, 1) against tanh-sinh
+    quadrature of the combined exponents at 224 bits: to a relative 2^-50
+    at machine precision and 2^-(bits - 8) at 64 and 200 bits."""
+    from mpmath import mp
+
+    spec, L = KernelSpec.exponential(ell), FunctionalSpec.gaussian_measure(1)
+    ys = [-1.0, 0.7, 3.0]
+    with mp.workprec(224):
+        l, c, line = mp.mpf(ell), 1 / mp.sqrt(2 * mp.pi), [-mp.inf, mp.inf]
+        z_refs = [c * mp.quad(lambda t: mp.exp(t * mp.mpf(y) / l - t * t / 2), line) for y in ys]
+        ll_ref = c * mp.quad(lambda y: mp.exp(y * y / (2 * l * l) - y * y / 2), line)
+    for prec, tol in ((PrecisionConfig.machine(), 2.0**-50), (PrecisionConfig.extended(64), 2.0**-56),
+                      (PrecisionConfig.extended(200), 2.0**-192)):
+        values = [kernel_embedding(L, spec, y, prec) for y in ys] + [double_embedding(L, spec, prec)]
+        with mp.workprec(224):
+            for value, ref in zip(values, z_refs + [ll_ref]):
+                assert abs(mp.mpf(value) - ref) <= tol * ref, (prec, value)
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(64)], ids=["machine", "64"])
+def test_exponential_double_embedding_under_the_gaussian_measure_needs_l_above_1(prec):
+    """E[exp(x y / l)] over x, y ~ N(0, 1) diverges for l <= 1."""
+    L = FunctionalSpec.gaussian_measure(1)
+    for ell in (0.5, 1.0):
+        with pytest.raises(KernelDomainError, match="needs l > 1"):
+            double_embedding(L, KernelSpec.exponential(ell), prec)
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(64)], ids=["machine", "64"])
+def test_szego_kernel_under_the_gaussian_measure_leaves_its_domain(prec):
+    """The Szego kernel needs |x y| < l^2, which the Gaussian measure's
+    unbounded support leaves: its embedding, even at y = 0, and its
+    double embedding raise KernelDomainError before any quadrature."""
+    L, spec = FunctionalSpec.gaussian_measure(1), KernelSpec.szego(10.0)
+    for y in (0.0, 0.5):
+        with pytest.raises(KernelDomainError, match="unbounded support"):
+            kernel_embedding(L, spec, y, prec)
+    with pytest.raises(KernelDomainError, match="unbounded support"):
+        double_embedding(L, spec, prec)
+
+
+@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "128"])
+@pytest.mark.parametrize(
+    "f, a, b", [(lambda t: 1 / t, 0.0, 1.0), (lambda t: abs(t - 0.3), -1.0, 1.0)], ids=["pole", "kink"]
+)
+def test_quadrature_error_on_a_divergent_or_kinked_integrand(f, a, b, prec):
+    """tanh-sinh converges fast only on an integrand smooth inside the
+    interval: on 1/t over (0, 1) and |t - 0.3| over (-1, 1) its error
+    estimate stays above the tolerance in both lanes, and the error says
+    what to do."""
+    with pytest.raises(QuadratureError, match="must be smooth inside the interval and its integral finite"):
+        quad1d(f, a, b, prec)
+
+
+def test_two_dimensional_quadrature_checks_the_inner_axis():
+    """A kink along the inner axis raises QuadratureError: the inner
+    integrals are quadratures of their own, each held to its tolerance."""
+    L = FunctionalSpec.lebesgue_box((-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(QuadratureError):
+        apply_functional(L, lambda p: abs(p[1] - 0.3))
 
 
 def pointwise_embedding(L, spec, xv, prec):

@@ -446,6 +446,18 @@ def test_float64_search_on_a_numeric_oracle_matches_the_box():
     assert max(abs(p[0] - q[0]) for p, q in zip(rule.points, box_rule.points)) <= 1e-6
 
 
+def test_numeric_oracle_mass_bound_is_a_smooth_integral_for_a_signed_density():
+    """The tail bound needs the total variation int |rho| only from above,
+    and sqrt((b - a) int rho^2) gives it without the kink |rho| has where
+    rho changes sign, which tanh-sinh quadrature rejects: with
+    rho = t + 1/4 on [-1, 1] it is sqrt(19/12) >= int |rho| = 17/16."""
+    oracle = FunctionalSpec.numeric_oracle(lambda t: t + 0.25, -1.0, 1.0)
+    residual = gauss_optimal._BasisResidual(
+        KernelSpec.gaussian(2.0), oracle, 2, (-1.0, 1.0), PrecisionConfig.machine(), "float64"
+    )
+    assert abs(residual.mass - math.sqrt(19 / 12)) <= 1e-15
+
+
 def test_float64_study_makes_one_gram_solve_per_length_scale(monkeypatch):
     """On the float64 side the search solves no Gram system; only the
     winning nodes are re-solved, once per length scale."""
