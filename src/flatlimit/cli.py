@@ -41,7 +41,7 @@ from .experiments import (
 )
 from .functionals import FunctionalSpec
 from .gauss_optimal import OptimizerSettings, _check_nodes, gauss_rule_from_moments
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_dimension
 from .linalg import auto_precision_bits
 
 
@@ -132,14 +132,8 @@ def _kernel(d, need_length_scale: bool) -> KernelSpec:
 def _optimizer(d) -> OptimizerSettings:
     if d is None:
         return OptimizerSettings()
-    kwargs = dict(_keys(d, "optimizer", (), ("restarts", "max_evals", "seed", "search_box")))
-    for key in ("restarts", "max_evals", "seed"):
-        if key in kwargs:
-            kwargs[key] = _int(kwargs[key])
-    if kwargs.get("search_box") is not None:
-        lo, hi = _list(kwargs["search_box"], "search_box")
-        kwargs["search_box"] = (float(lo), float(hi))
-    return OptimizerSettings(**kwargs)
+    keys = _keys(d, "optimizer", (), ("restarts", "max_evals", "seed"))
+    return OptimizerSettings(**{key: _int(value) for key, value in keys.items()})
 
 
 def _study_fields(raw: dict) -> dict:
@@ -209,7 +203,6 @@ def _parse_optimal(raw: dict) -> OptimalStudyConfig:
     return OptimalStudyConfig(
         n_points=_int(raw["n_points"]),
         optimizer=optimizer,
-        allow_unbounded=_bool(raw.get("experimental_unbounded", False)),
         **_study_fields(raw),
     )
 
@@ -251,6 +244,7 @@ def _parse_wce(raw: dict):
     L = _functional(raw["functional"])
     points = PointSet.from_points(_list(raw["points"], "points"))
     _check_dims(L, points)
+    _check_dimension(kspec.family, points.dimension)
     prec = _precision_for(raw.get("precision", "auto"), auto_precision_bits(kspec.length_scale, len(points)))
     if raw.get("weights") is None:
         return kspec, L, points, None, True, prec  # the optimal weights
@@ -298,7 +292,7 @@ _COMMANDS = {
     "optimal": (
         "node optimization study",
         ("kernel", "functional", "n_points", "ell_grid"),
-        ("fit_window", "optimizer", "experimental_unbounded", "seed"),
+        ("fit_window", "optimizer", "seed"),
         _parse_optimal,
         _run_optimal,
     ),

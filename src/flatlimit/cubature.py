@@ -114,8 +114,7 @@ class WorstCaseReport:
     """Worst-case error of a rule and the three terms it is assembled from.
 
     ``radicand`` is LL[K] - 2 cross_term + quadratic_form before the square
-    root; ``simplified_radicand`` is LL[K] - cross_term and only present
-    when the weights were asserted optimal.
+    root.
     """
 
     wce: Real
@@ -124,7 +123,6 @@ class WorstCaseReport:
     cross_term: Real
     radicand: Real
     condition: float
-    simplified_radicand: Optional[Real] = None
 
 
 def _check_dims(L: FunctionalSpec, points: PointSet) -> None:
@@ -265,7 +263,6 @@ def worst_case_error(
                 f"squared worst-case error {float(radicand):.3e} is negative beyond the "
                 f"roundoff budget {float(budget):.3e} at {prec.bits} bits; increase the precision"
             )
-        simplified = None
         if assume_optimal:
             simplified = llk - cross
             if abs(simplified - radicand) > budget:
@@ -283,7 +280,6 @@ def worst_case_error(
             cross_term=prec.to_real(cross),
             radicand=prec.to_real(radicand),
             condition=cond,
-            simplified_radicand=None if simplified is None else prec.to_real(simplified),
         )
 
 

@@ -43,7 +43,7 @@ from .gauss_optimal import (
     gauss_rule_from_moments,
     optimize_points,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_dimension
 from .linalg import auto_precision_bits
 
 _REFERENCE_BITS = 256
@@ -141,6 +141,7 @@ class SweepConfig(_LengthScaleGrid):
         _config_check(KernelSpec, self.kernel_family, 1.0)  # the family, checked at length scale 1
         _normalize_study_fields(self)
         _config_check(_check_dims, self.functional, self.points)
+        _config_check(_check_dimension, self.kernel_family, self.points.dimension)
         _config_check(_monomials, self.points, self.degree)
 
 
@@ -298,22 +299,11 @@ class OptimalStudyConfig(_LengthScaleGrid):
     precision: Union[str, int] = "auto"
     fit_window: Union[str, tuple[float, float]] = "middle"
     optimizer: OptimizerSettings = OptimizerSettings()
-    allow_unbounded: bool = False
-
-    @property
-    def seed(self) -> int:
-        """The study's seed, which is the optimizer's: the manifest writes it."""
-        return self.optimizer.seed
 
     def __post_init__(self) -> None:
         _config_check(_check_nodes, self.functional, self.n_points)
         _config_check(_check_kernel, self.kernel_family)
         _normalize_study_fields(self)
-        if not self.functional.is_bounded and not self.allow_unbounded:
-            raise ConfigError(
-                "node optimization on an unbounded domain is experimental; "
-                "set allow_unbounded (config key 'experimental_unbounded') to run it"
-            )
 
 
 @dataclass(frozen=True)
@@ -361,12 +351,11 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
             rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, cfg.optimizer, _gauss=gauss)
             xs = tuple(p[0] for p in rule.points)
             ws = rule.weights_float()
-            wce = trace.entries[-1].wce
             nd = max(abs(a - b) for a, b in zip(xs, gauss.nodes))
             wd = max(abs(a - b) for a, b in zip(ws, gauss.weights))
             records.append(
                 OptimalRecord(
-                    float(ell), xs, ws, float(wce), nd, wd, trace.converged, prec.bits,
+                    float(ell), xs, ws, trace.wce, nd, wd, trace.converged, prec.bits,
                     tuple(trace.restart_summaries), trace.search,
                 )
             )
@@ -375,10 +364,7 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
         except FlatLimitError as e:
             failures.append((float(ell), f"{type(e).__name__}: {e}"))
     rate = fit_rate([r.ell for r in records], [r.wce for r in records], cfg.fit_window)
-    notes = []
-    if not cfg.functional.is_bounded:
-        notes.append("unbounded-domain node optimization is experimental")
-    return OptimalStudyResult(cfg, records, rate, failures, gauss, notes)
+    return OptimalStudyResult(cfg, records, rate, failures, gauss)
 
 
 def format_real(value, bits: int) -> str:
@@ -452,7 +438,7 @@ def _manifest(command: str, result, raw_config: dict, details: dict) -> dict:
         "tool": f"flatlimit {__version__}",
         "command": command,
         "config_sha256": config_digest(raw_config),
-        **({"seed": cfg.seed} if command == "optimal" else {}),  # only a study draws random numbers
+        **({"seed": cfg.optimizer.seed} if command == "optimal" else {}),  # only a study draws random numbers
         "functional": cfg.functional.label(),
         "kernel_family": cfg.kernel_family,
         "precision_policy": str(cfg.precision),

@@ -10,19 +10,21 @@ linear, so variable projection eliminates them: what is left is the
 least-squares residual of the kernel's orthonormal basis in the nodes
 alone (:class:`_BasisResidual`), which a bounded Levenberg-Marquardt
 search (:func:`_levenberg_marquardt`) minimizes on Python lists of one
-scalar type, float or mpf, in one code path.  The search runs in float64
-while 2 N log2(l / R) <= 40, and otherwise in mpmath at the
-optimizer's own bits (:func:`_search_lane`), whatever the output
-precision; the winning nodes are re-solved once by
-:func:`cubature.optimal_weights` for the written weights, and
-:func:`cubature.worst_case_error` gives the written wce.
+scalar type, float or mpf, in one code path.  It searches the
+functional's interval, or (-10, 10) under the Gaussian measure.  The
+search runs in float64 while 2 N log2(l / R) <= 40, and otherwise in
+mpmath at the optimizer's own bits (:func:`_search_lane`), whatever the
+output precision.  Each restart keeps only its last accepted nodes; the
+winner's are re-solved once by :func:`cubature.optimal_weights` for the
+written weights, and :func:`cubature.worst_case_error` gives the written
+wce.
 """
 from __future__ import annotations
 
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from typing import Optional
@@ -171,47 +173,32 @@ def gauss_rule_from_moments(
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Settings for the point optimizer.
-
-    ``search_box`` is required for functionals on unbounded domains, where
-    node optimization is experimental; bounded functionals use their own
-    box.
-    """
+    """Settings for the point optimizer: the random restarts after the
+    Gauss start, the residual evaluations each restart may make, and the
+    seed of the restarts' starting nodes."""
 
     restarts: int = 8
     max_evals: int = 10000
     seed: int = 0
-    search_box: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         if self.max_evals < 10:
             raise ValueError("max_evals must be at least 10")
-        if self.search_box is not None:
-            a, b = self.search_box
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise ValueError("search_box must be a finite interval")
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    points: tuple[float, ...]
-    weights: tuple[float, ...]
-    wce: float
 
 
 @dataclass
 class OptimizationTrace:
-    """Accepted-improvement history of the winning restart (worst-case
-    error non-increasing along entries) plus per-restart summaries, and
-    the arithmetic the search ran in ("float64" or "extended", see
-    :func:`_search_lane`)."""
+    """The result of a node search: the wce of the returned rule, whether
+    the winning restart converged, the arithmetic the search ran in
+    ("float64" or "extended", see :func:`_search_lane`) and one summary
+    per restart."""
 
-    entries: list[TraceEntry] = field(default_factory=list)
-    restart_summaries: list[dict] = field(default_factory=list)
-    converged: bool = False
-    search: str = "extended"
+    wce: float
+    converged: bool
+    search: str
+    restart_summaries: list[dict]
 
 
 def _default_optimizer_bits(length_scale: float, n_points: int) -> int:
@@ -220,6 +207,7 @@ def _default_optimizer_bits(length_scale: float, n_points: int) -> int:
     return max(128, 64 + math.ceil(4 * n_points * math.log2(max(length_scale, 2.0))) + 32)
 
 
+_UNBOUNDED_BOX = (-10.0, 10.0)  # the search box under the Gaussian measure, which concentrates well inside it
 _TAIL_BITS = 55  # the dropped basis rows stay below 2^-55 of e^2
 _MAX_BASIS_ROWS = 512
 _LM_DAMPING = 1e-3  # the first Levenberg-Marquardt parameter, relative to the smallest pivot
@@ -510,16 +498,15 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
     moves no node by more than 1e-13 of the box's reach, and unconverged
     after ``max_evals`` evaluations.
 
-    Returns the accepted (nodes, weights, e^2) in order, the evaluations
-    made and whether the search converged; no accepted entry means the
-    start failed.
+    Returns the last accepted (nodes, e^2), None when the start failed;
+    the evaluations made; and whether the search converged.
     """
     lo, hi = box
     try:
-        w, e2, r, jac = residual(x)
+        _, e2, r, jac = residual(x)
     except SingularMatrixError:
-        return [], 1, False
-    accepted, nfev = [(x, w, e2)], 1
+        return None, 1, False
+    nfev = 1
     lam, scale = None, [0] * len(x)
     step_tol = _STEP_TOL * max(abs(lo), abs(hi))
     while True:
@@ -536,21 +523,20 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
         if trial is not None:
             trial = [min(max(t, lo), hi) for t in trial]
             if not max(abs(t - xn) for t, xn in zip(trial, x)) > step_tol:
-                return accepted, nfev, True
+                return (x, e2), nfev, True
             if all(p < q for p, q in zip(trial, trial[1:])):
                 if nfev >= max_evals:
-                    return accepted, nfev, False
+                    return (x, e2), nfev, False
                 nfev += 1
                 try:
-                    w_t, e2_t, r_t, jac_t = residual(trial)
+                    _, e2_t, r_t, jac_t = residual(trial)
                 except SingularMatrixError:
                     e2_t = None
                 if e2_t is not None and e2_t < e2:
                     decrease = (e2 - e2_t) / e2
-                    x, w, e2, r, jac = trial, w_t, e2_t, r_t, jac_t
-                    accepted.append((x, w, e2))
+                    x, e2, r, jac = trial, e2_t, r_t, jac_t
                     if decrease <= _REL_DECREASE:
-                        return accepted, nfev, True
+                        return (x, e2), nfev, True
                     lam /= 10
                     continue
         lam *= 10
@@ -568,8 +554,9 @@ def optimize_points(
     """Minimize the worst-case error of the Gaussian kernel jointly over
     nodes and weights.
 
-    One-dimensional, with a domain to search.  The weights are linear and
-    are eliminated by variable projection, leaving a nonlinear
+    One-dimensional: the search runs on the interval of a box or a numeric
+    oracle, and on (-10, 10) under the Gaussian measure.  The weights are
+    linear and are eliminated by variable projection, leaving a nonlinear
     least-squares problem in the nodes alone: the residual r(x) = P c of
     :class:`_BasisResidual`, whose squared norm is e^2, with its
     Golub-Pereyra Jacobian.  :func:`_levenberg_marquardt` minimizes it
@@ -579,11 +566,10 @@ def optimize_points(
     found do not depend on the output precision or on the caller's mpmath
     context.  The winning nodes are then re-solved once by
     :func:`cubature.optimal_weights` at ``prec`` for the returned weights,
-    and :func:`cubature.worst_case_error` of that solve gives the wce of
-    the last trace entry and the winning restart's summary.  Every other
-    wce of the search (earlier trace entries, the other restarts'
-    summaries) is scaled by the ratio of the two wce at the winning nodes,
-    so the winner stays the least and the trace non-increasing.
+    and :func:`cubature.worst_case_error` of that solve gives the trace's
+    wce and the winning restart's summary.  The other restarts' summaries
+    scale their last e^2 by the ratio of the two wce at the winning
+    nodes, so the winner stays the least.
 
     Runs one deterministic start from the Gaussian quadrature nodes of the
     functional (when available; a study passes the machine-precision rule
@@ -603,15 +589,7 @@ def optimize_points(
     if prec is None:
         prec = search_prec
 
-    if L.is_bounded:
-        box = (L.lower[0], L.upper[0])
-    elif settings.search_box is not None:
-        box = settings.search_box
-    else:
-        # unbounded-domain optimization is experimental; the standard
-        # Gaussian measure concentrates well inside this default
-        box = (-10.0, 10.0)
-    a, b = float(box[0]), float(box[1])
+    a, b = (float(L.lower[0]), float(L.upper[0])) if L.is_bounded else _UNBOUNDED_BOX
     width = b - a
 
     search = _search_lane(L, n_points, spec.length_scale, (a, b))
@@ -635,37 +613,29 @@ def optimize_points(
         y0 = sorted(a + (j / n_points) * width + rng.random() * (width / n_points) for j in range(n_points))
         inits.append((f"random{k}", y0))
 
-    trace = OptimizationTrace(search=search)
-    winner, finals = None, []  # finals: each restart's last accepted e^2, None without one
+    summaries, finals, winner = [], [], None  # finals: each restart's last e^2, None without one
     for name, x0 in inits:
-        accepted, nfev, converged = _levenberg_marquardt(residual, x0, (a, b), settings.max_evals)
-        trace.restart_summaries.append({"start": name, "wce": None, "nfev": nfev, "converged": converged})
-        finals.append(accepted[-1][2] if accepted else None)
-        if accepted and (winner is None or accepted[-1][2] < winner[0][-1][2]):
-            winner = (accepted, converged)
+        last, nfev, converged = _levenberg_marquardt(residual, x0, (a, b), settings.max_evals)
+        summaries.append({"start": name, "wce": None, "nfev": nfev, "converged": converged})
+        finals.append(None if last is None else last[1])
+        if last is not None and (winner is None or last[1] < winner[0][1]):
+            winner = (last, converged)
     if winner is None:
         raise NumericalInconsistencyError(
             "optimizer never reached a feasible node configuration; widen the box "
             "or reduce n_points"
         )
-    accepted, converged = winner
-    found = tuple(float(v) for v in accepted[-1][0])
-    sol = optimal_weights(spec, L, PointSet.from_1d(found), prec)
+    (x, e2), converged = winner
+    sol = optimal_weights(spec, L, PointSet.from_1d(x), prec)
     report = worst_case_error(spec, L, sol, prec, assume_optimal=True)
     wce = float(report.wce)
     with search_prec.workprec():
-        found_wce = float(rsqrt(accepted[-1][2]))
-        rescale = lambda e: wce * (float(rsqrt(e)) / found_wce)
-        trace.entries = [
-            TraceEntry(tuple(float(v) for v in x), tuple(float(v) for v in w), rescale(e))
-            for x, w, e in accepted[:-1]
-        ]
-        for summary, e in zip(trace.restart_summaries, finals):
+        found_wce = float(rsqrt(e2))
+        for summary, e in zip(summaries, finals):
             # a restart without a feasible evaluation reads as the zero rule
-            summary["wce"] = math.sqrt(float(report.initial_term)) if e is None else rescale(e)
-    trace.entries.append(TraceEntry(found, sol.rule.weights_float(), wce))
-    trace.converged = converged
-    return sol.rule, trace
+            zero_rule = math.sqrt(float(report.initial_term))
+            summary["wce"] = zero_rule if e is None else wce * (float(rsqrt(e)) / found_wce)
+    return sol.rule, OptimizationTrace(wce, converged, search, summaries)
 
 
 def chebyshev_system_zero_count(

@@ -57,6 +57,12 @@ class KernelSpec:
         return cls("szego", float(length_scale))
 
 
+def _check_dimension(family: str, dimension: int) -> None:
+    """The exponential and the Szego kernel take one-dimensional points only."""
+    if family != "gaussian" and dimension != 1:
+        raise ValueError(f"{family} kernel is one-dimensional, got {dimension}-dimensional points")
+
+
 def _as_point(x, prec: PrecisionConfig) -> tuple[Real, ...]:
     if isinstance(x, (int, float)) or isinstance(x, mp.mpf):
         return (prec.to_real(x),)
@@ -86,12 +92,9 @@ def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell:
         if isinstance(ell, float):
             return math.exp(-sq_dist(xv, yv) / (2 * ell * ell))
         return _gaussian_value(xv, yv, (2 * ell * ell)._mpf_, {}, *mp._prec_rounding)
+    _check_dimension(spec.family, len(xv))
     if spec.family == "exponential":
-        if len(xv) != 1:
-            raise ValueError("exponential kernel is one-dimensional")
         return rexp(xv[0] * yv[0] / ell)
-    if len(xv) != 1:
-        raise ValueError("szego kernel is one-dimensional")
     p = xv[0] * yv[0]
     if abs(p) >= ell * ell:
         raise KernelDomainError(

@@ -151,17 +151,6 @@ def test_check_unisolvent_exit_codes(tmp_path):
     assert main(["check-unisolvent", "--config", bad]) == 3
 
 
-def test_optimal_command_unbounded_rejected(tmp_path):
-    cfg = {
-        "kernel": {"family": "gaussian"},
-        "functional": {"kind": "gaussian_measure"},
-        "n_points": 2,
-        "ell_grid": {"min": 10.0, "max": 100.0, "count": 2},
-    }
-    path = write_cfg(tmp_path / "o.yaml", cfg)
-    assert main(["optimal", "--config", path]) == 2
-
-
 BOX = {"kind": "lebesgue_box", "lower": -1.0, "upper": 1.0}
 GAUSS_CFG = {"functional": BOX, "n_points": 2}
 WCE_CFG = {
@@ -196,6 +185,18 @@ BAD_CONFIGS = {
     "wce_too_few_weights": ("wce", {**WCE_CFG, "weights": [1, 2]}, []),
     "wce_2d_points_1d_box": ("wce", {**WCE_CFG, "points": PLANE}, []),
     "sweep_2d_points_1d_box": ("sweep", {**SWEEP_CFG, "points": PLANE, "degree": 1}, []),
+    "wce_szego_2d_points": (
+        "wce",
+        {**WCE_CFG, "kernel": {"family": "szego", "length_scale": 3.0}, "points": PLANE,
+         "functional": {**BOX, "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}},
+        [],
+    ),
+    "sweep_exponential_2d_gaussian_measure": (
+        "sweep",
+        {**SWEEP_CFG, "kernel": {"family": "exponential"}, "points": PLANE, "degree": 1,
+         "functional": {"kind": "gaussian_measure", "dimension": 2}},
+        [],
+    ),
     "sweep_four_points_degree_2": ("sweep", {**SWEEP_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, []),
     "sweep_ell_grid_without_count": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": 10.0}}, []),
     "optimal_fit_window_decreasing": ("optimal", {**OPTIMAL_CFG, "fit_window": [100.0, 10.0]}, []),
@@ -417,6 +418,30 @@ def test_optimal_manifest_lists_restart_summaries(tmp_path):
         assert [r["start"] for r in s["restarts"]] == ["gauss", "random0", "random1"]
         assert all(set(r) == {"start", "wce", "nfev", "converged"} for r in s["restarts"])
         assert min(r["wce"] for r in s["restarts"]) == csv_wce[s["ell"]]
+
+
+def test_optimal_command_unbounded_rejected(tmp_path, capsys):
+    """A study under N(0, 1) takes no opt-in key: a config that still sets
+    experimental_unbounded, even to true, is an unknown-key config error."""
+    cfg = {**OPTIMAL_CFG, "functional": {"kind": "gaussian_measure"}, "experimental_unbounded": True}
+    assert main(["optimal", "--config", write_cfg(tmp_path / "o.yaml", cfg)]) == 2
+    assert "experimental_unbounded" in capsys.readouterr().err
+
+
+def test_optimal_command_runs_under_the_gaussian_measure(tmp_path):
+    """A study under N(0, 1) needs no extra key: it searches (-10, 10) in
+    float64 at l = 10 and 100, writes no note, and its winning restart's
+    wce is the CSV's wce."""
+    cfg = {**OPTIMAL_CFG, "functional": {"kind": "gaussian_measure"}}
+    out = tmp_path / "out"
+    assert main(["optimal", "--config", write_cfg(tmp_path / "o.yaml", cfg), "--out", str(out)]) == 0
+    man = yaml.safe_load((out / "manifest.yaml").read_text())
+    rows = (out / "optimal.csv").read_text().splitlines()
+    column = rows[0].split(",").index("wce")
+    assert man["notes"] == []
+    assert [s["search"] for s in man["restart_summaries"]] == ["float64", "float64"]
+    winners = [min(r["wce"] for r in s["restarts"]) for s in man["restart_summaries"]]
+    assert winners == [float(r.split(",")[column]) for r in rows[1:]]
 
 
 def test_optimal_study_at_machine_precision_matches_the_golden(tmp_path):

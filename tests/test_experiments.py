@@ -325,15 +325,21 @@ def test_two_dimensional_gaussian_measure_sweep_down_to_small_length_scales():
 
 
 def test_optimal_study_requires_bounded_domain_by_default():
-    with pytest.raises(ConfigError):
-        OptimalStudyConfig(
-            kernel_family="gaussian",
-            functional=FunctionalSpec.gaussian_measure(1),
-            n_points=2,
-            ell_min=10.0,
-            ell_max=100.0,
-            ell_count=2,
-        )
+    """Under N(0, 1) the node search needs a bounded domain, and by default
+    it is the box (-10, 10): the study runs with no opt-in and every
+    optimized node lies inside that box."""
+    result = run_optimal_study(OptimalStudyConfig(
+        kernel_family="gaussian",
+        functional=FunctionalSpec.gaussian_measure(1),
+        n_points=2,
+        ell_min=10.0,
+        ell_max=100.0,
+        ell_count=2,
+        optimizer=OptimizerSettings(restarts=0, max_evals=40),
+    ))
+    assert result.failures == []
+    assert len(result.records) == 2
+    assert all(-10.0 < float(x) < 10.0 for r in result.records for x in r.points)
 
 
 def test_optimal_study_end_to_end():

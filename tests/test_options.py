@@ -21,14 +21,14 @@ FIELDS = {
     PrecisionConfig: ("mode", "bits"),
     FunctionalSpec: ("kind", "dimension", "location", "lower", "upper", "density"),
     KernelSpec: ("family", "length_scale"),
-    OptimizerSettings: ("restarts", "max_evals", "seed", "search_box"),
+    OptimizerSettings: ("restarts", "max_evals", "seed"),
     SweepConfig: (
         "kernel_family", "functional", "points", "degree", "ell_min", "ell_max", "ell_count",
         "precision", "fit_window",
     ),
     OptimalStudyConfig: (
         "kernel_family", "functional", "n_points", "ell_min", "ell_max", "ell_count",
-        "precision", "fit_window", "optimizer", "allow_unbounded",
+        "precision", "fit_window", "optimizer",
     ),
 }
 
@@ -36,8 +36,7 @@ FIELDS = {
 KEYS = {
     "sweep": {"kernel", "functional", "points", "degree", "ell_grid", "fit_window", "precision"},
     "optimal": {
-        "kernel", "functional", "n_points", "ell_grid", "fit_window", "optimizer", "experimental_unbounded",
-        "precision", "seed",
+        "kernel", "functional", "n_points", "ell_grid", "fit_window", "optimizer", "precision", "seed",
     },
     "gauss": {"functional", "n_points", "precision"},
     "wce": {"kernel", "functional", "points", "weights", "assume_optimal", "precision"},
@@ -50,7 +49,7 @@ GRID = {"min": 10.0, "max": 100.0, "count": 2}
 BLOCKS = {
     ("optimal", "optimizer"): (
         {"kernel": {"family": "gaussian"}, "functional": BOX, "n_points": 2, "ell_grid": GRID},
-        {"restarts", "max_evals", "seed", "search_box"},
+        {"restarts", "max_evals", "seed"},
     ),
     ("sweep", "ell_grid"): (
         {"kernel": {"family": "gaussian"}, "functional": BOX, "points": [-1.0, 1.0], "degree": 1},
