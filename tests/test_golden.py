@@ -18,6 +18,8 @@ RUNS = [
     ("normal_sweep", ["sweep"]),
     ("gauss_legendre", ["gauss"]),
     ("optimal_legendre", ["optimal", "--seed", "0"]),
+    ("optimal_gauss4_box", ["optimal"]),
+    ("optimal_gauss4_normal", ["optimal"]),
 ]
 
 
