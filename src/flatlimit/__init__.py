@@ -31,7 +31,6 @@ from .cubature import (
 from .errors import (
     ConfigError,
     FlatLimitError,
-    KernelDomainError,
     NotUnisolventError,
     NumericalInconsistencyError,
     NumericallyIndefiniteError,
@@ -99,7 +98,6 @@ __all__ = [
     "worst_case_error",
     "ConfigError",
     "FlatLimitError",
-    "KernelDomainError",
     "NotUnisolventError",
     "NumericalInconsistencyError",
     "NumericallyIndefiniteError",

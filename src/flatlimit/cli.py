@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
-from .core import CubatureRule, PointSet
+from .core import CubatureRule, PointSet, _real
 from .cubature import _check_dims, _monomials, optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
 from .experiments import (
@@ -41,7 +42,7 @@ from .experiments import (
 )
 from .functionals import FunctionalSpec
 from .gauss_optimal import OptimizerSettings, _check_nodes, gauss_rule_from_moments
-from .kernels import KernelSpec, _check_dimension
+from .kernels import KernelSpec
 from .linalg import auto_precision_bits
 
 
@@ -60,15 +61,24 @@ def _keys(d, context: str, required: tuple = (), optional: tuple = ()) -> dict:
     return d
 
 
+def _loader() -> type:
+    """PyYAML's safe loader, libyaml's where PyYAML has it, that reads a
+    plain scalar such as 1e400 or 1e-3 as a float, as YAML 1.2 does: YAML
+    1.1 needs a dot and reads a string, which a real value may not be."""
+    loader = type("Loader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
+    exponent = re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$")
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent, list("-+0123456789"))
+    return loader
+
+
 def _load(args, required: tuple, optional: tuple) -> dict:
     """The config file of ``args`` with the overrides applied and its keys
     checked; every command also takes ``precision``."""
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {args.config}")
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml where PyYAML has it
     try:
-        raw = yaml.load(path.read_text(), Loader=loader)
+        raw = yaml.load(path.read_text(), Loader=_loader())
     except yaml.YAMLError as e:
         raise ConfigError(f"config file is not valid YAML: {e}") from e
     if not isinstance(raw, dict):
@@ -122,11 +132,14 @@ def _functional(d) -> FunctionalSpec:
     )
 
 
-def _kernel(d, need_length_scale: bool) -> KernelSpec:
-    """The kernel of a config; without ``length_scale`` its family is
-    checked at length scale 1."""
+def _kernel(d, need_length_scale: bool) -> Optional[KernelSpec]:
+    """The kernel of a config, whose family must be the library's one
+    kernel, the Gaussian; without ``length_scale`` (a sweep or a study
+    walks its own grid) only the family is checked."""
     _keys(d, "kernel", ("family", "length_scale") if need_length_scale else ("family",))
-    return KernelSpec(d["family"], float(d["length_scale"]) if need_length_scale else 1.0)
+    if d["family"] != "gaussian":
+        raise ConfigError(f"unknown kernel family {d['family']!r}; the one kernel is 'gaussian'")
+    return KernelSpec.gaussian(_real(d["length_scale"])) if need_length_scale else None
 
 
 def _optimizer(d) -> OptimizerSettings:
@@ -140,11 +153,11 @@ def _study_fields(raw: dict) -> dict:
     """The fields a sweep and an optimal study read alike."""
     grid = _keys(raw["ell_grid"], "ell_grid", ("min", "max", "count"))
     window = raw.get("fit_window")
+    _kernel(raw["kernel"], need_length_scale=False)
     return {
-        "kernel_family": _kernel(raw["kernel"], need_length_scale=False).family,
         "functional": _functional(raw["functional"]),
-        "ell_min": float(grid["min"]),
-        "ell_max": float(grid["max"]),
+        "ell_min": _real(grid["min"]),
+        "ell_max": _real(grid["max"]),
         "ell_count": _int(grid["count"]),
         "precision": raw.get("precision", "auto"),
         "fit_window": "middle" if window is None else window,
@@ -185,7 +198,7 @@ def _parse_sweep(raw: dict) -> SweepConfig:
 
 def _run_sweep(cfg: SweepConfig, raw: dict, out: Optional[str]) -> int:
     result = run_sweep(cfg)
-    print(f"sweep: {cfg.kernel_family} kernel, {cfg.functional.label()}, "
+    print(f"sweep: gaussian kernel, {cfg.functional.label()}, "
           f"{len(cfg.points)} points, degree {cfg.degree}")
     print(f"{'ell':>12} {'wce':>14} {'|w*-w_pol|':>14} {'|w_phi-w_pol|':>14} {'bits':>6}")
     for r in result.records:
@@ -209,7 +222,7 @@ def _parse_optimal(raw: dict) -> OptimalStudyConfig:
 
 def _run_optimal(cfg: OptimalStudyConfig, raw: dict, out: Optional[str]) -> int:
     result = run_optimal_study(cfg)
-    print(f"optimal study: {cfg.kernel_family} kernel, {cfg.functional.label()}, N={cfg.n_points}")
+    print(f"optimal study: gaussian kernel, {cfg.functional.label()}, N={cfg.n_points}")
     print(f"gauss nodes: {[round(x, 10) for x in result.gauss.nodes]}")
     print(f"{'ell':>12} {'wce':>14} {'|X-X_G|':>12} {'|w-w_G|':>12} conv")
     for r in result.records:
@@ -244,11 +257,10 @@ def _parse_wce(raw: dict):
     L = _functional(raw["functional"])
     points = PointSet.from_points(_list(raw["points"], "points"))
     _check_dims(L, points)
-    _check_dimension(kspec.family, points.dimension)
     prec = _precision_for(raw.get("precision", "auto"), auto_precision_bits(kspec.length_scale, len(points)))
     if raw.get("weights") is None:
         return kspec, L, points, None, True, prec  # the optimal weights
-    rule = CubatureRule(points, tuple(float(w) for w in _list(raw["weights"], "weights")))
+    rule = CubatureRule(points, tuple(_real(w) for w in _list(raw["weights"], "weights")))
     return kspec, L, points, rule, _bool(raw.get("assume_optimal", False)), prec
 
 

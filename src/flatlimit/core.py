@@ -124,14 +124,21 @@ def monomial_eval(x: Sequence[Real], alpha: MultiIndex) -> Real:
     return out
 
 
+def _real(value) -> float:
+    """A real number given as an int or a float, never as a bool or a
+    string that reads as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def _coords(value) -> tuple[float, ...]:
-    """A coordinate tuple from a bare number or a sequence of numbers; a
-    string is neither, and is not read one character at a time."""
-    if isinstance(value, str):
-        raise TypeError(f"expected a number or a list of numbers, got {value!r}")
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(c) for c in value)
+    """A coordinate tuple from a bare real number or a sequence of them
+    (:func:`_real`); a string is neither, and is not read one character
+    at a time."""
+    if isinstance(value, (str, bool, int, float)):
+        return (_real(value),)
+    return tuple(_real(c) for c in value)
 
 
 @dataclass(frozen=True)
@@ -301,14 +308,6 @@ def rexp_once(x: Real, values: dict) -> Real:
     if key not in values:
         values[key] = rexp(x)
     return values[key]
-
-
-def rexpm1(x: Real) -> Real:
-    return mp.expm1(x) if isinstance(x, mpf) else math.expm1(x)
-
-
-def rlog1p(x: Real) -> Real:
-    return mp.log1p(x) if isinstance(x, mpf) else math.log1p(x)
 
 
 def rsqrt(x: Real) -> Real:

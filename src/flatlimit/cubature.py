@@ -96,7 +96,7 @@ class WeightSolution:
         points take it from one substitution with s = (1, -1, 1, ...) up
         to the solve's warning threshold (:func:`linalg.checkerboard_condition`),
         every other solve from :attr:`SolveResult.condition`."""
-        if self.kernel is not None and self.kernel.family == "gaussian" and self.rule.points.dimension == 1:
+        if self.kernel is not None and self.rule.points.dimension == 1:
             return checkerboard_condition(self.solve, [(-1) ** i for i in range(len(self.rule.points))])
         return self.solve.condition
 
@@ -163,9 +163,8 @@ def optimal_weights(
     weights rounded to ``prec`` keep their digits while the Gram system
     loses up to bits + 32 of them.  The solution keeps that assembly for
     :func:`worst_case_error`.  Distinct points make G positive definite in
-    exact arithmetic for every supported kernel; a Cholesky failure
-    therefore signals insufficient precision, not an invalid problem, and
-    raises accordingly.
+    exact arithmetic; a Cholesky failure therefore signals insufficient
+    precision, not an invalid problem, and raises accordingly.
     """
     _check_dims(L, points)
     solve_prec = PrecisionConfig.extended(_wce_bits(prec))
@@ -204,7 +203,7 @@ def worst_case_error(
     assume_optimal: bool = False,
 ) -> WorstCaseReport:
     """Worst-case error of ``rule`` for ``L`` over the kernel's unit ball,
-    for every kernel, functional and dimension, in both lanes.
+    for every functional and dimension, in both lanes.
 
     ``rule`` is a cubature rule or a :class:`WeightSolution`.  A solution
     from :func:`optimal_weights` supplies its rule, the condition number

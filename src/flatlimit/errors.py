@@ -14,10 +14,6 @@ class ConfigError(FlatLimitError):
     """Invalid or inconsistent experiment configuration."""
 
 
-class KernelDomainError(FlatLimitError):
-    """Kernel evaluated outside its domain of definition (e.g. at a pole)."""
-
-
 class QuadratureError(FlatLimitError):
     """Adaptive quadrature left its error estimate above the requested
     tolerance."""

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from mpmath import mp
 
 from . import __version__
-from .core import MACHINE, PointSet, PrecisionConfig, Real
+from .core import MACHINE, PointSet, PrecisionConfig, Real, _real
 from .cubature import (
     _check_dims,
     _monomials,
@@ -37,13 +37,12 @@ from .functionals import FunctionalSpec
 from .gauss_optimal import (
     GaussRule,
     OptimizerSettings,
-    _check_kernel,
     _check_nodes,
     _default_optimizer_bits,
     gauss_rule_from_moments,
     optimize_points,
 )
-from .kernels import KernelSpec, _check_dimension
+from .kernels import KernelSpec
 from .linalg import auto_precision_bits
 
 _REFERENCE_BITS = 256
@@ -79,7 +78,7 @@ def _fit_window(value) -> Union[str, tuple[float, float]]:
         return value
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"fit_window must be 'middle', 'full' or [lo, hi], got {value!r}")
-    lo, hi = float(value[0]), float(value[1])
+    lo, hi = _real(value[0]), _real(value[1])
     if not (0 < lo < hi):
         raise ConfigError(f"fit window must be positive and increasing, got {list(value)}")
     return (lo, hi)
@@ -127,7 +126,6 @@ class _LengthScaleGrid:
 class SweepConfig(_LengthScaleGrid):
     """Configuration of one flat-limit sweep over the length scale."""
 
-    kernel_family: str
     functional: FunctionalSpec
     points: PointSet
     degree: int
@@ -138,10 +136,8 @@ class SweepConfig(_LengthScaleGrid):
     fit_window: Union[str, tuple[float, float]] = "middle"
 
     def __post_init__(self) -> None:
-        _config_check(KernelSpec, self.kernel_family, 1.0)  # the family, checked at length scale 1
         _normalize_study_fields(self)
         _config_check(_check_dims, self.functional, self.points)
-        _config_check(_check_dimension, self.kernel_family, self.points.dimension)
         _config_check(_monomials, self.points, self.degree)
 
 
@@ -256,7 +252,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
         prec = _precision_for(cfg.precision, auto_precision_bits(ell, len(cfg.points)))
-        kspec = KernelSpec(cfg.kernel_family, ell)
+        kspec = KernelSpec.gaussian(ell)
         try:
             wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
             wce = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True).wce
@@ -290,7 +286,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 class OptimalStudyConfig(_LengthScaleGrid):
     """Configuration of an optimal-point study over the length scale."""
 
-    kernel_family: str
     functional: FunctionalSpec
     n_points: int
     ell_min: float
@@ -302,7 +297,6 @@ class OptimalStudyConfig(_LengthScaleGrid):
 
     def __post_init__(self) -> None:
         _config_check(_check_nodes, self.functional, self.n_points)
-        _config_check(_check_kernel, self.kernel_family)
         _normalize_study_fields(self)
 
 
@@ -345,7 +339,7 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
     records: list[OptimalRecord] = []
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
-        kspec = KernelSpec(cfg.kernel_family, ell)
+        kspec = KernelSpec.gaussian(ell)
         prec = _precision_for(cfg.precision, _default_optimizer_bits(ell, cfg.n_points))
         try:
             rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, cfg.optimizer, _gauss=gauss)
@@ -440,7 +434,7 @@ def _manifest(command: str, result, raw_config: dict, details: dict) -> dict:
         "config_sha256": config_digest(raw_config),
         **({"seed": cfg.optimizer.seed} if command == "optimal" else {}),  # only a study draws random numbers
         "functional": cfg.functional.label(),
-        "kernel_family": cfg.kernel_family,
+        "kernel_family": "gaussian",
         "precision_policy": str(cfg.precision),
         "assumptions_checked": cfg.functional.assumptions_checked,
         **details,

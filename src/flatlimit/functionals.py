@@ -1,14 +1,15 @@
 """Linear functionals that cubature rules approximate, and their
-interactions with kernels: moments, damped moments, kernel embeddings.
+interactions with the Gaussian kernel: moments, damped moments, kernel
+embeddings and the double embedding.
 
 Four kinds are supported: point evaluation, integration over a bounded box,
 integration against the standard Gaussian measure, and a user-supplied
-density on a box ("numeric oracle", evaluated only by quadrature).
-Closed forms are used wherever available, including the damped moments
-and the double embedding of a box; everything else goes through tanh-sinh
-quadrature in both lanes (:func:`quad1d`) to a fixed relative tolerance:
-1e-10 at machine precision and for the numeric oracle, 2^-(bits // 2)
-otherwise.
+density on a box ("numeric oracle", evaluated only by quadrature).  The
+first three have closed forms for all of these, the damped moments and
+the double embedding of a box included.  The numeric oracle, and
+:func:`apply_functional` on any integral, go through tanh-sinh quadrature
+in both lanes (:func:`quad1d`) to a fixed relative tolerance: 1e-10 at
+machine precision and for the numeric oracle, 2^-(bits // 2) otherwise.
 """
 from __future__ import annotations
 
@@ -29,13 +30,11 @@ from .core import (
     rerf,
     rexp,
     rexp_once,
-    rexpm1,
-    rlog1p,
     rpi,
     rsqrt,
     sq_norm,
 )
-from .errors import KernelDomainError, QuadratureError
+from .errors import QuadratureError
 from .kernels import KernelSpec, _as_point, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
@@ -270,76 +269,6 @@ def _box_double_embedding(a: float, b: float, length_scale: float, bits: int) ->
         return +out
 
 
-def _cancelling_sum(summands: Callable[[], list], bits: int) -> mp.mpf:
-    """The sum of ``summands()``, an mpf rounded to ``bits``.  The summands
-    are formed and added at raised precision, raised again until the bits
-    the sum loses to cancellation, log2(max |summand| / |sum|), are
-    covered."""
-    extra = 2 * _SERIES_GUARD_BITS
-    while True:
-        with mp.workprec(bits + extra):
-            terms = summands()
-            out = mp.fsum(terms)
-            if out == 0:
-                extra *= 2
-                continue
-            lost = max(mp.mag(t) for t in terms) - mp.mag(out)
-            if lost + _SERIES_GUARD_BITS <= extra:
-                break
-            extra = lost + 2 * _SERIES_GUARD_BITS
-    with mp.workprec(bits):
-        return +out
-
-
-def _box_exponential_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
-    """The exponential kernel exp(x y / l) integrated over [a, b] in both
-    arguments, l (E(b^2 / l) - 2 E(a b / l) + E(a^2 / l)) with
-    E(t) = int_0^t (e^s - 1) / s ds = t 2F2(1, 1; 2, 2; t), as an mpf
-    rounded to ``bits`` (4 l Shi(1 / l) on [-1, 1]).  The three values
-    cancel to about (b - a)^2 / l (:func:`_cancelling_sum`)."""
-
-    def summands():
-        ell, ar, br = mp.mpf(length_scale), mp.mpf(a), mp.mpf(b)
-        E = lambda t: ell * t * mp.hyp2f2(1, 1, 2, 2, t)
-        return [E(br * br / ell), -2 * E(ar * br / ell), E(ar * ar / ell)]
-
-    return _cancelling_sum(summands, bits)
-
-
-def _check_szego_bounded(L: FunctionalSpec, spec: KernelSpec) -> None:
-    """The Szego kernel needs |x y| < l^2, a domain that a functional on
-    an unbounded support leaves."""
-    if spec.family == "szego" and not L.is_bounded:
-        raise KernelDomainError(
-            f"szego kernel needs |x*y| < l^2, which {L.label()} leaves on its unbounded support;"
-            " integrate over a box inside |x| < l instead"
-        )
-
-
-def _check_szego_box(L: FunctionalSpec, spec: KernelSpec, y: float) -> None:
-    """The Szego kernel on the box [a, b] against a point y needs
-    |x y| < l^2 for every x in the box, as :func:`kernels.kernel_eval` does."""
-    reach = max(abs(L.lower[0]), abs(L.upper[0])) * abs(float(y))
-    if reach >= spec.length_scale**2:
-        raise KernelDomainError(
-            f"szego kernel needs |x*y| < l^2 on the box, got {reach!r} with l^2={spec.length_scale ** 2!r}"
-        )
-
-
-def _box_szego_double_embedding(a: float, b: float, length_scale: float, bits: int) -> mp.mpf:
-    """The Szego kernel l^2 / (l^2 - x y) integrated over [a, b] in both
-    arguments, l^2 (Li2(b^2 / l^2) - 2 Li2(a b / l^2) + Li2(a^2 / l^2)), as
-    an mpf rounded to ``bits``; the dilogarithms cancel to about
-    (b - a)^2 / l^2 (:func:`_cancelling_sum`)."""
-
-    def summands():
-        l2, ar, br = mp.mpf(length_scale) ** 2, mp.mpf(a), mp.mpf(b)
-        Li2 = lambda t: l2 * mp.polylog(2, t / l2)
-        return [Li2(br * br), -2 * Li2(ar * br), Li2(ar * ar)]
-
-    return _cancelling_sum(summands, bits)
-
-
 def apply_functional(L: FunctionalSpec, f: Callable, prec: PrecisionConfig = MACHINE) -> Real:
     """L[f] by direct evaluation (point_eval) or tanh-sinh quadrature
     (:func:`quad1d`) to a relative 1e-10 at machine precision and for the
@@ -471,16 +400,13 @@ def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: Precision
         for xv in xs:
             if len(xv) != L.dimension:
                 raise ValueError(f"point dimension {len(xv)} != functional dimension {L.dimension}")
-        _check_szego_bounded(L, spec)
         ell = prec.to_real(spec.length_scale)
-        if spec.family == "gaussian" and L.kind == "gaussian_measure":
+        if L.kind == "gaussian_measure":
             c = (ell * ell / (1 + ell * ell)) ** (prec.to_real(L.dimension) / 2)
             den, values = 2 * (1 + ell * ell), {}
             return [c * rexp_once(-sq_norm(xv) / den, values) for xv in xs]
         if L.kind == "lebesgue_box":
             box = list(zip(prec.to_point(L.lower), prec.to_point(L.upper)))
-            ar, br = box[0]
-        if spec.family == "gaussian" and L.kind == "lebesgue_box":
             s, scale, out = rsqrt(prec.to_real(2)) * ell, ell * rsqrt(rpi(ell) / 2), []
             for xv in xs:
                 z = prec.to_real(1)
@@ -488,14 +414,6 @@ def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: Precision
                     z = z * scale * (rerf((b - xi) / s) - rerf((a - xi) / s))
                 out.append(z)
             return out
-        if spec.family == "exponential" and L.kind == "gaussian_measure" and L.dimension == 1:
-            return [rexp(y * y / (2 * ell * ell)) for (y,) in xs]
-        if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
-            return [br - ar if y == 0 else ell * rexp(ar * y / ell) * rexpm1((br - ar) * y / ell) / y for (y,) in xs]
-        if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
-            for (y,) in xs:
-                _check_szego_box(L, spec, y)
-            return [br - ar if y == 0 else ell * ell / y * rlog1p((br - ar) * y / (ell * ell - br * y)) for (y,) in xs]
         targets = [xv[0] for xv in xs] if L.dimension == 1 else xs
         return [apply_functional(L, lambda t: kernel_eval(spec, t, y, prec), prec) for y in targets]
 
@@ -509,12 +427,7 @@ def kernel_embedding(
     """The embedding z(x) = L[K(., x)], one point of :func:`_row_embeddings`.
 
     Closed forms cover point evaluation (a kernel value), the Gaussian
-    kernel against the Gaussian measure or a box, the exponential kernel
-    under N(0, 1), exp(x^2 / (2 l^2)), and on a box,
-    l e^(a x / l) expm1((b - a) x / l) / x, and the Szego kernel on a box,
-    (l^2 / x) log1p((b - a) x / (l^2 - b x)) (both b - a at x = 0).  The
-    Szego kernel under the Gaussian measure raises KernelDomainError;
-    other combinations use tanh-sinh quadrature.
+    measure and a box; the numeric oracle uses tanh-sinh quadrature.
     """
     return _row_embeddings(L, spec, [x], prec)[0]
 
@@ -523,44 +436,23 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
     """The initial worst-case-error term L (x) L [K], the kernel integrated
     by the functional in both arguments.
 
-    Gaussian kernel against the Gaussian measure has the closed form
-    (l^2 / (2 + l^2))^(d/2).  Gaussian kernel over a box factorizes into
-    one closed form per axis, s^2 (sqrt(pi) u erf(u) + exp(-u^2) - 1),
-    evaluated with guard bits for its cancellation (see
-    :func:`_box_double_embedding`).  The exponential and Szego kernels on
-    an interval have the closed forms of
-    :func:`_box_exponential_double_embedding` and
-    :func:`_box_szego_double_embedding`; the exponential kernel under
-    N(0, 1) has (1 - l^-2)^(-1/2), formed as l / sqrt((l - 1)(l + 1)), and
-    raises KernelDomainError for l <= 1, where it diverges.  Everything
-    else integrates the embedding function.
+    The Gaussian measure has the closed form (l^2 / (2 + l^2))^(d/2).  A
+    box factorizes into one closed form per axis,
+    s^2 (sqrt(pi) u erf(u) + exp(-u^2) - 1), evaluated with guard bits for
+    its cancellation (see :func:`_box_double_embedding`).  The numeric
+    oracle integrates the embedding function.
     """
     with prec.workprec():
         if L.kind == "point_eval":
             return kernel_eval(spec, L.location, L.location, prec)
-        _check_szego_bounded(L, spec)
-        ell = prec.to_real(spec.length_scale)
-        if spec.family == "gaussian" and L.kind == "gaussian_measure":
+        if L.kind == "gaussian_measure":
+            ell = prec.to_real(spec.length_scale)
             v = ell * ell / (2 + ell * ell)
             return v ** (prec.to_real(L.dimension) / 2)
-        if spec.family == "gaussian" and L.kind == "lebesgue_box":
+        if L.kind == "lebesgue_box":
             out = prec.to_real(1)
             for a, b in zip(L.lower, L.upper):
                 out = out * prec.to_real(_box_double_embedding(a, b, spec.length_scale, prec.bits))
             return out
-        if spec.family == "exponential" and L.kind == "gaussian_measure" and L.dimension == 1:
-            if spec.length_scale <= 1:
-                raise KernelDomainError(
-                    f"exponential kernel under {L.label()} needs l > 1, got l={spec.length_scale!r}:"
-                    " the double embedding E[exp(x y / l)] = (1 - l^-2)^(-1/2) diverges for l <= 1"
-                )
-            return ell / rsqrt((ell - 1) * (ell + 1))
-        if spec.family == "exponential" and L.kind == "lebesgue_box" and L.dimension == 1:
-            a, b = L.lower[0], L.upper[0]
-            return prec.to_real(_box_exponential_double_embedding(a, b, spec.length_scale, prec.bits))
-        if spec.family == "szego" and L.kind == "lebesgue_box" and L.dimension == 1:
-            a, b = L.lower[0], L.upper[0]
-            _check_szego_box(L, spec, max(abs(a), abs(b)))
-            return prec.to_real(_box_szego_double_embedding(a, b, spec.length_scale, prec.bits))
         z = lambda t: kernel_embedding(L, spec, t, prec)
         return apply_functional(L, z, prec)

@@ -215,13 +215,6 @@ _REL_DECREASE = 1e-12  # an accepted step that lowers e^2 by no more ends the se
 _STEP_TOL = 1e-13  # a step below this, relative to the box's reach, ends the search
 
 
-def _check_kernel(family: str) -> None:
-    """Node optimisation runs on the orthonormal basis of the Gaussian
-    kernel, the kernel of the flat-limit result it reproduces."""
-    if family != "gaussian":
-        raise ValueError(f"node optimisation needs the gaussian kernel, got {family!r}")
-
-
 def _search_lane(L: FunctionalSpec, n_points: int, length_scale: float, box: tuple[float, float]) -> str:
     """The arithmetic of a node search: "float64" while
     2 N log2(l / R) <= 40, "extended" (mpmath at the optimizer's bits)
@@ -579,11 +572,9 @@ def optimize_points(
     ends that restart without a rule, and a restart summary reads it as
     the zero rule (wce sqrt(LL[K])); a nonpositive e^2 in the search
     raises, as does a negative squared wce beyond the roundoff budget of
-    :func:`cubature.worst_case_error`.  Other kernel families raise
-    ValueError.
+    :func:`cubature.worst_case_error`.
     """
     _check_nodes(L, n_points)
-    _check_kernel(spec.family)
     settings = settings or OptimizerSettings()
     search_prec = PrecisionConfig.extended(_default_optimizer_bits(spec.length_scale, n_points))
     if prec is None:

@@ -1,7 +1,6 @@
-"""Positive-definite kernels with a length scale.
-
-Families: the Gaussian kernel in any dimension and two one-dimensional
-Taylor kernels, the exponential and the Szego kernel.
+"""The Gaussian kernel K(x, y) = exp(-|x - y|^2 / (2 l^2)) in any
+dimension: its values, its Gram matrix and the damped monomials that span
+its RKHS as the kernel flattens.
 """
 from __future__ import annotations
 
@@ -23,44 +22,22 @@ from .core import (
     sq_dist,
     sq_norm,
 )
-from .errors import KernelDomainError
-
-_FAMILIES = ("gaussian", "exponential", "szego")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family together with its length scale."""
+    """The Gaussian kernel with its length scale l."""
 
-    family: str
     length_scale: float
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
         ls = self.length_scale
         if not (isinstance(ls, (int, float)) and math.isfinite(ls) and ls > 0):
             raise ValueError(f"length_scale must be positive and finite, got {ls!r}")
 
     @classmethod
     def gaussian(cls, length_scale: float) -> "KernelSpec":
-        return cls("gaussian", float(length_scale))
-
-    @classmethod
-    def exponential(cls, length_scale: float) -> "KernelSpec":
-        """exp(x y / l), one-dimensional."""
-        return cls("exponential", float(length_scale))
-
-    @classmethod
-    def szego(cls, length_scale: float) -> "KernelSpec":
-        """l^2 / (l^2 - x y), one-dimensional; defined only for |x y| < l^2."""
-        return cls("szego", float(length_scale))
-
-
-def _check_dimension(family: str, dimension: int) -> None:
-    """The exponential and the Szego kernel take one-dimensional points only."""
-    if family != "gaussian" and dimension != 1:
-        raise ValueError(f"{family} kernel is one-dimensional, got {dimension}-dimensional points")
+        return cls(float(length_scale))
 
 
 def _as_point(x, prec: PrecisionConfig) -> tuple[Real, ...]:
@@ -83,34 +60,23 @@ def _gaussian_value(x: Sequence, y: Sequence, den: tuple, values: dict, prec: in
     return values[e]
 
 
-def _kernel_value(spec: KernelSpec, xv: Sequence[Real], yv: Sequence[Real], ell: Real) -> Real:
+def _kernel_value(xv: Sequence[Real], yv: Sequence[Real], ell: Real) -> Real:
     """K(x, y) of points and a length scale already converted to the
     working type, inside the working precision."""
     if len(xv) != len(yv):
         raise ValueError(f"points have dimensions {len(xv)} and {len(yv)}")
-    if spec.family == "gaussian":
-        if isinstance(ell, float):
-            return math.exp(-sq_dist(xv, yv) / (2 * ell * ell))
-        return _gaussian_value(xv, yv, (2 * ell * ell)._mpf_, {}, *mp._prec_rounding)
-    _check_dimension(spec.family, len(xv))
-    if spec.family == "exponential":
-        return rexp(xv[0] * yv[0] / ell)
-    p = xv[0] * yv[0]
-    if abs(p) >= ell * ell:
-        raise KernelDomainError(
-            f"szego kernel needs |x*y| < l^2, got |{float(p)!r}| with l^2={spec.length_scale ** 2!r}"
-        )
-    return ell * ell / (ell * ell - p)
+    if isinstance(ell, float):
+        return math.exp(-sq_dist(xv, yv) / (2 * ell * ell))
+    return _gaussian_value(xv, yv, (2 * ell * ell)._mpf_, {}, *mp._prec_rounding)
 
 
 def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real:
     """K(x, y) at the working precision.
 
-    Accepts bare scalars for one-dimensional points.  Raises
-    KernelDomainError for the Szego family when |x y| >= l^2.
+    Accepts bare scalars for one-dimensional points.
     """
     with prec.workprec():
-        return _kernel_value(spec, _as_point(x, prec), _as_point(y, prec), prec.to_real(spec.length_scale))
+        return _kernel_value(_as_point(x, prec), _as_point(y, prec), prec.to_real(spec.length_scale))
 
 
 def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACHINE):
@@ -121,7 +87,7 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
     those of :func:`kernel_eval` whatever mpmath's precision is.  The
     points and the length scale are converted once; only the upper
     triangle is evaluated and the lower is mirrored, so the result is
-    exactly symmetric.  The extended Gaussian Gram forms 2 l^2 once and
+    exactly symmetric.  The extended Gram forms 2 l^2 once and
     each exponent as :func:`kernel_eval` does, on raw mpf tuples, and takes
     exp once per distinct exponent (3 of the 6 entries of {-1, 0, 1}).
     """
@@ -130,8 +96,8 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
         xs = [_as_point(x, prec) for x in points]
         ell = prec.to_real(spec.length_scale)
         out = [[None] * n for _ in range(n)]
-        entry = lambda x, y: _kernel_value(spec, x, y, ell)
-        if spec.family == "gaussian" and prec.is_extended:
+        entry = lambda x, y: _kernel_value(x, y, ell)
+        if prec.is_extended:
             den, values = (2 * ell * ell)._mpf_, {}
             entry = lambda x, y: _gaussian_value(x, y, den, values, *mp._prec_rounding)
         for i in range(n):

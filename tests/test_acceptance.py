@@ -94,7 +94,6 @@ def test_criterion_02_weight_optimality():
 def test_criterion_03_simpson_flat_limit():
     t0 = time.perf_counter()
     cfg = SweepConfig(
-        kernel_family="gaussian",
         functional=LEB1,
         points=PointSet.from_1d([-1.0, 0.0, 1.0]),
         degree=2,
@@ -125,7 +124,6 @@ def test_criterion_03_simpson_flat_limit():
 def test_criterion_04_flat_limit_unbounded_domain():
     t0 = time.perf_counter()
     cfg = SweepConfig(
-        kernel_family="gaussian",
         functional=GAUSS1,
         points=PointSet.from_1d([-1.0, 0.0, 1.0]),
         degree=2,
@@ -157,7 +155,6 @@ def test_criterion_05_two_dimensional_flat_limit():
     L2 = FunctionalSpec.gaussian_measure(2)
     X2 = PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     cfg = SweepConfig(
-        kernel_family="gaussian",
         functional=L2,
         points=X2,
         degree=1,
@@ -211,7 +208,6 @@ def test_criterion_07_optimized_rule_reaches_gauss_legendre():
 
     study = run_optimal_study(
         OptimalStudyConfig(
-            kernel_family="gaussian",
             functional=LEB1,
             n_points=2,
             ell_min=5.0,

@@ -126,19 +126,6 @@ def test_wce_command(tmp_path, capsys):
     assert "wce" in capsys.readouterr().out
 
 
-def test_wce_of_the_exponential_kernel_under_the_gaussian_measure(tmp_path, capsys):
-    """At precision: machine the exponential kernel under N(0, 1) takes
-    its closed forms, and at l <= 1, where its double embedding diverges,
-    the command fails as a numerical error (exit 3) that says so."""
-    cfg = {**WCE_CFG, "functional": {"kind": "gaussian_measure"}, "precision": "machine"}
-    path = write_cfg(tmp_path / "w.yaml", {**cfg, "kernel": {"family": "exponential", "length_scale": 2.0}})
-    assert main(["wce", "--config", path]) == 0
-    assert "wce" in capsys.readouterr().out
-    path = write_cfg(tmp_path / "w1.yaml", {**cfg, "kernel": {"family": "exponential", "length_scale": 1.0}})
-    assert main(["wce", "--config", path]) == 3
-    assert "needs l > 1" in capsys.readouterr().err
-
-
 def test_check_unisolvent_exit_codes(tmp_path):
     good = write_cfg(
         tmp_path / "good.yaml", {"points": [-1.0, 0.0, 1.0], "degree": 2}
@@ -185,16 +172,16 @@ BAD_CONFIGS = {
     "wce_too_few_weights": ("wce", {**WCE_CFG, "weights": [1, 2]}, []),
     "wce_2d_points_1d_box": ("wce", {**WCE_CFG, "points": PLANE}, []),
     "sweep_2d_points_1d_box": ("sweep", {**SWEEP_CFG, "points": PLANE, "degree": 1}, []),
-    "wce_szego_2d_points": (
+    "sweep_unknown_kernel_family": ("sweep", {**SWEEP_CFG, "kernel": {"family": "exponential"}}, []),
+    "optimal_unknown_kernel_family": ("optimal", {**OPTIMAL_CFG, "kernel": {"family": "exponential"}}, []),
+    "wce_unknown_kernel_family": ("wce", {**WCE_CFG, "kernel": {"family": "szego", "length_scale": 2.0}}, []),
+    "wce_length_scale_true": ("wce", {**WCE_CFG, "kernel": {"family": "gaussian", "length_scale": True}}, []),
+    "sweep_ell_grid_min_true": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": True, "max": 100.0, "count": 3}}, []),
+    "sweep_ell_grid_max_string": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": "100.0", "count": 3}}, []),
+    "sweep_fit_window_string": ("sweep", {**SWEEP_CFG, "fit_window": ["10", 100]}, []),
+    "wce_points_and_weights_bool_and_string": (
         "wce",
-        {**WCE_CFG, "kernel": {"family": "szego", "length_scale": 3.0}, "points": PLANE,
-         "functional": {**BOX, "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}},
-        [],
-    ),
-    "sweep_exponential_2d_gaussian_measure": (
-        "sweep",
-        {**SWEEP_CFG, "kernel": {"family": "exponential"}, "points": PLANE, "degree": 1,
-         "functional": {"kind": "gaussian_measure", "dimension": 2}},
+        {**WCE_CFG, "points": [-1.0, False, True], "weights": ["0.3333333333333333", True, 0.3333333333333333]},
         [],
     ),
     "sweep_four_points_degree_2": ("sweep", {**SWEEP_CFG, "points": [-1.0, 0.0, 0.5, 1.0]}, []),
@@ -233,7 +220,6 @@ BAD_CONFIGS = {
         "optimal", {**OPTIMAL_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, []
     ),
     "gauss_point_eval": ("gauss", {**GAUSS_CFG, "functional": {"kind": "point_eval", "location": 0.3}}, []),
-    "optimal_non_gaussian_kernel": ("optimal", {**OPTIMAL_CFG, "kernel": {"family": "exponential"}}, []),
     "sweep_seed": ("sweep", {**SWEEP_CFG, "seed": 0}, []),
     "gauss_seed": ("gauss", {**GAUSS_CFG, "seed": 0}, []),
     "wce_seed": ("wce", {**WCE_CFG, "seed": 0}, []),
@@ -250,6 +236,15 @@ def test_invalid_value_is_config_error(command, cfg, flags, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["sweep_unknown_kernel_family", "optimal_unknown_kernel_family", "wce_unknown_kernel_family"])
+def test_config_rejects_an_unknown_kernel_family(name, tmp_path, capsys):
+    """The Gaussian is the one kernel; the CLI names any other family as
+    unknown when the config is parsed, before any numerical work."""
+    command, cfg, flags = BAD_CONFIGS[name]
+    assert main([command, "--config", write_cfg(tmp_path / "c.yaml", cfg), *flags]) == 2
+    assert "unknown kernel family" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command,cfg",
     [("sweep", SWEEP_CFG), ("gauss", GAUSS_CFG), ("wce", WCE_CFG), ("check-unisolvent", UNISOLVENT_CFG)],
@@ -263,6 +258,20 @@ def test_seed_flag_is_a_usage_error_outside_optimal(command, cfg, tmp_path, caps
         main([command, "--config", path, "--seed", "1"])
     assert stop.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_a_quoted_number_is_a_string_and_a_plain_exponent_a_float(tmp_path, capsys):
+    """A real value is an int or a float, never a string: "1e2" is a
+    config error, while a plain 1e2, which YAML 1.1 would read as a
+    string too, reads as the float 100, as in YAML 1.2."""
+    text = yaml.safe_dump({**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": 2.0, "count": 3}})
+    path = tmp_path / "c.yaml"
+    path.write_text(text.replace("max: 2.0", 'max: "1e2"'))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "expected a real number, got '1e2'" in capsys.readouterr().err
+    path.write_text(text.replace("max: 2.0", "max: 1e2"))
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert "sweep: gaussian kernel" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command,cfg", [("sweep", SWEEP_CFG), ("optimal", OPTIMAL_CFG)], ids=["sweep", "optimal"])
@@ -330,7 +339,6 @@ def test_study_seed_is_the_optimizer_seed(tmp_path):
     assert main(["optimal", "--config", write_cfg(tmp_path / "o.yaml", cfg), "--out", str(out), "--seed", "7"]) == 0
     cli_manifest = yaml.safe_load((out / "manifest.yaml").read_text())
     study = experiments.OptimalStudyConfig(
-        kernel_family="gaussian",
         functional=FunctionalSpec.lebesgue_box(-1.0, 1.0),
         n_points=2,
         ell_min=10.0,

@@ -35,7 +35,6 @@ SIMPSON = PointSet.from_1d([-1.0, 0.0, 1.0])
 
 
 def make_sweep(**kw):
-    kw.setdefault("kernel_family", "gaussian")
     kw.setdefault("functional", LEB)
     kw.setdefault("points", SIMPSON)
     kw.setdefault("degree", 2)
@@ -60,12 +59,6 @@ def test_sweep_config_validation():
         make_sweep(fit_window="edges")
 
 
-def test_sweep_config_rejects_an_unknown_kernel_family():
-    """The family is checked when the sweep is configured, not on its first row."""
-    with pytest.raises(ConfigError, match="unknown kernel family 'nope'"):
-        make_sweep(kernel_family="nope")
-
-
 def test_sweep_config_normalizes_precision_and_fit_window():
     cfg = make_sweep(precision="96", fit_window=[10, 100])
     assert cfg.precision == 96
@@ -86,7 +79,6 @@ def test_sweep_config_rejects_points_that_do_not_fit(bad):
 
 
 def make_study(**kw):
-    kw.setdefault("kernel_family", "gaussian")
     kw.setdefault("functional", LEB)
     kw.setdefault("n_points", 2)
     kw.setdefault("ell_min", 10.0)
@@ -187,7 +179,6 @@ def test_run_sweep_distances_shrink():
 
 def test_run_sweep_rejects_non_unisolvent_points():
     cfg = SweepConfig(
-        kernel_family="gaussian",
         functional=FunctionalSpec.lebesgue_box((-1.0, -1.0), (1.0, 1.0)),
         points=PointSet.from_points([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]),
         degree=1,
@@ -266,49 +257,6 @@ def test_flat_two_dimensional_sweeps_write_correct_digits(functional, points, de
         assert_wce_matches(r.wce, r.ell, functional, rule, r.precision_bits)
 
 
-def test_exponential_kernel_sweep_writes_correct_digits():
-    """The exponential kernel exp(x y / l) on [-1, 1] with nodes
-    {-0.5, 0, 0.5} at l = 5 and 5.5 (78 and 79 bits), against a 600-bit
-    Gram form from z(y) = 2 l sinh(y / l) / y (2 at y = 0),
-    LL[K] = 4 l Shi(1 / l) and G_ij = exp(x_i x_j / l), to a relative
-    2^-(bits - 8)."""
-    nodes = [-0.5, 0.0, 0.5]
-    result = run_sweep(make_sweep(kernel_family="exponential", points=PointSet.from_1d(nodes), ell_min=5.0, ell_max=5.5, ell_count=2))
-    assert not result.failures
-    assert [r.precision_bits for r in result.records] == [78, 79]
-    for r in result.records:
-        with mp.workprec(600):
-            ell, x, w = mp.mpf(r.ell), [mp.mpf(v) for v in nodes], [mp.mpf(v) for v in r.weights]
-            z = [2 * ell * mp.sinh(y / ell) / y if y else mp.mpf(2) for y in x]
-            quad = mp.fsum(wi * wj * mp.exp(xi * xj / ell) for wi, xi in zip(w, x) for wj, xj in zip(w, x))
-            ref = mp.sqrt(4 * ell * mp.shi(1 / ell) - 2 * mp.fsum(wi * zi for wi, zi in zip(w, z)) + quad)
-            assert abs(mp.mpf(r.wce) - ref) <= mp.mpf(2) ** (8 - r.precision_bits) * ref, (r.ell, float(r.wce), float(ref))
-
-
-def test_exponential_kernel_sweep_under_the_gaussian_measure():
-    """The exponential kernel exp(x y / l) under N(0, 1) with nodes
-    {-1, 0, 1} at l = 2, 6.3 and 20: every row runs, its wce matches a
-    600-bit Gram form from z(y) = exp(y^2 / (2 l^2)) and
-    LL[K] = (1 - l^-2)^(-1/2) to a relative 2^-(bits - 8), and the weights
-    approach (1/2, 0, 1/2)."""
-    nodes = [-1.0, 0.0, 1.0]
-    result = run_sweep(make_sweep(
-        kernel_family="exponential", functional=FunctionalSpec.gaussian_measure(1), ell_min=2.0, ell_max=20.0,
-        ell_count=3,
-    ))
-    assert not result.failures and len(result.records) == 3
-    deviations = []
-    for r in result.records:
-        with mp.workprec(600):
-            ell, x, w = mp.mpf(r.ell), [mp.mpf(v) for v in nodes], [mp.mpf(v) for v in r.weights]
-            z = [mp.exp(y * y / (2 * ell * ell)) for y in x]
-            quad = mp.fsum(wi * wj * mp.exp(xi * xj / ell) for wi, xi in zip(w, x) for wj, xj in zip(w, x))
-            ref = mp.sqrt(1 / mp.sqrt(1 - 1 / ell**2) - 2 * mp.fsum(wi * zi for wi, zi in zip(w, z)) + quad)
-            assert abs(mp.mpf(r.wce) - ref) <= mp.mpf(2) ** (8 - r.precision_bits) * ref, (r.ell, float(r.wce), float(ref))
-        deviations.append(max(abs(float(wi) - t) for wi, t in zip(r.weights, (0.5, 0.0, 0.5))))
-    assert deviations == sorted(deviations, reverse=True) and deviations[-1] < 1e-3
-
-
 def test_two_dimensional_gaussian_measure_sweep_down_to_small_length_scales():
     """Under N(0, I) in 2-D down to ell = 0.3 no row is lost."""
     result = run_sweep(make_sweep(
@@ -329,7 +277,6 @@ def test_optimal_study_requires_bounded_domain_by_default():
     it is the box (-10, 10): the study runs with no opt-in and every
     optimized node lies inside that box."""
     result = run_optimal_study(OptimalStudyConfig(
-        kernel_family="gaussian",
         functional=FunctionalSpec.gaussian_measure(1),
         n_points=2,
         ell_min=10.0,
@@ -344,7 +291,6 @@ def test_optimal_study_requires_bounded_domain_by_default():
 
 def test_optimal_study_end_to_end():
     cfg = OptimalStudyConfig(
-        kernel_family="gaussian",
         functional=LEB,
         n_points=2,
         ell_min=10.0,

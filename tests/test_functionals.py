@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 
 from flatlimit import (
     FunctionalSpec,
-    KernelDomainError,
     KernelSpec,
     MultiIndex,
     PrecisionConfig,
@@ -201,124 +200,6 @@ def test_box_closed_forms_match_500_bit_quadrature(ell):
                         assert value == 0
                     else:
                         assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, k, bits)
-
-
-@pytest.mark.parametrize("ell", [0.05, 0.3, 1.0, 1e2, 1e4])
-def test_exponential_box_closed_forms_match_500_bit_quadrature(ell):
-    """The exponential kernel's embedding l e^(a y / l) expm1((b - a) y / l) / y
-    and double embedding l (E(b^2 / l) - 2 E(a b / l) + E(a^2 / l)) against
-    tanh-sinh quadrature at 500 bits, to a relative 2^-(bits - 8) at 64
-    and 200 bits."""
-    from mpmath import mp
-
-    spec = KernelSpec.exponential(ell)
-    for a, b in CLOSED_FORM_BOXES:
-        L = FunctionalSpec.lebesgue_box(a, b)
-        ys = [a, 0.0, b, (a + b) / 3]
-        with mp.workprec(QUAD_BITS):
-            lo, hi, l = mp.mpf(a), mp.mpf(b), mp.mpf(ell)
-            z_refs = [mp.quad(lambda t: mp.exp(t * mp.mpf(y) / l), [lo, hi]) for y in ys]
-            # LL = int z(y) dy with z(y) = l (e^(b y / l) - e^(a y / l)) / y
-            z = lambda y: l * (mp.exp(hi * y / l) - mp.exp(lo * y / l)) / y if y else hi - lo
-            ll_ref = mp.quad(z, [lo, 0, hi] if a < 0 < b else [lo, hi])
-        for bits in (64, 200):
-            prec = PrecisionConfig.extended(bits)
-            values = [kernel_embedding(L, spec, y, prec) for y in ys] + [double_embedding(L, spec, prec)]
-            with mp.workprec(QUAD_BITS):
-                for value, ref in zip(values, z_refs + [ll_ref]):
-                    assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
-
-
-def test_exponential_double_embedding_on_the_symmetric_box_is_shi():
-    from mpmath import mp
-
-    prec = PrecisionConfig.extended(128)
-    for ell in (0.5, 5.0, 500.0):
-        value = double_embedding(FunctionalSpec.lebesgue_box(-1.0, 1.0), KernelSpec.exponential(ell), prec)
-        with mp.workprec(128):
-            assert abs(value - 4 * ell * mp.shi(1 / mp.mpf(ell))) <= mp.mpf(2) ** -120 * value
-
-
-@pytest.mark.parametrize("ell", [2.0, 20.0])
-def test_szego_box_closed_forms_match_500_bit_quadrature(ell):
-    """The Szego kernel's embedding (l^2 / y) log1p((b - a) y / (l^2 - b y))
-    and its double embedding
-    l^2 (Li2(b^2 / l^2) - 2 Li2(a b / l^2) + Li2(a^2 / l^2)) against
-    tanh-sinh quadrature at 500 bits, to a relative 2^-(bits - 8) at 64
-    and 200 bits.  Where the box reaches |x y| >= l^2 each raises
-    KernelDomainError, as the kernel does."""
-    from mpmath import mp
-
-    spec = KernelSpec.szego(ell)
-    for a, b in CLOSED_FORM_BOXES:
-        L = FunctionalSpec.lebesgue_box(a, b)
-        R = max(abs(a), abs(b))
-        ys = [y for y in (a, 0.0, b, (a + b) / 3) if R * abs(y) < ell * ell]
-        with mp.workprec(QUAD_BITS):
-            lo, hi, l2 = mp.mpf(a), mp.mpf(b), mp.mpf(ell) ** 2
-            z_refs = [mp.quad(lambda x: l2 / (l2 - x * mp.mpf(y)), [lo, hi]) for y in ys]
-            # LL = int z(y) dy with z(y) = (l^2 / y) ln((l^2 - a y) / (l^2 - b y))
-            z = lambda y: l2 / y * mp.log((l2 - lo * y) / (l2 - hi * y)) if y else hi - lo
-            ll_ref = mp.quad(z, [lo, 0, hi] if a < 0 < b else [lo, hi]) if R * R < ell * ell else None
-        for bits in (64, 200):
-            prec = PrecisionConfig.extended(bits)
-            values = [kernel_embedding(L, spec, y, prec) for y in ys]
-            refs = list(z_refs)
-            if ll_ref is None:
-                with pytest.raises(KernelDomainError):
-                    double_embedding(L, spec, prec)
-            else:
-                values.append(double_embedding(L, spec, prec))
-                refs.append(ll_ref)
-            with mp.workprec(QUAD_BITS):
-                for value, ref in zip(values, refs):
-                    assert abs(value - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref), (a, b, bits)
-        with pytest.raises(KernelDomainError):
-            kernel_embedding(L, spec, ell * ell / R, PrecisionConfig.extended(64))
-
-
-@pytest.mark.parametrize("ell", [1.5, 10.0])
-def test_exponential_closed_forms_under_the_gaussian_measure_match_224_bit_quadrature(ell):
-    """The exponential kernel's embedding exp(y^2 / (2 l^2)) and double
-    embedding (1 - l^-2)^(-1/2) under N(0, 1) against tanh-sinh
-    quadrature of the combined exponents at 224 bits: to a relative 2^-50
-    at machine precision and 2^-(bits - 8) at 64 and 200 bits."""
-    from mpmath import mp
-
-    spec, L = KernelSpec.exponential(ell), FunctionalSpec.gaussian_measure(1)
-    ys = [-1.0, 0.7, 3.0]
-    with mp.workprec(224):
-        l, c, line = mp.mpf(ell), 1 / mp.sqrt(2 * mp.pi), [-mp.inf, mp.inf]
-        z_refs = [c * mp.quad(lambda t: mp.exp(t * mp.mpf(y) / l - t * t / 2), line) for y in ys]
-        ll_ref = c * mp.quad(lambda y: mp.exp(y * y / (2 * l * l) - y * y / 2), line)
-    for prec, tol in ((PrecisionConfig.machine(), 2.0**-50), (PrecisionConfig.extended(64), 2.0**-56),
-                      (PrecisionConfig.extended(200), 2.0**-192)):
-        values = [kernel_embedding(L, spec, y, prec) for y in ys] + [double_embedding(L, spec, prec)]
-        with mp.workprec(224):
-            for value, ref in zip(values, z_refs + [ll_ref]):
-                assert abs(mp.mpf(value) - ref) <= tol * ref, (prec, value)
-
-
-@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(64)], ids=["machine", "64"])
-def test_exponential_double_embedding_under_the_gaussian_measure_needs_l_above_1(prec):
-    """E[exp(x y / l)] over x, y ~ N(0, 1) diverges for l <= 1."""
-    L = FunctionalSpec.gaussian_measure(1)
-    for ell in (0.5, 1.0):
-        with pytest.raises(KernelDomainError, match="needs l > 1"):
-            double_embedding(L, KernelSpec.exponential(ell), prec)
-
-
-@pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(64)], ids=["machine", "64"])
-def test_szego_kernel_under_the_gaussian_measure_leaves_its_domain(prec):
-    """The Szego kernel needs |x y| < l^2, which the Gaussian measure's
-    unbounded support leaves: its embedding, even at y = 0, and its
-    double embedding raise KernelDomainError before any quadrature."""
-    L, spec = FunctionalSpec.gaussian_measure(1), KernelSpec.szego(10.0)
-    for y in (0.0, 0.5):
-        with pytest.raises(KernelDomainError, match="unbounded support"):
-            kernel_embedding(L, spec, y, prec)
-    with pytest.raises(KernelDomainError, match="unbounded support"):
-        double_embedding(L, spec, prec)
 
 
 @pytest.mark.parametrize("prec", [PrecisionConfig.machine(), PrecisionConfig.extended(128)], ids=["machine", "128"])

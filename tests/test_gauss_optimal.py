@@ -459,7 +459,7 @@ def test_float64_study_makes_one_gram_solve_per_length_scale(monkeypatch):
 
     monkeypatch.setattr(cubature, "solve_spd", counting)
     cfg = OptimalStudyConfig(
-        kernel_family="gaussian", functional=LEB, n_points=2, ell_min=5.0, ell_max=100.0, ell_count=3,
+        functional=LEB, n_points=2, ell_min=5.0, ell_max=100.0, ell_count=3,
         optimizer=OptimizerSettings(restarts=1, seed=0),
     )
     result = run_optimal_study(cfg)
@@ -483,7 +483,7 @@ def test_optimal_study_builds_its_gauss_rule_once(monkeypatch):
     monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", counting)
     monkeypatch.setattr(experiments, "gauss_rule_from_moments", counting)
     cfg = OptimalStudyConfig(
-        kernel_family="gaussian", functional=LEB, n_points=2, ell_min=5.0, ell_max=100.0, ell_count=5,
+        functional=LEB, n_points=2, ell_min=5.0, ell_max=100.0, ell_count=5,
         optimizer=OptimizerSettings(restarts=0, seed=0),
     )
     result = run_optimal_study(cfg)
@@ -537,11 +537,6 @@ def test_float64_and_extended_lanes_find_the_same_rule(n, ell, monkeypatch):
     assert (trace.search, ext_trace.search) == ("float64", "extended")
     assert abs(trace.wce - ext_trace.wce) <= 1e-6 * ext_trace.wce
     assert max(abs(p[0] - q[0]) for p, q in zip(rule.points, ext_rule.points)) <= 1e-6
-
-
-def test_node_optimisation_needs_the_gaussian_kernel():
-    with pytest.raises(ValueError, match="gaussian kernel"):
-        optimize_points(KernelSpec.exponential(5.0), LEB, 2, EXT)
 
 
 @pytest.mark.parametrize("lane", ["float64", "extended"])

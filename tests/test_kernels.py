@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from flatlimit import kernels
 from flatlimit import (
-    KernelDomainError,
     KernelSpec,
     PointSet,
     PrecisionConfig,
@@ -38,10 +37,9 @@ def test_gaussian_symmetry_and_bounds(x, y, ell):
 
 
 def power_series(coefficient, t, terms=120):
-    """sum_{n < terms} coefficient(n) t^n at 128 bits.  Each closed-form
-    kernel below is such a series in t = x . y / l^q: the Gaussian with
-    its damping exp(-|x|^2/(2 l^2)) exp(-|y|^2/(2 l^2)) and 1/n!, the
-    exponential 1/n!, the Szego 1."""
+    """sum_{n < terms} coefficient(n) t^n at 128 bits.  The Gaussian
+    kernel is such a series in t = x . y / l^2, with its damping
+    exp(-|x|^2/(2 l^2)) exp(-|y|^2/(2 l^2)) and 1/n!."""
     with mp.workprec(128):
         t = mp.mpf(t)
         return float(mp.fsum(coefficient(n) * t**n for n in range(terms)))
@@ -61,29 +59,6 @@ def test_series_reproduces_gaussian():
             damping = math.exp(-(sum(c * c for c in x) + sum(c * c for c in y)) / (2 * ell * ell))
             series = damping * power_series(inverse_factorial, sum(a * b for a, b in zip(x, y)) / ell**2)
             assert_allclose(kernel_eval(k_closed, x, y), series, rtol=0, atol=1e-10)
-
-
-def test_series_reproduces_exponential():
-    k_closed = KernelSpec.exponential(2.0)
-    for x, y in [(0.7, -1.1), (1.5, 1.5), (-0.2, 0.3)]:
-        assert_allclose(kernel_eval(k_closed, x, y), power_series(inverse_factorial, x * y / 2.0), atol=1e-12)
-    assert_allclose(kernel_eval(k_closed, 1.0, 2.0), math.exp(2.0 / 2.0))
-
-
-def test_series_reproduces_szego():
-    k_closed = KernelSpec.szego(2.0)
-    for x, y in [(0.9, 1.2), (-1.0, 1.0), (0.0, 3.0)]:
-        assert_allclose(kernel_eval(k_closed, x, y), power_series(lambda n: 1, x * y / 4.0), atol=1e-12)
-    # geometric series: l^2 / (l^2 - xy)
-    assert_allclose(kernel_eval(k_closed, 1.0, 2.0), 4.0 / (4.0 - 2.0))
-
-
-def test_szego_outside_domain_raises():
-    k = KernelSpec.szego(2.0)
-    with pytest.raises(KernelDomainError):
-        kernel_eval(k, 2.0, 2.1)
-    with pytest.raises(KernelDomainError):
-        kernel_eval(k, 2.0, 2.0)
 
 
 def test_phi_basis_eval():
@@ -224,5 +199,3 @@ def test_kernel_spec_validation():
         KernelSpec.gaussian(0.0)
     with pytest.raises(ValueError):
         KernelSpec.gaussian(-2.0)
-    with pytest.raises(ValueError, match="unknown kernel family"):
-        KernelSpec("damped_power_series", 1.0)

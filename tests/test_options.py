@@ -20,14 +20,14 @@ from flatlimit.kernels import KernelSpec
 FIELDS = {
     PrecisionConfig: ("mode", "bits"),
     FunctionalSpec: ("kind", "dimension", "location", "lower", "upper", "density"),
-    KernelSpec: ("family", "length_scale"),
+    KernelSpec: ("length_scale",),
     OptimizerSettings: ("restarts", "max_evals", "seed"),
     SweepConfig: (
-        "kernel_family", "functional", "points", "degree", "ell_min", "ell_max", "ell_count",
+        "functional", "points", "degree", "ell_min", "ell_max", "ell_count",
         "precision", "fit_window",
     ),
     OptimalStudyConfig: (
-        "kernel_family", "functional", "n_points", "ell_min", "ell_max", "ell_count",
+        "functional", "n_points", "ell_min", "ell_max", "ell_count",
         "precision", "fit_window", "optimizer",
     ),
 }
@@ -69,7 +69,7 @@ PUBLIC = {
     "UnisolvencyReport", "WeightSolution", "WorstCaseReport", "optimal_weights", "phi_weights",
     "polynomial_weights", "unisolvency_check", "worst_case_error",
     # errors
-    "ConfigError", "FlatLimitError", "KernelDomainError", "NotUnisolventError", "NumericalInconsistencyError",
+    "ConfigError", "FlatLimitError", "NotUnisolventError", "NumericalInconsistencyError",
     "NumericallyIndefiniteError", "QuadratureError", "SingularMatrixError",
     # experiments
     "OptimalRecord", "OptimalStudyConfig", "OptimalStudyResult", "RateFit", "SweepConfig", "SweepRecord",
