@@ -1,6 +1,6 @@
 """The Gaussian kernel K(x, y) = exp(-|x - y|^2 / (2 l^2)) in any
-dimension: its values, its Gram matrix and the damped monomials that span
-its RKHS as the kernel flattens.
+dimension: its values, its Gram matrix and the damped monomials
+exp(-|x|^2 / (2 l^2)) x^alpha through which its RKHS is described.
 """
 from __future__ import annotations
 
