@@ -66,7 +66,6 @@ from .gauss_optimal import (
     optimize_points,
 )
 from .kernels import (
-    KernelSpec,
     gram_matrix,
     kernel_eval,
     phi_basis_eval,
@@ -125,7 +124,6 @@ __all__ = [
     "chebyshev_system_zero_count",
     "gauss_rule_from_moments",
     "optimize_points",
-    "KernelSpec",
     "gram_matrix",
     "kernel_eval",
     "phi_basis_eval",

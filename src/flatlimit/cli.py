@@ -23,7 +23,7 @@ from typing import Optional
 
 import yaml
 
-from .core import CubatureRule, PointSet, _real
+from .core import CubatureRule, PointSet, _length_scale, _real
 from .cubature import _check_dims, _monomials, optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
 from .experiments import (
@@ -42,7 +42,6 @@ from .experiments import (
 )
 from .functionals import FunctionalSpec
 from .gauss_optimal import OptimizerSettings, _check_nodes, gauss_rule_from_moments
-from .kernels import KernelSpec
 from .linalg import auto_precision_bits
 
 
@@ -132,14 +131,14 @@ def _functional(d) -> FunctionalSpec:
     )
 
 
-def _kernel(d, need_length_scale: bool) -> Optional[KernelSpec]:
+def _kernel(d, need_length_scale: bool) -> Optional[float]:
     """The kernel of a config, whose family must be the library's one
     kernel, the Gaussian; without ``length_scale`` (a sweep or a study
     walks its own grid) only the family is checked."""
     _keys(d, "kernel", ("family", "length_scale") if need_length_scale else ("family",))
     if d["family"] != "gaussian":
         raise ConfigError(f"unknown kernel family {d['family']!r}; the one kernel is 'gaussian'")
-    return KernelSpec.gaussian(_real(d["length_scale"])) if need_length_scale else None
+    return _length_scale(d["length_scale"]) if need_length_scale else None
 
 
 def _optimizer(d) -> OptimizerSettings:
@@ -253,22 +252,22 @@ def _run_gauss(job, raw: dict, out: Optional[str]) -> int:
 
 
 def _parse_wce(raw: dict):
-    kspec = _kernel(raw["kernel"], need_length_scale=True)
+    ell = _kernel(raw["kernel"], need_length_scale=True)
     L = _functional(raw["functional"])
     points = PointSet.from_points(_list(raw["points"], "points"))
     _check_dims(L, points)
-    prec = _precision_for(raw.get("precision", "auto"), auto_precision_bits(kspec.length_scale, len(points)))
+    prec = _precision_for(raw.get("precision", "auto"), auto_precision_bits(ell, len(points)))
     if raw.get("weights") is None:
-        return kspec, L, points, None, True, prec  # the optimal weights
+        return ell, L, points, None, True, prec  # the optimal weights
     rule = CubatureRule(points, tuple(_real(w) for w in _list(raw["weights"], "weights")))
-    return kspec, L, points, rule, _bool(raw.get("assume_optimal", False)), prec
+    return ell, L, points, rule, _bool(raw.get("assume_optimal", False)), prec
 
 
 def _run_wce(job, raw: dict, out: Optional[str]) -> int:
-    kspec, L, points, rule, assume, prec = job
+    ell, L, points, rule, assume, prec = job
     if rule is None:
-        rule = optimal_weights(kspec, L, points, prec)  # its Gram assembly and condition are reused
-    report = worst_case_error(kspec, L, rule, prec, assume_optimal=assume)
+        rule = optimal_weights(ell, L, points, prec)  # its Gram assembly and condition are reused
+    report = worst_case_error(ell, L, rule, prec, assume_optimal=assume)
     print(f"wce: {format_real(report.wce, prec.bits)}")
     print(f"initial term LL[K]: {format_real(report.initial_term, prec.bits)}")
     print(f"cross term w.z:     {format_real(report.cross_term, prec.bits)}")

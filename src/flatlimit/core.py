@@ -126,10 +126,21 @@ def monomial_eval(x: Sequence[Real], alpha: MultiIndex) -> Real:
 
 def _real(value) -> float:
     """A real number given as an int or a float, never as a bool or a
-    string that reads as one."""
+    string that reads as one, nor as an int past the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"expected a real number in the float range, got an integer of {value.bit_length()} bits") from None
+
+
+def _length_scale(value) -> float:
+    """The Gaussian kernel's length scale l: a real number (:func:`_real`) with 0 < l < inf."""
+    ell = _real(value)
+    if not 0 < ell < math.inf:
+        raise ValueError(f"length_scale must be positive and finite, got {value!r}")
+    return ell
 
 
 def _coords(value) -> tuple[float, ...]:
@@ -176,10 +187,6 @@ class PointSet:
         if norm and len(norm[0]) == 1:
             norm.sort()
         return cls(tuple(norm))
-
-    @classmethod
-    def from_1d(cls, xs: Sequence[float]) -> "PointSet":
-        return cls.from_points([(float(x),) for x in xs])
 
     @property
     def dimension(self) -> int:

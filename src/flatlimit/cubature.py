@@ -41,6 +41,7 @@ from .core import (
     PointSet,
     PrecisionConfig,
     Real,
+    _length_scale,
     enumerate_multi_indices,
     monomial_eval,
     rexp_once,
@@ -59,7 +60,7 @@ from .functionals import (
     double_embedding,
     moment,
 )
-from .kernels import KernelSpec, gram_matrix
+from .kernels import gram_matrix
 from .linalg import SolveResult, _warning_for, checkerboard_condition, condition_estimate, solve_general, solve_spd
 
 
@@ -71,7 +72,7 @@ class WeightSolution:
     may run higher.  ``condition`` and ``residual_norm`` are computed on
     first read from the :class:`SolveResult`'s stored factor, and
     ``warning`` judges that condition at ``precision``.  Optimal weights
-    also record the kernel and the functional they were solved with, and
+    also record the length scale and functional they were solved with, and
     their solve keeps G and z at its own precision: :func:`worst_case_error`
     takes the rule, the Gram condition and that assembly from such a
     solution.  The polynomial-type weight families leave these None.
@@ -80,7 +81,7 @@ class WeightSolution:
     rule: CubatureRule
     solve: SolveResult
     precision: PrecisionConfig
-    kernel: Optional[KernelSpec] = None
+    length_scale: Optional[float] = None
     functional: Optional[FunctionalSpec] = None
 
     @property
@@ -96,7 +97,7 @@ class WeightSolution:
         points take it from one substitution with s = (1, -1, 1, ...) up
         to the solve's warning threshold (:func:`linalg.checkerboard_condition`),
         every other solve from :attr:`SolveResult.condition`."""
-        if self.kernel is not None and self.rule.points.dimension == 1:
+        if self.length_scale is not None and self.rule.points.dimension == 1:
             return checkerboard_condition(self.solve, [(-1) ** i for i in range(len(self.rule.points))])
         return self.solve.condition
 
@@ -151,7 +152,7 @@ def _wce_bits(prec: PrecisionConfig) -> int:
 
 
 def optimal_weights(
-    spec: KernelSpec,
+    length_scale: float,
     L: FunctionalSpec,
     points: PointSet,
     prec: PrecisionConfig = MACHINE,
@@ -166,17 +167,18 @@ def optimal_weights(
     exact arithmetic; a Cholesky failure therefore signals insufficient
     precision, not an invalid problem, and raises accordingly.
     """
+    ell = _length_scale(length_scale)
     _check_dims(L, points)
     solve_prec = PrecisionConfig.extended(_wce_bits(prec))
     with solve_prec.workprec():
-        G = gram_matrix(spec, points, solve_prec)
-        sol = solve_spd(G, _row_embeddings(L, spec, points, solve_prec), solve_prec)
+        G = gram_matrix(ell, points, solve_prec)
+        sol = solve_spd(G, _row_embeddings(L, ell, points, solve_prec), solve_prec)
     with prec.workprec():
         rule = CubatureRule(points, tuple(prec.to_real(w) for w in sol.solution))
-        return WeightSolution(rule, sol, prec, spec, L)
+        return WeightSolution(rule, sol, prec, ell, L)
 
 
-def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):
+def _gram_terms(ell: float, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):
     """The Gram matrix G (raw mpf rows), LL[K], w.G w and w.z (z the
     embedding) of ``rule`` at ``bits``, taking its weights as exact, with the
     roundings of ``mp.fsum`` of mpf products; ``assembly`` is a pair (G, z)
@@ -184,19 +186,19 @@ def _gram_terms(spec: KernelSpec, L: FunctionalSpec, rule: CubatureRule, bits: i
     prec = PrecisionConfig.extended(bits)
     with prec.workprec():
         if assembly is None:
-            G = [[g._mpf_ for g in row] for row in gram_matrix(spec, rule.points, prec)]
-            z = [v._mpf_ for v in _row_embeddings(L, spec, rule.points, prec)]
+            G = [[g._mpf_ for g in row] for row in gram_matrix(ell, rule.points, prec)]
+            z = [v._mpf_ for v in _row_embeddings(L, ell, rule.points, prec)]
         else:
             G, z = assembly
         p, rnd = mp._prec_rounding
         w = [mp.mpf(wi)._mpf_ for wi in rule.weights]
         dot = lambda a, b: mpf_sum([mpf_mul(x, y, p, rnd) for x, y in zip(a, b)], p, rnd)
         quad = dot(w, [dot(row, w) for row in G])
-        return G, double_embedding(L, spec, prec), mp.make_mpf(quad), mp.make_mpf(dot(w, z))
+        return G, double_embedding(L, ell, prec), mp.make_mpf(quad), mp.make_mpf(dot(w, z))
 
 
 def worst_case_error(
-    spec: KernelSpec,
+    length_scale: float,
     L: FunctionalSpec,
     rule: Union[CubatureRule, WeightSolution],
     prec: PrecisionConfig = MACHINE,
@@ -208,9 +210,9 @@ def worst_case_error(
     ``rule`` is a cubature rule or a :class:`WeightSolution`.  A solution
     from :func:`optimal_weights` supplies its rule, the condition number
     of its Gram solve, which is then not estimated again, and the G and z
-    it was solved from, which are then not assembled again; its kernel,
-    functional and precision must equal ``spec``, ``L`` and ``prec``
-    (ValueError otherwise).
+    it was solved from, which are then not assembled again; its length
+    scale, functional and precision must equal ``length_scale``, ``L`` and
+    ``prec`` (ValueError otherwise).
 
     The weights are taken as exact, and LL[K], z, G, w.z and w.G w are
     evaluated at 2 bits + 32.  The radicand cancels by
@@ -233,16 +235,17 @@ def worst_case_error(
     non-optimal weights with the flag set is caught instead of silently
     misreported.
     """
-    solved = rule if isinstance(rule, WeightSolution) and rule.kernel is not None else None
+    ell = _length_scale(length_scale)
+    solved = rule if isinstance(rule, WeightSolution) and rule.length_scale is not None else None
     if isinstance(rule, WeightSolution):
         rule = rule.rule
-    if solved is not None and (solved.kernel, solved.functional, solved.precision) != (spec, L, prec):
-        raise ValueError("the weight solution was computed for another kernel, functional or precision")
+    if solved is not None and (solved.length_scale, solved.functional, solved.precision) != (ell, L, prec):
+        raise ValueError("the weight solution was computed for another length scale, functional or precision")
     _check_dims(L, rule.points)
     cap, bits = 4 * prec.bits + 64, _wce_bits(prec)
     assembly = None if solved is None else (solved.solve.matrix, solved.solve.rhs)
     while True:
-        G, llk, quad, cross = _gram_terms(spec, L, rule, bits, assembly)
+        G, llk, quad, cross = _gram_terms(ell, L, rule, bits, assembly)
         assembly = None  # a later pass assembles afresh, at its higher precision
         with mp.workprec(bits):
             radicand = llk - 2 * cross + quad
@@ -364,9 +367,10 @@ def phi_weights(
     Machine-lane weights past the float64 range raise
     :class:`FlatLimitError`.
     """
+    ell = _length_scale(length_scale)
     _check_dims(L, points)
     factor = _vandermonde_solve(points, degree, lambda alpha: 0, prec)
-    return _phi_weights(factor, L, length_scale, points, degree, prec)
+    return _phi_weights(factor, L, ell, points, degree, prec)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .gauss_optimal import (
     gauss_rule_from_moments,
     optimize_points,
 )
-from .kernels import KernelSpec
 from .linalg import auto_precision_bits
 
 _REFERENCE_BITS = 256
@@ -252,10 +251,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
         prec = _precision_for(cfg.precision, auto_precision_bits(ell, len(cfg.points)))
-        kspec = KernelSpec.gaussian(ell)
         try:
-            wsol = optimal_weights(kspec, cfg.functional, cfg.points, prec)
-            wce = worst_case_error(kspec, cfg.functional, wsol, prec, assume_optimal=True).wce
+            wsol = optimal_weights(ell, cfg.functional, cfg.points, prec)
+            wce = worst_case_error(ell, cfg.functional, wsol, prec, assume_optimal=True).wce
             fsol = _phi_weights(w_pol.solve, cfg.functional, ell, cfg.points, cfg.degree, prec)
             d_opt = max(abs(float(w) - r) for w, r in zip(wsol.weights, ref))
             d_phi = max(abs(float(w) - r) for w, r in zip(fsol.weights, ref))
@@ -339,10 +337,9 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
     records: list[OptimalRecord] = []
     failures: list[tuple[float, str]] = []
     for ell in cfg.ell_grid:
-        kspec = KernelSpec.gaussian(ell)
         prec = _precision_for(cfg.precision, _default_optimizer_bits(ell, cfg.n_points))
         try:
-            rule, trace = optimize_points(kspec, cfg.functional, cfg.n_points, prec, cfg.optimizer, _gauss=gauss)
+            rule, trace = optimize_points(ell, cfg.functional, cfg.n_points, prec, cfg.optimizer, _gauss=gauss)
             xs = tuple(p[0] for p in rule.points)
             ws = rule.weights_float()
             nd = max(abs(a - b) for a, b in zip(xs, gauss.nodes))

@@ -26,6 +26,7 @@ from .core import (
     PrecisionConfig,
     Real,
     _coords,
+    _length_scale,
     monomial_eval,
     rerf,
     rexp,
@@ -35,7 +36,7 @@ from .core import (
     sq_norm,
 )
 from .errors import QuadratureError
-from .kernels import KernelSpec, _as_point, kernel_eval, phi_basis_eval
+from .kernels import _as_point, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
 
@@ -385,22 +386,22 @@ def damped_moment(
     otherwise; see :func:`_box_damped_moment`).  The numeric oracle
     integrates.
     """
-    return _row_damped_moments(L, length_scale, [alpha], prec)[0]
+    return _row_damped_moments(L, _length_scale(length_scale), [alpha], prec)[0]
 
 
-def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: PrecisionConfig) -> list:
+def _row_embeddings(L: FunctionalSpec, length_scale: float, points, prec: PrecisionConfig) -> list:
     """The embeddings z(x) = L[K(., x)] of ``points``, the factors the
     closed forms share formed once: under the Gaussian measure v^(d/2) and
     2 (1 + l^2), with one exp per distinct exponent; on a box sqrt(2) l,
     the scale and the endpoints."""
     with prec.workprec():
         if L.kind == "point_eval":
-            return [kernel_eval(spec, L.location, x, prec) for x in points]
+            return [kernel_eval(length_scale, L.location, x, prec) for x in points]
         xs = [_as_point(x, prec) for x in points]
         for xv in xs:
             if len(xv) != L.dimension:
                 raise ValueError(f"point dimension {len(xv)} != functional dimension {L.dimension}")
-        ell = prec.to_real(spec.length_scale)
+        ell = prec.to_real(length_scale)
         if L.kind == "gaussian_measure":
             c = (ell * ell / (1 + ell * ell)) ** (prec.to_real(L.dimension) / 2)
             den, values = 2 * (1 + ell * ell), {}
@@ -415,12 +416,12 @@ def _row_embeddings(L: FunctionalSpec, spec: KernelSpec, points, prec: Precision
                 out.append(z)
             return out
         targets = [xv[0] for xv in xs] if L.dimension == 1 else xs
-        return [apply_functional(L, lambda t: kernel_eval(spec, t, y, prec), prec) for y in targets]
+        return [apply_functional(L, lambda t: kernel_eval(length_scale, t, y, prec), prec) for y in targets]
 
 
 def kernel_embedding(
     L: FunctionalSpec,
-    spec: KernelSpec,
+    length_scale: float,
     x,
     prec: PrecisionConfig = MACHINE,
 ) -> Real:
@@ -429,10 +430,10 @@ def kernel_embedding(
     Closed forms cover point evaluation (a kernel value), the Gaussian
     measure and a box; the numeric oracle uses tanh-sinh quadrature.
     """
-    return _row_embeddings(L, spec, [x], prec)[0]
+    return _row_embeddings(L, _length_scale(length_scale), [x], prec)[0]
 
 
-def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig = MACHINE) -> Real:
+def double_embedding(L: FunctionalSpec, length_scale: float, prec: PrecisionConfig = MACHINE) -> Real:
     """The initial worst-case-error term L (x) L [K], the kernel integrated
     by the functional in both arguments.
 
@@ -442,17 +443,18 @@ def double_embedding(L: FunctionalSpec, spec: KernelSpec, prec: PrecisionConfig 
     its cancellation (see :func:`_box_double_embedding`).  The numeric
     oracle integrates the embedding function.
     """
+    length_scale = _length_scale(length_scale)
     with prec.workprec():
         if L.kind == "point_eval":
-            return kernel_eval(spec, L.location, L.location, prec)
+            return kernel_eval(length_scale, L.location, L.location, prec)
         if L.kind == "gaussian_measure":
-            ell = prec.to_real(spec.length_scale)
+            ell = prec.to_real(length_scale)
             v = ell * ell / (2 + ell * ell)
             return v ** (prec.to_real(L.dimension) / 2)
         if L.kind == "lebesgue_box":
             out = prec.to_real(1)
             for a, b in zip(L.lower, L.upper):
-                out = out * prec.to_real(_box_double_embedding(a, b, spec.length_scale, prec.bits))
+                out = out * prec.to_real(_box_double_embedding(a, b, length_scale, prec.bits))
             return out
-        z = lambda t: kernel_embedding(L, spec, t, prec)
+        z = lambda t: kernel_embedding(L, length_scale, t, prec)
         return apply_functional(L, z, prec)

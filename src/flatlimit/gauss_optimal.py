@@ -38,6 +38,7 @@ from .core import (
     MultiIndex,
     PointSet,
     PrecisionConfig,
+    _length_scale,
     rexp,
     rsqrt,
 )
@@ -49,7 +50,6 @@ from .errors import (
 )
 from .cubature import optimal_weights, worst_case_error
 from .functionals import FunctionalSpec, _row_damped_moments, moment, quad1d
-from .kernels import KernelSpec
 from .linalg import _cholesky
 
 
@@ -350,10 +350,10 @@ class _BasisResidual:
     """
 
     def __init__(
-        self, spec: KernelSpec, L: FunctionalSpec, n_points: int, box: tuple[float, float],
+        self, ell: float, L: FunctionalSpec, n_points: int, box: tuple[float, float],
         prec: PrecisionConfig, lane: str,
     ):
-        self.ell, self.L, self.prec, self.lane = spec.length_scale, L, prec, lane
+        self.ell, self.L, self.prec, self.lane = ell, L, prec, lane
         # the entries: float64, or mpf at the working precision of prec
         self.real = mp.mpf if lane == "extended" else float
         self.arith = prec if lane == "extended" else MACHINE
@@ -536,7 +536,7 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
 
 
 def optimize_points(
-    spec: KernelSpec,
+    length_scale: float,
     L: FunctionalSpec,
     n_points: int,
     prec: Optional[PrecisionConfig] = None,
@@ -544,8 +544,8 @@ def optimize_points(
     *,
     _gauss: Optional[GaussRule] = None,
 ) -> tuple[CubatureRule, OptimizationTrace]:
-    """Minimize the worst-case error of the Gaussian kernel jointly over
-    nodes and weights.
+    """Minimize the worst-case error of the Gaussian kernel of length scale
+    ``length_scale`` jointly over nodes and weights.
 
     One-dimensional: the search runs on the interval of a box or a numeric
     oracle, and on (-10, 10) under the Gaussian measure.  The weights are
@@ -574,17 +574,18 @@ def optimize_points(
     raises, as does a negative squared wce beyond the roundoff budget of
     :func:`cubature.worst_case_error`.
     """
+    ell = _length_scale(length_scale)
     _check_nodes(L, n_points)
     settings = settings or OptimizerSettings()
-    search_prec = PrecisionConfig.extended(_default_optimizer_bits(spec.length_scale, n_points))
+    search_prec = PrecisionConfig.extended(_default_optimizer_bits(ell, n_points))
     if prec is None:
         prec = search_prec
 
     a, b = (float(L.lower[0]), float(L.upper[0])) if L.is_bounded else _UNBOUNDED_BOX
     width = b - a
 
-    search = _search_lane(L, n_points, spec.length_scale, (a, b))
-    residual = _BasisResidual(spec, L, n_points, (a, b), search_prec, search)
+    search = _search_lane(L, n_points, ell, (a, b))
+    residual = _BasisResidual(ell, L, n_points, (a, b), search_prec, search)
 
     inits: list[tuple[str, list[float]]] = []
     if _gauss is None:
@@ -617,8 +618,8 @@ def optimize_points(
             "or reduce n_points"
         )
     (x, e2), converged = winner
-    sol = optimal_weights(spec, L, PointSet.from_1d(x), prec)
-    report = worst_case_error(spec, L, sol, prec, assume_optimal=True)
+    sol = optimal_weights(ell, L, PointSet.from_points([float(v) for v in x]), prec)
+    report = worst_case_error(ell, L, sol, prec, assume_optimal=True)
     wce = float(report.wce)
     with search_prec.workprec():
         found_wce = float(rsqrt(e2))
@@ -647,6 +648,7 @@ def chebyshev_system_zero_count(
     interval's largest |endpoint|) and the damping leaves the values
     nonzero: the run then has the sign of p at its middle.
     """
+    ell = _length_scale(length_scale)
     try:
         c = [float(v) for v in coefficients]
     except TypeError as e:
@@ -659,7 +661,7 @@ def chebyshev_system_zero_count(
     step = (b - a) / max(n_grid - 1, 1)
     slope = math.fsum(j * abs(cj) * max(-a, b) ** (j - 1) for j, cj in enumerate(c) if j)
     poly = lambda x: reduce(lambda acc, cj: acc * x + cj, reversed(c), 0.0)
-    damping = lambda x: rexp(-x * x / (2 * length_scale**2))
+    damping = lambda x: rexp(-x * x / (2 * ell**2))
 
     def signs(first: int, last: int) -> list[bool]:
         lo, hi = a + first * step, a + last * step

@@ -1,11 +1,11 @@
 """The Gaussian kernel K(x, y) = exp(-|x - y|^2 / (2 l^2)) in any
-dimension: its values, its Gram matrix and the damped monomials
+dimension, given by its length scale l alone (:func:`core._length_scale`):
+its values, its Gram matrix and the damped monomials
 exp(-|x|^2 / (2 l^2)) x^alpha through which its RKHS is described.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from mpmath import mp
@@ -17,27 +17,12 @@ from .core import (
     PointSet,
     PrecisionConfig,
     Real,
+    _length_scale,
     monomial_eval,
     rexp,
     sq_dist,
     sq_norm,
 )
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """The Gaussian kernel with its length scale l."""
-
-    length_scale: float
-
-    def __post_init__(self) -> None:
-        ls = self.length_scale
-        if not (isinstance(ls, (int, float)) and math.isfinite(ls) and ls > 0):
-            raise ValueError(f"length_scale must be positive and finite, got {ls!r}")
-
-    @classmethod
-    def gaussian(cls, length_scale: float) -> "KernelSpec":
-        return cls(float(length_scale))
 
 
 def _as_point(x, prec: PrecisionConfig) -> tuple[Real, ...]:
@@ -70,16 +55,16 @@ def _kernel_value(xv: Sequence[Real], yv: Sequence[Real], ell: Real) -> Real:
     return _gaussian_value(xv, yv, (2 * ell * ell)._mpf_, {}, *mp._prec_rounding)
 
 
-def kernel_eval(spec: KernelSpec, x, y, prec: PrecisionConfig = MACHINE) -> Real:
+def kernel_eval(length_scale: float, x, y, prec: PrecisionConfig = MACHINE) -> Real:
     """K(x, y) at the working precision.
 
     Accepts bare scalars for one-dimensional points.
     """
     with prec.workprec():
-        return _kernel_value(_as_point(x, prec), _as_point(y, prec), prec.to_real(spec.length_scale))
+        return _kernel_value(_as_point(x, prec), _as_point(y, prec), prec.to_real(_length_scale(length_scale)))
 
 
-def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACHINE):
+def gram_matrix(length_scale: float, points: PointSet, prec: PrecisionConfig = MACHINE):
     """Kernel matrix G[i, j] = K(x_i, x_j) as a list of rows.
 
     The entries are floats at machine precision and mpf at extended
@@ -94,7 +79,7 @@ def gram_matrix(spec: KernelSpec, points: PointSet, prec: PrecisionConfig = MACH
     n = len(points)
     with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
         xs = [_as_point(x, prec) for x in points]
-        ell = prec.to_real(spec.length_scale)
+        ell = prec.to_real(_length_scale(length_scale))
         out = [[None] * n for _ in range(n)]
         entry = lambda x, y: _kernel_value(x, y, ell)
         if prec.is_extended:
@@ -116,5 +101,5 @@ def phi_basis_eval(length_scale: float, alpha: MultiIndex, x, prec: PrecisionCon
         xv = _as_point(x, prec)
         if len(xv) != alpha.dimension:
             raise ValueError(f"point has dimension {len(xv)}, multi-index {alpha.dimension}")
-        ell = prec.to_real(length_scale)
+        ell = prec.to_real(_length_scale(length_scale))
         return rexp(-sq_norm(xv) / (2 * ell * ell)) * monomial_eval(xv, alpha)

@@ -37,7 +37,7 @@ from mpmath.libmp import (
     mpf_sqrt, mpf_sub, mpf_sum, normalize, to_float,
 )
 
-from .core import MACHINE, PrecisionConfig, Real
+from .core import MACHINE, PrecisionConfig, Real, _length_scale
 from .errors import NumericallyIndefiniteError, SingularMatrixError
 
 _BY_VALUE = cmp_to_key(mpf_cmp)  # max(raw mpf values, key=_BY_VALUE) keeps the first largest, as max() of mpf
@@ -101,11 +101,9 @@ def auto_precision_bits(length_scale: float, n_points: int) -> int:
     The Gram spectrum collapses like powers of the inverse length scale, so
     the requirement grows with N log2(l): bits = max(64, 64 + ceil(2 N log2 l)).
     """
-    if not 0 < length_scale < math.inf:
-        raise ValueError(f"length_scale must be positive and finite, got {length_scale!r}")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    return max(64, 64 + math.ceil(2 * n_points * math.log2(length_scale)))
+    return max(64, 64 + math.ceil(2 * n_points * math.log2(_length_scale(length_scale))))
 
 
 def _raw_entry(v, prec: int, rnd: str) -> tuple:

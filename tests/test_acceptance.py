@@ -12,7 +12,6 @@ from mpmath import mp
 
 from flatlimit import (
     FunctionalSpec,
-    KernelSpec,
     MultiIndex,
     OptimalStudyConfig,
     OptimizerSettings,
@@ -46,11 +45,11 @@ def report(num, name, detail):
 
 def test_criterion_01_delta_property():
     t0 = time.perf_counter()
-    X = PointSet.from_1d([-1.0, -0.3, 0.4, 1.0])
+    X = PointSet.from_points([-1.0, -0.3, 0.4, 1.0])
     prec = PrecisionConfig.extended(128)
     worst_w, worst_e = 0.0, 0.0
     for ell in (0.5, 1.0, 5.0):
-        k = KernelSpec.gaussian(ell)
+        k = ell
         for j, x in enumerate(X.coords_1d()):
             sol = optimal_weights(k, FunctionalSpec.point_eval(x), X, prec)
             w = sol.rule.weights_float()
@@ -65,12 +64,12 @@ def test_criterion_01_delta_property():
 
 def test_criterion_02_weight_optimality():
     t0 = time.perf_counter()
-    X = PointSet.from_1d([-1.0, -0.3, 0.4, 1.0])
+    X = PointSet.from_points([-1.0, -0.3, 0.4, 1.0])
     rng = np.random.default_rng(0)
     worst_margin = math.inf
     for L in (LEB1, GAUSS1):
         for ell in (1.0, 5.0, 20.0):
-            k = KernelSpec.gaussian(ell)
+            k = ell
             sol = optimal_weights(k, L, X)
             base = worst_case_error(k, L, sol.rule)
             # the comparison runs on squared errors, where the roundoff
@@ -95,7 +94,7 @@ def test_criterion_03_simpson_flat_limit():
     t0 = time.perf_counter()
     cfg = SweepConfig(
         functional=LEB1,
-        points=PointSet.from_1d([-1.0, 0.0, 1.0]),
+        points=PointSet.from_points([-1.0, 0.0, 1.0]),
         degree=2,
         ell_min=10.0,
         ell_max=1000.0,
@@ -125,7 +124,7 @@ def test_criterion_04_flat_limit_unbounded_domain():
     t0 = time.perf_counter()
     cfg = SweepConfig(
         functional=GAUSS1,
-        points=PointSet.from_1d([-1.0, 0.0, 1.0]),
+        points=PointSet.from_points([-1.0, 0.0, 1.0]),
         degree=2,
         ell_min=10.0,
         ell_max=1000.0,
@@ -198,7 +197,7 @@ def test_criterion_06_gauss_rules_from_moments():
 def test_criterion_07_optimized_rule_reaches_gauss_legendre():
     t0 = time.perf_counter()
     settings = OptimizerSettings(restarts=3, max_evals=4000, seed=0)
-    k100 = KernelSpec.gaussian(100.0)
+    k100 = 100.0
     rule, trace = optimize_points(k100, LEB1, 2, settings=settings)
     assert trace.converged, "optimizer did not converge at ell=100"
     node_err = max(abs(abs(p[0]) - 1.0 / math.sqrt(3.0)) for p in rule.points)
@@ -227,7 +226,7 @@ def test_criterion_07_optimized_rule_reaches_gauss_legendre():
 def test_criterion_08_optimized_rule_gaussian_measure():
     t0 = time.perf_counter()
     settings = OptimizerSettings(restarts=3, max_evals=4000, seed=0)
-    k100 = KernelSpec.gaussian(100.0)
+    k100 = 100.0
     rule, trace = optimize_points(k100, GAUSS1, 2, settings=settings)
     assert trace.converged, "optimizer did not converge at ell=100"
     node_err = max(abs(abs(p[0]) - 1.0) for p in rule.points)
@@ -240,8 +239,8 @@ def test_criterion_08_optimized_rule_gaussian_measure():
 
 def test_criterion_09_precision_layer():
     t0 = time.perf_counter()
-    X = PointSet.from_1d([-1.0, 0.0, 1.0])
-    k = KernelSpec.gaussian(100.0)
+    X = PointSet.from_points([-1.0, 0.0, 1.0])
+    k = 100.0
     G = gram_matrix(k, X, PrecisionConfig.machine())
     z = [kernel_embedding(LEB1, k, x) for x in X.coords_1d()]
     res_m = solve_spd(G, z)
@@ -316,7 +315,7 @@ def test_criterion_10_oracle_agreement():
 
     for L in (LEB1, GAUSS1):
         for ell in (0.7, 2.0, 10.0):
-            k = KernelSpec.gaussian(ell)
+            k = ell
             for x in (-1.0, -0.3, 0.0, 0.4, 1.0):
                 from flatlimit import kernel_eval
 

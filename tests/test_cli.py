@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import flatlimit.experiments as experiments
-from flatlimit import CubatureRule, FunctionalSpec, KernelSpec, PointSet, PrecisionConfig, worst_case_error
+from flatlimit import CubatureRule, FunctionalSpec, PointSet, PrecisionConfig, worst_case_error
 from flatlimit.cli import main
 
 SWEEP_CFG = {
@@ -178,6 +178,9 @@ BAD_CONFIGS = {
     "wce_length_scale_true": ("wce", {**WCE_CFG, "kernel": {"family": "gaussian", "length_scale": True}}, []),
     "sweep_ell_grid_min_true": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": True, "max": 100.0, "count": 3}}, []),
     "sweep_ell_grid_max_string": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": "100.0", "count": 3}}, []),
+    # a plain integer of 401 digits, past the float range
+    "sweep_ell_grid_max_huge_int": ("sweep", {**SWEEP_CFG, "ell_grid": {"min": 1.0, "max": 10**400, "count": 3}}, []),
+    "wce_length_scale_huge_int": ("wce", {**WCE_CFG, "kernel": {"family": "gaussian", "length_scale": 10**400}}, []),
     "sweep_fit_window_string": ("sweep", {**SWEEP_CFG, "fit_window": ["10", 100]}, []),
     "wce_points_and_weights_bool_and_string": (
         "wce",
@@ -303,9 +306,9 @@ def test_study_seed_precedence(cfg, flags, seed, tmp_path, monkeypatch):
     seen = []
     original = experiments.optimize_points
 
-    def recording(spec, L, n_points, prec, settings, **kwargs):
+    def recording(ell, L, n_points, prec, settings, **kwargs):
         seen.append(settings.seed)
-        return original(spec, L, n_points, prec, settings, **kwargs)
+        return original(ell, L, n_points, prec, settings, **kwargs)
 
     monkeypatch.setattr(experiments, "optimize_points", recording)
     path = write_cfg(tmp_path / "o.yaml", cfg)
@@ -372,7 +375,7 @@ def test_wce_command_prints_the_basis_residual_in_the_flat_limit(tmp_path, capsy
     from gram_oracle import gaussian_wce
     from mpmath import mp
 
-    from flatlimit import FunctionalSpec, KernelSpec, PointSet, PrecisionConfig, optimal_weights
+    from flatlimit import FunctionalSpec, PointSet, PrecisionConfig, optimal_weights
     from flatlimit.linalg import auto_precision_bits
 
     half = [math.cos((2 * k + 1) * math.pi / 20) for k in range(5)]
@@ -382,9 +385,9 @@ def test_wce_command_prints_the_basis_residual_in_the_flat_limit(tmp_path, capsy
     printed = capsys.readouterr().out.splitlines()[0]
     assert printed.startswith("wce: ")
 
-    k, L = KernelSpec.gaussian(1e4), FunctionalSpec.lebesgue_box(-1.0, 1.0)
+    k, L = 1e4, FunctionalSpec.lebesgue_box(-1.0, 1.0)
     bits = auto_precision_bits(1e4, 10)
-    rule = optimal_weights(k, L, PointSet.from_1d(nodes), PrecisionConfig.extended(bits)).rule
+    rule = optimal_weights(k, L, PointSet.from_points(nodes), PrecisionConfig.extended(bits)).rule
     reference = gaussian_wce(1e4, L, rule, 4 * bits + 128)
     with mp.workprec(4 * bits + 128):
         assert abs(mp.mpf(printed[len("wce: "):]) - reference) <= mp.mpf(10) ** -30 * reference
@@ -478,10 +481,9 @@ def test_optimal_study_at_machine_precision_matches_the_golden(tmp_path):
         wce = float(got["wce"])
         assert abs(wce - float(want["wce"])) <= 1e-13 * float(want["wce"]), got["ell"]
         rule = CubatureRule(
-            PointSet.from_1d([float(got["x_0"]), float(got["x_1"])]), (float(got["w_0"]), float(got["w_1"]))
+            PointSet.from_points([float(got["x_0"]), float(got["x_1"])]), (float(got["w_0"]), float(got["w_1"]))
         )
-        spec = KernelSpec.gaussian(float(got["ell"]))
-        ref = float(worst_case_error(spec, FunctionalSpec.lebesgue_box(-1.0, 1.0), rule, PrecisionConfig.extended(256)).wce)
+        ref = float(worst_case_error(float(got["ell"]), FunctionalSpec.lebesgue_box(-1.0, 1.0), rule, PrecisionConfig.extended(256)).wce)
         assert abs(wce - ref) <= 1e-14 * ref, got["ell"]
 
 

@@ -91,21 +91,31 @@ def test_monomial_eval():
 def test_point_set_1d_must_be_sorted():
     with pytest.raises(ValueError):
         PointSet(((1.0,), (0.0,)))
-    ps = PointSet.from_1d([3.0, -1.0, 0.5])
+    ps = PointSet.from_points([3.0, -1.0, 0.5])
     assert ps.coords_1d() == (-1.0, 0.5, 3.0)
 
 
 def test_point_set_rejects_string_coordinates():
-    """A string is not read one character at a time."""
+    """A string is not read one character at a time, and no string or
+    bool scalar is read as a number."""
     with pytest.raises(TypeError):
         PointSet.from_points([-1.0, "0", 1.0])
     with pytest.raises(TypeError):
         PointSet.from_points("123")
+    with pytest.raises(TypeError):
+        PointSet.from_points(["0.5", True])
+    with pytest.raises(TypeError):
+        PointSet.from_points([0.5, True])
+
+
+def test_point_set_rejects_an_integer_past_the_float_range():
+    with pytest.raises(ValueError):
+        PointSet.from_points([0.5, 10**400])
 
 
 def test_point_set_rejects_duplicates():
     with pytest.raises(ValueError):
-        PointSet.from_1d([0.0, 1.0, 1.0])
+        PointSet.from_points([0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         PointSet.from_points([(0.0, 1.0), (0.0, 1.0)])
 
@@ -117,7 +127,7 @@ def test_cubature_rule_apply_1d_passes_scalars():
         seen.append(x)
         return x * x
 
-    rule = CubatureRule(PointSet.from_1d([-1.0, 2.0]), (0.5, 0.25))
+    rule = CubatureRule(PointSet.from_points([-1.0, 2.0]), (0.5, 0.25))
     val = rule.apply(f)
     assert seen == [-1.0, 2.0]
     assert val == 0.5 * 1.0 + 0.25 * 4.0
@@ -130,7 +140,7 @@ def test_cubature_rule_apply_2d_passes_tuples():
 
 def test_cubature_rule_length_mismatch():
     with pytest.raises(ValueError):
-        CubatureRule(PointSet.from_1d([0.0, 1.0]), (1.0,))
+        CubatureRule(PointSet.from_points([0.0, 1.0]), (1.0,))
 
 
 def test_precision_machine():

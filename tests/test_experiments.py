@@ -9,7 +9,6 @@ from flatlimit import (
     ConfigError,
     CubatureRule,
     FunctionalSpec,
-    KernelSpec,
     NotUnisolventError,
     OptimalStudyConfig,
     OptimizerSettings,
@@ -31,7 +30,7 @@ from flatlimit.experiments import (
 )
 
 LEB = FunctionalSpec.lebesgue_box(-1.0, 1.0)
-SIMPSON = PointSet.from_1d([-1.0, 0.0, 1.0])
+SIMPSON = PointSet.from_points([-1.0, 0.0, 1.0])
 
 
 def make_sweep(**kw):
@@ -69,7 +68,7 @@ def test_sweep_config_normalizes_precision_and_fit_window():
     "bad",
     [
         {"points": PointSet.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "degree": 1},
-        {"points": PointSet.from_1d([-1.0, 0.0, 0.5, 1.0])},
+        {"points": PointSet.from_points([-1.0, 0.0, 0.5, 1.0])},
     ],
     ids=["1d_functional_2d_points", "four_points_for_degree_2"],
 )
@@ -360,7 +359,7 @@ def test_sweep_rows_assemble_and_factor_once(monkeypatch):
     count_calls(monkeypatch, counts, "_row_embeddings", functionals, cubature)
     count_calls(monkeypatch, counts, "solve_general", linalg, cubature)
     k, n = 4, 6
-    result = run_sweep(make_sweep(points=PointSet.from_1d(chebyshev(n)), degree=n - 1, ell_count=k))
+    result = run_sweep(make_sweep(points=PointSet.from_points(chebyshev(n)), degree=n - 1, ell_count=k))
     assert not result.failures and len(result.records) == k
     assert counts == {"gram_matrix": k, "kernel_embedding": 0, "_row_embeddings": k, "solve_general": 1}
 
@@ -369,7 +368,7 @@ def test_sweep_rows_assemble_and_factor_once(monkeypatch):
 def test_worst_case_error_of_a_weight_solution_assembles_no_gram_matrix(monkeypatch, prec):
     """optimal_weights solves at the wce's first-pass precision 2 bits + 32
     in both lanes, and the wce of its solution reuses that assembly."""
-    k, X = KernelSpec.gaussian(3.0), PointSet.from_1d(chebyshev(6))
+    k, X = 3.0, PointSet.from_points(chebyshev(6))
     sol = optimal_weights(k, LEB, X, prec)
     assert sol.solve.precision == PrecisionConfig.extended(2 * prec.bits + 32)
     assert sol.precision == prec
@@ -391,7 +390,7 @@ def test_sweep_weights_are_correct_to_their_bits(functional, ell_count):
     (box) or 1, 1e4 (N(0, 1)) and the auto bits b of its row, matches the
     closed-form optimal weights at 3 b + 64 to a relative 2^(2 - b),
     although the Gram system at l = 1e4 loses about 2N log2 l = 266 bits."""
-    points = PointSet.from_1d(chebyshev(10))
+    points = PointSet.from_points(chebyshev(10))
     result = run_sweep(make_sweep(functional=functional, points=points, degree=9, ell_max=1e4, ell_count=ell_count))
     assert not result.failures and len(result.records) == ell_count
     for r in result.records:
@@ -413,7 +412,7 @@ def test_phi_weights_above_256_bits_are_those_of_600_bits(functional, dist_at_1e
     three flattest rows of the 13-point grid in [1, 1e4] solve at 286, 308
     and 330 bits, and their float64 phi weights are still those of
     phi_weights at 600 bits; so is the written distance at l = 1e4."""
-    points = PointSet.from_1d(chebyshev(10))
+    points = PointSet.from_points(chebyshev(10))
     grid = make_sweep(points=points, degree=9, ell_max=1e4, ell_count=13).ell_grid
     factor = cubature.polynomial_weights(functional, points, 9, PrecisionConfig.extended(256))
     for ell, bits in zip(grid[-3:], (286, 308, 330)):

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 
 from flatlimit import (
     FunctionalSpec,
-    KernelSpec,
     MultiIndex,
     PrecisionConfig,
     QuadratureError,
@@ -72,7 +71,7 @@ def test_damped_moment_point_functional():
 
 
 def test_embedding_closed_forms_match_numeric():
-    k = KernelSpec.gaussian(3.0)
+    k = 3.0
     Ll = FunctionalSpec.lebesgue_box(-1.0, 1.0)
     Lg = FunctionalSpec.gaussian_measure(1)
     for x in (-0.7, 0.0, 0.4, 2.0):
@@ -85,7 +84,7 @@ def test_embedding_closed_forms_match_numeric():
 def test_embedding_gaussian_closed_form_value():
     # with unit length scale the embedding into the standard normal is
     # sqrt(1/2) * exp(-x^2/4)
-    k = KernelSpec.gaussian(1.0)
+    k = 1.0
     Lg = FunctionalSpec.gaussian_measure(1)
     for x in (0.0, 1.0, -2.0):
         assert_allclose(kernel_embedding(Lg, k, x), math.sqrt(0.5) * math.exp(-x * x / 4.0))
@@ -94,11 +93,11 @@ def test_embedding_gaussian_closed_form_value():
 def test_double_embedding_gaussian_closed_form():
     Lg = FunctionalSpec.gaussian_measure(1)
     for ell in (1.0, 2.0, 10.0):
-        k = KernelSpec.gaussian(ell)
+        k = ell
         expected = math.sqrt(ell * ell / (2.0 + ell * ell))
         assert_allclose(double_embedding(Lg, k), expected, rtol=1e-13)
     Lg2 = FunctionalSpec.gaussian_measure(2)
-    k2 = KernelSpec.gaussian(2.0)
+    k2 = 2.0
     assert_allclose(double_embedding(Lg2, k2), 4.0 / 6.0, rtol=1e-13)
 
 
@@ -112,7 +111,7 @@ def test_double_embedding_lebesgue_closed_form():
     S = b - a
     L = FunctionalSpec.lebesgue_box(a, b)
     for ell in (0.7, 1.0, 3.0, 25.0):
-        k = KernelSpec.gaussian(ell)
+        k = ell
         expected = (
             2.0 * S * ell * math.sqrt(math.pi / 2.0) * math.erf(S / (math.sqrt(2.0) * ell))
             - 2.0 * ell * ell * (1.0 - math.exp(-S * S / (2.0 * ell * ell)))
@@ -122,7 +121,7 @@ def test_double_embedding_lebesgue_closed_form():
 
 def test_double_embedding_point_functional():
     L = FunctionalSpec.point_eval(0.3)
-    k = KernelSpec.gaussian(2.0)
+    k = 2.0
     assert_allclose(double_embedding(L, k), 1.0)
 
 
@@ -139,7 +138,7 @@ def test_extended_precision_embedding():
 
     prec = PrecisionConfig.extended(128)
     L = FunctionalSpec.lebesgue_box(-1.0, 1.0)
-    k = KernelSpec.gaussian(10.0)
+    k = 10.0
     v = kernel_embedding(L, k, 0.0, prec)
     assert isinstance(v, mp.mpf)
     assert_allclose(float(v), kernel_embedding(L, k, 0.0), rtol=1e-13)
@@ -173,7 +172,6 @@ def test_box_closed_forms_match_500_bit_quadrature(ell):
     there."""
     from mpmath import mp
 
-    spec = KernelSpec.gaussian(ell)
     for a, b in CLOSED_FORM_BOXES:
         L = FunctionalSpec.lebesgue_box(a, b)
         with mp.workprec(QUAD_BITS):
@@ -193,7 +191,7 @@ def test_box_closed_forms_match_500_bit_quadrature(ell):
         for bits in (64, 200):
             prec = PrecisionConfig.extended(bits)
             values = [damped_moment(L, ell, MultiIndex((k,)), prec) for k in range(13)]
-            values.append(double_embedding(L, spec, prec))
+            values.append(double_embedding(L, ell, prec))
             with mp.workprec(QUAD_BITS):
                 for k, (value, ref) in enumerate(zip(values, refs)):
                     if k % 2 == 1 and k < 13 and a == -b:
@@ -223,14 +221,14 @@ def test_two_dimensional_quadrature_checks_the_inner_axis():
         apply_functional(L, lambda p: abs(p[1] - 0.3))
 
 
-def pointwise_embedding(L, spec, xv, prec):
+def pointwise_embedding(L, length_scale, xv, prec):
     """The closed forms of the Gaussian kernel's embedding, point by point,
     every factor formed afresh: the oracle of the per-row embedding."""
     from flatlimit.core import rerf, rexp, rpi, rsqrt, sq_norm
 
     with prec.workprec():
         xv = prec.to_point(xv)
-        ell = prec.to_real(spec.length_scale)
+        ell = prec.to_real(length_scale)
         if L.kind == "gaussian_measure":
             v = ell * ell / (1 + ell * ell)
             return v ** (prec.to_real(L.dimension) / 2) * rexp(-sq_norm(xv) / (2 * (1 + ell * ell)))
@@ -273,13 +271,12 @@ def test_row_embeddings_are_the_pointwise_closed_forms(kind, name, prec, monkeyp
     original = core.rexp
     monkeypatch.setattr(core, "rexp", lambda x: calls.append(getattr(x, "_mpf_", x)) or original(x))
     for ell in (1.0, 46.4, 10000.0):
-        spec = KernelSpec.gaussian(ell)
         calls.clear()
-        row = _row_embeddings(L, spec, points, prec)
+        row = _row_embeddings(L, ell, points, prec)
         if kind == "gaussian_measure":
             assert len(calls) == len(set(calls)) == distinct
-        singles = [kernel_embedding(L, spec, x, prec) for x in points]
-        oracle = [pointwise_embedding(L, spec, x, prec) for x in points]
+        singles = [kernel_embedding(L, ell, x, prec) for x in points]
+        oracle = [pointwise_embedding(L, ell, x, prec) for x in points]
         assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in singles]
         assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in oracle]
         assert all(isinstance(v, float) != prec.is_extended for v in row)

@@ -9,7 +9,6 @@ import flatlimit.gauss_optimal as gauss_optimal
 from flatlimit import (
     FunctionalSpec,
     NumericallyIndefiniteError,
-    KernelSpec,
     MultiIndex,
     NumericalInconsistencyError,
     OptimalStudyConfig,
@@ -169,7 +168,7 @@ def test_optimizer_settings_validation():
 def test_optimized_rule_approaches_gauss_legendre():
     """At large length scale the jointly optimized two-point rule lands on
     the Gauss-Legendre nodes and weights."""
-    k = KernelSpec.gaussian(100.0)
+    k = 100.0
     settings = OptimizerSettings(restarts=2, max_evals=3000, seed=0)
     rule, trace = optimize_points(k, LEB, 2, settings=settings)
     assert trace.converged
@@ -181,7 +180,7 @@ def test_optimized_rule_approaches_gauss_legendre():
 
 
 def test_optimizer_trace_is_monotone_and_seeded():
-    k = KernelSpec.gaussian(30.0)
+    k = 30.0
     settings = OptimizerSettings(restarts=2, max_evals=2000, seed=11)
     rule1, trace1 = optimize_points(k, LEB, 2, settings=settings)
     assert sum(r["nfev"] for r in trace1.restart_summaries) > 0
@@ -194,12 +193,12 @@ def test_optimizer_trace_is_monotone_and_seeded():
 def test_optimized_rule_beats_fixed_symmetric_nodes():
     from flatlimit import PointSet, optimal_weights
 
-    k = KernelSpec.gaussian(20.0)
+    k = 20.0
     prec = PrecisionConfig.extended(192)
     settings = OptimizerSettings(restarts=2, max_evals=2000, seed=0)
     rule, trace = optimize_points(k, LEB, 2, prec, settings)
     e_opt = float(worst_case_error(k, LEB, rule, prec).wce)
-    fixed = PointSet.from_1d([-1.0, 1.0])
+    fixed = PointSet.from_points([-1.0, 1.0])
     e_fixed = float(
         worst_case_error(k, LEB, optimal_weights(k, LEB, fixed, prec).rule, prec).wce
     )
@@ -212,7 +211,7 @@ def test_optimizer_falls_back_to_grid_start_only_on_library_errors(monkeypatch):
 
     monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", no_gauss_rule)
     settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
-    _, trace = optimize_points(KernelSpec.gaussian(5.0), LEB, 2, settings=settings)
+    _, trace = optimize_points(5.0, LEB, 2, settings=settings)
     assert trace.restart_summaries[0]["start"] == "grid"
 
     def broken(*args, **kwargs):
@@ -220,7 +219,7 @@ def test_optimizer_falls_back_to_grid_start_only_on_library_errors(monkeypatch):
 
     monkeypatch.setattr(gauss_optimal, "gauss_rule_from_moments", broken)
     with pytest.raises(RuntimeError, match="programming error"):
-        optimize_points(KernelSpec.gaussian(5.0), LEB, 2, settings=settings)
+        optimize_points(5.0, LEB, 2, settings=settings)
 
 
 def test_optimizer_without_a_feasible_evaluation_raises_inconsistency(monkeypatch):
@@ -232,7 +231,7 @@ def test_optimizer_without_a_feasible_evaluation_raises_inconsistency(monkeypatc
     monkeypatch.setattr(gauss_optimal, "_basis_solve", singular)
     settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="feasible"):
-        optimize_points(KernelSpec.gaussian(1e4), LEB, 2, EXT, settings)
+        optimize_points(1e4, LEB, 2, EXT, settings)
 
 
 def test_float64_search_without_a_feasible_evaluation_raises_inconsistency(monkeypatch):
@@ -242,7 +241,7 @@ def test_float64_search_without_a_feasible_evaluation_raises_inconsistency(monke
     monkeypatch.setattr(gauss_optimal, "_basis_solve", singular)
     settings = OptimizerSettings(restarts=1, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="feasible"):
-        optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
+        optimize_points(5.0, LEB, 2, EXT, settings)
 
 
 def test_machine_precision_search_ignores_the_callers_mpmath_precision():
@@ -253,13 +252,13 @@ def test_machine_precision_search_ignores_the_callers_mpmath_precision():
     LL[K] - w.z (LL[K] is about 4)."""
     from mpmath import mp
 
-    spec = KernelSpec.gaussian(2000.0)
+    ell = 2000.0
     nodes = set()
     for bits in (20, 53, 300):
         with mp.workprec(bits):
-            rule, trace = optimize_points(spec, LEB, 2, PrecisionConfig.machine(), OptimizerSettings(restarts=0))
+            rule, trace = optimize_points(ell, LEB, 2, PrecisionConfig.machine(), OptimizerSettings(restarts=0))
         nodes.add(tuple(p[0] for p in rule.points))
-        ref = float(worst_case_error(spec, LEB, rule, PrecisionConfig.extended(256)).wce)
+        ref = float(worst_case_error(ell, LEB, rule, PrecisionConfig.extended(256)).wce)
         assert abs(trace.wce - ref) <= 1e-12 * ref, bits
     assert len(nodes) == 1
 
@@ -267,7 +266,7 @@ def test_machine_precision_search_ignores_the_callers_mpmath_precision():
 def test_node_construction_rejects_point_evaluation():
     L = FunctionalSpec.point_eval(0.3)
     with pytest.raises(ValueError, match="point evaluation"):
-        optimize_points(KernelSpec.gaussian(5.0), L, 2, EXT)
+        optimize_points(5.0, L, 2, EXT)
     with pytest.raises(ValueError, match="point evaluation"):
         gauss_rule_from_moments(L, 1)
 
@@ -303,13 +302,13 @@ def test_envelope_gradient_matches_numeric_differentiation(lane, ell, L, nodes):
     own error is about h^2."""
     from mpmath import mp
 
-    k = KernelSpec.gaussian(ell)
+    k = ell
     prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, len(nodes)))
     de2 = _lane_gradient(lane, k, L, nodes, prec)
     ref = PrecisionConfig.extended(256)
 
     def e2_at(xs):
-        return worst_case_error(k, L, optimal_weights(k, L, PointSet.from_1d(xs), ref), ref).wce ** 2
+        return worst_case_error(k, L, optimal_weights(k, L, PointSet.from_points(xs), ref), ref).wce ** 2
 
     for n in range(len(nodes)):
         with mp.workprec(256):
@@ -349,7 +348,7 @@ def test_variable_projection_jacobian_matches_numeric_differentiation(L, monkeyp
     nodes = [-0.7, 0.1, 0.8]
     prec = PrecisionConfig.extended(256)
     box = (-1.0, 1.0) if L.is_bounded else (-10.0, 10.0)
-    residual = gauss_optimal._BasisResidual(KernelSpec.gaussian(5.0), L, 3, box, prec, "extended")
+    residual = gauss_optimal._BasisResidual(5.0, L, 3, box, prec, "extended")
     h = 2.0**-20
     shifted = [[v + h * sign if m == n else v for m, v in enumerate(nodes)] for n in range(3) for sign in (1, -1)]
     for x in [nodes] + shifted:  # grow the rows once, before comparing
@@ -368,13 +367,13 @@ def test_three_optimized_nodes_approach_gauss_legendre():
     """N = 3 on [-1, 1] at l = 10: the nodes land within 1e-3 of
     (-sqrt(0.6), 0, sqrt(0.6)), and the wce is at most that of those
     Gauss-Legendre nodes with their optimal weights."""
-    k = KernelSpec.gaussian(10.0)
+    k = 10.0
     rule, trace = optimize_points(k, LEB, 3, settings=OptimizerSettings(restarts=3))
     assert trace.converged
     gauss = [-math.sqrt(0.6), 0.0, math.sqrt(0.6)]
     assert max(abs(p[0] - g) for p, g in zip(rule.points, gauss)) <= 1e-3
     prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(10.0, 3))
-    e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, PointSet.from_1d(gauss), prec), prec).wce
+    e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, PointSet.from_points(gauss), prec), prec).wce
     assert worst_case_error(k, LEB, rule, prec).wce <= e_gauss
 
 
@@ -390,7 +389,7 @@ def test_nonpositive_squared_wce_raises(monkeypatch):
     monkeypatch.setattr(gauss_optimal, "_basis_solve", zero_residual)
     settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="not positive"):
-        optimize_points(KernelSpec.gaussian(1e4), LEB, 2, EXT, settings)
+        optimize_points(1e4, LEB, 2, EXT, settings)
 
 
 def test_float64_nonpositive_squared_wce_raises(monkeypatch):
@@ -405,7 +404,7 @@ def test_float64_nonpositive_squared_wce_raises(monkeypatch):
     monkeypatch.setattr(gauss_optimal, "_basis_solve", zero_residual)
     settings = OptimizerSettings(restarts=0, max_evals=20, seed=0)
     with pytest.raises(NumericalInconsistencyError, match="not positive"):
-        optimize_points(KernelSpec.gaussian(5.0), LEB, 2, EXT, settings)
+        optimize_points(5.0, LEB, 2, EXT, settings)
 
 
 @pytest.mark.parametrize("ell,search", [(100.0, "float64"), (1e4, "extended")])
@@ -413,11 +412,11 @@ def test_search_lane_finds_a_rule_no_worse_than_gauss_legendre(ell, search):
     """N = 2 on each side of the lane rule 2 N log2(l / R) <= 40: the found
     wce is at most that of the Gauss-Legendre nodes with their optimal
     weights, both at the optimizer's bits."""
-    k = KernelSpec.gaussian(ell)
+    k = ell
     rule, trace = optimize_points(k, LEB, 2, settings=OptimizerSettings(restarts=1, seed=0))
     assert trace.search == search
     prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, 2))
-    nodes = PointSet.from_1d(gauss_rule_from_moments(LEB, 2).nodes)
+    nodes = PointSet.from_points(gauss_rule_from_moments(LEB, 2).nodes)
     e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, nodes, prec), prec).wce
     assert worst_case_error(k, LEB, rule, prec).wce <= e_gauss
 
@@ -426,7 +425,7 @@ def test_float64_search_on_a_numeric_oracle_matches_the_box():
     """The float64 coefficients of a numeric oracle come from quadrature:
     with density 1 on [-1, 1] the search lands on the Lebesgue box's
     nodes."""
-    k = KernelSpec.gaussian(10.0)
+    k = 10.0
     settings = OptimizerSettings(restarts=0, seed=0)
     oracle = FunctionalSpec.numeric_oracle(lambda t: 1, -1.0, 1.0)
     rule, trace = optimize_points(k, oracle, 2, settings=settings)
@@ -442,7 +441,7 @@ def test_numeric_oracle_mass_bound_is_a_smooth_integral_for_a_signed_density():
     rho = t + 1/4 on [-1, 1] it is sqrt(19/12) >= int |rho| = 17/16."""
     oracle = FunctionalSpec.numeric_oracle(lambda t: t + 0.25, -1.0, 1.0)
     residual = gauss_optimal._BasisResidual(
-        KernelSpec.gaussian(2.0), oracle, 2, (-1.0, 1.0), PrecisionConfig.machine(), "float64"
+        2.0, oracle, 2, (-1.0, 1.0), PrecisionConfig.machine(), "float64"
     )
     assert abs(residual.mass - math.sqrt(19 / 12)) <= 1e-15
 
@@ -491,7 +490,7 @@ def test_optimal_study_builds_its_gauss_rule_once(monkeypatch):
     assert [r.restart_summaries[0]["start"] for r in result.records] == ["gauss"] * 5
     for r in result.records:
         rule, trace = gauss_optimal.optimize_points(
-            KernelSpec.gaussian(r.ell), LEB, 2, PrecisionConfig.extended(r.precision_bits), cfg.optimizer
+            r.ell, LEB, 2, PrecisionConfig.extended(r.precision_bits), cfg.optimizer
         )
         assert r.points == tuple(p[0] for p in rule.points)
         assert r.weights == rule.weights_float()
@@ -516,11 +515,11 @@ def test_search_from_the_gauss_nodes_alone_leaves_them(n, ell, search, ratio):
     with their optimal weights, both at the optimizer's bits; the optimum
     sits near 0.099, 0.044, 0.5, 0.343 and 0.156 times it.  A search that
     stalls at the start reads 1."""
-    k = KernelSpec.gaussian(ell)
+    k = ell
     rule, trace = optimize_points(k, LEB, n, settings=OptimizerSettings(restarts=0))
     assert trace.search == search and trace.converged
     prec = PrecisionConfig.extended(gauss_optimal._default_optimizer_bits(ell, n))
-    nodes = PointSet.from_1d(gauss_rule_from_moments(LEB, n).nodes)
+    nodes = PointSet.from_points(gauss_rule_from_moments(LEB, n).nodes)
     e_gauss = worst_case_error(k, LEB, optimal_weights(k, LEB, nodes, prec), prec).wce
     assert worst_case_error(k, LEB, rule, prec).wce <= ratio * e_gauss
 
@@ -529,7 +528,7 @@ def test_search_from_the_gauss_nodes_alone_leaves_them(n, ell, search, ratio):
 def test_float64_and_extended_lanes_find_the_same_rule(n, ell, monkeypatch):
     """Below the lane bound the float64 search ends where the extended
     search does: the same wce to 1e-6 and the same nodes to 1e-6."""
-    k = KernelSpec.gaussian(ell)
+    k = ell
     settings = OptimizerSettings(restarts=0)
     rule, trace = optimize_points(k, LEB, n, settings=settings)
     monkeypatch.setattr(gauss_optimal, "_search_lane", lambda *args: "extended")
@@ -635,7 +634,7 @@ def test_float64_search_is_the_same_under_any_callers_precision(bits):
     mp.workprec(400) as at the default precision."""
     from mpmath import mp
 
-    k, settings = KernelSpec.gaussian(10.0), OptimizerSettings(restarts=1, seed=0)
+    k, settings = 10.0, OptimizerSettings(restarts=1, seed=0)
     rule, trace = optimize_points(k, LEB, 3, settings=settings)
     with mp.workprec(bits):
         moved_rule, moved_trace = optimize_points(k, LEB, 3, settings=settings)
@@ -654,7 +653,7 @@ def test_float64_search_keeps_its_wce(L, n, ell, wce):
     """Two restarts with seed 0 reach, to a relative 1e-9, the wce that the
     search found with r and J reflected back to the original coordinates
     and eight Newton steps per step's zeros."""
-    _, trace = optimize_points(KernelSpec.gaussian(ell), L, n, settings=OptimizerSettings(restarts=2, seed=0))
+    _, trace = optimize_points(ell, L, n, settings=OptimizerSettings(restarts=2, seed=0))
     assert trace.search == "float64"
     assert abs(trace.wce - wce) <= 1e-9 * wce
 
@@ -664,7 +663,7 @@ def test_every_restart_reaches_the_two_point_optimum(ell, search):
     """In the flat limit the steps in the node polynomial's coefficients
     follow the curved valley to the optimum from every start: each
     restart converges within 20 evaluations to the same wce, to 1e-12."""
-    k = KernelSpec.gaussian(ell)
+    k = ell
     _, trace = optimize_points(k, LEB, 2, settings=OptimizerSettings(restarts=3, seed=0))
     assert trace.search == search
     summaries = trace.restart_summaries
@@ -678,6 +677,6 @@ def test_search_stops_unconverged_after_max_evals():
     the random starts need more than 20, and each stops unconverged at
     10."""
     settings = OptimizerSettings(restarts=2, max_evals=10, seed=0)
-    _, trace = optimize_points(KernelSpec.gaussian(16.0), LEB, 5, settings=settings)
+    _, trace = optimize_points(16.0, LEB, 5, settings=settings)
     assert all(s["nfev"] <= 10 for s in trace.restart_summaries)
     assert [(s["nfev"], s["converged"]) for s in trace.restart_summaries[1:]] == [(10, False), (10, False)]

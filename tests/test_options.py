@@ -15,12 +15,10 @@ from flatlimit.core import PrecisionConfig
 from flatlimit.experiments import OptimalStudyConfig, SweepConfig
 from flatlimit.functionals import FunctionalSpec
 from flatlimit.gauss_optimal import OptimizerSettings
-from flatlimit.kernels import KernelSpec
 
 FIELDS = {
     PrecisionConfig: ("mode", "bits"),
     FunctionalSpec: ("kind", "dimension", "location", "lower", "upper", "density"),
-    KernelSpec: ("length_scale",),
     OptimizerSettings: ("restarts", "max_evals", "seed"),
     SweepConfig: (
         "functional", "points", "degree", "ell_min", "ell_max", "ell_count",
@@ -80,7 +78,7 @@ PUBLIC = {
     "GaussRule", "OptimizationTrace", "OptimizerSettings", "chebyshev_system_zero_count",
     "gauss_rule_from_moments", "optimize_points",
     # kernels
-    "KernelSpec", "gram_matrix", "kernel_eval", "phi_basis_eval",
+    "gram_matrix", "kernel_eval", "phi_basis_eval",
     # linalg
     "SolveResult", "auto_precision_bits", "condition_estimate", "solve_general", "solve_spd",
 }
