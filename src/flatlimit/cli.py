@@ -15,7 +15,6 @@ error (anything the parse step rejects), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -211,7 +210,7 @@ def _run_sweep(cfg: SweepConfig, raw: dict, out: Optional[str]) -> int:
 def _parse_optimal(raw: dict) -> OptimalStudyConfig:
     optimizer = _optimizer(raw.get("optimizer"))
     if "seed" in raw:  # --seed (already in raw), then the top-level seed, then the optimizer's
-        optimizer = dataclasses.replace(optimizer, seed=_int(raw["seed"]))
+        optimizer = OptimizerSettings(optimizer.restarts, optimizer.max_evals, _int(raw["seed"]))
     return OptimalStudyConfig(
         n_points=_int(raw["n_points"]),
         optimizer=optimizer,

@@ -12,26 +12,77 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 from mpmath import mp, mpf
 
 Real = Union[float, mpf]
 
+_set = object.__setattr__  # binds a field of a read-only record, in its __init__
 
-@dataclass(frozen=True)
-class MultiIndex:
+
+class _Record:
+    """A record of named fields: it is equal to a record of its own class
+    whose ``_fields`` hold equal values, in order, and its repr lists
+    them.  Each record's ``__init__`` binds its fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _bind(self, *values) -> None:
+        """Bind the ``_fields`` to ``values``, in order; records built
+        hundreds of times a run bind each field by name instead."""
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A read-only record, hashed by its ``_fields``: its ``__init__``
+    binds each field once through ``object.__setattr__``, and every later
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only {type(self).__name__}")
+
+    def __setstate__(self, state) -> None:
+        """Restore a copied or unpickled record from its ``__dict__``, its slots, or both as a pair."""
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                _set(self, name, value)
+
+
+class MultiIndex(_Frozen):
     """Tuple of non-negative integer exponents, one per coordinate."""
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        if len(self.entries) == 0:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if len(entries) == 0:
             raise ValueError("multi-index must have at least one entry")
-        for e in self.entries:
+        for e in entries:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"multi-index entries must be non-negative ints, got {e!r}")
+        _set(self, "entries", entries)
 
     @property
     def dimension(self) -> int:
@@ -80,21 +131,19 @@ def enumerate_multi_indices(dimension: int, max_degree: int) -> "MultiIndexSet":
     return MultiIndexSet(dimension, max_degree, tuple(indices))
 
 
-@dataclass(frozen=True)
-class MultiIndexSet:
+class MultiIndexSet(_Frozen):
     """Graded enumeration of all multi-indices up to a maximal degree."""
 
-    dimension: int
-    max_degree: int
-    indices: tuple[MultiIndex, ...]
+    __slots__ = _fields = ("dimension", "max_degree", "indices")
 
-    def __post_init__(self) -> None:
-        expected = math.comb(self.dimension + self.max_degree, self.dimension)
-        if len(self.indices) != expected:
+    def __init__(self, dimension: int, max_degree: int, indices: tuple[MultiIndex, ...]) -> None:
+        expected = math.comb(dimension + max_degree, dimension)
+        if len(indices) != expected:
             raise ValueError(
-                f"expected {expected} indices for dimension {self.dimension}, "
-                f"degree {self.max_degree}, got {len(self.indices)}"
+                f"expected {expected} indices for dimension {dimension}, "
+                f"degree {max_degree}, got {len(indices)}"
             )
+        self._bind(dimension, max_degree, indices)
 
     @property
     def size(self) -> int:
@@ -152,8 +201,7 @@ def _coords(value) -> tuple[float, ...]:
     return tuple(_real(c) for c in value)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Frozen):
     """Finite set of pairwise distinct points in R^d.
 
     One-dimensional point sets are stored in ascending order so weight
@@ -161,24 +209,25 @@ class PointSet:
     Use :meth:`from_points` to construct from unsorted input.
     """
 
-    points: tuple[tuple[float, ...], ...]
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self) -> None:
-        if len(self.points) == 0:
+    def __init__(self, points: tuple[tuple[float, ...], ...]) -> None:
+        if len(points) == 0:
             raise ValueError("point set must be non-empty")
-        d = len(self.points[0])
+        d = len(points[0])
         if d == 0:
             raise ValueError("points must have at least one coordinate")
-        for p in self.points:
+        for p in points:
             if len(p) != d:
                 raise ValueError("all points must share one dimension")
             for c in p:
                 if not math.isfinite(c):
                     raise ValueError(f"point coordinates must be finite, got {c!r}")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
-        if d == 1 and any(self.points[i][0] >= self.points[i + 1][0] for i in range(len(self.points) - 1)):
+        if d == 1 and any(points[i][0] >= points[i + 1][0] for i in range(len(points) - 1)):
             raise ValueError("one-dimensional point sets must be ascending; use PointSet.from_points")
+        _set(self, "points", points)
 
     @classmethod
     def from_points(cls, pts: Sequence) -> "PointSet":
@@ -207,22 +256,20 @@ class PointSet:
         return self.points[i]
 
 
-@dataclass(frozen=True)
-class CubatureRule:
+class CubatureRule(_Frozen):
     """Weighted point evaluation  Q[f] = sum_n w_n f(x_n).
 
     ``apply`` passes a bare scalar to ``f`` when the rule is
     one-dimensional and a coordinate tuple otherwise.
     """
 
-    points: PointSet
-    weights: tuple[Real, ...]
+    __slots__ = _fields = ("points", "weights")
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.points):
-            raise ValueError(
-                f"{len(self.weights)} weights for {len(self.points)} points"
-            )
+    def __init__(self, points: PointSet, weights: tuple[Real, ...]) -> None:
+        if len(weights) != len(points):
+            raise ValueError(f"{len(weights)} weights for {len(points)} points")
+        _set(self, "points", points)
+        _set(self, "weights", weights)
 
     @property
     def dimension(self) -> int:
@@ -237,8 +284,7 @@ class CubatureRule:
         return tuple(float(w) for w in self.weights)
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class PrecisionConfig(_Frozen):
     """Working-precision policy for a computation.
 
     mode "machine" is IEEE double (float64 results, with linear solves in
@@ -246,18 +292,22 @@ class PrecisionConfig:
     mode "extended" carries ``bits`` of mantissa through mpmath.  A
     condition-number warning fires above u^(-1/2) (:attr:`warn_threshold`),
     once roughly half of the working digits must be presumed lost.
+    ``bits`` is an int, never a bool or a float that reads as one.
     """
 
-    mode: str = "machine"
-    bits: int = 53
+    __slots__ = _fields = ("mode", "bits")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("machine", "extended"):
-            raise ValueError(f"mode must be 'machine' or 'extended', got {self.mode!r}")
-        if self.mode == "machine" and self.bits != 53:
+    def __init__(self, mode: str = "machine", bits: int = 53) -> None:
+        if mode not in ("machine", "extended"):
+            raise ValueError(f"mode must be 'machine' or 'extended', got {mode!r}")
+        if not isinstance(bits, int) or isinstance(bits, bool):
+            raise TypeError(f"bits must be an int, got {bits!r}")
+        if mode == "machine" and bits != 53:
             raise ValueError("machine mode is fixed at 53 mantissa bits")
-        if self.mode == "extended" and self.bits < 64:
-            raise ValueError(f"extended mode needs at least 64 bits, got {self.bits}")
+        if mode == "extended" and bits < 64:
+            raise ValueError(f"extended mode needs at least 64 bits, got {bits}")
+        _set(self, "mode", mode)
+        _set(self, "bits", bits)
 
     @classmethod
     def machine(cls) -> "PrecisionConfig":

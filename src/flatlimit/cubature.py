@@ -27,7 +27,6 @@ length scale (then rescaled by D^-1) and the unisolvency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -41,7 +40,9 @@ from .core import (
     PointSet,
     PrecisionConfig,
     Real,
+    _Frozen,
     _length_scale,
+    _set,
     enumerate_multi_indices,
     monomial_eval,
     rexp_once,
@@ -64,8 +65,7 @@ from .kernels import gram_matrix
 from .linalg import SolveResult, _warning_for, checkerboard_condition, condition_estimate, solve_general, solve_spd
 
 
-@dataclass(frozen=True)
-class WeightSolution:
+class WeightSolution(_Frozen):
     """A cubature rule produced by a linear solve, with solve diagnostics.
 
     ``precision`` is the precision the weights are rounded to; the solve
@@ -78,11 +78,15 @@ class WeightSolution:
     solution.  The polynomial-type weight families leave these None.
     """
 
-    rule: CubatureRule
-    solve: SolveResult
-    precision: PrecisionConfig
-    length_scale: Optional[float] = None
-    functional: Optional[FunctionalSpec] = None
+    _fields = ("rule", "solve", "precision", "length_scale", "functional")
+
+    def __init__(self, rule: CubatureRule, solve: SolveResult, precision: PrecisionConfig,
+                 length_scale: Optional[float] = None, functional: Optional[FunctionalSpec] = None) -> None:
+        _set(self, "rule", rule)
+        _set(self, "solve", solve)
+        _set(self, "precision", precision)
+        _set(self, "length_scale", length_scale)
+        _set(self, "functional", functional)
 
     @property
     def weights(self) -> tuple[Real, ...]:
@@ -110,20 +114,18 @@ class WeightSolution:
         return _warning_for(self.condition, self.precision)
 
 
-@dataclass(frozen=True)
-class WorstCaseReport:
+class WorstCaseReport(_Frozen):
     """Worst-case error of a rule and the three terms it is assembled from.
 
     ``radicand`` is LL[K] - 2 cross_term + quadratic_form before the square
     root.
     """
 
-    wce: Real
-    initial_term: Real
-    quadratic_form: Real
-    cross_term: Real
-    radicand: Real
-    condition: float
+    __slots__ = _fields = ("wce", "initial_term", "quadratic_form", "cross_term", "radicand", "condition")
+
+    def __init__(self, wce: Real, initial_term: Real, quadratic_form: Real, cross_term: Real, radicand: Real,
+                 condition: float) -> None:
+        self._bind(wce, initial_term, quadratic_form, cross_term, radicand, condition)
 
 
 def _check_dims(L: FunctionalSpec, points: PointSet) -> None:
@@ -373,15 +375,15 @@ def phi_weights(
     return _phi_weights(factor, L, ell, points, degree, prec)
 
 
-@dataclass(frozen=True)
-class UnisolvencyReport:
+class UnisolvencyReport(_Frozen):
     """Outcome of a unisolvency check: one of "unisolvent",
     "ill_conditioned" (unisolvent at the working precision but with a
     condition estimate above threshold) or "not_unisolvent"."""
 
-    status: str
-    condition: float
-    threshold: float
+    __slots__ = _fields = ("status", "condition", "threshold")
+
+    def __init__(self, status: str, condition: float, threshold: float) -> None:
+        self._bind(status, condition, threshold)
 
     @property
     def ok(self) -> bool:

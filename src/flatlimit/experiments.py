@@ -16,13 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
 
 from . import __version__
-from .core import MACHINE, PointSet, PrecisionConfig, Real, _real
+from .core import MACHINE, PointSet, PrecisionConfig, Real, _Frozen, _Record, _real
 from .cubature import (
     _check_dims,
     _monomials,
@@ -110,8 +109,10 @@ def _normalize_study_fields(cfg) -> None:
             raise ConfigError(f"fit window {list(cfg.fit_window)} holds fewer than two grid points")
 
 
-class _LengthScaleGrid:
+class _LengthScaleGrid(_Frozen):
     """The log-spaced length-scale grid of a sweep or a study."""
+
+    __slots__ = ()
 
     @property
     def ell_grid(self) -> tuple[float, ...]:
@@ -121,66 +122,59 @@ class _LengthScaleGrid:
         return tuple(10.0 ** (k * step + lo) for k in range(self.ell_count - 1)) + (10.0**hi,)
 
 
-@dataclass(frozen=True)
 class SweepConfig(_LengthScaleGrid):
     """Configuration of one flat-limit sweep over the length scale."""
 
-    functional: FunctionalSpec
-    points: PointSet
-    degree: int
-    ell_min: float
-    ell_max: float
-    ell_count: int
-    precision: Union[str, int] = "auto"
-    fit_window: Union[str, tuple[float, float]] = "middle"
+    __slots__ = _fields = (
+        "functional", "points", "degree", "ell_min", "ell_max", "ell_count", "precision", "fit_window",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(self, functional: FunctionalSpec, points: PointSet, degree: int, ell_min: float, ell_max: float,
+                 ell_count: int, precision: Union[str, int] = "auto",
+                 fit_window: Union[str, tuple[float, float]] = "middle") -> None:
+        self._bind(functional, points, degree, ell_min, ell_max, ell_count, precision, fit_window)
         _normalize_study_fields(self)
         _config_check(_check_dims, self.functional, self.points)
         _config_check(_monomials, self.points, self.degree)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_Frozen):
     """One length scale of a sweep; all distances in the max norm.
     ``warning`` is the conditioning warning of the optimal-weight solve.
     An entry past the float64 range makes the row a failure."""
 
-    ell: float
-    weights: tuple[Real, ...]
-    wce: Real
-    dist_opt_pol: float
-    dist_phi_pol: float
-    condition: float
-    precision_bits: int
-    warning: Optional[str] = None
+    __slots__ = _fields = (
+        "ell", "weights", "wce", "dist_opt_pol", "dist_phi_pol", "condition", "precision_bits", "warning",
+    )
 
-    def __post_init__(self) -> None:
-        vals = [self.ell, float(self.wce), self.dist_opt_pol, self.dist_phi_pol, self.condition]
+    def __init__(self, ell: float, weights: tuple[Real, ...], wce: Real, dist_opt_pol: float, dist_phi_pol: float,
+                 condition: float, precision_bits: int, warning: Optional[str] = None) -> None:
+        vals = [ell, float(wce), dist_opt_pol, dist_phi_pol, condition]
         if not all(math.isfinite(v) for v in vals):
-            raise FlatLimitError(f"sweep record has non-finite entries at ell={self.ell}: {vals}")
-        if float(self.wce) < 0 or self.dist_opt_pol < 0 or self.dist_phi_pol < 0:
-            raise ValueError(f"sweep record has negative error columns at ell={self.ell}")
+            raise FlatLimitError(f"sweep record has non-finite entries at ell={ell}: {vals}")
+        if float(wce) < 0 or dist_opt_pol < 0 or dist_phi_pol < 0:
+            raise ValueError(f"sweep record has negative error columns at ell={ell}")
+        self._bind(ell, weights, wce, dist_opt_pol, dist_phi_pol, condition, precision_bits, warning)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(_Frozen):
     """Least-squares slope of log wce against log ell."""
 
-    slope: float
-    stderr: float
-    window: tuple[float, float]
-    n_used: int
+    __slots__ = _fields = ("slope", "stderr", "window", "n_used")
+
+    def __init__(self, slope: float, stderr: float, window: tuple[float, float], n_used: int) -> None:
+        self._bind(slope, stderr, window, n_used)
 
 
-@dataclass
-class SweepResult:
-    config: SweepConfig
-    records: list[SweepRecord]
-    rate_fit: Optional[RateFit]
-    failures: list[tuple[float, str]]
-    reference_weights: tuple[float, ...]
-    notes: list[str] = field(default_factory=list)
+class SweepResult(_Record):
+    """A sweep's records, rate fit and failures; ``notes`` is a new empty list when not given."""
+
+    __slots__ = _fields = ("config", "records", "rate_fit", "failures", "reference_weights", "notes")
+
+    def __init__(self, config: SweepConfig, records: list[SweepRecord], rate_fit: Optional[RateFit],
+                 failures: list[tuple[float, str]], reference_weights: tuple[float, ...],
+                 notes: Optional[list[str]] = None) -> None:
+        self._bind(config, records, rate_fit, failures, reference_weights, [] if notes is None else notes)
 
 
 def fit_rate(
@@ -280,53 +274,49 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(cfg, records, rate, failures, ref, notes)
 
 
-@dataclass(frozen=True)
 class OptimalStudyConfig(_LengthScaleGrid):
     """Configuration of an optimal-point study over the length scale."""
 
-    functional: FunctionalSpec
-    n_points: int
-    ell_min: float
-    ell_max: float
-    ell_count: int
-    precision: Union[str, int] = "auto"
-    fit_window: Union[str, tuple[float, float]] = "middle"
-    optimizer: OptimizerSettings = OptimizerSettings()
+    __slots__ = _fields = (
+        "functional", "n_points", "ell_min", "ell_max", "ell_count", "precision", "fit_window", "optimizer",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(self, functional: FunctionalSpec, n_points: int, ell_min: float, ell_max: float, ell_count: int,
+                 precision: Union[str, int] = "auto", fit_window: Union[str, tuple[float, float]] = "middle",
+                 optimizer: OptimizerSettings = OptimizerSettings()) -> None:
+        self._bind(functional, n_points, ell_min, ell_max, ell_count, precision, fit_window, optimizer)
         _config_check(_check_nodes, self.functional, self.n_points)
         _normalize_study_fields(self)
 
 
-@dataclass(frozen=True)
-class OptimalRecord:
-    ell: float
-    points: tuple[float, ...]
-    weights: tuple[float, ...]
-    wce: float
-    node_dist_gauss: float
-    weight_dist_gauss: float
-    converged: bool
-    precision_bits: int
-    restart_summaries: tuple[dict, ...]
-    search: str
+class OptimalRecord(_Frozen):
+    """One length scale of an optimal-point study."""
 
-    def __post_init__(self) -> None:
-        vals = [self.ell, self.wce, self.node_dist_gauss, self.weight_dist_gauss]
+    __slots__ = _fields = (
+        "ell", "points", "weights", "wce", "node_dist_gauss", "weight_dist_gauss", "converged", "precision_bits",
+        "restart_summaries", "search",
+    )
+
+    def __init__(self, ell: float, points: tuple[float, ...], weights: tuple[float, ...], wce: float,
+                 node_dist_gauss: float, weight_dist_gauss: float, converged: bool, precision_bits: int,
+                 restart_summaries: tuple[dict, ...], search: str) -> None:
+        vals = [ell, wce, node_dist_gauss, weight_dist_gauss]
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"optimal record has non-finite entries at ell={self.ell}")
-        if self.wce < 0 or self.node_dist_gauss < 0 or self.weight_dist_gauss < 0:
-            raise ValueError(f"optimal record has negative error columns at ell={self.ell}")
+            raise ValueError(f"optimal record has non-finite entries at ell={ell}")
+        if wce < 0 or node_dist_gauss < 0 or weight_dist_gauss < 0:
+            raise ValueError(f"optimal record has negative error columns at ell={ell}")
+        self._bind(ell, points, weights, wce, node_dist_gauss, weight_dist_gauss, converged, precision_bits,
+                   restart_summaries, search)
 
 
-@dataclass
-class OptimalStudyResult:
-    config: OptimalStudyConfig
-    records: list[OptimalRecord]
-    rate_fit: Optional[RateFit]
-    failures: list[tuple[float, str]]
-    gauss: GaussRule
-    notes: list[str] = field(default_factory=list)
+class OptimalStudyResult(_Record):
+    """An optimal study's records, rate fit, failures and Gauss rule; ``notes`` is a new empty list when not given."""
+
+    __slots__ = _fields = ("config", "records", "rate_fit", "failures", "gauss", "notes")
+
+    def __init__(self, config: OptimalStudyConfig, records: list[OptimalRecord], rate_fit: Optional[RateFit],
+                 failures: list[tuple[float, str]], gauss: GaussRule, notes: Optional[list[str]] = None) -> None:
+        self._bind(config, records, rate_fit, failures, gauss, [] if notes is None else notes)
 
 
 def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:

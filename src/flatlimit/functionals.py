@@ -14,8 +14,6 @@ machine precision and for the numeric oracle, 2^-(bits // 2) otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -25,6 +23,7 @@ from .core import (
     MultiIndex,
     PrecisionConfig,
     Real,
+    _Frozen,
     _coords,
     _length_scale,
     monomial_eval,
@@ -41,8 +40,7 @@ from .kernels import _as_point, kernel_eval, phi_basis_eval
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(_Frozen):
     """A continuous linear functional L on functions over R^d.
 
     kind "point_eval":       L[f] = f(location)
@@ -53,36 +51,37 @@ class FunctionalSpec:
     The numeric oracle is integrated by tanh-sinh quadrature to a
     relative 1e-10 in both lanes; its standing assumptions (a density
     smooth inside the box, a finite integral) cannot be checked
-    mechanically, which :attr:`assumptions_checked` reports.
+    mechanically, which :attr:`assumptions_checked` reports.  The
+    dimension is an int, never a bool or a float that reads as one.
     """
 
-    kind: str
-    dimension: int
-    location: Optional[tuple[float, ...]] = None
-    lower: Optional[tuple[float, ...]] = None
-    upper: Optional[tuple[float, ...]] = None
-    density: Optional[Callable] = None
+    __slots__ = _fields = ("kind", "dimension", "location", "lower", "upper", "density")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.kind == "point_eval":
-            if self.location is None or len(self.location) != self.dimension:
+    def __init__(self, kind: str, dimension: int, location: Optional[tuple[float, ...]] = None,
+                 lower: Optional[tuple[float, ...]] = None, upper: Optional[tuple[float, ...]] = None,
+                 density: Optional[Callable] = None) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown functional kind {kind!r}")
+        if not isinstance(dimension, int) or isinstance(dimension, bool):
+            raise TypeError(f"dimension must be an int, got {dimension!r}")
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if kind == "point_eval":
+            if location is None or len(location) != dimension:
                 raise ValueError("point_eval needs a location of matching dimension")
-            if not all(math.isfinite(c) for c in self.location):
+            if not all(math.isfinite(c) for c in location):
                 raise ValueError("point_eval location must be finite")
-        if self.kind in ("lebesgue_box", "numeric_oracle"):
-            if self.lower is None or self.upper is None:
-                raise ValueError(f"{self.kind} needs lower and upper bounds")
-            if len(self.lower) != self.dimension or len(self.upper) != self.dimension:
+        if kind in ("lebesgue_box", "numeric_oracle"):
+            if lower is None or upper is None:
+                raise ValueError(f"{kind} needs lower and upper bounds")
+            if len(lower) != dimension or len(upper) != dimension:
                 raise ValueError("box bounds must match the dimension")
-            for a, b in zip(self.lower, self.upper):
+            for a, b in zip(lower, upper):
                 if not (math.isfinite(a) and math.isfinite(b) and a < b):
                     raise ValueError(f"box bounds must be finite with lower < upper, got [{a}, {b}]")
-        if self.kind == "numeric_oracle" and self.density is None:
+        if kind == "numeric_oracle" and density is None:
             raise ValueError("numeric_oracle needs a density callable")
+        self._bind(kind, dimension, location, lower, upper, density)
 
     @classmethod
     def point_eval(cls, location) -> "FunctionalSpec":
@@ -221,8 +220,9 @@ def _box_damped_moment(a: float, b: float, length_scale: float, k: int, bits: in
         Rn = max(abs(A), abs(B))
         d0 = B ** (k + 1) - A ** (k + 1)
         F = bits + _SERIES_GUARD_BITS + 8 + max(0, (k + 1) * Rn.bit_length() - d0.bit_length())
-        x = Fraction(R) ** 2 / (2 * Fraction(length_scale) ** 2)
-        X = (x.numerator << F) // x.denominator
+        # X = floor(x 2^F) for x = c R^2 = (nr / dr)^2 / (2 (nl / dl)^2), exactly
+        (nr, dr), (nl, dl) = R.as_integer_ratio(), length_scale.as_integer_ratio()
+        X = (nr * nr * dl * dl << F) // (2 * dr * dr * nl * nl)
         a1, b1 = (A << F) // Rn, (B << F) // Rn
         a2, b2 = a1 * a1 >> F, b1 * b1 >> F
         ap, bp = a1, b1

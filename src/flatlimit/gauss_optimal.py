@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from typing import Optional
@@ -38,6 +37,8 @@ from .core import (
     MultiIndex,
     PointSet,
     PrecisionConfig,
+    _Frozen,
+    _Record,
     _length_scale,
     rexp,
     rsqrt,
@@ -53,13 +54,13 @@ from .functionals import FunctionalSpec, _row_damped_moments, moment, quad1d
 from .linalg import _cholesky
 
 
-@dataclass(frozen=True)
-class GaussRule:
+class GaussRule(_Frozen):
     """An N-point rule exact on polynomials up to degree 2N - 1."""
 
-    rule: CubatureRule
-    degree_of_exactness: int
-    max_exactness_residual: float
+    __slots__ = _fields = ("rule", "degree_of_exactness", "max_exactness_residual")
+
+    def __init__(self, rule: CubatureRule, degree_of_exactness: int, max_exactness_residual: float) -> None:
+        self._bind(rule, degree_of_exactness, max_exactness_residual)
 
     @property
     def nodes(self) -> tuple[float, ...]:
@@ -171,34 +172,31 @@ def gauss_rule_from_moments(
     return GaussRule(rule, 2 * n - 1, float(resid))
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
+class OptimizerSettings(_Frozen):
     """Settings for the point optimizer: the random restarts after the
     Gauss start, the residual evaluations each restart may make, and the
     seed of the restarts' starting nodes."""
 
-    restarts: int = 8
-    max_evals: int = 10000
-    seed: int = 0
+    __slots__ = _fields = ("restarts", "max_evals", "seed")
 
-    def __post_init__(self) -> None:
-        if self.restarts < 0:
+    def __init__(self, restarts: int = 8, max_evals: int = 10000, seed: int = 0) -> None:
+        if restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if self.max_evals < 10:
+        if max_evals < 10:
             raise ValueError("max_evals must be at least 10")
+        self._bind(restarts, max_evals, seed)
 
 
-@dataclass
-class OptimizationTrace:
+class OptimizationTrace(_Record):
     """The result of a node search: the wce of the returned rule, whether
     the winning restart converged, the arithmetic the search ran in
     ("float64" or "extended", see :func:`_search_lane`) and one summary
     per restart."""
 
-    wce: float
-    converged: bool
-    search: str
-    restart_summaries: list[dict]
+    __slots__ = _fields = ("wce", "converged", "search", "restart_summaries")
+
+    def __init__(self, wce: float, converged: bool, search: str, restart_summaries: list[dict]) -> None:
+        self._bind(wce, converged, search, restart_summaries)
 
 
 def _default_optimizer_bits(length_scale: float, n_points: int) -> int:

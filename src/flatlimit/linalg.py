@@ -26,9 +26,8 @@ and the errors say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from numbers import Rational
 from typing import Any, Callable, Optional
 
 from mpmath import mp
@@ -37,14 +36,13 @@ from mpmath.libmp import (
     mpf_sqrt, mpf_sub, mpf_sum, normalize, to_float,
 )
 
-from .core import MACHINE, PrecisionConfig, Real, _length_scale
+from .core import MACHINE, PrecisionConfig, Real, _Frozen, _length_scale, _set
 from .errors import NumericallyIndefiniteError, SingularMatrixError
 
 _BY_VALUE = cmp_to_key(mpf_cmp)  # max(raw mpf values, key=_BY_VALUE) keeps the first largest, as max() of mpf
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Frozen):
     """Solution of one linear system; its diagnostics are computed from the
     stored factor on first read, each at its own fixed precision, so the
     values do not depend on mpmath's global precision at the time of
@@ -60,16 +58,21 @@ class SolveResult:
     ``matrix`` and ``rhs``, the system at the working precision, and
     ``substitute`` and ``inverse`` are on raw ``_mpf_`` tuples.  ``warning`` is set when the condition estimate
     exceeds the precision policy's threshold; the solve still returns.
+    Equality, hashing and the repr see the solution and the precision.
     """
 
-    solution: tuple[Real, ...]
-    precision: PrecisionConfig
-    # the working-precision system, the map v -> A^-1 v through the factor, and the rows
-    # of A^-1 from it (each up to the order of its entries), on raw mpf
-    matrix: Any = field(repr=False, compare=False)
-    rhs: Any = field(repr=False, compare=False)
-    substitute: Callable = field(repr=False, compare=False)
-    inverse: Callable = field(repr=False, compare=False)
+    _fields = ("solution", "precision")
+
+    def __init__(self, solution: tuple[Real, ...], precision: PrecisionConfig, matrix: Any, rhs: Any,
+                 substitute: Callable, inverse: Callable) -> None:
+        _set(self, "solution", solution)
+        _set(self, "precision", precision)
+        # the working-precision system, the map v -> A^-1 v through the factor, and the rows
+        # of A^-1 from it (each up to the order of its entries), on raw mpf
+        _set(self, "matrix", matrix)
+        _set(self, "rhs", rhs)
+        _set(self, "substitute", substitute)
+        _set(self, "inverse", inverse)
 
     @cached_property
     def condition(self) -> float:
@@ -108,11 +111,11 @@ def auto_precision_bits(length_scale: float, n_points: int) -> int:
 
 def _raw_entry(v, prec: int, rnd: str) -> tuple:
     """The raw mpf of ``mp.mpf(v)`` at the working precision ``prec``; an mpf is
-    rounded there directly, and an exact rational (Fraction) rounds once."""
+    rounded there directly, and an exact rational that is not an int (a Fraction) rounds once."""
     if type(v) is mp.mpf:
         sign, man, exp, bc = v._mpf_
         return normalize(sign, man, exp, bc, prec, rnd) if man else v._mpf_
-    if isinstance(v, Fraction):
+    if isinstance(v, Rational) and not isinstance(v, int):
         return (mp.mpf(v.numerator) / mp.mpf(v.denominator))._mpf_
     return mp.mpf(v)._mpf_
 

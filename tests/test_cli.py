@@ -503,20 +503,25 @@ def test_no_library_module_imports_numpy_or_scipy():
     assert found == []
 
 
-def test_shipped_configs_run_without_importing_numpy_or_scipy(tmp_path):
-    """The four configs under configs/ run through flatlimit.cli in one
+def test_shipped_configs_run_without_numpy_scipy_dataclasses_or_fractions(tmp_path):
+    """The six configs under configs/ run through flatlimit.cli in one
     fresh interpreter that never imports numpy or scipy: the library
     computes on floats and mpf, and integrates with mpmath's tanh-sinh
-    quadrature in both lanes."""
+    quadrature in both lanes.  Nor does it import dataclasses (with the
+    inspect it pulls in) or fractions (with decimal): the records are
+    plain classes and exact ratios come from ``as_integer_ratio``, so
+    start-up pays for neither."""
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent(f"""
         import sys
         from flatlimit.cli import main
         for command, name in [("sweep", "simpson_sweep"), ("sweep", "normal_sweep"),
-                              ("gauss", "gauss_legendre"), ("optimal", "optimal_legendre")]:
+                              ("gauss", "gauss_legendre"), ("optimal", "optimal_legendre"),
+                              ("optimal", "optimal_gauss4_box"), ("optimal", "optimal_gauss4_normal")]:
             config = {str(root / "configs")!r} + "/" + name + ".yaml"
             assert main([command, "--config", config, "--out", {str(tmp_path)!r} + "/" + name]) == 0
-        print(sorted(m for m in sys.modules if m.startswith(("numpy", "scipy"))))
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("numpy", "scipy")) or m in ("dataclasses", "inspect", "fractions", "decimal")))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)

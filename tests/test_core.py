@@ -1,4 +1,7 @@
+import copy
+import inspect
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -7,12 +10,27 @@ from mpmath import mp
 
 from flatlimit import (
     CubatureRule,
+    FunctionalSpec,
     MultiIndex,
     MultiIndexSet,
+    OptimalRecord,
+    OptimalStudyConfig,
+    OptimalStudyResult,
+    OptimizationTrace,
+    OptimizerSettings,
     PointSet,
     PrecisionConfig,
+    RateFit,
+    SweepConfig,
+    SweepRecord,
+    SweepResult,
     enumerate_multi_indices,
+    gauss_rule_from_moments,
     monomial_eval,
+    optimal_weights,
+    solve_spd,
+    unisolvency_check,
+    worst_case_error,
 )
 from flatlimit.core import sq_dist, sq_norm
 
@@ -159,6 +177,14 @@ def test_precision_extended_floor():
         assert mp.prec == 128
 
 
+@pytest.mark.parametrize("mode,bits", [("extended", 64.5), ("extended", 100.0), ("machine", 53.0)])
+def test_precision_bits_must_be_an_int(mode, bits):
+    """A bit count is an int, not a float that reads as one: 64.5 used to
+    build and run, and then fail untyped when a value was written."""
+    with pytest.raises(TypeError, match="bits must be an int"):
+        PrecisionConfig(mode, bits)
+
+
 def test_precision_unit_roundoff_never_underflows():
     prec = PrecisionConfig.extended(4096)
     assert prec.unit_roundoff > 0.0
@@ -181,3 +207,76 @@ def test_float_sums_run_left_to_right():
     assert sq_dist((1.0, 1e-8, 1e-8), (0.0, 0.0, 0.0)) == 1.0
     rule = CubatureRule(PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), (1.0, 1e-16, 1e-16))
     assert rule.apply(lambda p: 1.0) == 1.0
+
+
+BOX = FunctionalSpec.lebesgue_box(-1.0, 1.0)
+NODES = PointSet.from_points([-1.0, 0.0, 1.0])
+
+
+def _sweep_config():
+    return SweepConfig(BOX, NODES, 2, 1.0, 10.0, 3)
+
+
+def _study_config():
+    return OptimalStudyConfig(BOX, 2, 1.0, 10.0, 3)
+
+
+# name: (make, variant, frozen).  Two calls of make build equal records;
+# variant, where given, builds one that differs from them in one field.
+RECORDS = {
+    "MultiIndex": (lambda: MultiIndex((1, 2)), lambda: MultiIndex((2, 1)), True),
+    "PrecisionConfig": (lambda: PrecisionConfig.extended(100), lambda: PrecisionConfig.extended(101), True),
+    "FunctionalSpec": (lambda: FunctionalSpec.lebesgue_box(-1.0, 1.0), lambda: FunctionalSpec.lebesgue_box(-1.0, 2.0), True),
+    "PointSet": (lambda: PointSet.from_points([0.0, 1.0]), lambda: PointSet.from_points([0.0, 2.0]), True),
+    "CubatureRule": (
+        lambda: CubatureRule(PointSet.from_points([0.0, 1.0]), (0.5, 0.5)),
+        lambda: CubatureRule(PointSet.from_points([0.0, 1.0]), (0.5, 0.25)),
+        True,
+    ),
+    "OptimizerSettings": (lambda: OptimizerSettings(), lambda: OptimizerSettings(seed=1), True),
+    "MultiIndexSet": (lambda: enumerate_multi_indices(2, 1), None, True),
+    "SolveResult": (lambda: solve_spd([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0]), None, True),
+    "WeightSolution": (lambda: optimal_weights(3.0, BOX, NODES), None, True),
+    "WorstCaseReport": (lambda: worst_case_error(3.0, BOX, optimal_weights(3.0, BOX, NODES)), None, True),
+    "UnisolvencyReport": (lambda: unisolvency_check(NODES, 2), None, True),
+    "GaussRule": (lambda: gauss_rule_from_moments(BOX, 2), None, True),
+    "SweepConfig": (_sweep_config, None, True),
+    "SweepRecord": (lambda: SweepRecord(1.0, (1.0,), 0.5, 0.1, 0.1, 2.0, 53), None, True),
+    "RateFit": (lambda: RateFit(-4.0, 0.0, (1.0, 10.0), 3), None, True),
+    "OptimalStudyConfig": (_study_config, None, True),
+    "OptimalRecord": (lambda: OptimalRecord(1.0, (0.0,), (2.0,), 0.1, 0.0, 0.0, True, 64, (), "float64"), None, True),
+    "OptimizationTrace": (lambda: OptimizationTrace(0.1, True, "float64", []), None, False),
+    "SweepResult": (lambda: SweepResult(_sweep_config(), [], None, [], (1.0,)), None, False),
+    "OptimalStudyResult": (
+        lambda: OptimalStudyResult(_study_config(), [], None, [], gauss_rule_from_moments(BOX, 2)), None, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_by_value_and_the_frozen_ones_refuse_assignment(name):
+    """Records built alike are equal; the value records hash alike and
+    differ from one with another field, and survive pickling.  Every
+    record copies to an equal one.  Assigning a field of a read-only
+    record, or a new attribute, raises AttributeError; the three result
+    records stay mutable and unhashable."""
+    make, variant, frozen = RECORDS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name and a is not b and a == b and not a != b
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    if variant is not None:
+        assert hash(a) == hash(b)
+        assert a != variant() and not a == variant()
+        assert pickle.loads(pickle.dumps(a)) == a
+    field = next(iter(inspect.signature(type(a)).parameters))
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b
+    else:
+        setattr(a, field, None)
+        assert getattr(a, field) is None and a != b
+        with pytest.raises(TypeError):
+            hash(a)

@@ -159,6 +159,25 @@ def test_lebesgue_box_validation():
         FunctionalSpec.point_eval("0")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FunctionalSpec.gaussian_measure(1.5),
+        lambda: FunctionalSpec.gaussian_measure(3.0),
+        lambda: FunctionalSpec.gaussian_measure(True),
+        lambda: FunctionalSpec("lebesgue_box", 1.0, lower=(-1.0,), upper=(1.0,)),
+    ],
+    ids=["gaussian_1.5", "gaussian_3.0", "gaussian_True", "box_1.0"],
+)
+def test_functional_dimension_must_be_an_int(make):
+    """A dimension is an int, never a float or a bool: a "1.5-dimensional"
+    Gaussian measure used to build and give a double embedding."""
+    with pytest.raises(TypeError, match="dimension must be an int"):
+        make()
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        FunctionalSpec.gaussian_measure(0)
+
+
 QUAD_BITS = 500
 CLOSED_FORM_BOXES = [(-1.0, 1.0), (0.3, 2.5), (-2.5, -0.3), (-2.0, 0.5)]
 
