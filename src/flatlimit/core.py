@@ -371,8 +371,16 @@ def rsqrt(x: Real) -> Real:
     return mp.sqrt(x) if isinstance(x, mpf) else math.sqrt(x)
 
 
-def rerf(x: Real) -> Real:
-    return mp.erf(x) if isinstance(x, mpf) else math.erf(x)
+def rerf_once(x: Real, values: dict) -> Real:
+    """erf(x), an mpf x taken once per distinct |x|: ``values`` maps each |x| seen (by its raw tuple) to
+    erf(|x|).  mpmath's erf sums its series on |x| and sets the sign last, so erf(-x) = -erf(|x|) bit for bit."""
+    if not isinstance(x, mpf):
+        return math.erf(x)
+    ax = abs(x)
+    key = ax._mpf_
+    if key not in values:
+        values[key] = mp.erf(ax)
+    return -values[key] if x < 0 else values[key]
 
 
 def rpi(like: Real) -> Real:

@@ -13,7 +13,6 @@ parallelism is not safe) and written in grid order.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import Optional, Sequence, Union
@@ -290,7 +289,9 @@ class OptimalStudyConfig(_LengthScaleGrid):
 
 
 class OptimalRecord(_Frozen):
-    """One length scale of an optimal-point study."""
+    """One length scale of an optimal-point study.  Each restart summary is
+    stored as a tuple of its (key, value) pairs, so the record hashes and
+    no summary can be changed through it."""
 
     __slots__ = _fields = (
         "ell", "points", "weights", "wce", "node_dist_gauss", "weight_dist_gauss", "converged", "precision_bits",
@@ -299,14 +300,14 @@ class OptimalRecord(_Frozen):
 
     def __init__(self, ell: float, points: tuple[float, ...], weights: tuple[float, ...], wce: float,
                  node_dist_gauss: float, weight_dist_gauss: float, converged: bool, precision_bits: int,
-                 restart_summaries: tuple[dict, ...], search: str) -> None:
+                 restart_summaries: Sequence[dict], search: str) -> None:
         vals = [ell, wce, node_dist_gauss, weight_dist_gauss]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"optimal record has non-finite entries at ell={ell}")
         if wce < 0 or node_dist_gauss < 0 or weight_dist_gauss < 0:
             raise ValueError(f"optimal record has negative error columns at ell={ell}")
         self._bind(ell, points, weights, wce, node_dist_gauss, weight_dist_gauss, converged, precision_bits,
-                   restart_summaries, search)
+                   tuple(tuple(dict(summary).items()) for summary in restart_summaries), search)
 
 
 class OptimalStudyResult(_Record):
@@ -337,7 +338,7 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
             records.append(
                 OptimalRecord(
                     float(ell), xs, ws, trace.wce, nd, wd, trace.converged, prec.bits,
-                    tuple(trace.restart_summaries), trace.search,
+                    trace.restart_summaries, trace.search,
                 )
             )
             if not trace.converged:
@@ -407,8 +408,48 @@ def gauss_csv_lines(rule: GaussRule, bits: int) -> list[str]:
     return lines
 
 
+# SHA-256 (NIST FIPS 180-4): the round constants K of section 4.2.2 and the
+# initial hash value H(0) of section 5.3.3
+_SHA256_K = (
+    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1, 0x923F82A4, 0xAB1C5ED5,
+    0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3, 0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174,
+    0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
+    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147, 0x06CA6351, 0x14292967,
+    0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13, 0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
+    0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
+    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F, 0x682E6FF3,
+    0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208, 0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
+)
+_SHA256_H0 = (0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A, 0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19)
+_MASK32 = 0xFFFFFFFF
+
+
+def _sha256(data: bytes) -> str:
+    """The SHA-256 digest of ``data`` in hex (FIPS 180-4, section 6.2), so that hashing a config loads no
+    OpenSSL.  A rotation right by n is written x >> n | x << (32 - n): the bits it leaves above bit 31 only
+    carry upward, and the masks on the schedule words and on a and e drop them."""
+    padded = data + b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    h = _SHA256_H0
+    for start in range(0, len(padded), 64):
+        w = [int.from_bytes(padded[i:i + 4], "big") for i in range(start, start + 64, 4)]
+        for t in range(16, 64):
+            x, y = w[t - 15], w[t - 2]
+            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3
+            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK32)
+        a, b, c, d, e, f, g, hh = h
+        for k, wt in zip(_SHA256_K, w):
+            t1 = hh + ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)) + (e & f ^ ~e & g) + k + wt
+            t2 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, hh = (t1 + t2) & _MASK32, a, b, c, (d + t1) & _MASK32, e, f, g
+        h = tuple((x + y) & _MASK32 for x, y in zip(h, (a, b, c, d, e, f, g, hh)))
+    return "".join(f"{x:08x}" for x in h)
+
+
 def config_digest(raw: dict) -> str:
-    return hashlib.sha256(json.dumps(raw, sort_keys=True, default=str).encode()).hexdigest()
+    """The SHA-256 of ``raw``'s canonical JSON: sorted keys, str() for a
+    value JSON cannot write."""
+    return _sha256(json.dumps(raw, sort_keys=True, default=str).encode())
 
 
 def _manifest(command: str, result, raw_config: dict, details: dict) -> dict:
@@ -455,7 +496,7 @@ def optimal_manifest(result: OptimalStudyResult, raw_config: dict) -> dict:
         "gauss_nodes": [float(x) for x in result.gauss.nodes],
         "gauss_weights": [float(w) for w in result.gauss.weights],
         "restart_summaries": [
-            {"ell": r.ell, "search": r.search, "restarts": list(r.restart_summaries)}
+            {"ell": r.ell, "search": r.search, "restarts": [dict(summary) for summary in r.restart_summaries]}
             for r in result.records
         ],
     })

@@ -27,7 +27,7 @@ from .core import (
     _coords,
     _length_scale,
     monomial_eval,
-    rerf,
+    rerf_once,
     rexp,
     rexp_once,
     rpi,
@@ -393,7 +393,8 @@ def _row_embeddings(L: FunctionalSpec, length_scale: float, points, prec: Precis
     """The embeddings z(x) = L[K(., x)] of ``points``, the factors the
     closed forms share formed once: under the Gaussian measure v^(d/2) and
     2 (1 + l^2), with one exp per distinct exponent; on a box sqrt(2) l,
-    the scale and the endpoints."""
+    the scale and the endpoints, with one extended erf per distinct
+    magnitude, so nodes mirrored about 0 share theirs."""
     with prec.workprec():
         if L.kind == "point_eval":
             return [kernel_eval(length_scale, L.location, x, prec) for x in points]
@@ -408,11 +409,11 @@ def _row_embeddings(L: FunctionalSpec, length_scale: float, points, prec: Precis
             return [c * rexp_once(-sq_norm(xv) / den, values) for xv in xs]
         if L.kind == "lebesgue_box":
             box = list(zip(prec.to_point(L.lower), prec.to_point(L.upper)))
-            s, scale, out = rsqrt(prec.to_real(2)) * ell, ell * rsqrt(rpi(ell) / 2), []
+            s, scale, out, erfs = rsqrt(prec.to_real(2)) * ell, ell * rsqrt(rpi(ell) / 2), [], {}
             for xv in xs:
                 z = prec.to_real(1)
                 for (a, b), xi in zip(box, xv):
-                    z = z * scale * (rerf((b - xi) / s) - rerf((a - xi) / s))
+                    z = z * scale * (rerf_once((b - xi) / s, erfs) - rerf_once((a - xi) / s, erfs))
                 out.append(z)
             return out
         targets = [xv[0] for xv in xs] if L.dimension == 1 else xs

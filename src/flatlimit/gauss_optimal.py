@@ -180,6 +180,9 @@ class OptimizerSettings(_Frozen):
     __slots__ = _fields = ("restarts", "max_evals", "seed")
 
     def __init__(self, restarts: int = 8, max_evals: int = 10000, seed: int = 0) -> None:
+        for name, value in (("restarts", restarts), ("max_evals", max_evals), ("seed", seed)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
         if max_evals < 10:
@@ -501,6 +504,7 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
     lam, scale = None, [0] * len(x)
     step_tol = _STEP_TOL * max(abs(lo), abs(hi))
     while True:
+        # J dx/da and its scaling once per accepted iterate: a rejected step changes only the damping
         with residual.arith.workprec():
             sensitivity = _zero_sensitivity(x, residual.real)
             rows = list(zip(*jac))
@@ -509,28 +513,31 @@ def _levenberg_marquardt(residual: _BasisResidual, x: list, box: tuple[float, fl
             if lam is None:
                 upper = _householder([[v / d for v in col] for col, d in zip(jac_a, scale)])[2]
                 lam = _LM_DAMPING * min(abs(column[-1]) for column in upper) ** 2
-            da = _lm_step(jac_a, r, lam, scale)
-        trial = _shifted_zeros(x, [float(v) for v in da], [[float(v) for v in row] for row in sensitivity])
-        if trial is not None:
-            trial = [min(max(t, lo), hi) for t in trial]
-            if not max(abs(t - xn) for t, xn in zip(trial, x)) > step_tol:
-                return (x, e2), nfev, True
-            if all(p < q for p, q in zip(trial, trial[1:])):
-                if nfev >= max_evals:
-                    return (x, e2), nfev, False
-                nfev += 1
-                try:
-                    _, e2_t, r_t, jac_t = residual(trial)
-                except SingularMatrixError:
-                    e2_t = None
-                if e2_t is not None and e2_t < e2:
-                    decrease = (e2 - e2_t) / e2
-                    x, e2, r, jac = trial, e2_t, r_t, jac_t
-                    if decrease <= _REL_DECREASE:
-                        return (x, e2), nfev, True
-                    lam /= 10
-                    continue
-        lam *= 10
+        sensitivity = [[float(v) for v in row] for row in sensitivity]
+        while True:
+            with residual.arith.workprec():
+                da = _lm_step(jac_a, r, lam, scale)
+            trial = _shifted_zeros(x, [float(v) for v in da], sensitivity)
+            if trial is not None:
+                trial = [min(max(t, lo), hi) for t in trial]
+                if not max(abs(t - xn) for t, xn in zip(trial, x)) > step_tol:
+                    return (x, e2), nfev, True
+                if all(p < q for p, q in zip(trial, trial[1:])):
+                    if nfev >= max_evals:
+                        return (x, e2), nfev, False
+                    nfev += 1
+                    try:
+                        _, e2_t, r_t, jac_t = residual(trial)
+                    except SingularMatrixError:
+                        e2_t = None
+                    if e2_t is not None and e2_t < e2:
+                        decrease = (e2 - e2_t) / e2
+                        x, e2, r, jac = trial, e2_t, r_t, jac_t
+                        if decrease <= _REL_DECREASE:
+                            return (x, e2), nfev, True
+                        lam /= 10
+                        break
+            lam *= 10
 
 
 def optimize_points(

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from gram_oracle import assert_wce_matches, gaussian_optimal_weights
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from numpy.testing import assert_allclose
 
@@ -21,10 +25,13 @@ from flatlimit import (
     run_sweep,
     worst_case_error,
 )
-from flatlimit import cubature, kernels, linalg
+from flatlimit import cli, cubature, kernels, linalg
 from flatlimit.experiments import (
+    OptimalRecord,
+    _sha256,
     config_digest,
     optimal_csv_lines,
+    optimal_manifest,
     sweep_csv_lines,
     sweep_manifest,
 )
@@ -217,6 +224,32 @@ def test_manifest_content_and_digest_stability():
     assert config_digest({"degree": 3}) != config_digest(raw)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+def test_sha256_is_hashlib_sha256(data):
+    assert _sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("length", [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 1000])
+def test_sha256_at_the_padding_edges(length):
+    """55 bytes are the most that pad into one 64-byte block, 56 the
+    fewest that need a second; 119 and 120 are the same edge a block on."""
+    data = bytes((7 * i + length) % 256 for i in range(length))
+    assert _sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
+def test_config_digest_of_the_shipped_configs_is_hashlib_sha256(path):
+    """config_digest hashes the canonical JSON of a config as read by the
+    CLI; the six shipped configs give hashlib's digest of it."""
+    raw = cli.yaml.load(path.read_text(), Loader=cli._loader())
+    canonical = json.dumps(raw, sort_keys=True, default=str).encode()
+    assert config_digest(raw) == hashlib.sha256(canonical).hexdigest()
+
+
 def test_sweep_manifest_lists_solve_warnings():
     result = run_sweep(make_sweep(ell_count=3, precision="machine"))
     warned = [r for r in result.records if r.warning is not None]
@@ -305,6 +338,25 @@ def test_optimal_study_end_to_end():
     lines = optimal_csv_lines(result)
     assert lines[0].split(",")[:3] == ["ell", "x_0", "x_1"]
     assert len(lines) == 3
+
+
+def test_optimal_record_hashes_and_its_summaries_are_read_only():
+    """A record stores each restart summary as its (key, value) pairs: it
+    hashes like every read-only record, no summary changes through it, and
+    the manifest writes each summary as the same mapping in key order."""
+    summary = {"start": "gauss", "wce": 0.25, "nfev": 3, "converged": True}
+    record = OptimalRecord(1.0, (0.0,), (2.0,), 0.25, 0.0, 0.0, True, 64, [summary], "float64")
+    summary["nfev"] = 99
+    assert record.restart_summaries == ((("start", "gauss"), ("wce", 0.25), ("nfev", 3), ("converged", True)),)
+    rebuilt = OptimalRecord(1.0, (0.0,), (2.0,), 0.25, 0.0, 0.0, True, 64, record.restart_summaries, "float64")
+    assert rebuilt == record and hash(rebuilt) == hash(record)
+    cfg = OptimalStudyConfig(functional=LEB, n_points=2, ell_min=10.0, ell_max=100.0, ell_count=2,
+                             optimizer=OptimizerSettings(restarts=1, max_evals=40))
+    result = run_optimal_study(cfg)
+    assert all(isinstance(hash(r), int) for r in result.records)
+    restarts = optimal_manifest(result, {})["restart_summaries"][0]["restarts"]
+    assert [list(s) for s in restarts] == [["start", "wce", "nfev", "converged"]] * 2
+    assert [s["start"] for s in restarts] == ["gauss", "random0"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 from flatlimit import (
@@ -243,7 +244,9 @@ def test_two_dimensional_quadrature_checks_the_inner_axis():
 def pointwise_embedding(L, length_scale, xv, prec):
     """The closed forms of the Gaussian kernel's embedding, point by point,
     every factor formed afresh: the oracle of the per-row embedding."""
-    from flatlimit.core import rerf, rexp, rpi, rsqrt, sq_norm
+    from flatlimit.core import rexp, rpi, rsqrt, sq_norm
+
+    rerf = mp.erf if prec.is_extended else math.erf
 
     with prec.workprec():
         xv = prec.to_point(xv)
@@ -299,6 +302,24 @@ def test_row_embeddings_are_the_pointwise_closed_forms(kind, name, prec, monkeyp
         assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in singles]
         assert [getattr(v, "_mpf_", v) for v in row] == [getattr(v, "_mpf_", v) for v in oracle]
         assert all(isinstance(v, float) != prec.is_extended for v in row)
+
+
+def test_box_row_takes_one_erf_per_mirrored_pair(monkeypatch):
+    """On six Chebyshev nodes mirrored about 0 the extended box row takes
+    one erf per distinct |u|, 6 and not 12: erf(-u) = -erf(u) bit for bit
+    in mpmath, so each value equals kernel_embedding's at its point."""
+    from flatlimit.functionals import _row_embeddings
+
+    half = [math.cos((2 * k - 1) * math.pi / 12) for k in (3, 2, 1)]
+    points = [(-x,) for x in reversed(half)] + [(x,) for x in half]
+    L, prec = FunctionalSpec.lebesgue_box(-1.0, 1.0), PrecisionConfig.extended(160)
+    calls = []
+    original = type(mp).erf
+    monkeypatch.setattr(type(mp), "erf", lambda ctx, x: calls.append(x) or original(ctx, x))
+    row = _row_embeddings(L, 46.4, points, prec)
+    assert len(calls) == 6
+    singles = [kernel_embedding(L, 46.4, x, prec) for x in points]
+    assert [v._mpf_ for v in row] == [v._mpf_ for v in singles]
 
 
 def per_alpha_damped_moment(L, length_scale, alpha, prec):

@@ -165,6 +165,15 @@ def test_optimizer_settings_validation():
         OptimizerSettings(max_evals=0)
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_evals", "seed"])
+@pytest.mark.parametrize("value", [20.5, 20.0, True])
+def test_optimizer_settings_fields_must_be_ints(field, value):
+    """Each count is an int, not a float or a bool: restarts=1.5 built and
+    then failed untyped in the search, max_evals=20.5 and seed=0.5 ran."""
+    with pytest.raises(TypeError, match=f"{field} must be an int"):
+        OptimizerSettings(**{field: value})
+
+
 def test_optimized_rule_approaches_gauss_legendre():
     """At large length scale the jointly optimized two-point rule lands on
     the Gauss-Legendre nodes and weights."""
@@ -487,14 +496,14 @@ def test_optimal_study_builds_its_gauss_rule_once(monkeypatch):
     )
     result = run_optimal_study(cfg)
     assert len(calls) == 1
-    assert [r.restart_summaries[0]["start"] for r in result.records] == ["gauss"] * 5
+    assert [dict(r.restart_summaries[0])["start"] for r in result.records] == ["gauss"] * 5
     for r in result.records:
         rule, trace = gauss_optimal.optimize_points(
             r.ell, LEB, 2, PrecisionConfig.extended(r.precision_bits), cfg.optimizer
         )
         assert r.points == tuple(p[0] for p in rule.points)
         assert r.weights == rule.weights_float()
-        assert r.restart_summaries == tuple(trace.restart_summaries)
+        assert [dict(summary) for summary in r.restart_summaries] == trace.restart_summaries
     assert len(calls) == 6
 
 
