@@ -7,7 +7,8 @@ optimization study), ``gauss`` (Gaussian quadrature from moments), ``wce``
 This module loads the YAML configuration, applies the ``--precision``
 override (and ``optimal``'s ``--seed``), checks the keys, dispatches each
 subcommand to its parse step and its run step, and prints and writes the
-output.  The value rules live with the configurations in
+output; :mod:`flatlimit.yamlio` reads the configuration and writes the
+manifest.  The value rules live with the configurations in
 :mod:`flatlimit.experiments`.  Unknown keys are hard errors so typos cannot
 silently change an experiment.  Exit codes: 0 success, 2 configuration
 error (anything the parse step rejects), 3 numerical failure.
@@ -15,13 +16,11 @@ error (anything the parse step rejects), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
+from . import yamlio
 from .core import CubatureRule, PointSet, _length_scale, _real
 from .cubature import _check_dims, _monomials, optimal_weights, unisolvency_check, worst_case_error
 from .errors import ConfigError, FlatLimitError
@@ -59,26 +58,13 @@ def _keys(d, context: str, required: tuple = (), optional: tuple = ()) -> dict:
     return d
 
 
-def _loader() -> type:
-    """PyYAML's safe loader, libyaml's where PyYAML has it, that reads a
-    plain scalar such as 1e400 or 1e-3 as a float, as YAML 1.2 does: YAML
-    1.1 needs a dot and reads a string, which a real value may not be."""
-    loader = type("Loader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
-    exponent = re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$")
-    loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent, list("-+0123456789"))
-    return loader
-
-
 def _load(args, required: tuple, optional: tuple) -> dict:
     """The config file of ``args`` with the overrides applied and its keys
     checked; every command also takes ``precision``."""
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {args.config}")
-    try:
-        raw = yaml.load(path.read_text(), Loader=_loader())
-    except yaml.YAMLError as e:
-        raise ConfigError(f"config file is not valid YAML: {e}") from e
+    raw = yamlio.load(path.read_text())
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping at top level")
     if args.precision is not None:
@@ -180,8 +166,7 @@ def _finish(result, raw: dict, out: Optional[str], csv_name: str, csv_lines, man
         print(f"note: {note}")
     if out:
         csv_path = _write_out(out, csv_name, csv_lines(result))
-        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml where PyYAML has it
-        _write_out(out, "manifest.yaml", [yaml.dump(manifest(result, raw), Dumper=dumper, sort_keys=False).rstrip()])
+        _write_out(out, "manifest.yaml", [yamlio.dump(manifest(result, raw)).rstrip()])
         print(f"wrote {csv_path}")
     return 3 if result.failures and not result.records else 0
 

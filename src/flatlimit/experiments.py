@@ -152,7 +152,7 @@ class SweepRecord(_Frozen):
         if not all(math.isfinite(v) for v in vals):
             raise FlatLimitError(f"sweep record has non-finite entries at ell={ell}: {vals}")
         if float(wce) < 0 or dist_opt_pol < 0 or dist_phi_pol < 0:
-            raise ValueError(f"sweep record has negative error columns at ell={ell}")
+            raise FlatLimitError(f"sweep record has negative error columns at ell={ell}: {vals}")
         self._bind(ell, weights, wce, dist_opt_pol, dist_phi_pol, condition, precision_bits, warning)
 
 
@@ -303,9 +303,9 @@ class OptimalRecord(_Frozen):
                  restart_summaries: Sequence[dict], search: str) -> None:
         vals = [ell, wce, node_dist_gauss, weight_dist_gauss]
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"optimal record has non-finite entries at ell={ell}")
+            raise FlatLimitError(f"optimal record has non-finite entries at ell={ell}: {vals}")
         if wce < 0 or node_dist_gauss < 0 or weight_dist_gauss < 0:
-            raise ValueError(f"optimal record has negative error columns at ell={ell}")
+            raise FlatLimitError(f"optimal record has negative error columns at ell={ell}: {vals}")
         self._bind(ell, points, weights, wce, node_dist_gauss, weight_dist_gauss, converged, precision_bits,
                    tuple(tuple(dict(summary).items()) for summary in restart_summaries), search)
 

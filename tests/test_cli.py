@@ -503,7 +503,7 @@ def test_no_library_module_imports_numpy_or_scipy():
     assert found == []
 
 
-def test_shipped_configs_run_without_numpy_scipy_dataclasses_fractions_or_hashlib(tmp_path):
+def test_shipped_configs_run_without_numpy_scipy_dataclasses_fractions_hashlib_or_yaml(tmp_path):
     """The six configs under configs/ run through flatlimit.cli in one
     fresh interpreter that never imports numpy or scipy: the library
     computes on floats and mpf, and integrates with mpmath's tanh-sinh
@@ -511,7 +511,9 @@ def test_shipped_configs_run_without_numpy_scipy_dataclasses_fractions_or_hashli
     inspect it pulls in) or fractions (with decimal): the records are
     plain classes and exact ratios come from ``as_integer_ratio``.  Nor
     hashlib (with OpenSSL's _hashlib): the manifest's config digest is
-    the library's own SHA-256.  So start-up pays for none of them."""
+    the library's own SHA-256.  Nor PyYAML (yaml, or libyaml's _yaml):
+    :mod:`flatlimit.yamlio` reads the configs and writes the manifests.
+    So start-up pays for none of them."""
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent(f"""
         import sys
@@ -523,7 +525,7 @@ def test_shipped_configs_run_without_numpy_scipy_dataclasses_fractions_or_hashli
             assert main([command, "--config", config, "--out", {str(tmp_path)!r} + "/" + name]) == 0
         print(sorted(m for m in sys.modules
                      if m.startswith(("numpy", "scipy"))
-                     or m in ("dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib")))
+                     or m in ("dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib", "yaml", "_yaml")))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)

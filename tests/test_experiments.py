@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from flatlimit import (
     ConfigError,
     CubatureRule,
+    FlatLimitError,
     FunctionalSpec,
     NotUnisolventError,
     OptimalStudyConfig,
@@ -25,9 +26,10 @@ from flatlimit import (
     run_sweep,
     worst_case_error,
 )
-from flatlimit import cli, cubature, kernels, linalg
+from flatlimit import cubature, experiments, kernels, linalg, yamlio
 from flatlimit.experiments import (
     OptimalRecord,
+    SweepRecord,
     _sha256,
     config_digest,
     optimal_csv_lines,
@@ -35,6 +37,7 @@ from flatlimit.experiments import (
     sweep_csv_lines,
     sweep_manifest,
 )
+from flatlimit.gauss_optimal import OptimizationTrace
 
 LEB = FunctionalSpec.lebesgue_box(-1.0, 1.0)
 SIMPSON = PointSet.from_points([-1.0, 0.0, 1.0])
@@ -245,7 +248,7 @@ SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").gl
 def test_config_digest_of_the_shipped_configs_is_hashlib_sha256(path):
     """config_digest hashes the canonical JSON of a config as read by the
     CLI; the six shipped configs give hashlib's digest of it."""
-    raw = cli.yaml.load(path.read_text(), Loader=cli._loader())
+    raw = yamlio.load(path.read_text())
     canonical = json.dumps(raw, sort_keys=True, default=str).encode()
     assert config_digest(raw) == hashlib.sha256(canonical).hexdigest()
 
@@ -338,6 +341,43 @@ def test_optimal_study_end_to_end():
     lines = optimal_csv_lines(result)
     assert lines[0].split(",")[:3] == ["ell", "x_0", "x_1"]
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("entries", [
+    (math.nan, 0.0, 0.0), (0.25, math.inf, 0.0), (-0.25, 0.0, 0.0), (0.25, -1e-3, 0.0), (0.25, 0.0, -1e-3),
+], ids=["nan_wce", "inf_node_distance", "negative_wce", "negative_node_distance", "negative_weight_distance"])
+def test_optimal_record_rejects_a_bad_row_with_a_library_error(entries):
+    """A non-finite or negative entry is a FlatLimitError, which a study
+    records as a row failure, not a bare ValueError it would not catch."""
+    with pytest.raises(FlatLimitError, match="optimal record has"):
+        OptimalRecord(1.0, (0.0,), (2.0,), *entries, True, 64, [], "float64")
+
+
+@pytest.mark.parametrize("distances", [(-1e-3, 0.0), (0.0, -1e-3)], ids=["optimal", "phi"])
+def test_sweep_record_rejects_negative_error_columns_with_a_library_error(distances):
+    with pytest.raises(FlatLimitError, match="negative error columns"):
+        SweepRecord(1.0, (2.0,), 0.25, *distances, 10.0, 64)
+    with pytest.raises(FlatLimitError, match="negative error columns"):
+        SweepRecord(1.0, (2.0,), -0.25, 0.0, 0.0, 10.0, 64)
+
+
+def test_a_study_records_a_non_finite_row_under_failures(monkeypatch):
+    """A search that hands back a NaN wce fails its row, which the study
+    and its manifest list under failures; the other rows are kept."""
+    real = experiments.optimize_points
+
+    def nan_at_the_first_length_scale(ell, *args, **kwargs):
+        rule, trace = real(ell, *args, **kwargs)
+        if ell == 10.0:
+            trace = OptimizationTrace(math.nan, trace.converged, trace.search, trace.restart_summaries)
+        return rule, trace
+
+    monkeypatch.setattr(experiments, "optimize_points", nan_at_the_first_length_scale)
+    result = run_optimal_study(make_study(optimizer=OptimizerSettings(restarts=0, max_evals=40)))
+    assert [r.ell for r in result.records] == [100.0]
+    assert [ell for ell, _ in result.failures] == [10.0]
+    assert result.failures[0][1].startswith("FlatLimitError: optimal record has non-finite entries at ell=10.0")
+    assert optimal_manifest(result, {})["failures"] == [{"ell": 10.0, "error": result.failures[0][1]}]
 
 
 def test_optimal_record_hashes_and_its_summaries_are_read_only():

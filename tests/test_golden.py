@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 import pytest
-import yaml
 
 from flatlimit.cli import main
 
@@ -64,15 +63,6 @@ def assert_output_matches_golden(name, argv, tmp_path, config=None):
 
 @pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
 def test_config_output_matches_golden(name, argv, tmp_path, capsys):
-    assert_output_matches_golden(name, argv, tmp_path)
-
-
-@pytest.mark.parametrize("name,argv", [RUNS[0], RUNS[3]], ids=[RUNS[0][0], RUNS[3][0]])
-def test_pure_python_yaml_output_matches_golden(name, argv, tmp_path, capsys, monkeypatch):
-    """Without libyaml the configs are read and the manifests written by
-    PyYAML's pure-Python loader and dumper, to the same bytes."""
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
     assert_output_matches_golden(name, argv, tmp_path)
 
 
