@@ -75,9 +75,9 @@ def _load(args, required: tuple, optional: tuple) -> dict:
 
 
 def _int(value) -> int:
-    """An integer config value: an integer or a decimal string, never a
-    float or a bool truncated to one."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An integer config value: an integer or a string of decimal digits
+    alone, never a float or a bool truncated to one."""
+    if isinstance(value, bool) or not isinstance(value, int) and not (isinstance(value, str) and value.isdecimal()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

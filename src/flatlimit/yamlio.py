@@ -1,17 +1,22 @@
 """The YAML the command line reads and writes: configs in, manifests out.
 
-:func:`load` reads block mappings and sequences, flow collections (so
-JSON), plain and quoted scalars and comments, to the values PyYAML's safe
-loader gives: plain scalars resolve by YAML 1.1 (null, bool with yes/no/
-on/off, int with 0x, 0b, octal, _ and base 60, float), and a plain
-exponent such as 1e-3 reads as a float, as in YAML 1.2.  A duplicate key
-keeps its last value.  Anchors, aliases, tags, block scalars, directives,
-document markers, complex and merge keys, timestamps and tabs are a
-:class:`ConfigError` naming the line and column.  :func:`dump` writes a
-manifest as ``yaml.dump(manifest, sort_keys=False)`` does, byte for byte
-while its strings are printable ASCII; another string is double-quoted.
-The rules are PyYAML's (MIT license), from its resolver, constructor,
-representer and emitter.
+:func:`load` reads a config in the YAML that PyYAML's safe loader (YAML
+1.1, with a plain exponent such as 1e-3 read as a float) and the YAML 1.2
+core schema read alike: block and flow collections (so JSON), comments,
+string keys given once, and one-line scalars, plain (null, ~, true, false,
+decimal ints, floats such as 1.5, 1e-3 or 1.5e+4, .inf, .nan, or text),
+single-quoted, or double-quoted with JSON's escapes.  Anything else is a
+:class:`ConfigError` naming its line and column and what to write instead:
+true or false for yes/no/on/off; decimal digits for an int with a leading
+zero, 0x, 0b, 0o, _ or :, or a float with _ or :; 1.5e+4 or -0.5 for
+1.5e4 or -.5; one line for a scalar folded over lines; a JSON escape for
+another; a quoted key for one that is not a string; each key once.  Quote
+a scalar meant as text.  Anchors, aliases, tags, block scalars, directives,
+document markers, complex and merge keys, timestamps and tabs are refused
+too.  :func:`dump` writes a manifest as ``yaml.dump(manifest,
+sort_keys=False)`` does, byte for byte while its strings are printable
+ASCII; another string is double-quoted.  The rules are PyYAML's (MIT
+license), from its resolver, constructor, representer and emitter.
 """
 import math
 import re
@@ -19,7 +24,7 @@ import re
 from .errors import ConfigError
 
 # PyYAML's implicit resolvers: words, then patterns (which no word matches);
-# a config alone reads the YAML 1.2 exponent float, 1e400 or 1e-3
+# the last pattern is the config's own, which reads 1e400 or 1e-3 as a float
 _WORDS = {**dict.fromkeys("yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF".split(),
                          "bool"),
           **dict.fromkeys("~ null Null NULL".split(), "null"), "": "null", "<<": "merge key", "=": "value key"}
@@ -29,10 +34,14 @@ _PATTERNS = [(tag, re.compile(pattern)) for tag, pattern in [
     ("int", r"[-+]?(?:0b[0-1_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+|[1-9][0-9_]*(?::[0-5]?[0-9])+)"),
     ("timestamp", r"[0-9]{4}-(?:[0-9]{2}-[0-9]{2}|[0-9][0-9]?-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?:[0-9]{2}:[0-9]{2}"
                   r"(?:\.[0-9]*)?(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9]{2})?))?)"),
-    ("exponent", r"[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+"),
+    ("float", r"[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+"),
 ]]
-_BOOLS = {"yes": True, "no": False, "true": True, "false": False, "on": True, "off": False}
-_ESCAPES = dict(zip("0abtnvfre \"\\/N_LP", "\0\a\b\t\n\v\f\r\x1b \"\\/\x85\xa0\u2028\u2029"))
+# the YAML 1.2 core schema's numbers; its null and bool words are among the above
+_CORE_INT = re.compile(r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+")
+_CORE_FLOAT = re.compile(r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?")
+_INF_NAN = {sign + inf for sign in ("", "-", "+") for inf in (".inf", ".Inf", ".INF")} | {".nan", ".NaN", ".NAN"}
+_ESCAPES = dict(zip('"\\/bfnrt', '"\\/\b\f\n\r\t'))  # JSON's, and \uXXXX
+_ESCAPE = re.compile(r"\\(?:u([0-9a-fA-F]{4})|(.))")
 _UNSUPPORTED = dict(zip("&*!|>%@`", ["anchors", "aliases", "tags", "block scalars", "block scalars",
                                      "directives", "reserved indicators", "reserved indicators"]))
 # what a config cannot hold: tab, carriage return and the other C0 and C1
@@ -41,15 +50,10 @@ _BAD_CHAR = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\uf
 _WS = " \n\0"
 _SPACES, _SKIP = re.compile(" *"), re.compile(r"(?:[ \n]+|#[^\n]*)*")
 _MARKER = re.compile(r"(?:---|\.\.\.)(?=[ \n]|\Z)")
-# a run of a plain scalar between spaces: ': ' ends it, and in flow context ',[]{}' too
-_BLOCK_RUN = re.compile(r"(?:[^ \n:]|:(?=[^ \n]))+")
-_FLOW_RUN = re.compile(r"(?:[^ \n:,?\[\]{}]|:(?=[^ \n,\[\]{}]))+")
-_GAP = re.compile(r"( *)(\n[ \n]*)?")
-_SINGLE, _DOUBLE = re.compile(r"'((?:[^']|'')*)'"), re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
-# a line break with the spaces around it, or an escape: \xXX, \uXXXX, \UXXXXXXXX, \ + break, \c
-_FOLD = re.compile(r" *\n([ \n]*)")
-_DOUBLE_PART = re.compile(r"\\(?:x([0-9a-fA-F]{2})|u([0-9a-fA-F]{4})|U([0-9a-fA-F]{8})|\n([ \n]*)|(.))|"
-                          r" *\n([ \n]*)", re.S)
+# a plain scalar on one line, runs between spaces: ': ' or ' #' ends it, and in flow context ',?[]{}' too
+_BLOCK_PLAIN, _FLOW_PLAIN = (re.compile(f"{run}(?: +(?!#){run})*") for run in (
+    r"(?:[^ \n:]|:(?=[^ \n]))+", r"(?:[^ \n:,?\[\]{}]|:(?=[^ \n,?\[\]{}]))+"))
+_SINGLE, _DOUBLE = re.compile(r"'((?:[^'\n]|'')*)'"), re.compile(r'"((?:[^"\\\n]|\\[^\n])*)"')
 
 
 def _resolve(text: str, exponent: bool) -> str:
@@ -57,33 +61,34 @@ def _resolve(text: str, exponent: bool) -> str:
     config's resolver of 1e400 and 1e-3 as floats."""
     if text in _WORDS:
         return _WORDS[text]
-    for tag, pattern in _PATTERNS:
-        if (exponent or tag != "exponent") and pattern.fullmatch(text):
-            return tag
-    return "str"
+    return next((tag for tag, pattern in (_PATTERNS if exponent else _PATTERNS[:-1]) if pattern.fullmatch(text)), "str")
+
+
+def _core(text: str) -> str:
+    """The tag the YAML 1.2 core schema gives the plain scalar ``text``."""
+    tag = _WORDS.get(text)
+    if tag == "null" or tag == "bool" and text.lower() in ("true", "false"):
+        return tag
+    return "int" if _CORE_INT.fullmatch(text) else "float" if text in _INF_NAN or _CORE_FLOAT.fullmatch(text) else "str"
+
+
+def _refusal(text: str, tag: str, core: str) -> str:
+    """Why ``text``, a ``tag`` to PyYAML and a ``core`` to YAML 1.2, is refused, and what to write."""
+    read = "an int not in decimal" if tag == core else f"read as {tag} by YAML 1.1 and as {core} by YAML 1.2"
+    hint = ("write true or false, or " if tag == "bool" else
+            "write the number in decimal, without '_' or ':', or " if "_" in text or ":" in text else
+            "write a float with a digit before its point and a sign in its exponent, as -0.5 or 1.5e+4, or "
+            if core == "float" else "write an int in decimal with no leading zero, or " if "int" in (tag, core) else "")
+    return f"{text!r}, {read} ({hint}quote it for a string)"
 
 
 def _construct(tag: str, text: str):
-    """The value of a plain scalar, as PyYAML's SafeConstructor builds it;
-    ValueError for 0x_ or 0b_, which have no digits."""
-    if tag == "null":
-        return None
-    if tag == "bool":
-        return _BOOLS[text.lower()]
-    text = text.replace("_", "").lower()
-    sign, digits = (-1 if text[0] == "-" else 1), text.lstrip("+-")
-    if tag == "int" and digits != "0" and digits[0] == "0":
-        return sign * (int(digits[2:], {"b": 2, "x": 16}[digits[1]]) if digits[1] in "bx" else int(digits, 8))
-    if digits in (".inf", ".nan"):
-        return math.nan if digits == ".nan" else sign * math.inf
-    number = int if tag == "int" else float
-    if ":" not in digits:
-        return sign * number(digits)
-    total, scale = number(0), 1
-    for part in reversed(digits.split(":")):  # base 60, summed from the last part up
-        total += number(part) * scale
-        scale *= 60
-    return sign * total
+    """The value of a plain scalar that PyYAML and YAML 1.2 both read as ``tag``."""
+    if tag == "int":
+        return int(text)
+    if tag == "float":
+        return float(text.replace(".", "") if text[-1] in "fFnN" else text)  # .inf, -.Inf, .NaN as inf, -Inf, NaN
+    return None if tag == "null" else text.lower() == "true"
 
 
 class _Reader:
@@ -93,10 +98,12 @@ class _Reader:
     def __init__(self, text: str) -> None:
         self.s, self.i = text, 0
 
-    def error(self, what: str, at=None) -> ConfigError:
-        at = self.i if at is None else at
+    def where(self, at: int) -> str:
         line, column = self.s.count("\n", 0, at) + 1, at - self.s.rfind("\n", 0, at)
-        return ConfigError(f"config file is not valid YAML: {what} at line {line}, column {column}")
+        return f"line {line}, column {column}"
+
+    def error(self, what: str, at=None) -> ConfigError:
+        return ConfigError(f"config file: {what} at {self.where(self.i if at is None else at)}")
 
     def peek(self, k: int = 0) -> str:
         return self.s[self.i + k:self.i + k + 1] or "\0"
@@ -105,8 +112,7 @@ class _Reader:
         return self.i - self.s.rfind("\n", 0, self.i) - 1
 
     def marker(self) -> bool:
-        at_line_start = self.i == 0 or self.s[self.i - 1] == "\n"
-        return at_line_start and _MARKER.match(self.s, self.i) is not None
+        return (self.i == 0 or self.s[self.i - 1] == "\n") and _MARKER.match(self.s, self.i) is not None
 
     def spaces(self, pattern=_SPACES) -> None:
         self.i = pattern.match(self.s, self.i).end()
@@ -126,14 +132,22 @@ class _Reader:
             raise self.error("mapping values are not allowed here" if self.peek() == ":" else
                              f"unexpected {self.peek()!r} after a value")
 
+    def new_key(self, key, at: int, starts: dict) -> None:
+        """Add ``key``, read at ``at``, to ``starts``, its mapping's keys and where they are."""
+        if not isinstance(key, str):
+            raise self.error(f"a key that reads as {key!r}, not as a string (quote it)", at)
+        if key in starts:
+            raise self.error(f"a second key {key!r} (the first is at {self.where(starts[key])}; give each once)", at)
+        starts[key] = at
+
     def block(self, indent: int):
         """The block node here, inside a collection at column ``indent``."""
-        column = self.column()
+        column, at = self.column(), self.i
         if self.at_entry():
-            return self.collection(column, [], None)
+            return self.collection(column, [], None, at)
         node, is_key = self.key(indent)
         if is_key:
-            return self.collection(column, {}, node)
+            return self.collection(column, {}, node, at)
         self.end_of_line()
         return node
 
@@ -144,16 +158,18 @@ class _Reader:
         self.spaces()
         if self.peek() != ":" or self.peek(1) not in _WS:
             return node, False
-        if isinstance(node, (list, dict)) or "\n" in self.s[start:self.i]:
+        if isinstance(node, (list, dict)):
             raise self.error("a complex key; a key is a scalar on one line", start)
         return node, True
 
-    def collection(self, column: int, result, key):
+    def collection(self, column: int, result, key, at: int):
         """The block sequence (``result`` a list) or mapping (a dict, with
-        its first ``key`` read) whose entries start at ``column``.  A
-        mapping's value may be a sequence at the mapping's own column."""
-        sequence = isinstance(result, list)
+        its first ``key`` read at ``at``) whose entries start at ``column``.
+        A mapping's value may be a sequence at the mapping's own column."""
+        sequence, starts = isinstance(result, list), {}
         while True:
+            if not sequence:
+                self.new_key(key, at, starts)
             self.i += 1  # past the '-' or the ':'
             self.spaces()
             if self.peek() not in "#\n\0":
@@ -195,18 +211,19 @@ class _Reader:
             raise self.error("a complex key" if ch == "?" else
                              "unexpected end of the document" if ch == "\0" else f"unexpected {ch!r}")
         text = self.plain(indent, flow)
-        tag = _resolve(text, exponent=True)
-        if tag in ("merge key", "value key", "timestamp"):
-            raise self.error(f"{text!r} reads as a {tag}, which a config cannot hold", at)
+        tag, core = _resolve(text, exponent=True), _core(text)
+        digits = text.lstrip("+-")
+        if tag != core or tag == "int" and digits != "0" and digits[0] == "0":  # a leading zero, 0x too
+            raise self.error(_refusal(text, tag, core), at)
         try:
             return text if tag == "str" else _construct(tag, text)
-        except ValueError:
-            raise self.error(f"{text!r} is an int with no digits", at) from None
+        except ValueError:  # past Python's limit on the digits of an int
+            raise self.error(f"an int of {len(text)} digits, too many to read", at) from None
 
     def flow(self, opening: str):
         """A flow sequence or mapping, JSON's arrays and objects among them."""
         closing, start = "]" if opening == "[" else "}", self.i
-        result = [] if opening == "[" else {}
+        result, starts = [] if opening == "[" else {}, {}
         self.i += 1
         while True:
             self.skip()
@@ -221,6 +238,7 @@ class _Reader:
             elif isinstance(item, (list, dict)) or self.peek() != ":":
                 raise self.error("expected a scalar key and a ':'", at)
             else:
+                self.new_key(item, at, starts)
                 self.i += 1
                 self.skip()
                 result[item] = None if self.peek() in ",}" else self.node(-1, flow=True)
@@ -232,62 +250,41 @@ class _Reader:
                     self.error(f"expected ',' or '{closing}'")
 
     def plain(self, indent: int, flow: bool) -> str:
-        """A plain scalar, folded over lines indented past ``indent`` as
-        PyYAML's scan_plain folds it; the position is left after its end."""
-        run, chunks, gap, end = _FLOW_RUN if flow else _BLOCK_RUN, [], "", self.i
-        while True:
-            found = run.match(self.s, self.i)
-            if not found:
-                break
-            chunks += [gap, found.group()]
-            end = found.end()
-            after = _GAP.match(self.s, end)
-            (spaces, breaks), self.i = after.groups(), after.end()
-            if not (spaces or breaks) or self.peek() == "#":
-                break
-            if breaks:
-                if self.marker() or (not flow and self.column() <= indent):
-                    break
-                gap = "\n" * (breaks.count("\n") - 1) or " "
-            else:
-                gap = spaces
+        """A plain scalar on one line; the position is left after its end.
+        One that YAML would fold into a line below is refused."""
+        pattern, start = _FLOW_PLAIN if flow else _BLOCK_PLAIN, self.i
+        end = pattern.match(self.s, start).end()
+        self.i = _SKIP.match(self.s, end).end()
+        if flow and self.peek() == ":" and self.peek(1) in ",?[]{}":  # which libyaml refuses
+            raise self.error("a ':' right before one of ',?[]{}' in a flow collection (write ': ')")
+        if "\n" in self.s[end:self.i] and pattern.match(self.s, self.i) and not self.marker() \
+                and (flow or self.column() > indent):
+            raise self.error("a plain scalar that goes on over the next line (write each scalar on one line)", start)
         self.i = end
-        return "".join(chunks)
+        return self.s[start:end]
 
     def quoted(self, double: bool) -> str:
-        """A single- or double-quoted scalar, folded and unescaped as
-        PyYAML's scan_flow_scalar does it."""
+        """A single-quoted scalar, or a double-quoted one with JSON's
+        escapes, on one line."""
         start = self.i
         found = (_DOUBLE if double else _SINGLE).match(self.s, start)
         if not found:
-            raise self.error("an unclosed quoted scalar")
-        body, offset = found.group(1), start + 1
-        self.i = found.end()
-        if "\n" not in body and "\\" not in body and "''" not in body:
-            return body
-        marker = re.search(r"\n(?:---|\.\.\.)[ \n]", body)
-        if marker:
-            raise self.error("a document marker inside a quoted scalar", offset + marker.start() + 1)
+            raise self.error("a quoted scalar not closed on its line (write each scalar on one line, a break as \\n)")
+        self.i, body = found.end(), found.group(1)
         if not double:
-            return _FOLD.sub(lambda m: "\n" * m.group(1).count("\n") or " ", body).replace("''", "'")
+            return body.replace("''", "'")
 
-        def part(m):
-            hex_digits = m.group(1) or m.group(2) or m.group(3)
-            if hex_digits and int(hex_digits, 16) <= 0x10FFFF:
-                return chr(int(hex_digits, 16))
-            if m.group(4) is not None:  # an escaped line break folds to nothing
-                return "\n" * m.group(4).count("\n")
-            if m.group(6) is not None:
-                return "\n" * m.group(6).count("\n") or " "
-            if m.group(5) in _ESCAPES:
-                return _ESCAPES[m.group(5)]
-            raise self.error(f"an unknown escape {m.group()!r}", offset + m.start())
-        return _DOUBLE_PART.sub(part, body)
+        def unescape(m):
+            if m.group(1) or m.group(2) in _ESCAPES:
+                return chr(int(m.group(1), 16)) if m.group(1) else _ESCAPES[m.group(2)]
+            raise self.error(f"the escape {m.group()} (write JSON's: \\\" \\\\ \\/ \\b \\f \\n \\r \\t "
+                             f"or \\uXXXX)", start + 1 + m.start())
+        return _ESCAPE.sub(unescape, body) if "\\" in body else body
 
 
 def load(text: str):
     """The one YAML document in ``text``: a dict, list, str, int, float,
-    bool or None; a :class:`ConfigError` outside the subset."""
+    bool or None; a :class:`ConfigError` outside the YAML described above."""
     bad = _BAD_CHAR.search(text)
     if bad:
         what = "a tab" if bad.group() == "\t" else f"the character {bad.group()!r}"

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import flatlimit.experiments as experiments
-from flatlimit import CubatureRule, FunctionalSpec, PointSet, PrecisionConfig, worst_case_error
+from flatlimit import CubatureRule, FunctionalSpec, PointSet, PrecisionConfig, cli, worst_case_error
 from flatlimit.cli import main
 
 SWEEP_CFG = {
@@ -155,6 +155,7 @@ OPTIMAL_CFG = {
 }
 SEEDED_OPTIMIZER = {**OPTIMAL_CFG["optimizer"], "seed": 7}
 PLANE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+GRID = SWEEP_CFG["ell_grid"]
 
 # (command, config, extra flags)
 BAD_CONFIGS = {
@@ -192,6 +193,10 @@ BAD_CONFIGS = {
     "optimal_fit_window_decreasing": ("optimal", {**OPTIMAL_CFG, "fit_window": [100.0, 10.0]}, []),
     "gauss_n_points_fraction": ("gauss", {**GAUSS_CFG, "n_points": 2.7}, []),
     "sweep_degree_true": ("sweep", {**SWEEP_CFG, "points": [-1.0, 1.0], "degree": True}, []),
+    # an int given as a string is decimal digits alone
+    "sweep_degree_underscore_string": ("sweep", {**SWEEP_CFG, "degree": "0_2"}, []),
+    "sweep_ell_grid_count_spaced_string": ("sweep", {**SWEEP_CFG, "ell_grid": {**GRID, "count": " 3 "}}, []),
+    "sweep_ell_grid_count_signed_string": ("sweep", {**SWEEP_CFG, "ell_grid": {**GRID, "count": "+3"}}, []),
     "optimal_unbounded_string": (
         "optimal",
         {**OPTIMAL_CFG, "functional": {"kind": "gaussian_measure"}, "experimental_unbounded": "false"},
@@ -275,6 +280,15 @@ def test_a_quoted_number_is_a_string_and_a_plain_exponent_a_float(tmp_path, caps
     path.write_text(text.replace("max: 2.0", "max: 1e2"))
     assert main(["sweep", "--config", str(path)]) == 0
     assert "sweep: gaussian kernel" in capsys.readouterr().out
+
+
+def test_an_int_string_is_decimal_digits_alone():
+    """As for a precision, a string reads as an int only when it is
+    decimal digits and nothing else."""
+    assert cli._int("3") == 3
+    for text in ("0_2", " 3 ", "+3", "3.0", ""):
+        with pytest.raises(TypeError, match="expected an integer"):
+            cli._int(text)
 
 
 @pytest.mark.parametrize("command,cfg", [("sweep", SWEEP_CFG), ("optimal", OPTIMAL_CFG)], ids=["sweep", "optimal"])
