@@ -27,6 +27,7 @@ from .errors import ConfigError, FlatLimitError
 from .experiments import (
     OptimalStudyConfig,
     SweepConfig,
+    _digits,
     _precision_for,
     _precision_policy,
     format_real,
@@ -75,9 +76,9 @@ def _load(args, required: tuple, optional: tuple) -> dict:
 
 
 def _int(value) -> int:
-    """An integer config value: an integer or a string of decimal digits
+    """An integer config value: an integer or a string of the digits 0-9
     alone, never a float or a bool truncated to one."""
-    if isinstance(value, bool) or not isinstance(value, int) and not (isinstance(value, str) and value.isdecimal()):
+    if isinstance(value, bool) or not isinstance(value, int) and not _digits(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

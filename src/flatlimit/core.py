@@ -11,10 +11,11 @@ type so the same formula serves both modes.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Callable, Iterator, Sequence, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import normalize, to_float
 
 Real = Union[float, mpf]
 
@@ -206,10 +207,14 @@ class PointSet(_Frozen):
 
     One-dimensional point sets are stored in ascending order so weight
     vectors have a canonical node order; no order is imposed for d > 1.
-    Use :meth:`from_points` to construct from unsorted input.
+    Use :meth:`from_points` to construct from unsorted input.  The
+    extended lane reads the coordinates as mpf from :meth:`mpf_points`,
+    converted once per point set and kept outside the fields, so that
+    equality, hashing and the repr see the points alone.
     """
 
-    __slots__ = _fields = ("points",)
+    __slots__ = ("points", "_mpf_points")
+    _fields = ("points",)
 
     def __init__(self, points: tuple[tuple[float, ...], ...]) -> None:
         if len(points) == 0:
@@ -240,6 +245,16 @@ class PointSet(_Frozen):
     @property
     def dimension(self) -> int:
         return len(self.points[0])
+
+    def mpf_points(self) -> tuple[tuple[mpf, ...], ...]:
+        """The points with mpf coordinates, converted on the first call
+        without rounding (``mp.convert``), so that they are ``mp.mpf(c)``
+        of each float coordinate c at every extended precision."""
+        try:
+            return self._mpf_points
+        except AttributeError:
+            _set(self, "_mpf_points", tuple(tuple(mp.convert(c) for c in p) for p in self.points))
+            return self._mpf_points
 
     def coords_1d(self) -> tuple[float, ...]:
         if self.dimension != 1:
@@ -331,15 +346,11 @@ class PrecisionConfig(_Frozen):
     def warn_threshold(self) -> float:
         return self.unit_roundoff ** -0.5
 
-    @contextmanager
     def workprec(self):
         """Context manager establishing the mpmath precision (no-op for
-        machine mode)."""
-        if self.is_extended:
-            with mp.workprec(self.bits):
-                yield self
-        else:
-            yield self
+        machine mode): mpmath's own ``mp.workprec(bits)``, with nothing
+        wrapped around it."""
+        return mp.workprec(self.bits) if self.is_extended else nullcontext()
 
     def to_real(self, x) -> Real:
         """Convert a scalar to this precision's working type.  Conversion
@@ -350,6 +361,17 @@ class PrecisionConfig(_Frozen):
 
     def to_point(self, p: Sequence) -> tuple[Real, ...]:
         return tuple(self.to_real(c) for c in p)
+
+    def from_raw(self, v: tuple) -> Real:
+        """The raw mpf ``v`` in this precision's working type, as :meth:`to_real`
+        converts ``mp.make_mpf(v)`` inside :meth:`workprec`, but with no
+        precision entered: an mpf rounded to ``bits``, or a float in
+        machine mode, in mpmath's rounding mode."""
+        rnd = mp._prec_rounding[1]
+        if not self.is_extended:
+            return to_float(v, rnd=rnd)
+        sign, man, exp, bc = v
+        return mp.make_mpf(normalize(sign, man, exp, bc, self.bits, rnd) if man else v)
 
 
 MACHINE = PrecisionConfig.machine()

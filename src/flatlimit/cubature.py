@@ -31,7 +31,10 @@ from functools import cached_property
 from typing import Optional, Union
 
 from mpmath import mp
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import (
+    fone, from_float, fzero, mpf_abs, mpf_add, mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub,
+    mpf_sum, to_float,
+)
 
 from .core import (
     MACHINE,
@@ -61,7 +64,7 @@ from .functionals import (
     double_embedding,
     moment,
 )
-from .kernels import gram_matrix
+from .kernels import _as_points, gram_matrix
 from .linalg import SolveResult, _warning_for, checkerboard_condition, condition_estimate, solve_general, solve_spd
 
 
@@ -172,31 +175,27 @@ def optimal_weights(
     ell = _length_scale(length_scale)
     _check_dims(L, points)
     solve_prec = PrecisionConfig.extended(_wce_bits(prec))
-    with solve_prec.workprec():
-        G = gram_matrix(ell, points, solve_prec)
-        sol = solve_spd(G, _row_embeddings(L, ell, points, solve_prec), solve_prec)
-    with prec.workprec():
-        rule = CubatureRule(points, tuple(prec.to_real(w) for w in sol.solution))
-        return WeightSolution(rule, sol, prec, ell, L)
+    G = gram_matrix(ell, points, solve_prec)
+    sol = solve_spd(G, _row_embeddings(L, ell, points, solve_prec), solve_prec)
+    rule = CubatureRule(points, tuple(prec.from_raw(w._mpf_) for w in sol.solution))
+    return WeightSolution(rule, sol, prec, ell, L)
 
 
 def _gram_terms(ell: float, L: FunctionalSpec, rule: CubatureRule, bits: int, assembly=None):
     """The Gram matrix G (raw mpf rows), LL[K], w.G w and w.z (z the
-    embedding) of ``rule`` at ``bits``, taking its weights as exact, with the
-    roundings of ``mp.fsum`` of mpf products; ``assembly`` is a pair (G, z)
-    of raw rows and a raw vector already assembled at ``bits``."""
-    prec = PrecisionConfig.extended(bits)
-    with prec.workprec():
-        if assembly is None:
-            G = [[g._mpf_ for g in row] for row in gram_matrix(ell, rule.points, prec)]
-            z = [v._mpf_ for v in _row_embeddings(L, ell, rule.points, prec)]
-        else:
-            G, z = assembly
-        p, rnd = mp._prec_rounding
-        w = [mp.mpf(wi)._mpf_ for wi in rule.weights]
-        dot = lambda a, b: mpf_sum([mpf_mul(x, y, p, rnd) for x, y in zip(a, b)], p, rnd)
-        quad = dot(w, [dot(row, w) for row in G])
-        return G, double_embedding(L, ell, prec), mp.make_mpf(quad), mp.make_mpf(dot(w, z))
+    embedding) of ``rule`` at ``bits``, all raw mpf, taking its weights as
+    exact, with the roundings of ``mp.fsum`` of mpf products; ``assembly``
+    is a pair (G, z) of raw rows and a raw vector already assembled at
+    ``bits``."""
+    prec, rnd = PrecisionConfig.extended(bits), mp._prec_rounding[1]
+    if assembly is None:
+        G = [[g._mpf_ for g in row] for row in gram_matrix(ell, rule.points, prec)]
+        z = [v._mpf_ for v in _row_embeddings(L, ell, rule.points, prec)]
+    else:
+        G, z = assembly
+    w = [mp.mpf(wi, prec=bits, rounding=rnd)._mpf_ for wi in rule.weights]
+    dot = lambda a, b: mpf_sum([mpf_mul(x, y, bits, rnd) for x, y in zip(a, b)], bits, rnd)
+    return G, double_embedding(L, ell, prec)._mpf_, dot(w, [dot(row, w) for row in G]), dot(w, z)
 
 
 def worst_case_error(
@@ -246,45 +245,48 @@ def worst_case_error(
     _check_dims(L, rule.points)
     cap, bits = 4 * prec.bits + 64, _wce_bits(prec)
     assembly = None if solved is None else (solved.solve.matrix, solved.solve.rhs)
+    rnd = mp._prec_rounding[1]
+    # the libmp calls of the mpf operators at ``bits``, on the raw mpf of _gram_terms
     while True:
         G, llk, quad, cross = _gram_terms(ell, L, rule, bits, assembly)
         assembly = None  # a later pass assembles afresh, at its higher precision
-        with mp.workprec(bits):
-            radicand = llk - 2 * cross + quad
-            scale = abs(llk) + 2 * abs(cross) + abs(quad)
-            if radicand:  # scale / |radicand| lies in (2^(lost - 1), 2^(lost + 1)); ldexp is exact
-                lost = mp.mag(scale) - mp.mag(radicand)
-                lost += scale > mp.ldexp(abs(radicand), lost)
-        if bits >= cap or radicand and lost + prec.bits + 16 <= bits:
+        radicand = mpf_add(mpf_sub(llk, mpf_mul_int(cross, 2, bits, rnd), bits, rnd), quad, bits, rnd)
+        scale = mpf_add(mpf_abs(llk, bits, rnd), mpf_mul_int(mpf_abs(cross, bits, rnd), 2, bits, rnd), bits, rnd)
+        scale = mpf_add(scale, mpf_abs(quad, bits, rnd), bits, rnd)
+        if radicand != fzero:  # scale / |radicand| lies in (2^(lost - 1), 2^(lost + 1)); the shift is exact
+            lost = scale[2] + scale[3] - radicand[2] - radicand[3]
+            lost += mpf_gt(scale, mpf_shift(mpf_abs(radicand, bits, rnd), lost))
+        if bits >= cap or radicand != fzero and lost + prec.bits + 16 <= bits:
             break
-        bits = min(cap, prec.bits + 32 + lost) if radicand else cap
+        bits = min(cap, prec.bits + 32 + lost) if radicand != fzero else cap
     cond = solved.condition if solved is not None else condition_estimate(
         [[mp.make_mpf(g) for g in row] for row in G], PrecisionConfig.extended(_wce_bits(prec)))
-    with mp.workprec(bits):
-        budget = 10 * max(cond, 1.0) * mp.mpf(2) ** -prec.bits * max(scale, mp.mpf(1e-300))
-        if radicand < -budget:
-            raise NumericalInconsistencyError(
-                f"squared worst-case error {float(radicand):.3e} is negative beyond the "
-                f"roundoff budget {float(budget):.3e} at {prec.bits} bits; increase the precision"
-            )
-        if assume_optimal:
-            simplified = llk - cross
-            if abs(simplified - radicand) > budget:
-                raise NumericalInconsistencyError(
-                    "simplified and full worst-case error forms disagree beyond the roundoff "
-                    f"budget ({float(abs(simplified - radicand)):.3e} > {float(budget):.3e}); "
-                    "the weights are not optimal at this precision"
-                )
-        wce = mp.sqrt(max(mp.zero, radicand))
-    with prec.workprec():
-        return WorstCaseReport(
-            wce=prec.to_real(wce),
-            initial_term=prec.to_real(llk),
-            quadratic_form=prec.to_real(quad),
-            cross_term=prec.to_real(cross),
-            radicand=prec.to_real(radicand),
-            condition=cond,
+    # 10 max(cond, 1) 2^-prec.bits max(scale, 1e-300), rounded as the mpf operators round it
+    tiny = from_float(1e-300)
+    unit = mpf_mul(mpf_shift(fone, -prec.bits), from_float(10 * max(cond, 1.0)), bits, rnd)
+    budget = mpf_mul(unit, tiny if mpf_gt(tiny, scale) else scale, bits, rnd)
+    if mpf_lt(radicand, mpf_neg(budget, bits, rnd)):
+        raise NumericalInconsistencyError(
+            f"squared worst-case error {to_float(radicand, rnd=rnd):.3e} is negative beyond the "
+            f"roundoff budget {to_float(budget, rnd=rnd):.3e} at {prec.bits} bits; increase the precision"
         )
+    if assume_optimal:
+        gap = mpf_abs(mpf_sub(mpf_sub(llk, cross, bits, rnd), radicand, bits, rnd), bits, rnd)
+        if mpf_gt(gap, budget):
+            raise NumericalInconsistencyError(
+                "simplified and full worst-case error forms disagree beyond the roundoff "
+                f"budget ({to_float(gap, rnd=rnd):.3e} > {to_float(budget, rnd=rnd):.3e}); "
+                "the weights are not optimal at this precision"
+            )
+    wce = mpf_sqrt(radicand if mpf_gt(radicand, fzero) else fzero, bits, rnd)
+    return WorstCaseReport(
+        wce=prec.from_raw(wce),
+        initial_term=prec.from_raw(llk),
+        quadratic_form=prec.from_raw(quad),
+        cross_term=prec.from_raw(cross),
+        radicand=prec.from_raw(radicand),
+        condition=cond,
+    )
 
 
 def _vandermonde_solve(points: PointSet, degree: int, rhs, prec: PrecisionConfig) -> SolveResult:
@@ -294,7 +296,7 @@ def _vandermonde_solve(points: PointSet, degree: int, rhs, prec: PrecisionConfig
     points are not unisolvent (:class:`NotUnisolventError`)."""
     mset = _monomials(points, degree)
     with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
-        xs = [prec.to_point(x) for x in points]
+        xs = _as_points(points, prec)
         A = [[monomial_eval(x, alpha) for x in xs] for alpha in mset]
         try:
             return solve_general(A, [rhs(alpha) for alpha in mset], prec)
@@ -342,8 +344,8 @@ def _phi_weights(
         two_l2, values = 2 * ell * ell, {}
         try:
             weights = tuple(
-                prec.to_real(u * rexp_once(sq_norm(prec.to_point(x)) / two_l2, values))
-                for u, x in zip(sol.solution, points)
+                prec.to_real(u * rexp_once(sq_norm(x) / two_l2, values))
+                for u, x in zip(sol.solution, _as_points(points, prec))
             )
         except OverflowError as e:  # mpf exponents do not overflow
             raise FlatLimitError(f"phi weights at length_scale={length_scale} exceed the float64 range") from e

@@ -18,6 +18,7 @@ import math
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
+from mpmath.libmp import normalize, to_str
 
 from . import __version__
 from .core import MACHINE, PointSet, PrecisionConfig, Real, _Frozen, _Record, _real
@@ -45,12 +46,18 @@ from .linalg import auto_precision_bits
 _REFERENCE_BITS = 256
 
 
+def _digits(value) -> bool:
+    """Whether ``value`` is a string of the ASCII digits 0-9 alone;
+    ``str.isdecimal()`` also holds for the digits of other scripts."""
+    return isinstance(value, str) and value.isascii() and value.isdecimal()
+
+
 def _precision_policy(value) -> Union[str, int]:
     """The precision policy ``value`` names: "auto", "machine", or a bit
-    count of at least 64, given as an integer or a decimal string."""
+    count of at least 64, given as an integer or a string of digits."""
     if value in ("auto", "machine"):
         return value
-    if isinstance(value, str) and value.isdecimal():
+    if _digits(value):
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"precision must be 'auto', 'machine' or a bit count, got {value!r}")
@@ -351,12 +358,14 @@ def run_optimal_study(cfg: OptimalStudyConfig) -> OptimalStudyResult:
 
 def format_real(value, bits: int) -> str:
     """Decimal string with 17 significant digits at machine precision and
-    bits/3 digits in extended mode."""
+    bits/3 digits in extended mode, the string ``mp.nstr`` gives for
+    ``mp.mpf(value)`` at ``bits``: the raw mpf of ``value``, rounded to
+    ``bits`` in mpmath's rounding mode, through ``libmp.to_str``, with no
+    precision entered and no mpf built."""
     if bits <= 53:
         return f"{float(value):.16e}"
-    digits = max(17, bits // 3)
-    with mp.workprec(bits):
-        return mp.nstr(mp.mpf(value), digits)
+    sign, man, exp, bc = raw = mp.convert(value)._mpf_
+    return to_str(normalize(sign, man, exp, bc, bits, mp._prec_rounding[1]) if man else raw, max(17, bits // 3))
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:

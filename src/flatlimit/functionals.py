@@ -35,7 +35,7 @@ from .core import (
     sq_norm,
 )
 from .errors import QuadratureError
-from .kernels import _as_point, kernel_eval, phi_basis_eval
+from .kernels import _as_points, kernel_eval, phi_basis_eval
 
 _KINDS = ("point_eval", "lebesgue_box", "gaussian_measure", "numeric_oracle")
 
@@ -398,7 +398,7 @@ def _row_embeddings(L: FunctionalSpec, length_scale: float, points, prec: Precis
     with prec.workprec():
         if L.kind == "point_eval":
             return [kernel_eval(length_scale, L.location, x, prec) for x in points]
-        xs = [_as_point(x, prec) for x in points]
+        xs = _as_points(points, prec)
         for xv in xs:
             if len(xv) != L.dimension:
                 raise ValueError(f"point dimension {len(xv)} != functional dimension {L.dimension}")

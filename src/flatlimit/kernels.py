@@ -9,7 +9,7 @@ import math
 from typing import Sequence
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import from_float, fzero, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
 
 from .core import (
     MACHINE,
@@ -29,6 +29,14 @@ def _as_point(x, prec: PrecisionConfig) -> tuple[Real, ...]:
     if isinstance(x, (int, float)) or isinstance(x, mp.mpf):
         return (prec.to_real(x),)
     return tuple(prec.to_real(c) for c in x)
+
+
+def _as_points(points, prec: PrecisionConfig) -> Sequence[tuple[Real, ...]]:
+    """The points of a :class:`PointSet` or a sequence in the working type, inside the
+    working precision; the extended lane reads a PointSet's own mpf (:meth:`PointSet.mpf_points`)."""
+    if prec.is_extended and isinstance(points, PointSet):
+        return points.mpf_points()
+    return [_as_point(x, prec) for x in points]
 
 
 def _gaussian_value(x: Sequence, y: Sequence, den: tuple, values: dict, prec: int, rnd: str) -> mp.mpf:
@@ -69,26 +77,29 @@ def gram_matrix(length_scale: float, points: PointSet, prec: PrecisionConfig = M
 
     The entries are floats at machine precision and mpf at extended
     precision, filled at ``prec.bits`` (53 in machine mode), so they are
-    those of :func:`kernel_eval` whatever mpmath's precision is.  The
-    points and the length scale are converted once; only the upper
-    triangle is evaluated and the lower is mirrored, so the result is
-    exactly symmetric.  The extended Gram forms 2 l^2 once and
-    each exponent as :func:`kernel_eval` does, on raw mpf tuples, and takes
-    exp once per distinct exponent (3 of the 6 entries of {-1, 0, 1}).
+    those of :func:`kernel_eval` whatever mpmath's precision is.  Only the
+    upper triangle is evaluated and the lower is mirrored, so the result is
+    exactly symmetric.  The extended Gram enters no precision: it reads the
+    points' mpf from :meth:`PointSet.mpf_points`, forms 2 l^2 once and each
+    exponent as :func:`kernel_eval` does, on raw mpf tuples at ``prec.bits``,
+    and takes exp once per distinct exponent (3 of the 6 entries of
+    {-1, 0, 1}).
     """
     n = len(points)
-    with mp.workprec(prec.bits):  # prec.workprec(), but 53 bits in machine mode
+    ell = _length_scale(length_scale)
+    out = [[None] * n for _ in range(n)]
+    if prec.is_extended:
+        bits, rnd = prec.bits, mp._prec_rounding[1]
+        xs, e = points.mpf_points(), from_float(ell)
+        den, values = mpf_mul(mpf_mul_int(e, 2, bits, rnd), e, bits, rnd), {}  # the roundings of 2 * l * l
+        entry = lambda x, y: _gaussian_value(x, y, den, values, bits, rnd)
+    else:
         xs = [_as_point(x, prec) for x in points]
-        ell = prec.to_real(_length_scale(length_scale))
-        out = [[None] * n for _ in range(n)]
         entry = lambda x, y: _kernel_value(x, y, ell)
-        if prec.is_extended:
-            den, values = (2 * ell * ell)._mpf_, {}
-            entry = lambda x, y: _gaussian_value(x, y, den, values, *mp._prec_rounding)
-        for i in range(n):
-            for j in range(i, n):
-                out[i][j] = out[j][i] = entry(xs[i], xs[j])
-        return out
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = entry(xs[i], xs[j])
+    return out
 
 
 def phi_basis_eval(length_scale: float, alpha: MultiIndex, x, prec: PrecisionConfig = MACHINE) -> Real:

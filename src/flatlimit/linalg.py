@@ -18,10 +18,14 @@ and A^-1 = X^T X for Cholesky, U^-1 L^-1 for LU, whose rows are those of
 A^-1 up to the order of their entries.  Where the inverse is known to be
 checkerboard, as for the Gram matrix of a totally positive kernel, one
 substitution gives its norm instead (:func:`checkerboard_condition`).
-The Cholesky diagonal is s / sqrt(s), the value mpmath keeps, from the
-one s = a_jj - sum_k l_jk^2.  Ill-conditioning is never patched
-by jitter or regularization here; the remedy on failure is more precision,
-and the errors say so.
+An inf-norm sums at the working precision only the rows whose float sums
+leave them able to hold the maximum (:func:`_inf_norm`), which gives the
+bits of the sum over all rows.  A solve enters its working precision once
+for the input and once for the guard bits, in which it factors and
+substitutes.  The Cholesky diagonal is s / sqrt(s), the value mpmath
+keeps, from the one s = a_jj - sum_k l_jk^2.  Ill-conditioning is never
+patched by jitter or regularization here; the remedy on failure is more
+precision, and the errors say so.
 """
 from __future__ import annotations
 
@@ -80,7 +84,8 @@ class SolveResult(_Frozen):
         with mp.workprec(bits + 10):  # the guard bits of the solve
             inv = self.inverse()
         with mp.workprec(bits):
-            return float(mp.make_mpf(_inf_norm_mp(self.matrix)) * mp.make_mpf(_inf_norm_mp(inv)))
+            prec, rnd = mp._prec_rounding
+            return to_float(mpf_mul(_inf_norm(self.matrix), _inf_norm(inv), prec, rnd), rnd=rnd)
 
     @cached_property
     def residual_norm(self) -> Real:
@@ -95,7 +100,8 @@ class SolveResult(_Frozen):
         stored factor: what a fresh solve of the same matrix returns."""
         with mp.workprec(self.precision.bits):
             bm = _to_vec(b, len(self.matrix))
-        return _result(self.matrix, bm, self.substitute, self.inverse, self.precision)
+        with mp.workprec(self.precision.bits + 10):
+            return _result(self.matrix, bm, self.substitute, self.inverse, self.precision)
 
 
 def auto_precision_bits(length_scale: float, n_points: int) -> int:
@@ -269,6 +275,26 @@ def _inf_norm_mp(rows) -> tuple:
     return max(norms, key=_BY_VALUE)
 
 
+def _inf_norm(rows) -> tuple:
+    """``_inf_norm_mp(rows)``, summing only the rows that can hold the maximum.  The
+    float row sums of |a_ij| (each entry's mantissa cut to 53 bits) and the sums that
+    ``_inf_norm_mp`` rounds at the working precision prec lie within a relative
+    (n + 2) 2^(2 - min(prec, 53)) of each other, up to 2n 2^-1074 of underflow in the
+    floats, so a row whose float sum lies further below the largest cannot reach the
+    maximum and is left out.  The other rows, exact ties included, are summed as
+    ``_inf_norm_mp`` sums them, in row order, so the value and the first largest are
+    its own.  An entry past the float range leaves every row in."""
+    n = len(rows[0])
+    try:
+        sums = [sum([math.ldexp(m >> (bc - 53), e + bc - 53) if bc > 53 else math.ldexp(m, e) for _, m, e, bc in row])
+                for row in rows]
+    except OverflowError:
+        return _inf_norm_mp(rows)
+    top, tol, tiny = max(sums), (n + 2) * 2.0 ** (2 - min(mp.prec, 53)), 2 * n * 2.0 ** -1074
+    cut = (top - tiny) * (1 - tol) / (1 + tol) - tiny if top < math.inf else -math.inf  # rows below it are out
+    return _inf_norm_mp([row for row, total in zip(rows, sums) if not total < cut])
+
+
 def _lower_inverse(rows, unit: bool = False) -> list:
     """The inverse X of the lower triangle of ``rows`` (unit diagonal when
     ``unit``) by forward substitution, n^3/6 products; column j of X is
@@ -320,12 +346,11 @@ def _output(v: tuple, prec: PrecisionConfig) -> Real:
 
 
 def _result(A: list, b: list, substitute, inverse, prec: PrecisionConfig) -> SolveResult:
-    """The solution from one factorization, at the guard bits at which
-    ``substitute(v)`` solves A x = v with the factor on raw mpf values; the
-    diagnostics reuse the factor when read."""
-    with mp.workprec(prec.bits + 10):
-        x = substitute(b)
-    return SolveResult(tuple(_output(v, prec) for v in x), prec, A, b, substitute, inverse)
+    """The solution from one factorization, where ``substitute(v)`` solves
+    A x = v with the factor on raw mpf values inside the guard bits
+    ``prec.bits + 10``, which the caller has entered; the diagnostics reuse
+    the factor when read."""
+    return SolveResult(tuple(_output(v, prec) for v in substitute(b)), prec, A, b, substitute, inverse)
 
 
 def _warning_for(cond: float, prec: PrecisionConfig) -> Optional[str]:
@@ -359,12 +384,12 @@ def solve_spd(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
                     f"Cholesky failed at {prec.bits} bits ({e}); increase the precision"
                 ) from e
 
-        def inverse():
-            # A^-1 = X^T X with X = L^-1
-            X = _lower_inverse(Lc)
-            return _triangular_product(X, X, symmetric=True)
+            def inverse():
+                # A^-1 = X^T X with X = L^-1
+                X = _lower_inverse(Lc)
+                return _triangular_product(X, X, symmetric=True)
 
-        return _result(Am, bm, lambda v: _cholesky_substitute(Lc, v), inverse, prec)
+            return _result(Am, bm, lambda v: _cholesky_substitute(Lc, v), inverse, prec)
 
 
 def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
@@ -380,13 +405,13 @@ def solve_general(A, b, prec: PrecisionConfig = MACHINE) -> SolveResult:
             except SingularMatrixError as e:
                 raise SingularMatrixError(f"matrix is singular at {prec.bits} bits") from e
 
-        def inverse():
-            # P A = L U, so A^-1 = U^-1 L^-1 P: P only reorders the
-            # columns of U^-1 L^-1, which leaves each row's entries.
-            # The rows of U^-1 are the columns of (U^T)^-1.
-            return _triangular_product(_lower_inverse(list(zip(*LU))), _lower_inverse(LU, unit=True))
+            def inverse():
+                # P A = L U, so A^-1 = U^-1 L^-1 P: P only reorders the
+                # columns of U^-1 L^-1, which leaves each row's entries.
+                # The rows of U^-1 are the columns of (U^T)^-1.
+                return _triangular_product(_lower_inverse(list(zip(*LU))), _lower_inverse(LU, unit=True))
 
-        return _result(Am, bm, lambda v: _u_solve(LU, _l_solve(LU, v, p)), inverse, prec)
+            return _result(Am, bm, lambda v: _u_solve(LU, _l_solve(LU, v, p)), inverse, prec)
 
 
 def condition_estimate(A, prec: PrecisionConfig = MACHINE) -> float:
@@ -405,15 +430,16 @@ def checkerboard_condition(sol: SolveResult, signs) -> float:
     totally positive matrix has with alternating signs (Karlin, *Total
     Positivity*, 1968): row i of |A^-1| sums to s_i (A^-1 s)_i, so
     ||A^-1|| = ||A^-1 s||, one substitution through the stored factor at
-    the solve's guard bits, rounded to its ``bits``.  A reading above the
-    solve's warning threshold u^(-1/2) gives way to ``sol.condition``: near
-    1/u the factor of A rounded to u need no longer keep the sign pattern,
-    and ||A^-1 s|| reads low."""
+    the solve's guard bits, rounded to its ``bits``; ||A|| sums only the
+    candidate rows of :func:`_inf_norm`, to the bits of every row's sum.  A
+    reading above the solve's warning threshold u^(-1/2) gives way to
+    ``sol.condition``: near 1/u the factor of A rounded to u need no longer
+    keep the sign pattern, and ||A^-1 s|| reads low."""
     bits = sol.precision.bits
     with mp.workprec(bits + 10):
         y = sol.substitute([fone if s > 0 else fnone for s in signs])
     with mp.workprec(bits):
         prec, rnd = mp._prec_rounding
         inv_norm = max((mpf_abs(v, prec, rnd) for v in y), key=_BY_VALUE)
-        cond = float(mp.make_mpf(_inf_norm_mp(sol.matrix)) * mp.make_mpf(inv_norm))
+        cond = to_float(mpf_mul(_inf_norm(sol.matrix), inv_norm, prec, rnd), rnd=rnd)
     return cond if cond <= sol.precision.warn_threshold else sol.condition

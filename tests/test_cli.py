@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import flatlimit.experiments as experiments
-from flatlimit import CubatureRule, FunctionalSpec, PointSet, PrecisionConfig, cli, worst_case_error
+from flatlimit import ConfigError, CubatureRule, FunctionalSpec, PointSet, PrecisionConfig, cli, worst_case_error
 from flatlimit.cli import main
 
 SWEEP_CFG = {
@@ -195,6 +195,10 @@ BAD_CONFIGS = {
     "sweep_degree_true": ("sweep", {**SWEEP_CFG, "points": [-1.0, 1.0], "degree": True}, []),
     # an int given as a string is decimal digits alone
     "sweep_degree_underscore_string": ("sweep", {**SWEEP_CFG, "degree": "0_2"}, []),
+    # Arabic-Indic digits, for which str.isdecimal() holds
+    "sweep_degree_arabic_indic_string": ("sweep", {**SWEEP_CFG, "degree": "\u0662"}, []),
+    "sweep_precision_arabic_indic_string": ("sweep", {**SWEEP_CFG, "precision": "\u0666\u0664"}, []),
+    "sweep_precision_flag_arabic_indic": ("sweep", SWEEP_CFG, ["--precision", "\u0666\u0664"]),
     "sweep_ell_grid_count_spaced_string": ("sweep", {**SWEEP_CFG, "ell_grid": {**GRID, "count": " 3 "}}, []),
     "sweep_ell_grid_count_signed_string": ("sweep", {**SWEEP_CFG, "ell_grid": {**GRID, "count": "+3"}}, []),
     "optimal_unbounded_string": (
@@ -283,12 +287,14 @@ def test_a_quoted_number_is_a_string_and_a_plain_exponent_a_float(tmp_path, caps
 
 
 def test_an_int_string_is_decimal_digits_alone():
-    """As for a precision, a string reads as an int only when it is
-    decimal digits and nothing else."""
-    assert cli._int("3") == 3
-    for text in ("0_2", " 3 ", "+3", "3.0", ""):
+    """As for a precision, a string reads as an int only when it is the
+    digits 0-9 and nothing else, not the digits of another script."""
+    assert cli._int("3") == 3 and cli._precision_policy("64") == 64
+    for text in ("0_2", " 3 ", "+3", "3.0", "", "\u0663"):
         with pytest.raises(TypeError, match="expected an integer"):
             cli._int(text)
+    with pytest.raises(ConfigError, match="precision must be"):
+        cli._precision_policy("\u0666\u0664")
 
 
 @pytest.mark.parametrize("command,cfg", [("sweep", SWEEP_CFG), ("optimal", OPTIMAL_CFG)], ids=["sweep", "optimal"])

@@ -138,6 +138,26 @@ def test_point_set_rejects_duplicates():
         PointSet.from_points([(0.0, 1.0), (0.0, 1.0)])
 
 
+def test_point_set_mpf_points_are_its_coordinates_outside_its_fields():
+    """The extended lane's coordinates, built once on first read, whatever
+    mpmath's precision is then, are mp.mpf(c) of each coordinate, bit for
+    bit, at every extended precision; equality, hashing, the repr, copies
+    and pickles see the points alone."""
+    make = lambda: PointSet.from_points([(0.1, -2.5), (1e-300, 3), (-0.7, 1e300), (5e-324, -0.0)])
+    ps, twin = make(), make()
+    before = (repr(ps), hash(ps))
+    with mp.workprec(30):
+        pts = ps.mpf_points()
+    assert ps.mpf_points() is pts
+    for bits in (64, 200, 1100):
+        with mp.workprec(bits):
+            assert [[v._mpf_ for v in p] for p in pts] == [[mp.mpf(c)._mpf_ for c in p] for p in ps.points]
+    assert (repr(ps), hash(ps)) == before == (repr(twin), hash(twin))
+    assert ps == twin and twin == ps and ps != PointSet.from_points([(0.1, -2.5)])
+    for other in (copy.copy(ps), copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
+        assert other == ps and repr(other) == repr(ps) and other.mpf_points() == pts
+
+
 def test_cubature_rule_apply_1d_passes_scalars():
     seen = []
 

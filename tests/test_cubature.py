@@ -16,6 +16,7 @@ from flatlimit import (
     PointSet,
     PrecisionConfig,
     auto_precision_bits,
+    linalg,
     optimal_weights,
     phi_weights,
     polynomial_weights,
@@ -183,9 +184,12 @@ def test_gaussian_gram_condition_by_total_positivity(points, L, ell):
     its inverse (mp.inverse 200 bits above the solve) has the checkerboard
     sign pattern (-1)^(i+j) (G^-1)_ij > 0.  The condition read from
     ||G^-1 s|| then equals, to the float, the one SolveResult forms from
-    the whole inverse, which reading it does not form."""
+    the whole inverse, which reading it does not form.  ||G|| from the
+    candidate rows is the one summed over all rows, bit for bit."""
     prec = PrecisionConfig.extended(auto_precision_bits(ell, len(points)))
     sol = optimal_weights(ell, L, points, prec)
+    with mp.workprec(sol.solve.precision.bits):
+        assert linalg._inf_norm(sol.solve.matrix) == linalg._inf_norm_mp(sol.solve.matrix)
     with mp.workprec(sol.solve.precision.bits + 200):
         inv = mp.inverse(mp.matrix([[mp.make_mpf(g) for g in row] for row in sol.solve.matrix]))
         assert all((-1) ** (i + j) * inv[i, j] > 0 for i in range(len(points)) for j in range(len(points)))

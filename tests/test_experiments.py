@@ -32,6 +32,7 @@ from flatlimit.experiments import (
     SweepRecord,
     _sha256,
     config_digest,
+    format_real,
     optimal_csv_lines,
     optimal_manifest,
     sweep_csv_lines,
@@ -213,6 +214,23 @@ def test_sweep_csv_format():
     assert "e" in first[0]
     mantissa = first[0].split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa) == 17
+
+
+@pytest.mark.parametrize("bits", [64, 65, 100, 128, 257, 500, 701, 1100])
+def test_format_real_is_nstr_at_its_bits(bits):
+    """An extended cell, formed on the raw mpf with no precision entered, is
+    the string mp.nstr gives for mp.mpf(value) inside workprec(bits): for
+    zero, negative, tiny and huge values, values of more bits than the
+    cell's that round up or to even there, floats and ints."""
+    with mp.workprec(bits + 100):
+        values = [
+            mp.zero, mp.mpf(1) / 3, -mp.pi, mp.ldexp(mp.e, -3000), -mp.ldexp(mp.mpf(2) / 7, 2500),
+            1 - mp.ldexp(1, -bits - 50), 1 + mp.ldexp(1, -bits), -(3 + mp.ldexp(3, -bits)),
+        ]
+    values += [0.0, 0.1, -2.5e-300, 1e300, 5e-324, 3, -7]
+    for v in values:
+        with mp.workprec(bits):
+            assert format_real(v, bits) == mp.nstr(mp.mpf(v), max(17, bits // 3)), v
 
 
 def test_manifest_content_and_digest_stability():

@@ -8,10 +8,12 @@ from numpy.testing import assert_allclose
 
 from flatlimit import (
     NumericallyIndefiniteError,
+    PointSet,
     PrecisionConfig,
     SingularMatrixError,
     auto_precision_bits,
     condition_estimate,
+    gram_matrix,
     linalg,
     solve_general,
     solve_spd,
@@ -340,7 +342,10 @@ def mpf_cholesky_substitute(L, v):
 def test_raw_kernels_equal_the_mpf_object_forms(bits):
     """The Cholesky substitution, the triangular inverses, their product
     and the inf-norm on raw mpf give the bits of the same loops on mpf
-    objects, the norms also at fewer bits than their entries carry."""
+    objects, the norms also at fewer bits than their entries carry.  The
+    inf-norm from the candidate rows is that of every row, on mixed signs,
+    on mirrored rows that tie exactly, on rows whose sums lie within the
+    float gap of each other, and on entries past the float range."""
     with mp.workprec(bits):
         spd, general = factor_systems()
         for A in spd.values():
@@ -355,8 +360,8 @@ def test_raw_kernels_equal_the_mpf_object_forms(bits):
             assert inv == raw(inv_m)
             for norm_bits in (bits, bits - 10):
                 with mp.workprec(norm_bits):
-                    assert linalg._inf_norm_mp(inv) == mpf_inf_norm(inv_m)._mpf_
-                    assert linalg._inf_norm_mp(raw(A)) == mpf_inf_norm(A)._mpf_
+                    assert linalg._inf_norm_mp(inv) == linalg._inf_norm(inv) == mpf_inf_norm(inv_m)._mpf_
+                    assert linalg._inf_norm_mp(raw(A)) == linalg._inf_norm(raw(A)) == mpf_inf_norm(A)._mpf_
         for A in general.values():
             LU, _ = linalg._lu(raw(A))
             LUm = mpf_rows(LU)
@@ -367,7 +372,21 @@ def test_raw_kernels_equal_the_mpf_object_forms(bits):
             assert inv == raw(inv_m)
             for norm_bits in (bits, bits - 10):
                 with mp.workprec(norm_bits):
-                    assert linalg._inf_norm_mp(inv) == mpf_inf_norm(inv_m)._mpf_
+                    assert linalg._inf_norm_mp(inv) == linalg._inf_norm(inv) == mpf_inf_norm(inv_m)._mpf_
+                    assert linalg._inf_norm_mp(raw(A)) == linalg._inf_norm(raw(A)) == mpf_inf_norm(A)._mpf_
+        one, gap = mp.one, mp.ldexp(1, 2 - bits)  # rows summing to 3 and 3 + gap: one float, two mpf at bits
+        near = [[one, -one, one], [one, one, -one - gap], [-one, one, one + gap], [one, one, -one]]
+        # the largest row sums to 3 + 3 2^-52 - 3 2^-62, but with its entries cut to 53 bits to the float 3,
+        # below the float sum 3 + 2^-51 of the row after it
+        c = one + mp.ldexp(1, -52) - mp.ldexp(1, -62)
+        misordered = [[c, -c, c], [one + mp.ldexp(1, -51), -one, one]]
+        huge = [[mp.ldexp(1, 1100), one], [one, mp.ldexp(-3, 1099)]]
+        # a row of three 2^-1076, each 0.0 as a float, above a row of 5 2^-1077, which the float 2^-1074 holds
+        tiny = [[mp.ldexp(1, -1076)] * 3, [mp.ldexp(-5, -1077), mp.zero, mp.zero], [mp.zero] * 3]
+        for A in (near, misordered, huge, tiny):
+            for norm_bits in (bits, bits - 10):
+                with mp.workprec(norm_bits):
+                    assert linalg._inf_norm(raw(A)) == linalg._inf_norm_mp(raw(A)) == mpf_inf_norm(A)._mpf_
 
 
 def random_raw(rng, n, bits, exps):
@@ -595,13 +614,19 @@ def test_resolve_through_the_factor_equals_a_fresh_solve(prec, solve):
 
 @pytest.mark.parametrize("bits", [128, 300])
 def test_checkerboard_condition_of_totally_positive_systems(bits):
-    """Hilbert matrices and the diagnostic Gaussian Gram are totally
-    positive, so their inverses are checkerboard: the condition from one
-    substitution with alternating signs is the one from the whole inverse,
-    and all signs +1 read less."""
+    """Hilbert matrices and the Gaussian Grams are totally positive, so their
+    inverses are checkerboard: the condition from one substitution with
+    alternating signs is the one from the whole inverse, and all signs +1
+    read less.  The Grams on mirrored nodes have top rows that tie exactly,
+    and ||A|| from the candidate rows is the one over every row."""
     prec = PrecisionConfig.extended(bits)
     _, G, _ = diagnostic_systems(prec)["spd"]
-    for A in [G] + [hilbert(n) for n in (2, 5, 9)]:
+    half = [math.cos((2 * k + 1) * math.pi / 20) for k in range(5)]
+    mirrored = PointSet.from_points([-x for x in half] + half)
+    grams = [gram_matrix(ell, mirrored, prec) for ell in (1.0, 3.0)]
+    for A in [G] + grams + [hilbert(n) for n in (2, 5, 9)]:
         res = solve_spd(A, [1] * len(A), prec)
         assert linalg.checkerboard_condition(res, [(-1) ** i for i in range(len(A))]) == res.condition
         assert linalg.checkerboard_condition(res, [1] * len(A)) < res.condition
+        with mp.workprec(bits):
+            assert linalg._inf_norm(res.matrix) == linalg._inf_norm_mp(res.matrix)
